@@ -5,140 +5,27 @@ Wronskian minors exactly, intersects the resulting osculating hyperplanes,
 and verifies every identity along the way -- symbolically where the identity
 is rational, numerically (at runtime-selectable precision) where the inputs
 are transcendental.
+
+The package root re-exports the library surface the README documents;
+everything else is imported from its submodule.
 """
 
-from .errors import (
-    BadDimension,
-    BadIndex,
-    BadOrder,
-    BadParameter,
-    DistinctnessViolation,
-    DomainError,
-    NoBracket,
-    NonPositiveArgument,
-    OscmeanError,
-    SingularSystem,
-)
-from .logpoly import (
-    LogPoly,
-    Rational,
-    from_text,
-    lp_add,
-    lp_diff,
-    lp_eval,
-    lp_mul,
-    substitute_power,
-    to_text,
-)
-from .wronskian import (
-    Curve,
-    DerivTable,
-    closed_form_v,
-    deriv_table,
-    det_symbolic,
-    factorial_product,
-    full_wronskian_closed_form,
-    make_conjecture_curve,
-    make_log_curve,
-    make_monomial_curve,
-    normal_field,
-    orthogonality_residuals,
-    recursion_deriv,
-    wronskian_full,
-    wronskian_minor,
-)
-from .numerics import SolveReport, find_root_bracketed, solve_linear
-from .means import (
-    Hyperplane,
-    IntersectionResult,
-    MeanRequest,
-    cramer_quotient,
-    evaluate_request,
-    hyperplane_at,
-    identric_IZ,
-    intersect,
-    mean_M,
-    neuman_LN,
-    rescale_for_inversion,
-)
-from .identities import (
-    IdentityReport,
-    conjecture_scan,
-    lemma3_check,
-    lemma4_check,
-    lemma7_check,
-    main_theorem_scan,
-    prop3_check,
-    prop4_check,
-    run_exact_suite,
-    run_identity_suite,
-    run_numeric_suite,
-    tangent_scan,
-    theorem_closure_check,
-)
+from .errors import OscmeanError
+from .logpoly import LogPoly
+from .means import identric_IZ, intersect, mean_M, neuman_LN
+from .wronskian import closed_form_v, make_log_curve, wronskian_full, wronskian_minor
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadDimension",
-    "BadIndex",
-    "BadOrder",
-    "BadParameter",
-    "Curve",
-    "DerivTable",
-    "DistinctnessViolation",
-    "DomainError",
-    "Hyperplane",
-    "IdentityReport",
-    "IntersectionResult",
     "LogPoly",
-    "MeanRequest",
-    "NoBracket",
-    "NonPositiveArgument",
     "OscmeanError",
-    "Rational",
-    "SingularSystem",
-    "SolveReport",
     "closed_form_v",
-    "conjecture_scan",
-    "cramer_quotient",
-    "deriv_table",
-    "det_symbolic",
-    "evaluate_request",
-    "factorial_product",
-    "find_root_bracketed",
-    "from_text",
-    "full_wronskian_closed_form",
-    "hyperplane_at",
     "identric_IZ",
     "intersect",
-    "lemma3_check",
-    "lemma4_check",
-    "lemma7_check",
-    "lp_add",
-    "lp_diff",
-    "lp_eval",
-    "lp_mul",
-    "main_theorem_scan",
-    "make_conjecture_curve",
     "make_log_curve",
-    "make_monomial_curve",
     "mean_M",
     "neuman_LN",
-    "normal_field",
-    "orthogonality_residuals",
-    "prop3_check",
-    "prop4_check",
-    "recursion_deriv",
-    "rescale_for_inversion",
-    "run_exact_suite",
-    "run_identity_suite",
-    "run_numeric_suite",
-    "solve_linear",
-    "substitute_power",
-    "tangent_scan",
-    "theorem_closure_check",
-    "to_text",
     "wronskian_full",
     "wronskian_minor",
 ]

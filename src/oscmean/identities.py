@@ -23,12 +23,14 @@ from mpmath import mp
 from .errors import BadDimension, BadParameter, DistinctnessViolation
 from .logpoly import LogPoly, lp_eval, substitute_power
 from .means import (
+    alternating_cofactor_sum,
     identric_IZ,
     intersect,
     ln_gap_warnings,
     mean_M,
     neuman_LN,
     sorted_positive_distinct,
+    vandermonde,
 )
 from .numerics import det
 from .precision import require_precision
@@ -157,36 +159,48 @@ def lemma7_check(b: Sequence) -> Tuple[Fraction, Fraction]:
         if v in seen:
             raise DistinctnessViolation(f"duplicate value {v}")
         seen.add(v)
-    lhs = Fraction(0)
-    for k in range(1, n + 1):
-        term = vals[k - 1] ** (n - 1)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if i != k - 1 and j != k - 1:
-                    term *= vals[j] - vals[i]
-        lhs += term if (k + 1) % 2 == 0 else -term
-    rhs = Fraction((-1) ** (n - 1))
-    for i in range(n):
-        for j in range(i + 1, n):
-            rhs *= vals[j] - vals[i]
+    lhs = alternating_cofactor_sum([v ** (n - 1) for v in vals], vals)
+    rhs = (-1) ** (n - 1) * vandermonde(vals)
     return lhs, rhs
 
 
 # -- numeric determinant identities --------------------------------------------
 
 
-def _log_gap_product(logs: Sequence[mpmath.mpf]) -> mpmath.mpf:
-    out = mp.mpf(1)
-    for i in range(len(logs)):
-        for j in range(i + 1, len(logs)):
-            out = out * (logs[j] - logs[i])
-    return out
+def _check_values(a: Sequence, precision_bits: int) -> Tuple[mpmath.mpf, ...]:
+    vals = sorted_positive_distinct(a, precision_bits)
+    if len(vals) < 3:
+        raise BadDimension(f"need at least 3 values, got {len(vals)}")
+    return vals
 
 
 def _minor_matrix(a: Sequence[mpmath.mpf], precision_bits: int) -> List[List[mpmath.mpf]]:
     n = len(a)
     field = normal_field(make_log_curve(n))
     return [[lp_eval(p, aj, precision_bits) for p in field] for aj in a]
+
+
+def _full_wronskian_column(
+    matrix: Sequence[Sequence[mpmath.mpf]], a: Sequence[mpmath.mpf], precision_bits: int
+) -> List[List[mpmath.mpf]]:
+    """Copy of the minor matrix with column 1 replaced by the full Wronskian."""
+    k_full = full_wronskian_closed_form(len(a))
+    return [
+        [lp_eval(k_full, aj, precision_bits)] + list(row[1:]) for row, aj in zip(matrix, a)
+    ]
+
+
+def _det_closed_form(vals: Sequence[mpmath.mpf], product: mpmath.mpf) -> mpmath.mpf:
+    # (prod r!)^(n-2) * product / prod_j a_j^((n-1)(n-2)/2), shared by both closed forms
+    n = len(vals)
+    closed = mp.mpf(factorial_product(n)) ** (n - 2) * product
+    for v in vals:
+        closed = closed / v ** (((n - 1) * (n - 2)) // 2)
+    return closed
+
+
+def _rel_error(value: mpmath.mpf, reference: mpmath.mpf) -> mpmath.mpf:
+    return abs(value - reference) / abs(reference)
 
 
 def prop3_check(a: Sequence, precision_bits: int = 53) -> mpmath.mpf:
@@ -196,18 +210,11 @@ def prop3_check(a: Sequence, precision_bits: int = 53) -> mpmath.mpf:
     closed form is (prod r!)^(n-2) times the product of log gaps over
     prod a_j^((n-1)(n-2)/2).
     """
-    vals = sorted_positive_distinct(a, precision_bits)
-    n = len(vals)
-    if n < 3:
-        raise BadDimension(f"need at least 3 values, got {n}")
-    matrix = _minor_matrix(vals, precision_bits)
-    determinant = det(matrix, precision_bits)
+    vals = _check_values(a, precision_bits)
+    determinant = det(_minor_matrix(vals, precision_bits), precision_bits)
     with mp.workprec(precision_bits):
         logs = [mp.log(v) for v in vals]
-        closed = mp.mpf(factorial_product(n)) ** (n - 2) * _log_gap_product(logs)
-        for v in vals:
-            closed = closed / v ** (((n - 1) * (n - 2)) // 2)
-        return +(abs(determinant - closed) / abs(closed))
+        return +_rel_error(determinant, _det_closed_form(vals, vandermonde(logs)))
 
 
 def prop4_check(a: Sequence, precision_bits: int = 53) -> mpmath.mpf:
@@ -217,34 +224,14 @@ def prop4_check(a: Sequence, precision_bits: int = 53) -> mpmath.mpf:
     sum_i (-1)^(i+1) a_i prod_{j<k; j,k != i} (ln a_k - ln a_j), over
     prod a_j^((n-1)(n-2)/2).
     """
-    vals = sorted_positive_distinct(a, precision_bits)
+    vals = _check_values(a, precision_bits)
     n = len(vals)
-    if n < 3:
-        raise BadDimension(f"need at least 3 values, got {n}")
-    matrix = _minor_matrix(vals, precision_bits)
-    k_full = full_wronskian_closed_form(n)
-    for j, aj in enumerate(vals):
-        matrix[j][0] = lp_eval(k_full, aj, precision_bits)
+    matrix = _full_wronskian_column(_minor_matrix(vals, precision_bits), vals, precision_bits)
     determinant = det(matrix, precision_bits)
     with mp.workprec(precision_bits):
         logs = [mp.log(v) for v in vals]
-        alternating = mp.mpf(0)
-        for i in range(1, n + 1):
-            piece = vals[i - 1]
-            for jdx in range(n):
-                for kdx in range(jdx + 1, n):
-                    if jdx != i - 1 and kdx != i - 1:
-                        piece = piece * (logs[kdx] - logs[jdx])
-            alternating = alternating + piece if (i + 1) % 2 == 0 else alternating - piece
-        closed = (
-            mp.mpf((-1) ** (n - 1))
-            * factorial(n - 1)
-            * mp.mpf(factorial_product(n)) ** (n - 2)
-            * alternating
-        )
-        for v in vals:
-            closed = closed / v ** (((n - 1) * (n - 2)) // 2)
-        return +(abs(determinant - closed) / abs(closed))
+        alternating = (-1) ** (n - 1) * factorial(n - 1) * alternating_cofactor_sum(vals, logs)
+        return +_rel_error(determinant, _det_closed_form(vals, alternating))
 
 
 def theorem_closure_check(a: Sequence, precision_bits: int = 53) -> mpmath.mpf:
@@ -254,19 +241,12 @@ def theorem_closure_check(a: Sequence, precision_bits: int = 53) -> mpmath.mpf:
     dividing the two determinants gives the first intersection coordinate;
     it must agree with ``neuman_LN``.
     """
-    vals = sorted_positive_distinct(a, precision_bits)
-    n = len(vals)
-    if n < 3:
-        raise BadDimension(f"need at least 3 values, got {n}")
+    vals = _check_values(a, precision_bits)
     base = _minor_matrix(vals, precision_bits)
-    replaced = [row[:] for row in base]
-    k_full = full_wronskian_closed_form(n)
-    for j, aj in enumerate(vals):
-        replaced[j][0] = lp_eval(k_full, aj, precision_bits)
+    replaced = _full_wronskian_column(base, vals, precision_bits)
     with mp.workprec(precision_bits):
         quotient = det(replaced, precision_bits) / det(base, precision_bits)
-        reference = neuman_LN(vals, precision_bits)
-        return +(abs(quotient - reference) / abs(reference))
+        return +_rel_error(quotient, neuman_LN(vals, precision_bits))
 
 
 # -- randomized scans ----------------------------------------------------------
@@ -369,7 +349,7 @@ def main_theorem_scan(
         point = intersect(curve, vals, precision_bits)
         reference = neuman_LN(vals, precision_bits)
         with mp.workprec(precision_bits):
-            worst = max(worst, abs(point.means[1] - reference) / abs(reference))
+            worst = max(worst, _rel_error(point.means[1], reference))
     tolerance = (
         MAIN_THEOREM_TOLERANCE_113 if precision_bits >= 113 else MAIN_THEOREM_TOLERANCE
     )
@@ -392,7 +372,7 @@ def tangent_scan(trials: int = 100, seed: int = 0, precision_bits: int = 53) -> 
         with mp.workprec(precision_bits):
             av, bv = mp.mpf(a), mp.mpf(b)
             reference = (bv - av) / (mp.log(bv) - mp.log(av))
-            worst = max(worst, abs(point.means[1] - reference) / abs(reference))
+            worst = max(worst, _rel_error(point.means[1], reference))
     return IdentityReport(
         "tangent_n2_vs_two_variable_mean",
         2,
@@ -431,7 +411,7 @@ def conjecture_scan(
         mean_value = mean_M(curve, n, vals, precision_bits)
         reference = identric_IZ(vals, precision_bits)
         with mp.workprec(precision_bits):
-            worst = max(worst, abs(mean_value - reference) / abs(reference))
+            worst = max(worst, _rel_error(mean_value, reference))
     return IdentityReport(
         "conjecture_mn_vs_identric",
         n,

@@ -186,24 +186,6 @@ class LogPoly:
         return LogPoly(out)
 
 
-# -- module-level operation surface ---------------------------------------
-
-
-def lp_add(p: LogPoly, q: LogPoly) -> LogPoly:
-    """Pointwise coefficient sum, canonicalized."""
-    return p + q
-
-
-def lp_mul(p: LogPoly, q: LogPoly) -> LogPoly:
-    """Distributive product; exponents add componentwise."""
-    return p * q
-
-
-def lp_diff(p: LogPoly) -> LogPoly:
-    """Exact derivative of ``p``."""
-    return p.diff()
-
-
 def lp_eval(p: LogPoly, t, precision_bits: int = 53) -> mpmath.mpf:
     """Value of ``p`` at ``t > 0`` with at least ``precision_bits`` significand bits.
 

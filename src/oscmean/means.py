@@ -34,7 +34,7 @@ from .errors import (
     NonPositiveArgument,
     SingularSystem,
 )
-from .logpoly import LogPoly, lp_diff, lp_eval
+from .logpoly import LogPoly, lp_eval
 from .numerics import SolveReport, find_root_bracketed, solve_linear
 from .precision import as_mpf, require_precision
 from .wronskian import Curve, T, make_log_curve, normal_field
@@ -81,7 +81,7 @@ class MeanRequest:
 
     Values are parsed at the configured precision, sorted increasingly, and
     checked for positivity and distinctness.  If the smallest log-gap falls
-    below ``gap_floor`` a warning is attached and the effective precision is
+    below ``LN_GAP_FLOOR`` a warning is attached and the effective precision is
     escalated to at least 113 bits (the identity still holds; near-equal
     inputs just need more headroom).
     """
@@ -89,7 +89,6 @@ class MeanRequest:
     values: Tuple
     k: int = 1
     precision_bits: int = 53
-    gap_floor: float = LN_GAP_FLOOR
     warnings: Tuple[str, ...] = field(init=False)
     effective_precision_bits: int = field(init=False)
 
@@ -97,7 +96,7 @@ class MeanRequest:
         require_precision(self.precision_bits)
         raw = tuple(self.values)
         parsed = sorted_positive_distinct(raw, self.precision_bits)
-        warnings = ln_gap_warnings(parsed, self.gap_floor)
+        warnings = ln_gap_warnings(parsed)
         effective = self.precision_bits
         if warnings:
             effective = max(ESCALATED_PRECISION_BITS, effective)
@@ -129,14 +128,14 @@ def sorted_positive_distinct(values: Sequence, precision_bits: int = 53) -> Tupl
     return tuple(parsed)
 
 
-def ln_gap_warnings(values: Sequence, gap_floor: float = LN_GAP_FLOOR) -> Tuple[str, ...]:
+def ln_gap_warnings(values: Sequence) -> Tuple[str, ...]:
     """Conditioning warnings for sorted positive values with close logs."""
     with mp.workprec(53):
         logs = [mp.log(as_mpf(v)) for v in values]
         smallest = min(b - a for a, b in zip(logs, logs[1:]))
-        if smallest < gap_floor:
+        if smallest < LN_GAP_FLOOR:
             return (
-                f"min ln-gap {mp.nstr(smallest, 3)} is below {gap_floor:g}; "
+                f"min ln-gap {mp.nstr(smallest, 3)} is below {LN_GAP_FLOOR:g}; "
                 "results are ill-conditioned, precision escalated",
             )
     return ()
@@ -244,7 +243,7 @@ def mean_M(curve: Curve, k: int, values: Sequence, precision_bits: int = 53) -> 
             f"component {k} of the log curve is strictly increasing only for t > 1; "
             f"smallest input is {mp.nstr(lo, 12)} (rescale inputs above 1 first)"
         )
-    derivative = lp_diff(component)
+    derivative = component.diff()
     return find_root_bracketed(
         lambda t: lp_eval(component, t, precision_bits) - target,
         lo,
@@ -269,6 +268,33 @@ def rescale_for_inversion(values: Sequence, precision_bits: int = 53):
 
 
 # -- closed-form reference means ----------------------------------------------
+
+
+def vandermonde(xs: Sequence):
+    """prod_{i<j} (x_j - x_i) at the working precision (exact for rationals).
+
+    With the logs of the inputs as ``xs`` this is the log-gap product of the
+    determinant closed forms.
+    """
+    out = 1
+    for i, xi in enumerate(xs):
+        for xj in xs[i + 1 :]:
+            out = out * (xj - xi)
+    return out
+
+
+def alternating_cofactor_sum(weights: Sequence, xs: Sequence):
+    """sum_i (-1)^(i+1) w_i V(xs without x_i), with i counted from 1.
+
+    The cofactor expansion, along a column of weights, of the matrix whose
+    other columns are those of the Vandermonde matrix of ``xs``.
+    """
+    xs = list(xs)
+    total = 0
+    for i, w in enumerate(weights):
+        piece = w * vandermonde(xs[:i] + xs[i + 1 :])
+        total = total + piece if i % 2 == 0 else total - piece
+    return total
 
 
 def neuman_LN(values: Sequence, precision_bits: int = 53) -> mpmath.mpf:
@@ -310,20 +336,9 @@ def identric_IZ(values: Sequence, precision_bits: int = 53) -> mpmath.mpf:
     n = len(vals)
     harmonic = sum(Fraction(1, k) for k in range(1, n))
     with mp.workprec(precision_bits + GUARD_BITS):
-        vandermonde = mp.mpf(1)
-        for i in range(n):
-            for j in range(i):
-                vandermonde = vandermonde * (vals[i] - vals[j])
-        total = mp.mpf(0)
-        for i in range(1, n + 1):
-            minor = mp.mpf(1)
-            rest = [vals[j] for j in range(n) if j != i - 1]
-            for bidx in range(len(rest)):
-                for aidx in range(bidx):
-                    minor = minor * (rest[bidx] - rest[aidx])
-            piece = vals[i - 1] ** (n - 1) * minor * mp.log(vals[i - 1])
-            total = total + piece if (n + i) % 2 == 0 else total - piece
-        result = mp.exp(total / vandermonde - as_mpf(harmonic))
+        weights = [v ** (n - 1) * mp.log(v) for v in vals]
+        total = (-1) ** (n - 1) * alternating_cofactor_sum(weights, vals)
+        result = mp.exp(total / vandermonde(vals) - as_mpf(harmonic))
     with mp.workprec(precision_bits):
         return +result
 
@@ -342,19 +357,8 @@ def cramer_quotient(values: Sequence, precision_bits: int = 53) -> mpmath.mpf:
     n = len(vals)
     with mp.workprec(precision_bits + GUARD_BITS):
         logs = [mp.log(v) for v in vals]
-        numerator = mp.mpf(0)
-        for i in range(1, n + 1):
-            piece = vals[i - 1]
-            for jdx in range(n):
-                for kdx in range(jdx + 1, n):
-                    if jdx != i - 1 and kdx != i - 1:
-                        piece = piece * (logs[kdx] - logs[jdx])
-            numerator = numerator + piece if (n + i) % 2 == 0 else numerator - piece
-        denominator = mp.mpf(1)
-        for i in range(n):
-            for j in range(i + 1, n):
-                denominator = denominator * (logs[j] - logs[i])
-        result = mp.mpf(factorial(n - 1)) * numerator / denominator
+        numerator = (-1) ** (n - 1) * alternating_cofactor_sum(vals, logs)
+        result = mp.mpf(factorial(n - 1)) * numerator / vandermonde(logs)
     with mp.workprec(precision_bits):
         return +result
 

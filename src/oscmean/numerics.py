@@ -2,9 +2,9 @@
 
 Everything here works on mpmath floats so the significand width can be
 raised at runtime; 53 bits reproduces IEEE double behaviour.  Systems in
-this package are tiny (n <= 10), so the solver is a plain scaled-pivot
-Gaussian elimination that also extracts the inverse for an infinity-norm
-condition estimate.
+this package are tiny (n <= 10), so one scaled-pivot LU factorization
+serves both the solver (which also extracts the inverse for an
+infinity-norm condition estimate) and the determinant.
 """
 
 from __future__ import annotations
@@ -152,29 +152,30 @@ def solve_linear(A: Sequence[Sequence], b: Sequence, precision_bits: int = 53) -
 
 
 def det(A: Sequence[Sequence], precision_bits: int = 53) -> mpmath.mpf:
-    """Numeric determinant via partially pivoted elimination."""
+    """Numeric determinant: the sign of the LU permutation times the pivots.
+
+    A pivot below the factorization's relative threshold makes the matrix
+    numerically singular, and its determinant is returned as 0.
+    """
     require_precision(precision_bits)
     n = len(A)
     if n == 0 or any(len(row) != n for row in A):
         raise BadDimension("determinant requires a square, nonempty matrix")
     with mp.workprec(precision_bits):
-        m = [[as_mpf(x) for x in row] for row in A]
+        try:
+            lu, perm = _lu_factor([[as_mpf(x) for x in row] for row in A], precision_bits)
+        except SingularSystem:
+            return mp.mpf(0)
+        # sort the permutation by swaps; each swap flips the sign
         sign = 1
-        for col in range(n):
-            pivot_row = max(range(col, n), key=lambda i: abs(m[i][col]))
-            if m[pivot_row][col] == 0:
-                return mp.mpf(0)
-            if pivot_row != col:
-                m[col], m[pivot_row] = m[pivot_row], m[col]
+        for i in range(n):
+            while perm[i] != i:
+                j = perm[i]
+                perm[i], perm[j] = perm[j], perm[i]
                 sign = -sign
-            for i in range(col + 1, n):
-                factor = m[i][col] / m[col][col]
-                if factor:
-                    for j in range(col, n):
-                        m[i][j] = m[i][j] - factor * m[col][j]
         result = mp.mpf(sign)
         for i in range(n):
-            result = result * m[i][i]
+            result = result * lu[i][i]
         return result
 
 
@@ -184,7 +185,6 @@ def find_root_bracketed(
     hi,
     precision_bits: int = 53,
     derivative: Optional[Callable] = None,
-    max_iterations: Optional[int] = None,
 ) -> mpmath.mpf:
     """Root of a continuous, strictly monotone f on [lo, hi] with f(lo)f(hi) <= 0.
 
@@ -192,7 +192,8 @@ def find_root_bracketed(
     the step stays inside the current bracket and converges fast enough;
     otherwise the bracket is bisected.  The returned point always lies in
     [lo, hi], and iteration stops once the step size drops below
-    2^(-precision_bits + 4) * max(|lo|, |hi|).
+    2^(-precision_bits + 4) * max(|lo|, |hi|), or after
+    4 * precision_bits + 64 steps.
     """
     require_precision(precision_bits)
     with mp.workprec(precision_bits + 10):
@@ -221,8 +222,7 @@ def find_root_bracketed(
         step = step_old
         fx = as_mpf(f(x))
         dfx = as_mpf(derivative(x)) if derivative is not None else None
-        limit = max_iterations if max_iterations is not None else 4 * precision_bits + 64
-        for _ in range(limit):
+        for _ in range(4 * precision_bits + 64):
             newton_ok = (
                 dfx is not None
                 and dfx != 0

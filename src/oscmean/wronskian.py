@@ -16,7 +16,7 @@ from math import comb, factorial, prod
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import BadDimension, BadIndex, BadOrder
-from .logpoly import LogPoly, lp_diff
+from .logpoly import LogPoly
 
 #: The identity component t (t-power 1, log-power 0).
 T = LogPoly.term(1, 1, 0)
@@ -105,7 +105,7 @@ def deriv_table(curve: Curve, max_order: int) -> DerivTable:
         raise BadOrder(f"max_order must be >= 0, got {max_order}")
     rows: List[Tuple[LogPoly, ...]] = [curve.components]
     for _ in range(max_order):
-        rows.append(tuple(lp_diff(p) for p in rows[-1]))
+        rows.append(tuple(p.diff() for p in rows[-1]))
     return DerivTable(curve=curve, rows=tuple(rows))
 
 
@@ -154,33 +154,15 @@ def recursion_deriv(k: int, r: int) -> LogPoly:
 # -- symbolic determinants ---------------------------------------------------
 
 
-def det_symbolic(matrix: Sequence[Sequence[LogPoly]], expansion: str = "memo") -> LogPoly:
+def det_symbolic(matrix: Sequence[Sequence[LogPoly]]) -> LogPoly:
     """Determinant of a square matrix of log-polynomials.
 
-    ``expansion`` selects the cofactor strategy:
-
-    * ``"memo"`` (default): Laplace expansion along the bottom row of each
-      leading-row block, memoized on column subsets -- O(2^n * n)
-      subdeterminants instead of n!.
-    * ``"row0"`` / ``"col0"``: plain recursive expansion along the first row
-      or column.  Exponentially slower; intended for cross-checks that the
-      result does not depend on expansion order.
+    Laplace expansion along the bottom row of each leading-row block,
+    memoized on column subsets -- O(2^n * n) subdeterminants instead of n!.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise BadDimension("determinant requires a square matrix")
-    if n == 0:
-        return LogPoly.constant(1)
-    if expansion == "memo":
-        return _det_memo(matrix)
-    if expansion == "row0":
-        return _det_row0([list(row) for row in matrix])
-    if expansion == "col0":
-        return _det_col0([list(row) for row in matrix])
-    raise BadOrder(f"unknown expansion strategy {expansion!r}")
-
-
-def _det_memo(matrix: Sequence[Sequence[LogPoly]]) -> LogPoly:
     memo: Dict[Tuple[int, ...], LogPoly] = {(): LogPoly.constant(1)}
 
     def block_det(cols: Tuple[int, ...]) -> LogPoly:
@@ -203,37 +185,7 @@ def _det_memo(matrix: Sequence[Sequence[LogPoly]]) -> LogPoly:
         memo[cols] = acc
         return acc
 
-    return block_det(tuple(range(len(matrix))))
-
-
-def _det_row0(matrix: List[List[LogPoly]]) -> LogPoly:
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    acc = LogPoly.zero()
-    for c in range(n):
-        entry = matrix[0][c]
-        if entry.is_zero():
-            continue
-        minor = [row[:c] + row[c + 1 :] for row in matrix[1:]]
-        piece = entry * _det_row0(minor)
-        acc = acc + piece if c % 2 == 0 else acc - piece
-    return acc
-
-
-def _det_col0(matrix: List[List[LogPoly]]) -> LogPoly:
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    acc = LogPoly.zero()
-    for r in range(n):
-        entry = matrix[r][0]
-        if entry.is_zero():
-            continue
-        minor = [row[1:] for i, row in enumerate(matrix) if i != r]
-        piece = entry * _det_col0(minor)
-        acc = acc + piece if r % 2 == 0 else acc - piece
-    return acc
+    return block_det(tuple(range(n)))
 
 
 # -- Wronskians and closed forms ---------------------------------------------

@@ -95,6 +95,13 @@ def test_det_known_values():
     assert det([[1, 2], [3, 4]]) == -2
     assert det([[0, 1], [1, 0]]) == -1
     assert det([[1, 2], [2, 4]]) == 0
+    # a 3-cycle is two swaps (+1), though every row is out of place
+    assert det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+    assert det([[0, 1, 0], [1, 0, 0], [0, 0, 1]]) == -1
+    # second pivot 2^-50 is below the 53-bit threshold 2^-45 but not the 113-bit one
+    near = [[1, 1], [1, 1 + mp.ldexp(1, -50)]]
+    assert det(near) == 0
+    assert det(near, 113) == mp.ldexp(1, -50)
 
 
 # -- find_root_bracketed --------------------------------------------------------------

@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 
 from oscmean.errors import BadDimension, BadIndex, BadOrder
-from oscmean.logpoly import LogPoly, lp_diff
+from oscmean.logpoly import LogPoly
 from oscmean.wronskian import (
     Curve,
     closed_form_v,
@@ -80,7 +80,7 @@ def test_deriv_table_rows():
     table = deriv_table(curve, 2)
     assert table.rows[0] == curve.components
     for r in range(2):
-        assert table.rows[r + 1] == tuple(lp_diff(p) for p in table.rows[r])
+        assert table.rows[r + 1] == tuple(p.diff() for p in table.rows[r])
     # x_2'(t) = log t + 1 and x_1'(t) = 1
     assert table.entry(1, 2) == LogPoly({(0, 1): 1, (0, 0): 1})
     assert table.entry(1, 1) == LogPoly.constant(1)
@@ -114,7 +114,7 @@ def test_recursion_base_case():
 
 
 def test_recursion_matches_direct_differentiation():
-    # independent route: recursion on one side, repeated lp_diff on the other
+    # independent route: recursion on one side, repeated .diff() on the other
     table = deriv_table(make_log_curve(7), 6)
     for k in range(1, 7):
         for r in range(2, 7):
@@ -123,7 +123,7 @@ def test_recursion_matches_direct_differentiation():
 
 def test_recursion_third_derivative_cross_check():
     p = LogPoly.term(1, 1, 2)  # t (log t)^2
-    expected = lp_diff(lp_diff(lp_diff(p)))
+    expected = p.diff().diff().diff()
     assert recursion_deriv(2, 3) == expected
 
 
@@ -151,14 +151,27 @@ def random_matrix(rng, n):
     return [[poly() for _ in range(n)] for _ in range(n)]
 
 
+def cofactor_det(matrix):
+    """Plain recursive expansion along the first column: the reference that
+    the memoized det_symbolic is checked against."""
+    if len(matrix) == 1:
+        return matrix[0][0]
+    acc = LogPoly.zero()
+    for r, row in enumerate(matrix):
+        minor = [other[1:] for i, other in enumerate(matrix) if i != r]
+        piece = row[0] * cofactor_det(minor)
+        acc = acc + piece if r % 2 == 0 else acc - piece
+    return acc
+
+
 def test_expansion_order_independence():
     rng = random.Random(404)
     for n in (2, 3, 4):
         for _ in range(8):
             m = random_matrix(rng, n)
-            memo = det_symbolic(m)
-            assert memo == det_symbolic(m, expansion="row0")
-            assert memo == det_symbolic(m, expansion="col0")
+            assert det_symbolic(m) == cofactor_det(m)
+            # the transpose expands along the first row instead
+            assert det_symbolic(m) == cofactor_det([list(col) for col in zip(*m)])
 
 
 def test_det_rejects_ragged_matrix():
@@ -198,7 +211,7 @@ def test_minor_expansion_cross_check():
     table = deriv_table(curve, 3)
     kept = [1, 2, 4]
     matrix = [[table.entry(r, c) for c in kept] for r in range(1, 4)]
-    assert wronskian_minor(curve, 3) == det_symbolic(matrix, expansion="col0")
+    assert wronskian_minor(curve, 3) == cofactor_det(matrix)
 
 
 # -- closed forms -------------------------------------------------------------------
