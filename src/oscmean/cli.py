@@ -203,9 +203,9 @@ def _fail_reports(reports: List[IdentityReport], config: RunConfig) -> int:
     failures = [r for r in reports if not r.passed]
     if not failures:
         return EXIT_OK
-    first = failures[0]
+    failed = ", ".join(f"{r.name} (n={r.n})" for r in failures)
     print(
-        f"verification failed: {first.name} (n={first.n}) -- reproduce with "
+        f"verification failed: {failed} -- reproduce with "
         f"seed={config.seed} trials={config.trials} precision={config.precision_bits}",
         file=sys.stderr,
     )

@@ -22,6 +22,11 @@ from .logpoly import LogPoly
 T = LogPoly.term(1, 1, 0)
 #: The component log t.
 LOG_T = LogPoly.term(1, 0, 1)
+#: Entries kept by each cache below.  ``verify --max-n 7``, both conjecture
+#: curves and ``mean`` up to n = 10 fill at most 66 entries of any one cache;
+#: the bound stops a process that sees many distinct curves from growing
+#: without limit.
+CACHE_MAXSIZE = 128
 
 
 @dataclass(frozen=True)
@@ -98,7 +103,7 @@ def make_monomial_curve(exponents: Sequence[int]) -> Curve:
 # -- derivative tables -------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def deriv_table(curve: Curve, max_order: int) -> DerivTable:
     """Exact derivatives of every component up to ``max_order``."""
     if max_order < 0:
@@ -114,7 +119,7 @@ def _shift_coeff(r: int, j: int) -> Fraction:
     return Fraction((-1) ** (j + 1) * factorial(j - 1) * comb(r - 2, j - 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def _log_deriv_by_recursion(k: int, r: int) -> LogPoly:
     """r-th derivative of t*(log t)^(k-1) via the index-shift recursion.
 
@@ -191,7 +196,7 @@ def det_symbolic(matrix: Sequence[Sequence[LogPoly]]) -> LogPoly:
 # -- Wronskians and closed forms ---------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def wronskian_minor(curve: Curve, k: int) -> LogPoly:
     """Wronskian of the first derivatives of all components except the k-th.
 
@@ -207,7 +212,7 @@ def wronskian_minor(curve: Curve, k: int) -> LogPoly:
     return det_symbolic(matrix)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def wronskian_full(curve: Curve) -> LogPoly:
     """Full n x n Wronskian of the curve components (row r = r-th derivatives)."""
     n = curve.dimension
@@ -247,7 +252,7 @@ def closed_form_v(k: int, n: int) -> LogPoly:
     return LogPoly({(t_power, p): lead / factorial(p) for p in range(n - k + 1)})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def normal_field(curve: Curve) -> Tuple[LogPoly, ...]:
     """Alternating-sign vector of Wronskian minors: <W_1, -W_2, ..., +/-W_n>.
 

@@ -16,14 +16,12 @@ from mpmath import mp
 from oscmean.cli import main as cli_main
 from oscmean.identities import (
     conjecture_scan,
+    determinant_scan,
     draw_tuple,
     lemma3_check,
     lemma4_check,
     lemma7_check,
     main_theorem_scan,
-    prop3_scan,
-    prop4_scan,
-    closure_scan,
     run_exact_suite,
     tangent_scan,
 )
@@ -162,9 +160,9 @@ def test_c5_numeric_determinant_identities():
     worst_det = 0.0
     worst_closure = 0.0
     for n in range(3, 7):
-        worst_det = max(worst_det, prop3_scan(n, 100, 0, 113).max_rel_error)
-        worst_det = max(worst_det, prop4_scan(n, 100, 0, 113).max_rel_error)
-        worst_closure = max(worst_closure, closure_scan(n, 100, 0, 113).max_rel_error)
+        prop3, prop4, closure = determinant_scan(n, 100, 0, 113)
+        worst_det = max(worst_det, prop3.max_rel_error, prop4.max_rel_error)
+        worst_closure = max(worst_closure, closure.max_rel_error)
     ok = worst_det < 1e-8 and worst_closure < 1e-9
     report(
         "C5 numeric-determinants",

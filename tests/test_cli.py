@@ -218,7 +218,11 @@ def test_failing_report_exits_1(capsys):
     from oscmean.identities import IdentityReport
 
     failing = IdentityReport("made_up_row", 3, False, 0.5, 1, (), 1e-9)
+    passing = IdentityReport("passing_row", 3, False, 0.0, 1, (), 1e-9)
+    second = IdentityReport("other_row", 7, False, 0.5, 1, (), 1e-9)
     config = RunConfig(subcommand="verify", max_n=3)
-    assert _fail_reports([failing], config) == 1
+    assert _fail_reports([failing, passing, second], config) == 1
     err = capsys.readouterr().err
-    assert "made_up_row" in err and "seed=0" in err
+    assert "made_up_row (n=3)" in err and "other_row (n=7)" in err
+    assert "passing_row" not in err
+    assert "seed=0" in err and "trials=100" in err and "precision=53" in err

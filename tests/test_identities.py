@@ -8,20 +8,22 @@ from mpmath import mp
 
 from oscmean.errors import BadDimension, BadParameter, DistinctnessViolation
 from oscmean.identities import (
+    MAIN_THEOREM_TOLERANCE,
+    NUMERIC_TOLERANCE,
     closure_scan,
     conjecture_scan,
+    determinant_checks,
+    determinant_scan,
+    draw_tuple,
     lemma3_check,
     lemma4_check,
     lemma7_check,
     main_theorem_scan,
-    prop3_check,
     prop3_scan,
-    prop4_check,
     prop4_scan,
     run_exact_suite,
     run_identity_suite,
     tangent_scan,
-    theorem_closure_check,
 )
 from oscmean.logpoly import LogPoly, substitute_power
 from oscmean.means import ln_gap_warnings
@@ -100,11 +102,15 @@ def test_vandermonde_cofactor_validations():
 # -- numeric determinant identities -----------------------------------------------------
 
 
+# determinant_checks returns (prop3, prop4, Cramer quotient) relative errors
+PROP3, PROP4, QUOTIENT = 0, 1, 2
+
+
 def test_prop3_exponential_points():
     # a = (e, e^2, e^3): the log gaps are the integers (1, 2, 1)
     values = (float(mp.e), float(mp.e ** 2), float(mp.e ** 3))
-    assert prop3_check(values, 113) < 1e-10
-    assert prop3_check(values, 53) < 1e-10
+    assert determinant_checks(values, 113)[PROP3] < 1e-10
+    assert determinant_checks(values, 53)[PROP3] < 1e-10
 
 
 def test_prop_checks_random_tuples():
@@ -114,32 +120,42 @@ def test_prop_checks_random_tuples():
             values = sorted(rng.uniform(1.5, 20) for _ in range(n))
             while any(b / a < 1.06 for a, b in zip(values, values[1:])):
                 values = sorted(rng.uniform(1.5, 20) for _ in range(n))
-            assert prop3_check(values, 113) < 1e-8
-            assert prop4_check(values, 113) < 1e-8
-            assert theorem_closure_check(values, 113) < 1e-9
+            errors = determinant_checks(values, 113)
+            assert errors[PROP3] < 1e-8
+            assert errors[PROP4] < 1e-8
+            assert errors[QUOTIENT] < 1e-9
 
 
 def test_prop4_degenerate_pair_grows_and_warns():
     separated = (2.0, 5.0, 12.0)
     degenerate = (2.0, 2.0 * (1 + 1e-7), 12.0)
-    assert prop4_check(degenerate, 53) > prop4_check(separated, 53)
+    assert determinant_checks(degenerate, 53)[PROP4] > determinant_checks(separated, 53)[PROP4]
     assert ln_gap_warnings(degenerate)
     assert not ln_gap_warnings(separated)
 
 
+def test_quotient_check_singular_minor_matrix():
+    # the minor determinant of this tuple evaluates to 0 at 53 bits: the
+    # quotient error is infinite, and prop3 and prop4 still report their own
+    values = (2.0, 2.000000000000002, 3.0, 12.0)
+    prop3, prop4, quotient = determinant_checks(values, 53)
+    assert quotient == mp.inf
+    assert prop3 == 1 and prop4 == 1
+
+
 def test_prop_checks_validate_inputs():
     with pytest.raises(BadDimension):
-        prop3_check((2.0, 3.0), 53)
+        determinant_checks((2.0, 3.0), 53)
     with pytest.raises(DistinctnessViolation):
-        prop4_check((2.0, 2.0, 3.0), 53)
+        determinant_checks((2.0, 2.0, 3.0), 53)
 
 
 def test_prop_error_decreases_with_precision():
     values = (1.7, 3.1, 4.9, 11.3)
-    for check in (prop3_check, prop4_check):
-        low = check(values, 53)
-        high = check(values, 113)
-        assert high <= low or high < mp.mpf(1e-25)
+    low = determinant_checks(values, 53)
+    high = determinant_checks(values, 113)
+    for index in (PROP3, PROP4):
+        assert high[index] <= low[index] or high[index] < mp.mpf(1e-25)
 
 
 # -- symbolic n = 3 closed forms ----------------------------------------------------------
@@ -174,6 +190,27 @@ def test_scan_reports_pass():
         report = scan(3, trials=10, seed=2, precision_bits=113)
         assert report.passed
         assert report.instances_checked == 10
+
+
+def test_determinant_scan_is_the_max_over_one_draw():
+    rows = determinant_scan(4, trials=10, seed=2, precision_bits=113)
+    rng = random.Random(2 + 4)  # the scan seeds its draws with seed + n
+    errors = [determinant_checks(draw_tuple(rng, 4, 1.5, 20.0, 0.05), 113) for _ in range(10)]
+    names = ("prop3_determinant", "prop4_determinant", "cramer_quotient_vs_neuman")
+    gates = (NUMERIC_TOLERANCE, NUMERIC_TOLERANCE, MAIN_THEOREM_TOLERANCE)
+    for index, (row, name, gate) in enumerate(zip(rows, names, gates)):
+        assert row.name == name and row.n == 4 and not row.exact
+        assert row.max_rel_error == float(max(e[index] for e in errors))
+        assert row.tolerance == gate
+        assert row.instances_checked == 10
+        assert row.passed
+
+
+def test_determinant_scan_validations():
+    with pytest.raises(BadDimension):
+        determinant_scan(2, trials=5, seed=0)
+    with pytest.raises(BadParameter):
+        determinant_scan(3, trials=0, seed=0)
 
 
 def test_main_theorem_scan_gates():

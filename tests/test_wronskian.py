@@ -9,7 +9,9 @@ import pytest
 from oscmean.errors import BadDimension, BadIndex, BadOrder
 from oscmean.logpoly import LogPoly
 from oscmean.wronskian import (
+    CACHE_MAXSIZE,
     Curve,
+    _log_deriv_by_recursion,
     closed_form_v,
     deriv_table,
     det_symbolic,
@@ -276,6 +278,18 @@ def test_normal_field_log_curves():
     )
     n3 = normal_field(make_log_curve(3))
     assert n3[1] == -closed_form_v(2, 3)
+
+
+def test_caches_stay_bounded():
+    caches = (deriv_table, _log_deriv_by_recursion, wronskian_minor, wronskian_full,
+              normal_field)
+    for e in range(3, 203):
+        normal_field(make_monomial_curve([1, 2, e]))
+    for cache in caches:
+        assert cache.cache_info().currsize <= CACHE_MAXSIZE
+    assert normal_field.cache_info().currsize == CACHE_MAXSIZE
+    # an evicted curve is rebuilt with the same value
+    assert normal_field(make_monomial_curve([1, 2, 3, 4]))[0] == LogPoly.term(48, 3, 0)
 
 
 def test_derivatives_at_one():
