@@ -82,6 +82,19 @@ class LogPoly:
         """Single term coeff * t^t_power * (log t)^log_power."""
         return cls({(t_power, log_power): coeff})
 
+    @classmethod
+    def _canonical(cls, term_map: Mapping[TermKey, Fraction]) -> "LogPoly":
+        """Ring-op fast path: drop zeros and sort, validating nothing.
+
+        Only for maps built from canonical operands, whose keys are valid
+        exponent pairs and whose coefficients are already ``Fraction``s.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(
+            out, "_terms", tuple(sorted(item for item in term_map.items() if item[1]))
+        )
+        return out
+
     # -- inspection --------------------------------------------------------
 
     @property
@@ -132,8 +145,9 @@ class LogPoly:
             return NotImplemented
         merged = dict(self._terms)
         for key, coeff in other._terms:
-            merged[key] = merged.get(key, Fraction(0)) + coeff
-        return LogPoly(merged)
+            prev = merged.get(key)
+            merged[key] = coeff if prev is None else prev + coeff
+        return LogPoly._canonical(merged)
 
     def __sub__(self, other) -> "LogPoly":
         if not isinstance(other, LogPoly):
@@ -141,7 +155,7 @@ class LogPoly:
         return self + (-other)
 
     def __neg__(self) -> "LogPoly":
-        return LogPoly({k: -c for k, c in self._terms})
+        return LogPoly._canonical({k: -c for k, c in self._terms})
 
     def __mul__(self, other) -> "LogPoly":
         if isinstance(other, (int, Fraction)):
@@ -152,8 +166,9 @@ class LogPoly:
         for (m1, j1), c1 in self._terms:
             for (m2, j2), c2 in other._terms:
                 key = (m1 + m2, j1 + j2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return LogPoly(out)
+                prev = out.get(key)
+                out[key] = c1 * c2 if prev is None else prev + c1 * c2
+        return LogPoly._canonical(out)
 
     def __rmul__(self, other) -> "LogPoly":
         if isinstance(other, (int, Fraction)):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .errors import BadDimension, BadIndex, BadOrder
 from .logpoly import LogPoly
@@ -23,7 +23,7 @@ T = LogPoly.term(1, 1, 0)
 #: The component log t.
 LOG_T = LogPoly.term(1, 0, 1)
 #: Entries kept by each cache below.  ``verify --max-n 7``, both conjecture
-#: curves and ``mean`` up to n = 10 fill at most 66 entries of any one cache;
+#: curves and ``mean`` up to n = 10 fill at most 40 entries of any one cache;
 #: the bound stops a process that sees many distinct curves from growing
 #: without limit.
 CACHE_MAXSIZE = 128
@@ -159,19 +159,20 @@ def recursion_deriv(k: int, r: int) -> LogPoly:
 # -- symbolic determinants ---------------------------------------------------
 
 
-def det_symbolic(matrix: Sequence[Sequence[LogPoly]]) -> LogPoly:
-    """Determinant of a square matrix of log-polynomials.
+def _leading_block_dets(
+    matrix: Sequence[Sequence[LogPoly]],
+) -> Callable[[Tuple[int, ...]], LogPoly]:
+    """Memoized leading-block determinants of a matrix with at least as many
+    columns as rows.
 
-    Laplace expansion along the bottom row of each leading-row block,
-    memoized on column subsets -- O(2^n * n) subdeterminants instead of n!.
+    The returned function maps a column tuple ``cols`` to the determinant of
+    rows 0..len(cols)-1 restricted to ``cols``, by Laplace expansion along the
+    block's bottom row.  One memo on column subsets serves every call, so
+    blocks shared between calls are expanded once.
     """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise BadDimension("determinant requires a square matrix")
     memo: Dict[Tuple[int, ...], LogPoly] = {(): LogPoly.constant(1)}
 
     def block_det(cols: Tuple[int, ...]) -> LogPoly:
-        # determinant of rows 0..len(cols)-1 restricted to cols
         cached = memo.get(cols)
         if cached is not None:
             return cached
@@ -190,26 +191,36 @@ def det_symbolic(matrix: Sequence[Sequence[LogPoly]]) -> LogPoly:
         memo[cols] = acc
         return acc
 
-    return block_det(tuple(range(n)))
+    return block_det
+
+
+def det_symbolic(matrix: Sequence[Sequence[LogPoly]]) -> LogPoly:
+    """Determinant of a square matrix of log-polynomials.
+
+    Laplace expansion along the bottom row of each leading-row block,
+    memoized on column subsets -- O(2^n * n) subdeterminants instead of n!.
+    """
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise BadDimension("determinant requires a square matrix")
+    return _leading_block_dets(matrix)(tuple(range(n)))
 
 
 # -- Wronskians and closed forms ---------------------------------------------
 
 
-@lru_cache(maxsize=CACHE_MAXSIZE)
 def wronskian_minor(curve: Curve, k: int) -> LogPoly:
     """Wronskian of the first derivatives of all components except the k-th.
 
     For an n-component curve this is an (n-1) x (n-1) symbolic determinant:
-    row r holds the (r+1)-th derivatives of the retained components.
+    row r holds the (r+1)-th derivatives of the retained components.  It is
+    entry k of :func:`normal_field` with the alternating sign undone.
     """
     n = curve.dimension
     if not 1 <= k <= n:
         raise BadIndex(f"minor index must be in 1..{n}, got {k}")
-    table = deriv_table(curve, n - 1)
-    kept = [c for c in range(1, n + 1) if c != k]
-    matrix = [[table.entry(r, c) for c in kept] for r in range(1, n)]
-    return det_symbolic(matrix)
+    signed = normal_field(curve)[k - 1]
+    return signed if k % 2 == 1 else -signed
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
@@ -257,13 +268,17 @@ def normal_field(curve: Curve) -> Tuple[LogPoly, ...]:
     """Alternating-sign vector of Wronskian minors: <W_1, -W_2, ..., +/-W_n>.
 
     This is the normal direction of the osculating hyperplane as a function
-    of the curve parameter.
+    of the curve parameter.  The minors are the n maximal minors of the
+    (n-1) x n matrix of first to (n-1)-th derivatives, expanded on one shared
+    memo: at most n * 2^(n-1) entry products for all n of them.
     """
     n = curve.dimension
+    block_det = _leading_block_dets(deriv_table(curve, n - 1).rows[1:])
+    cols = tuple(range(n))
     out = []
-    for k in range(1, n + 1):
-        minor = wronskian_minor(curve, k)
-        out.append(minor if k % 2 == 1 else -minor)
+    for k in range(n):
+        minor = block_det(cols[:k] + cols[k + 1 :])
+        out.append(minor if k % 2 == 0 else -minor)
     return tuple(out)
 
 

@@ -108,6 +108,41 @@ def test_ring_axioms_random():
         assert p - p == LogPoly.zero()
 
 
+def assert_canonical(p):
+    keys = [key for key, _ in p.items()]
+    assert keys == sorted(set(keys))
+    assert all(type(c) is Fraction and c != 0 for _, c in p.items())
+
+
+def test_ring_ops_match_validating_constructor():
+    # the ring operations skip re-validation; their results must be the
+    # canonical form the validating constructor builds from the same terms
+    rng = random.Random(41)
+    pairs = [(T + LOG_T, T - LOG_T), (LOG_T + LogPoly.constant(1), LogPoly.constant(1) - LOG_T)]
+    for _ in range(200):
+        a = random_logpoly(rng)
+        # negated copies of some of a's terms cancel exactly in a + b
+        cancel = [(key, -c) for key, c in a.items() if rng.random() < 0.5]
+        pairs.append((a, LogPoly(list(random_logpoly(rng).items()) + cancel)))
+    for a, b in pairs:
+        expected = {
+            "add": LogPoly(list(a.items()) + list(b.items())),
+            "sub": LogPoly(list(a.items()) + [(key, -c) for key, c in b.items()]),
+            "mul": LogPoly(
+                [((m1 + m2, j1 + j2), c1 * c2)
+                 for (m1, j1), c1 in a.items() for (m2, j2), c2 in b.items()]
+            ),
+            "neg": LogPoly([(key, -c) for key, c in a.items()]),
+        }
+        got = {"add": a + b, "sub": a - b, "mul": a * b, "neg": -a}
+        for op, value in got.items():
+            assert value == expected[op], op
+            assert hash(value) == hash(expected[op]), op
+            assert_canonical(value)
+        assert a - a == LogPoly.zero()
+        assert hash(a - a) == hash(LogPoly.zero())
+
+
 # -- differentiation ----------------------------------------------------------
 
 

@@ -160,6 +160,8 @@ def cofactor_det(matrix):
         return matrix[0][0]
     acc = LogPoly.zero()
     for r, row in enumerate(matrix):
+        if row[0].is_zero():
+            continue
         minor = [other[1:] for i, other in enumerate(matrix) if i != r]
         piece = row[0] * cofactor_det(minor)
         acc = acc + piece if r % 2 == 0 else acc - piece
@@ -216,6 +218,42 @@ def test_minor_expansion_cross_check():
     assert wronskian_minor(curve, 3) == cofactor_det(matrix)
 
 
+def test_normal_field_matches_cofactor_expansion():
+    # the shared-memo expansion of all n minors against a plain expansion of
+    # each minor on its own
+    curves = [make_log_curve(n) for n in range(2, 9)]
+    curves += [make_conjecture_curve(n) for n in range(3, 9)]
+    curves += [make_monomial_curve([1, 2, 3, 4]), make_monomial_curve([-1, 2, 5])]
+    for curve in curves:
+        n = curve.dimension
+        rows = deriv_table(curve, n - 1).rows[1:]
+        field = normal_field(curve)
+        for k in range(1, n + 1):
+            minor = field[k - 1] if k % 2 == 1 else -field[k - 1]
+            kept = [row[: k - 1] + row[k:] for row in rows]
+            assert minor == cofactor_det(kept), (curve.label, n, k)
+
+
+def test_normal_field_work_count(monkeypatch):
+    # a cold field expands its n minors on one shared memo: at most
+    # n * 2^(n-1) ring products
+    n = 8
+    calls = 0
+    mul = LogPoly.__mul__
+
+    def counting_mul(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    normal_field.cache_clear()
+    monkeypatch.setattr(LogPoly, "__mul__", counting_mul)
+    field = normal_field(make_log_curve(n))
+    monkeypatch.undo()
+    assert 0 < calls <= n * 2 ** (n - 1)
+    assert field[0] == closed_form_v(1, n)
+
+
 # -- closed forms -------------------------------------------------------------------
 
 
@@ -231,7 +269,7 @@ def test_closed_form_small_cases():
 
 
 def test_minors_equal_closed_forms():
-    for n in range(2, 6):
+    for n in (2, 3, 4, 5, 10):
         curve = make_log_curve(n)
         for k in range(1, n + 1):
             assert wronskian_minor(curve, k) == closed_form_v(k, n)
@@ -281,8 +319,7 @@ def test_normal_field_log_curves():
 
 
 def test_caches_stay_bounded():
-    caches = (deriv_table, _log_deriv_by_recursion, wronskian_minor, wronskian_full,
-              normal_field)
+    caches = (deriv_table, _log_deriv_by_recursion, wronskian_full, normal_field)
     for e in range(3, 203):
         normal_field(make_monomial_curve([1, 2, e]))
     for cache in caches:
