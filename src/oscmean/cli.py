@@ -149,10 +149,6 @@ def _check_max_n(config: RunConfig) -> int:
     return config.max_n
 
 
-def _float_or_none(value):
-    return None if value is None else float(value)
-
-
 def _report_dict(report: IdentityReport) -> dict:
     return {
         "identity": report.name,
@@ -223,9 +219,9 @@ def cmd_mean(config: RunConfig) -> int:
         payload = dict(outcome)
         payload["values"] = [float(v) for v in payload["values"]]
         payload["point"] = [float(v) for v in payload["point"]]
-        for key in ("m1", "neuman_ln", "rel_gap", "mk", "lambda",
+        for key in ("m1", "neuman_ln", "rel_gap", "mk",
                     "residual_norm", "condition_estimate"):
-            payload[key] = _float_or_none(payload[key])
+            payload[key] = float(payload[key])
         print(json.dumps(payload, indent=2))
         return EXIT_OK
     if config.output_format == "csv":
@@ -241,8 +237,6 @@ def cmd_mean(config: RunConfig) -> int:
         writer.writerow(["neuman_ln", repr(float(outcome["neuman_ln"]))])
         writer.writerow(["rel_gap", repr(float(outcome["rel_gap"]))])
         writer.writerow(["mk", repr(float(outcome["mk"]))])
-        writer.writerow(["lambda", "" if outcome["lambda"] is None
-                         else repr(float(outcome["lambda"]))])
         writer.writerow(["warnings", ";".join(outcome["warnings"])])
         sys.stdout.write(buffer.getvalue())
         return EXIT_OK
@@ -255,10 +249,7 @@ def cmd_mean(config: RunConfig) -> int:
     print(f"logarithmic mean L_N   = {float(outcome['neuman_ln'])!r}")
     print(f"relative gap           = {float(outcome['rel_gap']):.3e}")
     if outcome["k"] != 1:
-        frame = " (rescaled frame)" if outcome["mk_scaled_frame"] else ""
-        print(f"M_{outcome['k']}{frame} = {float(outcome['mk'])!r}")
-        if outcome["lambda"] is not None:
-            print(f"lambda = {float(outcome['lambda'])!r}")
+        print(f"M_{outcome['k']} = {float(outcome['mk'])!r}")
     for warning in outcome["warnings"]:
         print(f"warning: {warning}")
     return EXIT_OK

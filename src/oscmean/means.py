@@ -7,7 +7,10 @@ hyperplane at parameter a has normal vector given by the alternating-sign
 Wronskian minors evaluated at a, and passes through the curve point.  For n
 strictly increasing positive inputs the n hyperplanes meet in a single
 point P; coordinate k of P pulled back through component k is a mean of the
-inputs (it always lands strictly between the smallest and largest input).
+inputs (it always lands strictly between the smallest and largest input),
+provided component k is monotone on the inputs' range.  On the log curve
+that holds for k >= 2 only when every input is > 1; other inputs are
+refused, not rescaled, because M_k is not homogeneous for k >= 2.
 For the log curve the first coordinate is exactly Neuman's n-variable
 logarithmic mean
 
@@ -218,53 +221,55 @@ def _is_log_curve(curve: Curve) -> bool:
     )
 
 
-def mean_M(curve: Curve, k: int, values: Sequence, precision_bits: int = 53) -> mpmath.mpf:
-    """The k-th mean: coordinate k of the intersection point pulled back
-    through component k.
+def _require_invertible(curve: Curve, k: int, vals: Sequence) -> None:
+    """Refuse a k-th mean whose component is not monotone on the sorted
+    inputs ``vals``.
 
-    Component t needs no inversion.  Other components are inverted by
-    bracketed root finding on [min(values), max(values)], which is where the
-    mean is guaranteed to live.  On the log curve the components with a log
-    factor are strictly increasing only for t > 1, so k >= 2 there demands
-    all inputs > 1 (rescale first if they are not).
+    On the log curve the components with a log factor are strictly
+    increasing only for t > 1, so k >= 2 there needs every input > 1.
     """
-    n = curve.dimension
-    if not 1 <= k <= n:
-        raise BadIndex(f"mean index k must be in 1..{n}, got {k}")
-    result = intersect(curve, values, precision_bits)
-    target = result.point[k - 1]
-    component = curve.components[k - 1]
-    if component == T:
-        return target
-    vals = sorted_positive_distinct(values, precision_bits)
-    lo, hi = vals[0], vals[-1]
+    lo = vals[0]
     if k >= 2 and _is_log_curve(curve) and lo <= 1:
         raise DomainError(
             f"component {k} of the log curve is strictly increasing only for t > 1; "
-            f"smallest input is {mp.nstr(lo, 12)} (rescale inputs above 1 first)"
+            f"smallest input is {mp.nstr(lo, 12)}"
         )
+
+
+def _pull_back(curve: Curve, k: int, target, vals: Sequence, precision_bits: int):
+    """Invert component k at ``target`` on the range of the sorted inputs.
+
+    Component t needs no inversion; any other is inverted by bracketed root
+    finding on the inputs' range, which is where the mean is guaranteed to
+    live.
+    """
+    component = curve.components[k - 1]
+    if component == T:
+        return target
     derivative = component.diff()
     return find_root_bracketed(
         lambda t: lp_eval(component, t, precision_bits) - target,
-        lo,
-        hi,
+        vals[0],
+        vals[-1],
         precision_bits,
         derivative=lambda t: lp_eval(derivative, t, precision_bits),
     )
 
 
-def rescale_for_inversion(values: Sequence, precision_bits: int = 53):
-    """Scale factor and scaled values pushing every input above 1.
+def mean_M(curve: Curve, k: int, values: Sequence, precision_bits: int = 53) -> mpmath.mpf:
+    """The k-th mean: coordinate k of the intersection point pulled back
+    through component k.
 
-    Returns ``(scaled, lam)`` with lam = e / min(values), so min(scaled) = e.
-    Useful before inverting log-curve components with k >= 2; the first mean
-    is positively homogeneous, so it maps back by dividing by lam.
+    On the log curve k >= 2 needs all inputs > 1 (``DomainError``
+    otherwise); the check runs before any hyperplane is built.
     """
+    n = curve.dimension
+    if not 1 <= k <= n:
+        raise BadIndex(f"mean index k must be in 1..{n}, got {k}")
     vals = sorted_positive_distinct(values, precision_bits)
-    with mp.workprec(precision_bits):
-        lam = mp.e / vals[0]
-        scaled = tuple(lam * v for v in vals)
-    return scaled, lam
+    _require_invertible(curve, k, vals)
+    point = intersect(curve, vals, precision_bits).point
+    return _pull_back(curve, k, point[k - 1], vals, precision_bits)
 
 
 # -- closed-form reference means ----------------------------------------------
@@ -371,33 +376,29 @@ def evaluate_request(request: MeanRequest) -> dict:
 
     Returns a plain dict (stable key order) with the intersection point, the
     first mean, the closed-form logarithmic mean, their relative gap, the
-    requested k-th mean, and any warnings.  When k >= 2 and some input is
-    <= 1 the k-th mean is computed in a rescaled frame (all inputs pushed
-    above 1) and the scale factor is reported alongside.
+    requested k-th mean, and any warnings.  One intersection serves every k.
+    A k >= 2 request with an input <= 1 raises ``DomainError`` before any
+    hyperplane is built, and an M_1 or L_N outside [min, max] of the inputs
+    (lost to cancellation) raises ``SingularSystem``.
     """
     bits = request.effective_precision_bits
     vals = request.values
     curve = make_log_curve(len(vals))
+    _require_invertible(curve, request.k, vals)
     result = intersect(curve, vals, bits)
     m1 = result.means[1]
     reference = neuman_LN(vals, bits)
+    lo, hi = vals[0], vals[-1]
+    for name, value in (("M_1", m1), ("L_N", reference)):
+        if not lo <= value <= hi:
+            raise SingularSystem(
+                f"{name} = {mp.nstr(value, 12)} lies outside the inputs' range "
+                f"[{mp.nstr(lo, 12)}, {mp.nstr(hi, 12)}]; the system is too "
+                f"ill-conditioned at {bits} bits"
+            )
     with mp.workprec(bits):
         rel_gap = abs(m1 - reference) / abs(reference)
-    warnings = list(request.warnings)
-    lam = None
-    scaled_frame = False
-    if request.k == 1:
-        mk = m1
-    elif vals[0] > 1:
-        mk = mean_M(curve, request.k, vals, bits)
-    else:
-        scaled, lam = rescale_for_inversion(vals, bits)
-        mk = mean_M(curve, request.k, scaled, bits)
-        scaled_frame = True
-        warnings.append(
-            f"inputs <= 1: M_{request.k} reported in the rescaled frame "
-            f"(lambda = {mp.nstr(lam, 12)})"
-        )
+    mk = _pull_back(curve, request.k, result.point[request.k - 1], vals, bits)
     return {
         "n": len(vals),
         "k": request.k,
@@ -409,9 +410,7 @@ def evaluate_request(request: MeanRequest) -> dict:
         "neuman_ln": reference,
         "rel_gap": rel_gap,
         "mk": mk,
-        "mk_scaled_frame": scaled_frame,
-        "lambda": lam,
         "residual_norm": result.report.residual_norm,
         "condition_estimate": result.report.condition_estimate,
-        "warnings": warnings,
+        "warnings": list(request.warnings),
     }

@@ -28,8 +28,8 @@ class SolveReport:
 
     residual_norm is ||Ax - b||_inf / ||b||_inf evaluated at twice the
     working precision; condition_estimate is the infinity-norm condition
-    number computed from the explicit inverse (cheap at these sizes, and it
-    only gates warnings, never correctness).
+    number computed from the explicit inverse (cheap at these sizes); it is
+    reported only, and nothing reads it.
     """
 
     solution: Tuple[mpmath.mpf, ...]

@@ -61,13 +61,30 @@ def test_mean_bad_k_exit_2(capsys):
     assert "k" in err
 
 
-def test_mean_rescaled_frame_warning(capsys):
-    code, out, _ = run_cli(capsys, "mean", "--values", "0.5,2,5", "--k", "2", "--json")
+def test_mean_k2_below_one_exit_2(capsys):
+    code, out, err = run_cli(capsys, "mean", "--values", "0.5,2,5", "--k", "2", "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "t > 1" in err
+
+
+def test_mean_outside_inputs_exit_2(capsys):
+    values = ("0.54896602621678882421,0.54896602609182398869,0.54896602652808839490,"
+              "0.54896602665847601854,0.54896602640281305315")
+    code, out, err = run_cli(capsys, "mean", "--values", values, "--precision", "113")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "outside" in err
+
+
+def test_mean_json_keys(capsys):
+    code, out, _ = run_cli(capsys, "mean", "--values", "1.5,3,8", "--k", "2", "--json")
     assert code == 0
-    payload = json.loads(out)
-    assert payload["mk_scaled_frame"] is True
-    assert payload["lambda"] is not None
-    assert any("rescaled" in w for w in payload["warnings"])
+    assert list(json.loads(out)) == [
+        "n", "k", "precision_bits", "effective_precision_bits", "values", "point",
+        "m1", "neuman_ln", "rel_gap", "mk", "residual_norm", "condition_estimate",
+        "warnings",
+    ]
 
 
 def test_mean_human_output(capsys):

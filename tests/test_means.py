@@ -5,12 +5,14 @@ import random
 import pytest
 from mpmath import mp
 
+from oscmean import means
 from oscmean.errors import (
     BadDimension,
     BadIndex,
     DistinctnessViolation,
     DomainError,
     NonPositiveArgument,
+    SingularSystem,
 )
 from oscmean.means import (
     MeanRequest,
@@ -22,7 +24,6 @@ from oscmean.means import (
     ln_gap_warnings,
     mean_M,
     neuman_LN,
-    rescale_for_inversion,
 )
 from oscmean.wronskian import make_conjecture_curve, make_log_curve, make_monomial_curve
 
@@ -161,22 +162,11 @@ def test_betweenness_all_means():
             assert values[0] < mk < values[-1]
 
 
-# -- rescaling ---------------------------------------------------------------------
-
-
-def test_rescale_examples():
-    scaled, lam = rescale_for_inversion((0.5, 2.0))
-    assert abs(lam - 2 * mp.e) < 1e-15
-    assert abs(scaled[0] - mp.e) < 1e-15
-    assert abs(scaled[1] - 4 * mp.e) < 1e-14
-    scaled, lam = rescale_for_inversion((2.0, 3.0))
-    assert abs(lam - mp.e / 2) < 1e-15
-    assert abs(scaled[1] - 3 * mp.e / 2) < 1e-15
-
-
 def test_rescale_homogeneity():
+    # L_N is positively homogeneous of degree 1: L_N(lam * a) = lam * L_N(a)
     values = (0.5, 2.0, 6.5)
-    scaled, lam = rescale_for_inversion(values)
+    lam = mp.e / min(values)
+    scaled = tuple(lam * v for v in values)
     direct = neuman_LN(values)
     rescaled = neuman_LN(scaled) / lam
     eps = mp.ldexp(1, -52)
@@ -298,12 +288,49 @@ def test_evaluate_request_agreement():
     assert abs(outcome["m1"] - (mp.e - 1) ** 2) < 1e-10
 
 
-def test_evaluate_request_rescaled_frame():
+def _count_intersections(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return intersect(*args, **kwargs)
+
+    monkeypatch.setattr(means, "intersect", counting)
+    return calls
+
+
+def test_evaluate_request_refuses_k2_below_one(monkeypatch):
+    calls = _count_intersections(monkeypatch)
     request = MeanRequest(values=(0.5, 2.0, 5.0), k=2)
-    outcome = evaluate_request(request)
-    assert outcome["mk_scaled_frame"]
-    assert outcome["lambda"] is not None
-    assert any("rescaled frame" in w for w in outcome["warnings"])
-    # the reported mean lives between the scaled endpoints
-    scaled, _ = rescale_for_inversion((0.5, 2.0, 5.0))
-    assert scaled[0] < outcome["mk"] < scaled[-1]
+    with pytest.raises(DomainError):
+        evaluate_request(request)
+    assert calls == []
+
+
+def test_evaluate_request_intersects_once_for_every_k(monkeypatch):
+    values = (1.5, 3.0, 8.0, 20.0)
+    curve = make_log_curve(len(values))
+    expected = [mean_M(curve, k, values) for k in range(1, len(values) + 1)]
+    calls = _count_intersections(monkeypatch)
+    for k, mk in enumerate(expected, start=1):
+        calls.clear()
+        assert evaluate_request(MeanRequest(values=values, k=k))["mk"] == mk
+        assert len(calls) == 1, k
+
+
+def test_evaluate_request_refuses_means_outside_the_inputs():
+    # L_N cancels to exactly 0 at 113 bits, so rel_gap would divide by zero
+    values = (
+        "0.85130589466121994531", "0.85130395283985196331", "0.85130190403602532340",
+        "0.85130704213332120071", "0.85130856335521258247", "0.85129970980198632624",
+        "0.85130856335521258248",
+    )
+    with pytest.raises(SingularSystem):
+        evaluate_request(MeanRequest(values=values, precision_bits=113))
+    # M_1 and L_N both fall below the smallest input at 113 bits
+    values = (
+        "0.54896602621678882421", "0.54896602609182398869", "0.54896602652808839490",
+        "0.54896602665847601854", "0.54896602640281305315",
+    )
+    with pytest.raises(SingularSystem):
+        evaluate_request(MeanRequest(values=values, precision_bits=113))
