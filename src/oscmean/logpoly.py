@@ -22,7 +22,6 @@ configurable significand width.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
@@ -32,14 +31,8 @@ from mpmath import mp
 from .errors import BadParameter, NonPositiveArgument
 from .precision import as_mpf, require_precision
 
-# Coefficient type: arbitrary-precision numerator over a positive denominator,
-# kept in lowest terms by Fraction itself.
-Rational = Fraction
-
 TermKey = Tuple[int, int]  # (t_power, log_power)
 CoeffLike = Union[Fraction, int]
-
-_TERM_RE = re.compile(r"^(\d+(?:/\d+)?)\*t\^(-?\d+)\*L\^(\d+)$")
 
 
 class LogPoly:
@@ -237,11 +230,12 @@ def substitute_power(p: LogPoly, power: int) -> LogPoly:
     return LogPoly({(m * power, j): c * power ** j for (m, j), c in p.items()})
 
 
-# -- plain-text serialization ----------------------------------------------
+# -- plain-text rendering ---------------------------------------------------
 #
 # Format: terms in canonical order, each rendered "c*t^m*L^j" with c a
 # positive fraction and L standing for log t; terms joined by " + " / " - ".
-# The zero polynomial serializes as "0".  Round-trips are exact.
+# The zero polynomial renders as "0".  This is the text ``str`` and
+# ``repr`` show.
 
 
 def to_text(p: LogPoly) -> str:
@@ -255,40 +249,3 @@ def to_text(p: LogPoly) -> str:
         else:
             parts.append(f"{'+' if c > 0 else '-'} {body}")
     return " ".join(parts)
-
-
-def from_text(text: str) -> LogPoly:
-    s = text.strip()
-    if s == "0":
-        return LogPoly.zero()
-    tokens = s.split()
-    if not tokens:
-        raise BadParameter("empty log-polynomial text")
-    terms: Dict[TermKey, Fraction] = {}
-
-    def consume(token: str, sign: int) -> None:
-        match = _TERM_RE.match(token)
-        if match is None:
-            raise BadParameter(f"malformed log-polynomial term {token!r}")
-        coeff = sign * Fraction(match.group(1))
-        key = (int(match.group(2)), int(match.group(3)))
-        if key in terms:
-            raise BadParameter(f"duplicate term for exponents {key} in {text!r}")
-        terms[key] = coeff
-
-    first = tokens[0]
-    if first.startswith("-"):
-        consume(first[1:], -1)
-    else:
-        consume(first, 1)
-    rest = tokens[1:]
-    if len(rest) % 2 != 0:
-        raise BadParameter(f"malformed log-polynomial text {text!r}")
-    for op, token in zip(rest[0::2], rest[1::2]):
-        if op == "+":
-            consume(token, 1)
-        elif op == "-":
-            consume(token, -1)
-        else:
-            raise BadParameter(f"expected '+' or '-' between terms, got {op!r}")
-    return LogPoly(terms)

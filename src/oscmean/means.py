@@ -38,7 +38,7 @@ from .errors import (
     SingularSystem,
 )
 from .logpoly import LogPoly, lp_eval
-from .numerics import SolveReport, find_root_bracketed, solve_linear
+from .numerics import SolveReport, find_root_bracketed, residual_norm, solve_linear
 from .precision import as_mpf, require_precision
 from .wronskian import Curve, T, make_log_curve, normal_field
 
@@ -174,10 +174,12 @@ def intersect(curve: Curve, values: Sequence, precision_bits: int = 53) -> Inter
     Values must be positive and pairwise distinct; they are sorted
     internally (the hyperplane set does not depend on input order).
 
-    The plane entries and the elimination run with guard bits on top of the
-    requested precision, and the point is rounded back at the end; the
-    reported residual is that of the rounded point against the planes a
-    caller sees at the requested precision.
+    The planes are built once, with guard bits on top of the requested
+    precision, and that one matrix and right-hand side serve both the
+    elimination and the reported residual.  The point is rounded back to the
+    requested precision; ``report.residual_norm`` is that rounded point's
+    residual against the guard-precision planes, evaluated at twice the
+    requested precision.
     """
     n = curve.dimension
     if len(values) != n:
@@ -198,16 +200,7 @@ def intersect(curve: Curve, values: Sequence, precision_bits: int = 53) -> Inter
         raise SingularSystem(f"{exc}{detail}") from exc
     with mp.workprec(precision_bits):
         point = tuple(+x for x in guarded.solution)
-    requested_planes = [hyperplane_at(curve, a, precision_bits) for a in vals]
-    with mp.workprec(2 * precision_bits):
-        b_norm = max(abs(p.offset) for p in requested_planes)
-        worst = mp.mpf(0)
-        for plane in requested_planes:
-            r = -plane.offset
-            for coeff, coordinate in zip(plane.normal, point):
-                r = r + coeff * coordinate
-            worst = max(worst, abs(r))
-        residual = worst / b_norm if b_norm > 0 else worst
+    residual = residual_norm(matrix, point, rhs, precision_bits)
     report = SolveReport(point, residual, guarded.condition_estimate)
     means: Dict[int, mpmath.mpf] = {}
     if curve.components[0] == T:
@@ -344,26 +337,6 @@ def identric_IZ(values: Sequence, precision_bits: int = 53) -> mpmath.mpf:
         weights = [v ** (n - 1) * mp.log(v) for v in vals]
         total = (-1) ** (n - 1) * alternating_cofactor_sum(weights, vals)
         result = mp.exp(total / vandermonde(vals) - as_mpf(harmonic))
-    with mp.workprec(precision_bits):
-        return +result
-
-
-def cramer_quotient(values: Sequence, precision_bits: int = 53) -> mpmath.mpf:
-    """First intersection coordinate as an explicit determinant quotient.
-
-        (n-1)! * sum_i (-1)^(n+i) a_i * prod_{j<k; j,k != i} (ln a_k - ln a_j)
-        -------------------------------------------------------------------
-                    prod_{i<j} (ln a_j - ln a_i)
-
-    An independent route to the same number as ``neuman_LN``; the two are
-    compared in the test suite.
-    """
-    vals = sorted_positive_distinct(values, precision_bits)
-    n = len(vals)
-    with mp.workprec(precision_bits + GUARD_BITS):
-        logs = [mp.log(v) for v in vals]
-        numerator = (-1) ** (n - 1) * alternating_cofactor_sum(vals, logs)
-        result = mp.mpf(factorial(n - 1)) * numerator / vandermonde(logs)
     with mp.workprec(precision_bits):
         return +result
 

@@ -4,7 +4,9 @@ Everything here works on mpmath floats so the significand width can be
 raised at runtime; 53 bits reproduces IEEE double behaviour.  Systems in
 this package are tiny (n <= 10), so one scaled-pivot LU factorization
 serves both the solver (which also extracts the inverse for an
-infinity-norm condition estimate) and the determinant.
+infinity-norm condition estimate) and the determinant.  One routine,
+``residual_norm``, measures ||Ax - b||_inf / ||b||_inf for both
+``solve_linear`` and ``means.intersect``.
 """
 
 from __future__ import annotations
@@ -26,10 +28,12 @@ _PIVOT_GUARD_BITS = 8
 class SolveReport:
     """Solution of a square system plus honesty metadata.
 
-    residual_norm is ||Ax - b||_inf / ||b||_inf evaluated at twice the
-    working precision; condition_estimate is the infinity-norm condition
-    number computed from the explicit inverse (cheap at these sizes); it is
-    reported only, and nothing reads it.
+    residual_norm is ||Ax - b||_inf / ||b||_inf from ``residual_norm``, at
+    twice the working precision.  ``means.intersect`` reports the point
+    rounded to the requested precision against the guard-precision planes
+    it solved, at twice the requested precision.  condition_estimate is the
+    infinity-norm condition number computed from the explicit inverse (cheap
+    at these sizes); it is reported only, and nothing reads it.
     """
 
     solution: Tuple[mpmath.mpf, ...]
@@ -86,6 +90,31 @@ def _lu_solve(lu, perm, rhs):
     return x
 
 
+def _residual_vector(A, x, b, precision_bits: int):
+    """Ax - b, accumulated at twice the working precision so that the
+    residual measures the solve, not its own rounding."""
+    n = len(A)
+    with mp.workprec(2 * precision_bits):
+        out = []
+        for i in range(n):
+            r = -b[i]
+            for j in range(n):
+                r = r + A[i][j] * x[j]
+            out.append(r)
+        return out
+
+
+def residual_norm(
+    A: Sequence[Sequence], x: Sequence, b: Sequence, precision_bits: int
+) -> mpmath.mpf:
+    """||Ax - b||_inf / ||b||_inf at twice ``precision_bits`` (the absolute
+    residual when b is zero).  Entries are used as given, not rounded."""
+    with mp.workprec(2 * precision_bits):
+        worst = max(abs(r) for r in _residual_vector(A, x, b, precision_bits))
+        b_norm = max(abs(v) for v in b)
+        return worst / b_norm if b_norm > 0 else worst
+
+
 _REFINEMENT_STEPS = 2
 
 
@@ -110,19 +139,8 @@ def solve_linear(A: Sequence[Sequence], b: Sequence, precision_bits: int = 53) -
         lu, perm = _lu_factor(original, precision_bits)
         solution = _lu_solve(lu, perm, rhs)
 
-    def residual_vector(x):
-        # doubled precision so the residual measures the solve, not itself
-        with mp.workprec(2 * precision_bits):
-            out = []
-            for i in range(n):
-                r = -rhs[i]
-                for j in range(n):
-                    r = r + original[i][j] * x[j]
-                out.append(r)
-            return out
-
     for _ in range(_REFINEMENT_STEPS):
-        res = residual_vector(solution)
+        res = _residual_vector(original, solution, rhs, precision_bits)
         if all(r == 0 for r in res):
             break
         with mp.workprec(precision_bits):
@@ -140,11 +158,7 @@ def solve_linear(A: Sequence[Sequence], b: Sequence, precision_bits: int = 53) -
         inv_norm = max(sum(abs(col[i]) for col in inverse_cols) for i in range(n))
         condition = a_norm * inv_norm
 
-    with mp.workprec(2 * precision_bits):
-        final = residual_vector(solution)
-        b_norm = max(abs(x) for x in rhs)
-        worst = max(abs(r) for r in final)
-        residual = worst / b_norm if b_norm > 0 else worst
+    residual = residual_norm(original, solution, rhs, precision_bits)
 
     with mp.workprec(precision_bits):
         solution = tuple(+x for x in solution)

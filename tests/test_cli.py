@@ -1,8 +1,12 @@
 """Command-line contract: exit statuses, determinism, output shapes."""
 
 import json
+import math
+
+import pytest
 
 from oscmean.cli import CSV_HEADER, main
+from oscmean.means import neuman_LN
 
 
 def run_cli(capsys, *argv):
@@ -214,6 +218,42 @@ def test_flag_wins_over_env(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "mean", "--values", "1,4", "--precision", "64", "--json")
     assert code == 0
     assert json.loads(out)["precision_bits"] == 64
+
+
+def _assert_refused_or_within_4_ulps(capsys, literals):
+    code, out, _ = run_cli(
+        capsys, "mean", "--values", ",".join(literals), "--json", "--precision", "53"
+    )
+    if code == 2:
+        return
+    assert code == 0
+    truth = float(neuman_LN(literals, 400))
+    assert abs(json.loads(out)["m1"] - truth) <= 4 * math.ulp(truth)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="FOUND: at n = 10 and 53 bits intersect returns M_1 about 11 ulps off with exit 0",
+)
+def test_mean_n10_at_53_bits_is_right_or_refused(capsys):
+    literals = (
+        "12.3655376084187", "1.7513819565723", "43.982895167934", "36.3516413325538",
+        "20.607058123111", "25.6117553760915", "7.56519538016959", "7.18633780871819",
+        "22.7978859189657", "8.10689122833937",
+    )
+    _assert_refused_or_within_4_ulps(capsys, literals)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="FOUND: mean prints wrong means inside the inputs' range on clustered inputs",
+)
+def test_mean_clustered_is_right_or_refused(capsys):
+    literals = (
+        "5.3181779619479737183", "5.3181777314889760834", "5.3181780846020593170",
+        "5.3181782456291209025", "5.3181775014407985935",
+    )
+    _assert_refused_or_within_4_ulps(capsys, literals)
 
 
 def test_bad_env_precision(capsys, monkeypatch):

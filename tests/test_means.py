@@ -16,7 +16,6 @@ from oscmean.errors import (
 )
 from oscmean.means import (
     MeanRequest,
-    cramer_quotient,
     evaluate_request,
     hyperplane_at,
     identric_IZ,
@@ -99,6 +98,48 @@ def test_point_satisfies_every_plane():
         for plane in planes:
             lhs = sum(c * x for c, x in zip(plane.normal, result.point))
             assert abs(lhs - plane.offset) <= 2 * bound + mp.mpf(1e-25)
+
+
+def test_intersect_builds_each_plane_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return hyperplane_at(*args, **kwargs)
+
+    monkeypatch.setattr(means, "hyperplane_at", counting)
+    for n in (2, 4, 7):
+        calls.clear()
+        intersect(make_log_curve(n), [1.5 + j for j in range(n)], 113)
+        assert len(calls) == n
+
+
+# On each of these cases a residual measured against planes re-evaluated at
+# the requested precision differs from the one against the solved planes by
+# a factor of 9 to 88, so the test tells the two apart.
+RESIDUAL_CASES = [
+    ((1.94, 39.03), 53),
+    ((2.94, 7.34), 113),
+    ((1.08, 10.31, 16.84, 24.04, 36.23), 53),
+    ((12.47, 19.54, 24.57, 24.73, 26.17), 113),
+    ((2.3, 10.21, 15.42, 19.42, 19.83, 27.3, 27.84, 37.06, 37.58, 37.87), 53),
+    ((4.89, 8.83, 12.19, 13.28, 15.61, 17.43, 22.71, 26.53, 30.35, 35.95), 113),
+]
+
+
+@pytest.mark.parametrize("values, bits", RESIDUAL_CASES)
+def test_residual_is_measured_against_the_solved_planes(values, bits):
+    curve = make_log_curve(len(values))
+    result = intersect(curve, values, bits)
+    planes = [hyperplane_at(curve, a, bits + means.GUARD_BITS) for a in values]
+    with mp.workprec(4 * bits + 64):
+        scale = max(abs(p.offset) for p in planes)
+        misfit = max(
+            abs(sum(c * x for c, x in zip(p.normal, result.point)) - p.offset)
+            for p in planes
+        ) / scale
+    assert misfit > 0
+    assert misfit / 2 <= result.report.residual_norm <= 2 * misfit
 
 
 def test_intersection_order_invariance():
@@ -242,18 +283,6 @@ def test_identric_betweenness_and_symmetry():
         assert triple[0] < value < triple[2]
         shuffled = [triple[2], triple[0], triple[1]]
         assert abs(identric_IZ(shuffled) - value) <= 4 * eps * value
-
-
-def test_cramer_quotient_matches_neuman():
-    rng = random.Random(8)
-    for n in (2, 3, 4, 5):
-        for _ in range(20):
-            values = sorted(rng.uniform(0.8, 30) for _ in range(n))
-            while any(b / a < 1.05 for a, b in zip(values, values[1:])):
-                values = sorted(rng.uniform(0.8, 30) for _ in range(n))
-            lhs = cramer_quotient(values)
-            rhs = neuman_LN(values)
-            assert abs(lhs - rhs) / abs(rhs) < 1e-10
 
 
 # -- requests -------------------------------------------------------------------------
