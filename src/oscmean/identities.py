@@ -21,7 +21,9 @@ import mpmath
 from mpmath import mp
 
 from .errors import BadDimension, BadParameter, DistinctnessViolation
-from .logpoly import LogPoly, lp_eval, substitute_power
+# oscbench/spans.py wraps lp_eval here by name, so it stays imported; nothing
+# in this module calls it.
+from .logpoly import LogPoly, lp_eval, lp_eval_many, substitute_power
 from .means import (
     alternating_cofactor_sum,
     identric_IZ,
@@ -200,8 +202,9 @@ def determinant_checks(
         raise BadDimension(f"need at least 3 values, got {n}")
     field = normal_field(make_log_curve(n))
     k_full = full_wronskian_closed_form(n)
-    minors = [[lp_eval(p, v, precision_bits) for p in field] for v in vals]
-    replaced = [[lp_eval(k_full, v, precision_bits)] + row[1:] for row, v in zip(minors, vals)]
+    rows = [lp_eval_many(field + (k_full,), v, precision_bits) for v in vals]
+    minors = [row[:-1] for row in rows]
+    replaced = [row[-1:] + row[1:-1] for row in rows]
     det_minors = det(minors, precision_bits)
     det_replaced = det(replaced, precision_bits)
     with mp.workprec(precision_bits):

@@ -15,15 +15,17 @@ The family is closed under differentiation:
 which is what keeps every derivative and Wronskian of curves built from
 t-powers and log-powers inside exact arithmetic.
 
-Numeric evaluation (`lp_eval`) is the single bridge out of the exact world:
-it sums the terms in canonical order as mpmath binary floats with a
-configurable significand width.
+Numeric evaluation (`lp_eval_many`, with `lp_eval` as its one-polynomial
+form) is the single bridge out of the exact world: it takes one log of the
+point and one table of its powers for all the polynomials it is given, and
+sums each polynomial's terms in canonical order as mpmath binary floats with
+a configurable significand width.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 import mpmath
 from mpmath import mp
@@ -194,11 +196,16 @@ class LogPoly:
         return LogPoly(out)
 
 
-def lp_eval(p: LogPoly, t, precision_bits: int = 53) -> mpmath.mpf:
-    """Value of ``p`` at ``t > 0`` with at least ``precision_bits`` significand bits.
+def lp_eval_many(polys: Sequence[LogPoly], t, precision_bits: int = 53) -> List[mpmath.mpf]:
+    """Values of every polynomial in ``polys`` at ``t > 0``, in order, each
+    with at least ``precision_bits`` significand bits.
 
-    Terms are summed in canonical order, so repeat calls are bit-for-bit
-    reproducible at a given precision.
+    The point and the precision are validated once, log t is taken once, and
+    each distinct t^m and (log t)^j is computed once and shared by all the
+    polynomials.  Each polynomial's terms are still summed one by one in
+    canonical order, so a value is bit-for-bit the same whichever other
+    polynomials it is evaluated with, and repeat calls are reproducible at a
+    given precision.  Nothing is kept between calls.
     """
     require_precision(precision_bits)
     with mp.workprec(precision_bits):
@@ -206,17 +213,33 @@ def lp_eval(p: LogPoly, t, precision_bits: int = 53) -> mpmath.mpf:
         if tv <= 0:
             raise NonPositiveArgument(f"evaluation point must be positive, got {t!r}")
         log_t = mp.log(tv)
-        total = mp.mpf(0)
-        for (m, j), c in p.items():
-            piece = mp.mpf(c.numerator)
-            if c.denominator != 1:
-                piece = piece / c.denominator
-            if m:
-                piece = piece * tv ** m
-            if j:
-                piece = piece * log_t ** j
-            total = total + piece
-        return +total
+        t_powers: Dict[int, mpmath.mpf] = {}
+        log_powers: Dict[int, mpmath.mpf] = {}
+        values = []
+        for p in polys:
+            total = mp.mpf(0)
+            for (m, j), c in p.items():
+                piece = mp.mpf(c.numerator)
+                if c.denominator != 1:
+                    piece = piece / c.denominator
+                if m:
+                    power = t_powers.get(m)
+                    if power is None:
+                        power = t_powers[m] = tv ** m
+                    piece = piece * power
+                if j:
+                    power = log_powers.get(j)
+                    if power is None:
+                        power = log_powers[j] = log_t ** j
+                    piece = piece * power
+                total = total + piece
+            values.append(+total)
+        return values
+
+
+def lp_eval(p: LogPoly, t, precision_bits: int = 53) -> mpmath.mpf:
+    """Value of ``p`` at ``t > 0`` with at least ``precision_bits`` significand bits."""
+    return lp_eval_many((p,), t, precision_bits)[0]
 
 
 def substitute_power(p: LogPoly, power: int) -> LogPoly:

@@ -37,7 +37,7 @@ from .errors import (
     NonPositiveArgument,
     SingularSystem,
 )
-from .logpoly import LogPoly, lp_eval
+from .logpoly import LogPoly, lp_eval, lp_eval_many
 from .numerics import SolveReport, find_root_bracketed, residual_norm, solve_linear
 from .precision import as_mpf, require_precision
 from .wronskian import Curve, T, make_log_curve, normal_field
@@ -152,19 +152,21 @@ def hyperplane_at(curve: Curve, a, precision_bits: int = 53) -> Hyperplane:
 
     The normal is the alternating-minor field evaluated at a; the offset is
     the dot product of the curve point with that normal (for the log curve
-    this equals the full Wronskian at a).
+    this equals the full Wronskian at a).  The n minors and the n components
+    are evaluated together, on one log of a and one table of its powers.
     """
     require_precision(precision_bits)
     with mp.workprec(precision_bits):
         av = as_mpf(a)
     if av <= 0:
         raise NonPositiveArgument(f"hyperplane parameter must be positive, got {a!r}")
-    field_polys = normal_field(curve)
-    normal = tuple(lp_eval(p, av, precision_bits) for p in field_polys)
+    n = curve.dimension
+    values = lp_eval_many(normal_field(curve) + curve.components, av, precision_bits)
+    normal = tuple(values[:n])
     with mp.workprec(precision_bits):
         offset = mp.mpf(0)
-        for component, coeff in zip(curve.components, normal):
-            offset = offset + lp_eval(component, av, precision_bits) * coeff
+        for coord, coeff in zip(values[n:], normal):
+            offset = offset + coord * coeff
     return Hyperplane(normal=normal, offset=offset)
 
 

@@ -143,6 +143,18 @@ def test_quotient_check_singular_minor_matrix():
     assert prop3 == 1 and prop4 == 1
 
 
+def test_determinant_checks_values_are_pinned():
+    # every bit of the three errors, so a change in evaluation or summation
+    # order shows here
+    errors = determinant_checks((1.7, 2.9, 4.4, 8.1, 13.6), 113)
+    with mp.workprec(113):
+        assert [repr(e) for e in errors] == [
+            "mpf('8.49117376257492042955747999238952183e-32')",
+            "mpf('3.46564752814639680045837404928949812e-32')",
+            "mpf('5.34602796593910586928205302186445996e-32')",
+        ]
+
+
 def test_prop_checks_validate_inputs():
     with pytest.raises(BadDimension):
         determinant_checks((2.0, 3.0), 53)

@@ -10,6 +10,7 @@ from oscmean.errors import BadParameter, NonPositiveArgument
 from oscmean.logpoly import (
     LogPoly,
     lp_eval,
+    lp_eval_many,
     substitute_power,
     to_text,
 )
@@ -230,6 +231,55 @@ def test_eval_homomorphism_within_ulps():
                 lhs = lp_eval(p * q, t, bits)
                 rhs = lp_eval(p, t, bits) * lp_eval(q, t, bits)
                 assert abs(lhs - rhs) <= 4 * eps * max(abs(lhs), abs(rhs), mp.mpf(1))
+
+
+def _term_by_term(p, t, bits):
+    # reference evaluation: every term computes its own t^m and (log t)^j
+    with mp.workprec(bits):
+        tv = mp.mpf(t) if not isinstance(t, Fraction) else mp.mpf(t.numerator) / t.denominator
+        log_t = mp.log(tv)
+        total = mp.mpf(0)
+        for (m, j), c in p.items():
+            piece = mp.mpf(c.numerator)
+            if c.denominator != 1:
+                piece = piece / c.denominator
+            if m:
+                piece = piece * tv ** m
+            if j:
+                piece = piece * log_t ** j
+            total = total + piece
+        return +total
+
+
+@pytest.mark.parametrize("bits", [53, 113, 256])
+def test_eval_many_is_bit_identical_to_single_evaluation(bits):
+    # ``shared`` has a negative t-power and non-integer coefficients, and its
+    # exponent pairs recur in the ``p + shared`` polynomials of each draw
+    rng = random.Random(bits)
+    shared = LogPoly({(-3, 2): Fraction(7, 3), (2, 1): Fraction(-5, 4), (0, 3): 1})
+    for _ in range(15):
+        polys = [random_logpoly(rng) for _ in range(5)] + [shared, LogPoly.zero()]
+        polys += [p + shared for p in polys[:2]]
+        for t in (rng.uniform(0.05, 40.0), "0.3", Fraction(22, 7)):
+            values = lp_eval_many(polys, t, bits)
+            assert values == [lp_eval(p, t, bits) for p in polys]
+            assert values == [_term_by_term(p, t, bits) for p in polys]
+    unshared = [LogPoly.term(Fraction(2, 3), -2, 0), LogPoly.term(-5, 3, 1)]
+    assert lp_eval_many(unshared, 1.9, bits) == [_term_by_term(p, 1.9, bits) for p in unshared]
+
+
+def test_eval_many_empty_and_zero():
+    assert lp_eval_many((), 2.5, 113) == []
+    assert lp_eval_many((LogPoly.zero(),), 2.5, 113) == [0]
+
+
+@pytest.mark.parametrize("polys", [(), (T, LOG_T)])
+def test_eval_many_rejects_what_eval_rejects(polys):
+    for t in (0, -2.5):
+        with pytest.raises(NonPositiveArgument):
+            lp_eval_many(polys, t)
+    with pytest.raises(BadParameter):
+        lp_eval_many(polys, 1.0, 32)
 
 
 def test_value_at_one_exact():

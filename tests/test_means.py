@@ -51,6 +51,19 @@ def test_hyperplane_rejects_nonpositive_parameter():
         hyperplane_at(make_log_curve(3), 0)
 
 
+def test_hyperplane_takes_one_log_per_point(monkeypatch):
+    calls = []
+    real_log = mp.log
+
+    def counting_log(*args, **kwargs):
+        calls.append(args)
+        return real_log(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "log", counting_log)
+    hyperplane_at(make_log_curve(5), 3.7, 113)
+    assert len(calls) == 1
+
+
 # -- intersection ---------------------------------------------------------------
 
 
