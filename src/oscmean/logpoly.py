@@ -3,10 +3,12 @@
 A log-polynomial is stored as a canonical map from the exponent pair
 ``(t_power, log_power)`` to a nonzero rational coefficient.  ``t_power`` may
 be any integer (1/t terms show up constantly in Wronskian work), while
-``log_power`` must be nonnegative.  Coefficients are exact
-:class:`fractions.Fraction` values, so two log-polynomials are equal exactly
-when their canonical term maps coincide -- identity checking is a plain
-comparison, never a floating tolerance.
+``log_power`` must be nonnegative.  Coefficients are exact rationals with one
+representation per value: an ``int`` when the value is integral, otherwise a
+:class:`fractions.Fraction` with denominator > 1.  The Wronskian work on the
+log and power curves is all integral, so it runs on ``int`` arithmetic.  Two
+log-polynomials are equal exactly when their canonical term maps coincide --
+identity checking is a plain comparison, never a floating tolerance.
 
 The family is closed under differentiation:
 
@@ -34,22 +36,30 @@ from .errors import BadParameter, NonPositiveArgument
 from .precision import as_mpf, require_precision
 
 TermKey = Tuple[int, int]  # (t_power, log_power)
-CoeffLike = Union[Fraction, int]
+#: A stored coefficient: ``int`` if integral, else a non-integral ``Fraction``.
+Coefficient = Union[int, Fraction]
+
+
+def _exact(c: Coefficient) -> Coefficient:
+    """The canonical representation of the rational ``c``."""
+    return c.numerator if c.denominator == 1 else c
 
 
 class LogPoly:
     """An immutable log-polynomial in canonical form.
 
-    Canonical form means: no zero coefficients are stored, and terms are
-    ordered lexicographically by ``(t_power, log_power)``.  Instances are
-    hashable and safe to share across threads.
+    Canonical form means: no zero coefficients are stored, every coefficient
+    is an ``int`` when integral and a ``Fraction`` with denominator > 1
+    otherwise, and terms are ordered lexicographically by
+    ``(t_power, log_power)``.  Instances are hashable and safe to share
+    across threads.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(
         self,
-        terms: Union[Mapping[TermKey, CoeffLike], Iterable[Tuple[TermKey, CoeffLike]]] = (),
+        terms: Union[Mapping[TermKey, Coefficient], Iterable[Tuple[TermKey, Coefficient]]] = (),
     ):
         items = terms.items() if isinstance(terms, Mapping) else terms
         merged: Dict[TermKey, Fraction] = {}
@@ -59,7 +69,7 @@ class LogPoly:
             key = (int(t_power), int(log_power))
             merged[key] = merged.get(key, Fraction(0)) + Fraction(coeff)
         object.__setattr__(
-            self, "_terms", tuple(sorted((k, c) for k, c in merged.items() if c))
+            self, "_terms", tuple(sorted((k, _exact(c)) for k, c in merged.items() if c))
         )
 
     # -- constructors ------------------------------------------------------
@@ -69,49 +79,51 @@ class LogPoly:
         return cls()
 
     @classmethod
-    def constant(cls, value: CoeffLike) -> "LogPoly":
+    def constant(cls, value: Coefficient) -> "LogPoly":
         return cls({(0, 0): value})
 
     @classmethod
-    def term(cls, coeff: CoeffLike, t_power: int = 0, log_power: int = 0) -> "LogPoly":
+    def term(cls, coeff: Coefficient, t_power: int = 0, log_power: int = 0) -> "LogPoly":
         """Single term coeff * t^t_power * (log t)^log_power."""
         return cls({(t_power, log_power): coeff})
 
     @classmethod
-    def _canonical(cls, term_map: Mapping[TermKey, Fraction]) -> "LogPoly":
-        """Ring-op fast path: drop zeros and sort, validating nothing.
+    def _canonical(cls, term_map: Mapping[TermKey, Coefficient]) -> "LogPoly":
+        """Ring-op fast path: drop zeros, fix the coefficient type and sort,
+        validating nothing.
 
         Only for maps built from canonical operands, whose keys are valid
-        exponent pairs and whose coefficients are already ``Fraction``s.
+        exponent pairs and whose coefficients are already ``int`` or
+        ``Fraction``.
         """
         out = object.__new__(cls)
         object.__setattr__(
-            out, "_terms", tuple(sorted(item for item in term_map.items() if item[1]))
+            out, "_terms", tuple(sorted((k, _exact(c)) for k, c in term_map.items() if c))
         )
         return out
 
     # -- inspection --------------------------------------------------------
 
     @property
-    def terms(self) -> Dict[TermKey, Fraction]:
+    def terms(self) -> Dict[TermKey, Coefficient]:
         """Canonical term map as a fresh dict (keys in canonical order)."""
         return dict(self._terms)
 
-    def items(self) -> Tuple[Tuple[TermKey, Fraction], ...]:
+    def items(self) -> Tuple[Tuple[TermKey, Coefficient], ...]:
         return self._terms
 
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coefficient(self, t_power: int, log_power: int) -> Fraction:
+    def coefficient(self, t_power: int, log_power: int) -> Coefficient:
         for key, coeff in self._terms:
             if key == (t_power, log_power):
                 return coeff
-        return Fraction(0)
+        return 0
 
-    def value_at_one(self) -> Fraction:
+    def value_at_one(self) -> Coefficient:
         """Exact value at t = 1 (log t vanishes, every t-power is 1)."""
-        return sum((c for (_, j), c in self._terms if j == 0), Fraction(0))
+        return _exact(sum(c for (_, j), c in self._terms if j == 0))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -157,7 +169,7 @@ class LogPoly:
             return LogPoly({k: c * other for k, c in self._terms})
         if not isinstance(other, LogPoly):
             return NotImplemented
-        out: Dict[TermKey, Fraction] = {}
+        out: Dict[TermKey, Coefficient] = {}
         for (m1, j1), c1 in self._terms:
             for (m2, j2), c2 in other._terms:
                 key = (m1 + m2, j1 + j2)
@@ -185,15 +197,15 @@ class LogPoly:
 
     def diff(self) -> "LogPoly":
         """Exact derivative; stays inside the ring."""
-        out: Dict[TermKey, Fraction] = {}
+        out: Dict[TermKey, Coefficient] = {}
         for (m, j), c in self._terms:
             if m:
                 key = (m - 1, j)
-                out[key] = out.get(key, Fraction(0)) + c * m
+                out[key] = out.get(key, 0) + c * m
             if j:
                 key = (m - 1, j - 1)
-                out[key] = out.get(key, Fraction(0)) + c * j
-        return LogPoly(out)
+                out[key] = out.get(key, 0) + c * j
+        return LogPoly._canonical(out)
 
 
 def lp_eval_many(polys: Sequence[LogPoly], t, precision_bits: int = 53) -> List[mpmath.mpf]:

@@ -114,9 +114,9 @@ def deriv_table(curve: Curve, max_order: int) -> DerivTable:
     return DerivTable(curve=curve, rows=tuple(rows))
 
 
-def _shift_coeff(r: int, j: int) -> Fraction:
+def _shift_coeff(r: int, j: int) -> int:
     # weights of the order-reduction recursion: (-1)^(j+1) (j-1)! C(r-2, j-1)
-    return Fraction((-1) ** (j + 1) * factorial(j - 1) * comb(r - 2, j - 1))
+    return (-1) ** (j + 1) * factorial(j - 1) * comb(r - 2, j - 1)
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)

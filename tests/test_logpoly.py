@@ -108,10 +108,15 @@ def test_ring_axioms_random():
         assert p - p == LogPoly.zero()
 
 
+def is_canonical_coefficient(c):
+    # one representation per value: int when integral, else a proper Fraction
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
 def assert_canonical(p):
     keys = [key for key, _ in p.items()]
     assert keys == sorted(set(keys))
-    assert all(type(c) is Fraction and c != 0 for _, c in p.items())
+    assert all(is_canonical_coefficient(c) and c != 0 for _, c in p.items())
 
 
 def test_ring_ops_match_validating_constructor():
@@ -141,6 +146,46 @@ def test_ring_ops_match_validating_constructor():
             assert_canonical(value)
         assert a - a == LogPoly.zero()
         assert hash(a - a) == hash(LogPoly.zero())
+
+
+def test_integral_coefficients_are_ints():
+    half_t = LogPoly.term(Fraction(1, 2), 1, 0)
+    half_square = LogPoly({(1, 2): Fraction(1, 2), (0, 0): Fraction(3, 2)})
+    cases = {
+        "fraction sum": (half_t + half_t, LogPoly({(1, 0): 1})),
+        "divide then multiply": ((LOG_T / 3) * 3, LogPoly({(0, 1): 1})),
+        "reducible fraction": (LogPoly.term(Fraction(6, 3)), LogPoly({(0, 0): 2})),
+        "diff of halves": (half_square.diff(), LogPoly({(0, 2): Fraction(1, 2), (0, 1): 1})),
+        "fraction product": (half_t * LogPoly.term(Fraction(2)), T),
+        "fraction difference": (
+            LogPoly.term(Fraction(5, 2)) - LogPoly.term(Fraction(1, 2)),
+            LogPoly.constant(2),
+        ),
+    }
+    for name, (value, expected) in cases.items():
+        assert value == expected, name
+        assert hash(value) == hash(expected), name
+        assert_canonical(value)
+
+
+def test_non_integral_coefficients_stay_fractions():
+    third = LOG_T / 3
+    assert third == LogPoly({(0, 1): Fraction(1, 3)})
+    assert hash(third) == hash(LogPoly({(0, 1): Fraction(1, 3)}))
+    assert_canonical(third)
+    (_, c), = third.items()
+    assert type(c) is Fraction and c.denominator == 3
+
+
+def test_coefficient_and_value_at_one_follow_the_rule():
+    p = LogPoly({(2, 0): Fraction(1, 2), (-1, 0): Fraction(1, 2), (0, 1): Fraction(4, 2)})
+    assert type(p.coefficient(2, 0)) is Fraction and p.coefficient(2, 0) == Fraction(1, 2)
+    assert type(p.coefficient(0, 1)) is int and p.coefficient(0, 1) == 2
+    assert type(p.coefficient(5, 5)) is int and p.coefficient(5, 5) == 0
+    assert type(p.value_at_one()) is int and p.value_at_one() == 1
+    q = p + LogPoly.constant(Fraction(1, 3))
+    assert type(q.value_at_one()) is Fraction and q.value_at_one() == Fraction(4, 3)
+    assert type(LogPoly.zero().value_at_one()) is int
 
 
 # -- differentiation ----------------------------------------------------------

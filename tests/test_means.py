@@ -64,6 +64,27 @@ def test_hyperplane_takes_one_log_per_point(monkeypatch):
     assert len(calls) == 1
 
 
+def test_log_hyperplane_n10_values_are_pinned():
+    # every bit of an n = 10 plane at guard precision; the field's
+    # coefficients exceed 2^53, so a change in their exact conversion or in
+    # summation order shows here
+    plane = hyperplane_at(make_log_curve(10), "3.7", 83)
+    with mp.workprec(83):
+        assert [repr(c) for c in plane.normal] == [
+            "mpf('23.7990401637774586081971014')",
+            "mpf('-23.7988410692391535282493291')",
+            "mpf('11.8987357505883908677380987')",
+            "mpf('-3.96484951149539409883741622')",
+            "mpf('0.989345465502926408106796604')",
+            "mpf('-0.196156765158138994439950393')",
+            "mpf('0.0316021390243940496452853907')",
+            "mpf('-0.00403823579649083223574761478')",
+            "mpf('0.000368244407120806287847317011')",
+            "mpf('-0.0000177253665014587683144129')",
+        ]
+        assert repr(plane.offset) == "mpf('23.7990696853826240299563642')"
+
+
 # -- intersection ---------------------------------------------------------------
 
 

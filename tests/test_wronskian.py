@@ -318,6 +318,22 @@ def test_normal_field_log_curves():
     assert n3[1] == -closed_form_v(2, 3)
 
 
+def test_log_and_conjecture_fields_have_int_coefficients():
+    # every coefficient of these fields is an integer, and the ring keeps
+    # integral coefficients as int, so their expansion never builds a Fraction
+    def coefficient_types(polys):
+        return {type(c) for p in polys for _, c in p.items()}
+
+    table = deriv_table(make_log_curve(10), 9)
+    assert coefficient_types(p for row in table.rows for p in row) == {int}
+    curves = [make_log_curve(n) for n in range(2, 11)]
+    curves += [make_conjecture_curve(n) for n in range(3, 9)]
+    for curve in curves:
+        assert coefficient_types(normal_field(curve)) == {int}, (curve.label, curve.dimension)
+    recursed = [recursion_deriv(k, r) for k in range(1, 7) for r in range(2, 7)]
+    assert coefficient_types(recursed) == {int}
+
+
 def test_caches_stay_bounded():
     caches = (deriv_table, _log_deriv_by_recursion, wronskian_full, normal_field)
     for e in range(3, 203):
