@@ -15,7 +15,9 @@ The family is closed under differentiation:
     d/dt [t^m (log t)^j] = m t^(m-1) (log t)^j + j t^(m-1) (log t)^(j-1)
 
 which is what keeps every derivative and Wronskian of curves built from
-t-powers and log-powers inside exact arithmetic.
+t-powers and log-powers inside exact arithmetic.  The ring has no zero
+divisors, and :meth:`LogPoly.exact_div` divides wherever the quotient lies in
+it, which is all that fraction-free elimination of Wronskian matrices needs.
 
 Numeric evaluation (`lp_eval_many`, with `lp_eval` as its one-polynomial
 form) is the single bridge out of the exact world: it takes one log of the
@@ -32,7 +34,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 import mpmath
 from mpmath import mp
 
-from .errors import BadParameter, NonPositiveArgument
+from .errors import BadParameter, DomainError, NonPositiveArgument
 from .precision import as_mpf, require_precision
 
 TermKey = Tuple[int, int]  # (t_power, log_power)
@@ -186,6 +188,50 @@ class LogPoly:
         if isinstance(other, (int, Fraction)):
             return self * (Fraction(1) / Fraction(other))
         return NotImplemented
+
+    def exact_div(self, other: "LogPoly") -> "LogPoly":
+        """The log-polynomial q with ``q * other == self``.
+
+        Long division on leading terms in lex order of ``(t_power,
+        log_power)``, which products respect, so each quotient term is the
+        remainder's leading term over ``other``'s.  Products respect the
+        trailing terms too, so every quotient term must lie at or above
+        trailing(self) - trailing(other); a term below that bound, or one
+        that needs a negative log power, proves the division is not exact.
+        That bound also ends every division in finitely many steps.
+
+        Raises :class:`DomainError` for a zero divisor or a division that
+        is not exact.
+        """
+        if not other._terms:
+            raise DomainError("division by the zero log-polynomial")
+        if not self._terms:
+            return self
+        (lead_m, lead_j), lead_c = other._terms[-1]
+        (num_m, num_j), _ = self._terms[0]
+        floor = (num_m - other._terms[0][0][0], num_j - other._terms[0][0][1])
+        rest = other._terms[:-1]
+        remainder: Dict[TermKey, Coefficient] = dict(self._terms)
+        quotient: Dict[TermKey, Coefficient] = {}
+        while remainder:
+            (m, j), c = max(remainder.items())
+            key = (m - lead_m, j - lead_j)
+            if key[1] < 0 or key < floor:
+                raise DomainError(f"{to_text(self)} is not a multiple of {to_text(other)}")
+            if type(c) is int and type(lead_c) is int and c % lead_c == 0:
+                q = c // lead_c
+            else:
+                q = _exact(Fraction(c) / lead_c)
+            quotient[key] = q
+            del remainder[(m, j)]
+            for (dm, dj), dc in rest:
+                pos = (key[0] + dm, key[1] + dj)
+                left = remainder.get(pos, 0) - q * dc
+                if left:
+                    remainder[pos] = left
+                else:
+                    remainder.pop(pos, None)
+        return LogPoly._canonical(quotient)
 
     def __pow__(self, exponent: int) -> "LogPoly":
         if not isinstance(exponent, int) or exponent < 0:

@@ -4,7 +4,10 @@ Wronskian determinants together with their classical closed forms.
 All determinants here are symbolic: entries are :class:`LogPoly` values and
 the result is again a ``LogPoly``, so identities such as "minor k of the
 log curve equals its closed form" are checked by structural equality with
-zero tolerance.
+zero tolerance.  One fraction-free elimination (Bareiss 1968) computes them,
+a full Wronskian and all n minors of a normal field alike, in O(n^3) ring
+operations; its divisions are exact (:meth:`LogPoly.exact_div`), so no
+fraction of log-polynomials ever arises.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import BadDimension, BadIndex, BadOrder
 from .logpoly import LogPoly
@@ -159,51 +162,77 @@ def recursion_deriv(k: int, r: int) -> LogPoly:
 # -- symbolic determinants ---------------------------------------------------
 
 
-def _leading_block_dets(
-    matrix: Sequence[Sequence[LogPoly]],
-) -> Callable[[Tuple[int, ...]], LogPoly]:
-    """Memoized leading-block determinants of a matrix with at least as many
-    columns as rows.
+def _eliminate(
+    matrix: Sequence[Sequence[LogPoly]], free_columns: int
+) -> Tuple[int, int, LogPoly, List[LogPoly]]:
+    """Fraction-free elimination of a matrix with ``free_columns`` (0 or 1)
+    more columns than rows.
 
-    The returned function maps a column tuple ``cols`` to the determinant of
-    rows 0..len(cols)-1 restricted to ``cols``, by Laplace expansion along the
-    block's bottom row.  One memo on column subsets serves every call, so
-    blocks shared between calls are expanded once.
+    Columns are taken left to right.  Each takes as pivot its first nonzero
+    entry in a row not yet used, swapped into place; then every row below
+    it, and every row above it when there is a free column to solve for
+    (Gauss-Jordan), becomes (pivot * row - entry * pivot row) / previous
+    pivot.  By Sylvester's identity every division is exact (Bareiss 1968):
+    each entry is a minor of the matrix.  A column with no nonzero candidate
+    is a free column; one more than ``free_columns`` means the rank is short
+    and every maximal minor is 0.
+
+    Returns ``(sign, free, d, v)``.  ``sign`` is the sign of the row
+    permutation.  ``free`` is the free column (the last one if every other
+    column took a pivot).  ``d`` is the last pivot, which is the minor on
+    the pivot columns in the permuted row order, or 0 when the rank is
+    short.  ``v[p]`` is pivot row p's final entry in the free column (none
+    without a free column): the minor with the free column in the place of
+    pivot column p, so that ``-v / d`` is Cramer's solution.  The pivot
+    columns end as d * I and are not returned.
     """
-    memo: Dict[Tuple[int, ...], LogPoly] = {(): LogPoly.constant(1)}
-
-    def block_det(cols: Tuple[int, ...]) -> LogPoly:
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
-        r = len(cols) - 1
-        acc = LogPoly.zero()
-        for pos, c in enumerate(cols):
-            entry = matrix[r][c]
-            if entry.is_zero():
-                continue
-            rest = cols[:pos] + cols[pos + 1 :]
-            sub = block_det(rest)
-            if sub.is_zero():
-                continue
-            piece = entry * sub
-            acc = acc + piece if (r + pos) % 2 == 0 else acc - piece
-        memo[cols] = acc
-        return acc
-
-    return block_det
+    rows = [list(row) for row in matrix]
+    n_rows = len(rows)
+    n_cols = n_rows + free_columns
+    sign, free = 1, None
+    pivot = prev = LogPoly.constant(1)
+    k = 0
+    for c in range(n_cols):
+        r = next((i for i in range(k, n_rows) if rows[i][c]), None)
+        if r is None:
+            if free is not None or not free_columns:
+                return sign, c, LogPoly.zero(), []
+            free = c
+            continue
+        if r != k:
+            rows[k], rows[r] = rows[r], rows[k]
+            sign = -sign
+        pivot, pivot_row = rows[k][c], rows[k]
+        # rows above the pivot matter only for the free column's entries;
+        # columns left of c are pivot columns, zero off the diagonal
+        above = rows[:k] if free_columns else []
+        cols = ([] if free is None else [free]) + list(range(c + 1, n_cols))
+        for row in above + rows[k + 1 :]:
+            factor = row[c]
+            for j in cols:
+                value = pivot * row[j] if row[j] else row[j]
+                if factor and pivot_row[j]:
+                    value = value - factor * pivot_row[j]
+                row[j] = value.exact_div(prev)
+        prev = pivot
+        k += 1
+    if free is None:
+        free = n_rows
+    return sign, free, pivot, [row[free] for row in rows] if free < n_cols else []
 
 
 def det_symbolic(matrix: Sequence[Sequence[LogPoly]]) -> LogPoly:
     """Determinant of a square matrix of log-polynomials.
 
-    Laplace expansion along the bottom row of each leading-row block,
-    memoized on column subsets -- O(2^n * n) subdeterminants instead of n!.
+    Fraction-free elimination with row pivoting (:func:`_eliminate`):
+    O(n^3) ring operations, each division exact.  When no nonzero pivot is
+    left in a column the determinant is 0.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise BadDimension("determinant requires a square matrix")
-    return _leading_block_dets(matrix)(tuple(range(n)))
+    sign, _, d, _ = _eliminate(matrix, 0)
+    return d if sign == 1 else -d
 
 
 # -- Wronskians and closed forms ---------------------------------------------
@@ -269,17 +298,22 @@ def normal_field(curve: Curve) -> Tuple[LogPoly, ...]:
 
     This is the normal direction of the osculating hyperplane as a function
     of the curve parameter.  The minors are the n maximal minors of the
-    (n-1) x n matrix of first to (n-1)-th derivatives, expanded on one shared
-    memo: at most n * 2^(n-1) entry products for all n of them.
+    (n-1) x n matrix of first to (n-1)-th derivatives.  One fraction-free
+    Gauss-Jordan elimination of that matrix (:func:`_eliminate`) yields all
+    of them in O(n^3) ring operations: the minor that omits the free column
+    is the last pivot, and the others are the free column's entries, which
+    Cramer's rule relates to the signed field.  The vector spans the
+    matrix's null space, so the signs follow from the free column's index
+    and the row swaps.
     """
     n = curve.dimension
-    block_det = _leading_block_dets(deriv_table(curve, n - 1).rows[1:])
-    cols = tuple(range(n))
-    out = []
-    for k in range(n):
-        minor = block_det(cols[:k] + cols[k + 1 :])
-        out.append(minor if k % 2 == 0 else -minor)
-    return tuple(out)
+    sign, free, d, v = _eliminate(deriv_table(curve, n - 1).rows[1:], 1)
+    if not d:
+        return (LogPoly.zero(),) * n
+    if free % 2:
+        sign = -sign
+    d, v = (d, [-w for w in v]) if sign == 1 else (-d, v)
+    return tuple(v[:free]) + (d,) + tuple(v[free:])
 
 
 def orthogonality_residuals(n: int) -> List[LogPoly]:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from oscmean.errors import BadParameter, NonPositiveArgument
+from oscmean.errors import BadParameter, DomainError, NonPositiveArgument
 from oscmean.logpoly import (
     LogPoly,
     lp_eval,
@@ -186,6 +186,38 @@ def test_coefficient_and_value_at_one_follow_the_rule():
     q = p + LogPoly.constant(Fraction(1, 3))
     assert type(q.value_at_one()) is Fraction and q.value_at_one() == Fraction(4, 3)
     assert type(LogPoly.zero().value_at_one()) is int
+
+
+# -- exact division -------------------------------------------------------------
+
+
+def test_exact_div_undoes_multiplication():
+    rng = random.Random(1968)
+    for _ in range(200):
+        a = random_logpoly(rng)
+        b = random_logpoly(rng)
+        if b.is_zero():
+            continue
+        q = (a * b).exact_div(b)
+        assert q == a
+        assert_canonical(q)
+    assert LogPoly.zero().exact_div(T + LOG_T) == LogPoly.zero()
+    assert (LOG_T * LOG_T).exact_div(LOG_T) == LOG_T
+    assert LogPoly.constant(3).exact_div(LogPoly.constant(6)) == LogPoly.constant(Fraction(1, 2))
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [
+        (LOG_T + LogPoly.constant(1), LOG_T),  # remainder 1 would need (log t)^-1
+        (T, T + LOG_T),  # the quotient would be an infinite series in log t / t
+        (T + LOG_T, T + LogPoly.constant(1)),  # a quotient term below the trailing bound
+        (T, LogPoly.zero()),
+    ],
+)
+def test_exact_div_refuses_what_is_not_exact(num, den):
+    with pytest.raises(DomainError):
+        num.exact_div(den)
 
 
 # -- differentiation ----------------------------------------------------------

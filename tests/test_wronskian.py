@@ -10,6 +10,7 @@ from oscmean.errors import BadDimension, BadIndex, BadOrder
 from oscmean.logpoly import LogPoly
 from oscmean.wronskian import (
     CACHE_MAXSIZE,
+    LOG_T,
     Curve,
     _log_deriv_by_recursion,
     closed_form_v,
@@ -155,7 +156,7 @@ def random_matrix(rng, n):
 
 def cofactor_det(matrix):
     """Plain recursive expansion along the first column: the reference that
-    the memoized det_symbolic is checked against."""
+    the eliminating det_symbolic is checked against."""
     if len(matrix) == 1:
         return matrix[0][0]
     acc = LogPoly.zero()
@@ -176,6 +177,25 @@ def test_expansion_order_independence():
             assert det_symbolic(m) == cofactor_det(m)
             # the transpose expands along the first row instead
             assert det_symbolic(m) == cofactor_det([list(col) for col in zip(*m)])
+
+
+def test_det_matches_cofactor_expansion_with_zero_entries():
+    rng = random.Random(1968)
+    zero = LogPoly.zero()
+    for n in range(2, 7):
+        for _ in range(6):
+            m = random_matrix(rng, n)
+            # zero entries force row swaps, and whole zero columns a zero det
+            m = [[zero if rng.random() < 0.4 else p for p in row] for row in m]
+            assert det_symbolic(m) == cofactor_det(m), n
+
+
+def test_det_of_equal_rows_is_zero():
+    rng = random.Random(22)
+    for n in range(2, 7):
+        m = random_matrix(rng, n)
+        m[-1] = list(m[0])
+        assert det_symbolic(m).is_zero()
 
 
 def test_det_rejects_ragged_matrix():
@@ -210,7 +230,7 @@ def test_minor_index_out_of_range():
 
 
 def test_minor_expansion_cross_check():
-    # the production path (memoized) against plain column expansion
+    # the production path (elimination) against plain column expansion
     curve = make_log_curve(4)
     table = deriv_table(curve, 3)
     kept = [1, 2, 4]
@@ -219,11 +239,22 @@ def test_minor_expansion_cross_check():
 
 
 def test_normal_field_matches_cofactor_expansion():
-    # the shared-memo expansion of all n minors against a plain expansion of
+    # one elimination for all n minors against a plain expansion of
     # each minor on its own
     curves = [make_log_curve(n) for n in range(2, 9)]
     curves += [make_conjecture_curve(n) for n in range(3, 9)]
     curves += [make_monomial_curve([1, 2, 3, 4]), make_monomial_curve([-1, 2, 5])]
+    # singular leading blocks: the elimination must swap rows, move the free
+    # column off the end, or find the rank short and return a zero field
+    one, two_t = LogPoly.constant(1), LogPoly.term(2, 1, 0)
+    curves += [
+        Curve((one, T, LOG_T)),
+        Curve((T, two_t, LOG_T)),
+        Curve((T, two_t, LOG_T, LogPoly.term(1, 1, 2))),
+        Curve((LOG_T, T, one)),
+        Curve((T, two_t, LogPoly.term(3, 1, 0))),
+    ]
+    assert all(p.is_zero() for p in normal_field(curves[-1]))
     for curve in curves:
         n = curve.dimension
         rows = deriv_table(curve, n - 1).rows[1:]
@@ -235,8 +266,7 @@ def test_normal_field_matches_cofactor_expansion():
 
 
 def test_normal_field_work_count(monkeypatch):
-    # a cold field expands its n minors on one shared memo: at most
-    # n * 2^(n-1) ring products
+    # a cold field takes at most n * 2^(n-1) ring products
     n = 8
     calls = 0
     mul = LogPoly.__mul__
@@ -252,6 +282,29 @@ def test_normal_field_work_count(monkeypatch):
     monkeypatch.undo()
     assert 0 < calls <= n * 2 ** (n - 1)
     assert field[0] == closed_form_v(1, n)
+
+
+def test_normal_field_work_is_cubic(monkeypatch):
+    # fraction-free elimination: O(n^3) products and exact divisions, where
+    # an expansion on column subsets makes n * 2^(n-1) products
+    n = 12
+    calls = 0
+
+    def counting(op):
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return op(self, other)
+
+        return counted
+
+    normal_field.cache_clear()
+    monkeypatch.setattr(LogPoly, "__mul__", counting(LogPoly.__mul__))
+    monkeypatch.setattr(LogPoly, "exact_div", counting(LogPoly.exact_div), raising=False)
+    field = normal_field(make_log_curve(n))
+    monkeypatch.undo()
+    assert 0 < calls <= 2 * n**3
+    assert field[-1] == closed_form_v(n, n) * (-1) ** (n + 1)
 
 
 # -- closed forms -------------------------------------------------------------------
@@ -273,6 +326,14 @@ def test_minors_equal_closed_forms():
         curve = make_log_curve(n)
         for k in range(1, n + 1):
             assert wronskian_minor(curve, k) == closed_form_v(k, n)
+
+
+def test_minors_equal_closed_forms_at_large_n():
+    for n in range(11, 17):
+        field = normal_field(make_log_curve(n))
+        for k in range(1, n + 1):
+            expected = closed_form_v(k, n)
+            assert field[k - 1] == (expected if k % 2 == 1 else -expected), (n, k)
 
 
 def test_full_wronskian_log_curve():
