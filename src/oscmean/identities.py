@@ -56,6 +56,10 @@ from .wronskian import (
 NUMERIC_TOLERANCE = 1e-8
 #: Gate for the n = 3 mean-vs-identric experiment.
 CONJECTURE_TOLERANCE = 1e-6
+#: Largest n the experiment accepts.  Its tuples are rejection-sampled from
+#: [1.5, 20] with log gaps >= 0.05, and the share of draws accepted collapses
+#: as n grows (one n = 20 tuple takes 0.5 s; at n >= 53 none can succeed).
+CONJECTURE_MAX_N = 16
 #: Gate for the first-coordinate vs closed-form comparison.
 MAIN_THEOREM_TOLERANCE = 1e-9
 MAIN_THEOREM_TOLERANCE_113 = 1e-20
@@ -356,10 +360,14 @@ def conjecture_scan(
 
     The n-th component is log t, which is globally monotone, so the mean is
     recovered by bracketed inversion.  Agreement is gated at n = 3 and
-    reported (not gated) for larger n.
+    reported (not gated) for 4 <= n <= ``CONJECTURE_MAX_N``.
     """
     if n < 3:
         raise BadDimension(f"the power-log curve needs n >= 3, got {n}")
+    if n > CONJECTURE_MAX_N:
+        raise BadDimension(
+            f"the conjecture scan is bounded at n = {CONJECTURE_MAX_N}, got {n}"
+        )
     if trials < 1:
         raise BadParameter(f"trials must be >= 1, got {trials}")
     require_precision(precision_bits)

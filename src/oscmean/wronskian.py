@@ -25,10 +25,11 @@ from .logpoly import LogPoly
 T = LogPoly.term(1, 1, 0)
 #: The component log t.
 LOG_T = LogPoly.term(1, 0, 1)
-#: Entries kept by each cache below.  ``verify --max-n 7``, both conjecture
-#: curves and ``mean`` up to n = 10 fill at most 40 entries of any one cache;
-#: the bound stops a process that sees many distinct curves from growing
-#: without limit.
+#: Entries kept by the :func:`normal_field` cache, the one cache here: every
+#: ``mean`` request and every intersection in the scans asks for its curve's
+#: field again.  ``verify --max-n 7``, both conjecture curves and ``mean`` up
+#: to n = 10 fill at most 40 entries; the bound stops a process that sees many
+#: distinct curves from growing without limit.
 CACHE_MAXSIZE = 128
 
 
@@ -106,7 +107,6 @@ def make_monomial_curve(exponents: Sequence[int]) -> Curve:
 # -- derivative tables -------------------------------------------------------
 
 
-@lru_cache(maxsize=CACHE_MAXSIZE)
 def deriv_table(curve: Curve, max_order: int) -> DerivTable:
     """Exact derivatives of every component up to ``max_order``."""
     if max_order < 0:
@@ -122,7 +122,6 @@ def _shift_coeff(r: int, j: int) -> int:
     return (-1) ** (j + 1) * factorial(j - 1) * comb(r - 2, j - 1)
 
 
-@lru_cache(maxsize=CACHE_MAXSIZE)
 def _log_deriv_by_recursion(k: int, r: int) -> LogPoly:
     """r-th derivative of t*(log t)^(k-1) via the index-shift recursion.
 
@@ -252,7 +251,6 @@ def wronskian_minor(curve: Curve, k: int) -> LogPoly:
     return signed if k % 2 == 1 else -signed
 
 
-@lru_cache(maxsize=CACHE_MAXSIZE)
 def wronskian_full(curve: Curve) -> LogPoly:
     """Full n x n Wronskian of the curve components (row r = r-th derivatives)."""
     n = curve.dimension

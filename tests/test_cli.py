@@ -1,11 +1,17 @@
 """Command-line contract: exit statuses, determinism, output shapes."""
 
+import argparse
 import json
 import math
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from oscmean.cli import CSV_HEADER, main
+from oscmean.cli import CSV_HEADER, build_parser, main
 from oscmean.means import neuman_LN
 
 
@@ -203,6 +209,14 @@ def test_conjecture_zero_trials_exit_2(capsys):
     assert code == 2
 
 
+def test_conjecture_n17_exits_2_at_once(capsys):
+    # past n = 16 the scan's rejection sampling of tuples can run for minutes
+    code, out, err = run_cli(capsys, "conjecture", "--n", "17", "--trials", "1")
+    assert code == 2
+    assert out == ""
+    assert "n" in err and "16" in err
+
+
 # -- precision resolution ------------------------------------------------------------------
 
 
@@ -292,15 +306,86 @@ def test_low_precision_rejected(capsys):
 
 
 def test_failing_report_exits_1(capsys):
-    from oscmean.cli import RunConfig, _fail_reports
+    from oscmean.cli import _fail_reports
     from oscmean.identities import IdentityReport
 
     failing = IdentityReport("made_up_row", 3, False, 0.5, 1, (), 1e-9)
     passing = IdentityReport("passing_row", 3, False, 0.0, 1, (), 1e-9)
     second = IdentityReport("other_row", 7, False, 0.5, 1, (), 1e-9)
-    config = RunConfig(subcommand="verify", max_n=3)
-    assert _fail_reports([failing, passing, second], config) == 1
+    args = argparse.Namespace(seed=0, trials=100, precision=53)
+    assert _fail_reports([failing, passing, second], args) == 1
     err = capsys.readouterr().err
     assert "made_up_row (n=3)" in err and "other_row (n=7)" in err
     assert "passing_row" not in err
     assert "seed=0" in err and "trials=100" in err and "precision=53" in err
+
+
+# -- one process, many calls -------------------------------------------------------------
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: (OSCMEAN_PRECISION or None, argv); neighbours differ in subcommand,
+#: --k, output format or environment.
+SEQUENCE = [
+    (None, ["mean", "--values", "1.5,2,5", "--k", "2", "--json"]),
+    (None, ["mean", "--values", "1.5,2,5"]),
+    (None, ["conjecture", "--n", "3", "--trials", "3", "--csv"]),
+    (None, ["conjecture", "--n", "3", "--trials", "3"]),
+    ("113", ["mean", "--values", "1.5,2,5", "--csv"]),
+    (None, ["mean", "--values", "1.5,2,5", "--csv"]),
+    (None, ["verify", "--max-n", "9"]),
+]
+
+
+def test_calls_in_one_process_match_first_calls(capsys, monkeypatch):
+    path = [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env.pop("OSCMEAN_PRECISION", None)
+    first = {}
+    for precision, argv in SEQUENCE:
+        run_env = env if precision is None else dict(env, OSCMEAN_PRECISION=precision)
+        fresh = subprocess.run([sys.executable, "-m", "oscmean.cli", *argv],
+                               capture_output=True, text=True, env=run_env)
+        first[precision, tuple(argv)] = (fresh.returncode, fresh.stdout, fresh.stderr)
+    for precision, argv in SEQUENCE + SEQUENCE[::-1]:
+        if precision is None:
+            monkeypatch.delenv("OSCMEAN_PRECISION", raising=False)
+        else:
+            monkeypatch.setenv("OSCMEAN_PRECISION", precision)
+        assert run_cli(capsys, *argv) == first[precision, tuple(argv)], (precision, argv)
+
+
+def test_main_builds_no_parser_after_the_first_call(capsys, monkeypatch):
+    main(["mean", "--values", "1,4"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _, argv in SEQUENCE:
+        main(argv)
+    assert built == []
+    # the counter sees a rebuild: the top-level parser and one per subcommand
+    build_parser.cache_clear()
+    main(["mean", "--values", "1,4"])
+    capsys.readouterr()
+    assert len(built) == 5
+
+
+def test_readme_command_lines_parse():
+    readme = (SRC.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()
+                if line.startswith("oscmean ")]
+    assert len(commands) == 7
+    parser = build_parser()
+    for command in commands:
+        try:
+            args = parser.parse_args(command[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {shlex.join(command)}")
+        assert args.subcommand == command[1]
