@@ -1,12 +1,22 @@
 """Configurable-precision dense linear algebra and bracketed root finding.
 
 Everything here works on mpmath floats so the significand width can be
-raised at runtime; 53 bits reproduces IEEE double behaviour.  Systems in
-this package are tiny (n <= 10), so one scaled-pivot LU factorization
-serves both the solver (which also extracts the inverse for an
-infinity-norm condition estimate) and the determinant.  One routine,
-``residual_norm``, measures ||Ax - b||_inf / ||b||_inf for both
-``solve_linear`` and ``means.intersect``.
+raised at runtime; 53 bits reproduces IEEE double behaviour.  One
+scaled-pivot LU factorization serves both the solver (which also extracts
+the inverse for an infinity-norm condition estimate) and the determinant.
+It is dense Gaussian elimination, O(n^3) for any n: ``mean`` accepts any
+number of values, and the intersection systems reach n = 16 in the tests.
+One routine, ``residual_norm``, measures ||Ax - b||_inf / ||b||_inf for
+both ``solve_linear`` and ``means.intersect``.
+
+The elimination, the substitutions, the residuals and the norms run on raw
+``mpmath.libmp`` values (the ``_mpf_`` tuples) rather than on ``mpf``
+objects, which saves an object, an argument conversion and a context lookup
+per operation.  Each operation rounds to nearest at an explicit precision,
+in the order the same code written with ``mpf`` arithmetic under
+``mp.workprec`` would use, so the results are bit-for-bit those of that
+code.  ``solve_linear``, ``det`` and ``residual_norm`` take and return
+``mpf`` values; the conversion happens there and nowhere else.
 """
 
 from __future__ import annotations
@@ -16,12 +26,28 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import (
+    fone,
+    from_int,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_cmp,
+    mpf_div,
+    mpf_mul,
+    mpf_neg,
+    mpf_pos,
+    mpf_shift,
+    mpf_sub,
+    round_nearest,
+)
 
 from .errors import BadDimension, NoBracket, SingularSystem
 from .precision import as_mpf, require_precision
 
-# Pivots smaller than 2^(-precision+8) times the row scale are treated as zero.
+# Pivots at or below 2^(-precision+8) times the row scale are treated as zero.
 _PIVOT_GUARD_BITS = 8
+_RND = round_nearest
 
 
 @dataclass(frozen=True)
@@ -32,8 +58,9 @@ class SolveReport:
     twice the working precision.  ``means.intersect`` reports the point
     rounded to the requested precision against the guard-precision planes
     it solved, at twice the requested precision.  condition_estimate is the
-    infinity-norm condition number computed from the explicit inverse (cheap
-    at these sizes); it is reported only, and nothing reads it.
+    infinity-norm condition number computed from the explicit inverse (n
+    more pairs of triangular solves on the same LU); it is reported only,
+    and nothing reads it.
     """
 
     solution: Tuple[mpmath.mpf, ...]
@@ -41,22 +68,58 @@ class SolveReport:
     condition_estimate: mpmath.mpf
 
 
-def _lu_factor(matrix, precision_bits: int):
+def _raw(values: Sequence, precision_bits: int):
+    """Raw values of a sequence: an mpf is taken as given, not rounded;
+    anything else is converted at ``precision_bits``."""
+    with mp.workprec(precision_bits):
+        return [as_mpf(x)._mpf_ for x in values]
+
+
+def _max(values):
+    """The largest of some raw values, as the builtin ``max`` finds it."""
+    best = None
+    for v in values:
+        if best is None or mpf_cmp(v, best) > 0:
+            best = v
+    return best
+
+
+def _max_abs(values, prec: int):
+    """max(abs(v) for v in values), each abs rounded to ``prec``."""
+    return _max(mpf_abs(v, prec, _RND) for v in values)
+
+
+def _sum_abs(values, prec: int):
+    """sum(abs(v) for v in values): abs and each partial sum rounded to
+    ``prec``, left to right."""
+    total = fzero
+    for v in values:
+        total = mpf_add(total, mpf_abs(v, prec, _RND), prec, _RND)
+    return total
+
+
+def _lu_factor(matrix, prec: int):
     """Doolittle LU with scaled partial pivoting; multipliers stored in place.
 
-    Returns (lu, perm).  Raises SingularSystem when the best available pivot
-    falls below 2^(-precision_bits + 8) times the scale of its original row.
+    Takes and returns raw values.  Returns (lu, perm).  Raises
+    SingularSystem when the best available pivot is at or below
+    2^(-prec + 8) times the scale of its original row.
     """
     n = len(matrix)
     lu = [row[:] for row in matrix]
-    scales = [max(abs(x) for x in row) for row in lu]
-    if any(s == 0 for s in scales):
+    scales = [_max_abs(row, prec) for row in lu]
+    if any(s == fzero for s in scales):
         raise SingularSystem("matrix has an all-zero row")
-    tiny = mp.ldexp(1, -precision_bits + _PIVOT_GUARD_BITS)
     perm = list(range(n))
     for col in range(n):
-        pivot_row = max(range(col, n), key=lambda i: abs(lu[i][col]) / scales[i])
-        if abs(lu[pivot_row][col]) <= tiny * scales[pivot_row]:
+        # the first row of largest |a| / scale pivots
+        pivot_row, best = col, None
+        for i in range(col, n):
+            ratio = mpf_div(mpf_abs(lu[i][col], prec, _RND), scales[i], prec, _RND)
+            if best is None or mpf_cmp(ratio, best) > 0:
+                pivot_row, best = i, ratio
+        guard = mpf_shift(scales[pivot_row], -prec + _PIVOT_GUARD_BITS)
+        if mpf_cmp(mpf_abs(lu[pivot_row][col], prec, _RND), guard) <= 0:
             raise SingularSystem(
                 f"pivot {col} fell below the relative threshold; "
                 "the system is numerically singular"
@@ -65,54 +128,64 @@ def _lu_factor(matrix, precision_bits: int):
             lu[col], lu[pivot_row] = lu[pivot_row], lu[col]
             scales[col], scales[pivot_row] = scales[pivot_row], scales[col]
             perm[col], perm[pivot_row] = perm[pivot_row], perm[col]
+        upper = lu[col]
+        pivot = upper[col]
         for i in range(col + 1, n):
-            factor = lu[i][col] / lu[col][col]
-            lu[i][col] = factor
-            if factor:
+            row = lu[i]
+            factor = mpf_div(row[col], pivot, prec, _RND)
+            row[col] = factor
+            if factor != fzero:
                 for j in range(col + 1, n):
-                    lu[i][j] = lu[i][j] - factor * lu[col][j]
+                    row[j] = mpf_sub(row[j], mpf_mul(factor, upper[j], prec, _RND), prec, _RND)
     return lu, perm
 
 
-def _lu_solve(lu, perm, rhs):
+def _lu_solve(lu, perm, rhs, prec: int):
     n = len(lu)
     x = [rhs[p] for p in perm]
     for i in range(1, n):
+        row = lu[i]
         s = x[i]
         for j in range(i):
-            s = s - lu[i][j] * x[j]
+            s = mpf_sub(s, mpf_mul(row[j], x[j], prec, _RND), prec, _RND)
         x[i] = s
     for i in range(n - 1, -1, -1):
+        row = lu[i]
         s = x[i]
         for j in range(i + 1, n):
-            s = s - lu[i][j] * x[j]
-        x[i] = s / lu[i][i]
+            s = mpf_sub(s, mpf_mul(row[j], x[j], prec, _RND), prec, _RND)
+        x[i] = mpf_div(s, row[i], prec, _RND)
     return x
 
 
 def _residual_vector(A, x, b, precision_bits: int):
     """Ax - b, accumulated at twice the working precision so that the
     residual measures the solve, not its own rounding."""
-    n = len(A)
-    with mp.workprec(2 * precision_bits):
-        out = []
-        for i in range(n):
-            r = -b[i]
-            for j in range(n):
-                r = r + A[i][j] * x[j]
-            out.append(r)
-        return out
+    prec = 2 * precision_bits
+    out = []
+    for row, bi in zip(A, b):
+        r = mpf_neg(bi, prec, _RND)
+        for a, xj in zip(row, x):
+            r = mpf_add(r, mpf_mul(a, xj, prec, _RND), prec, _RND)
+        out.append(r)
+    return out
+
+
+def _residual_norm(A, x, b, precision_bits: int):
+    prec = 2 * precision_bits
+    worst = _max_abs(_residual_vector(A, x, b, precision_bits), prec)
+    b_norm = _max_abs(b, prec)
+    return mpf_div(worst, b_norm, prec, _RND) if mpf_cmp(b_norm, fzero) > 0 else worst
 
 
 def residual_norm(
     A: Sequence[Sequence], x: Sequence, b: Sequence, precision_bits: int
 ) -> mpmath.mpf:
     """||Ax - b||_inf / ||b||_inf at twice ``precision_bits`` (the absolute
-    residual when b is zero).  Entries are used as given, not rounded."""
-    with mp.workprec(2 * precision_bits):
-        worst = max(abs(r) for r in _residual_vector(A, x, b, precision_bits))
-        b_norm = max(abs(v) for v in b)
-        return worst / b_norm if b_norm > 0 else worst
+    residual when b is zero).  mpf entries are used as given, not rounded."""
+    bits = 2 * precision_bits
+    matrix = [_raw(row, bits) for row in A]
+    return mp.make_mpf(_residual_norm(matrix, _raw(x, bits), _raw(b, bits), precision_bits))
 
 
 _REFINEMENT_STEPS = 2
@@ -133,64 +206,61 @@ def solve_linear(A: Sequence[Sequence], b: Sequence, precision_bits: int = 53) -
     if len(b) != n:
         raise BadDimension(f"right-hand side has length {len(b)}, expected {n}")
 
-    with mp.workprec(precision_bits):
-        original = [[as_mpf(x) for x in row] for row in A]
-        rhs = [as_mpf(x) for x in b]
-        lu, perm = _lu_factor(original, precision_bits)
-        solution = _lu_solve(lu, perm, rhs)
+    prec = precision_bits
+    original = [_raw(row, prec) for row in A]
+    rhs = _raw(b, prec)
+    lu, perm = _lu_factor(original, prec)
+    solution = _lu_solve(lu, perm, rhs, prec)
 
     for _ in range(_REFINEMENT_STEPS):
-        res = _residual_vector(original, solution, rhs, precision_bits)
-        if all(r == 0 for r in res):
+        res = _residual_vector(original, solution, rhs, prec)
+        if all(r == fzero for r in res):
             break
-        with mp.workprec(precision_bits):
-            correction = _lu_solve(lu, perm, [+(-r) for r in res])
-            solution = [x + d for x, d in zip(solution, correction)]
+        correction = _lu_solve(lu, perm, [mpf_neg(r, prec, _RND) for r in res], prec)
+        solution = [mpf_add(x, d, prec, _RND) for x, d in zip(solution, correction)]
 
-    with mp.workprec(precision_bits):
-        unit = [mp.mpf(0)] * n
-        inverse_cols = []
-        for j in range(n):
-            unit[j] = mp.mpf(1)
-            inverse_cols.append(_lu_solve(lu, perm, unit[:]))
-            unit[j] = mp.mpf(0)
-        a_norm = max(sum(abs(x) for x in row) for row in original)
-        inv_norm = max(sum(abs(col[i]) for col in inverse_cols) for i in range(n))
-        condition = a_norm * inv_norm
+    inverse_cols = []
+    for j in range(n):
+        unit = [fzero] * n
+        unit[j] = fone
+        inverse_cols.append(_lu_solve(lu, perm, unit, prec))
+    a_norm = _max(_sum_abs(row, prec) for row in original)
+    inv_norm = _max(_sum_abs(row, prec) for row in zip(*inverse_cols))
+    condition = mpf_mul(a_norm, inv_norm, prec, _RND)
 
-    residual = residual_norm(original, solution, rhs, precision_bits)
-
-    with mp.workprec(precision_bits):
-        solution = tuple(+x for x in solution)
-    return SolveReport(solution, residual, condition)
+    residual = _residual_norm(original, solution, rhs, prec)
+    return SolveReport(
+        tuple(mp.make_mpf(mpf_pos(x, prec, _RND)) for x in solution),
+        mp.make_mpf(residual),
+        mp.make_mpf(condition),
+    )
 
 
 def det(A: Sequence[Sequence], precision_bits: int = 53) -> mpmath.mpf:
     """Numeric determinant: the sign of the LU permutation times the pivots.
 
-    A pivot below the factorization's relative threshold makes the matrix
-    numerically singular, and its determinant is returned as 0.
+    A pivot at or below the factorization's relative threshold makes the
+    matrix numerically singular, and its determinant is returned as 0.
     """
     require_precision(precision_bits)
     n = len(A)
     if n == 0 or any(len(row) != n for row in A):
         raise BadDimension("determinant requires a square, nonempty matrix")
-    with mp.workprec(precision_bits):
-        try:
-            lu, perm = _lu_factor([[as_mpf(x) for x in row] for row in A], precision_bits)
-        except SingularSystem:
-            return mp.mpf(0)
-        # sort the permutation by swaps; each swap flips the sign
-        sign = 1
-        for i in range(n):
-            while perm[i] != i:
-                j = perm[i]
-                perm[i], perm[j] = perm[j], perm[i]
-                sign = -sign
-        result = mp.mpf(sign)
-        for i in range(n):
-            result = result * lu[i][i]
-        return result
+    try:
+        lu, perm = _lu_factor([_raw(row, precision_bits) for row in A], precision_bits)
+    except SingularSystem:
+        return mp.mpf(0)
+    # sort the permutation by swaps; each swap flips the sign
+    sign = 1
+    for i in range(n):
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j] = perm[j], perm[i]
+            sign = -sign
+    result = from_int(sign)
+    for i in range(n):
+        result = mpf_mul(result, lu[i][i], precision_bits, _RND)
+    return mp.make_mpf(result)
 
 
 def find_root_bracketed(

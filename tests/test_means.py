@@ -108,6 +108,55 @@ def test_intersection_golden_one_e_e_squared():
     assert abs(result.means[1] - target) / target < 1e-11
 
 
+# every bit of the report for points 1.3, 3.4, 5.5, ... at the default 53
+# bits: the point at 53, the residual at 106 and the condition estimate at
+# the 83 guard bits it was solved at
+_PINNED_INTERSECTIONS = {
+    7: (
+        [
+            "mpf('6.2570645736625723')",
+            "mpf('11.183662398489082')",
+            "mpf('19.356932210032486')",
+            "mpf('32.159524433645736')",
+            "mpf('50.562443210892951')",
+            "mpf('73.310469978690364')",
+            "mpf('92.61863540310118')",
+        ],
+        "mpf('1.646653222214591291090088965245596e-16')",
+        "mpf('4055617747738922006999.94629')",
+    ),
+    10: (
+        [
+            "mpf('8.6313379334178713')",
+            "mpf('18.300716753110091')",
+            "mpf('38.153093626035599')",
+            "mpf('77.999783834151955')",
+            "mpf('155.80879171155391')",
+            "mpf('302.57754318701473')",
+            "mpf('567.02289301200744')",
+            "mpf('1013.3652958430633')",
+            "mpf('1691.7287118403228')",
+            "mpf('2527.6081946309037')",
+        ],
+        "mpf('1.276880915456332044900129846366621e-15')",
+        "mpf('5.36744571696712743653369055e+53')",
+    ),
+}
+
+
+
+@pytest.mark.parametrize("n", sorted(_PINNED_INTERSECTIONS))
+def test_intersection_report_bits_are_pinned(n):
+    result = intersect(make_log_curve(n), [f"{1.3 + 2.1 * i:.1f}" for i in range(n)])
+    point, residual, condition = _PINNED_INTERSECTIONS[n]
+    with mp.workprec(53):
+        assert [repr(x) for x in result.point] == point
+    with mp.workprec(106):
+        assert repr(result.report.residual_norm) == residual
+    with mp.workprec(83):
+        assert repr(result.report.condition_estimate) == condition
+
+
 def test_intersect_validations():
     curve = make_log_curve(3)
     with pytest.raises(DistinctnessViolation) as err:

@@ -1,12 +1,14 @@
 """Linear solver and bracketed root finder at configurable precision."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
 from oscmean.errors import BadDimension, BadParameter, NoBracket, SingularSystem
 from oscmean.logpoly import lp_eval
+from oscmean.means import hyperplane_at
 from oscmean.numerics import det, find_root_bracketed, solve_linear
 from oscmean.wronskian import make_log_curve, normal_field
 
@@ -102,6 +104,231 @@ def test_det_known_values():
     near = [[1, 1], [1, 1 + mp.ldexp(1, -50)]]
     assert det(near) == 0
     assert det(near, 113) == mp.ldexp(1, -50)
+
+
+# -- every bit of solve_linear and det --------------------------------------------
+
+
+def _log_minor_system():
+    # the n = 7 intersection system, built at 300 bits, so the solver gets
+    # entries wider than its working precision, as intersect's residual does
+    planes = [
+        hyperplane_at(make_log_curve(7), v, 300)
+        for v in ("0.35", "1.2", "2.5", "4.75", "9.1", "17.3", "41")
+    ]
+    return [p.normal for p in planes], [p.offset for p in planes]
+
+
+_SYSTEMS = {
+    "decimal3": lambda: (
+        [["0.1", "2.7", "-1.3"], ["3.3", "-0.45", "1.9"], ["-2.2", "1.1", "0.7"]],
+        ["1.5", "-0.2", "2.9"],
+    ),
+    "mixed5": lambda: (
+        [[Fraction(1, i + j + 1) + (2 if i == j else 0) for j in range(5)] for i in range(5)],
+        [1, -2, 3, 0.5, Fraction(7, 3)],
+    ),
+    "log7": _log_minor_system,
+}
+
+# (solution, residual_norm, condition_estimate, det), each repr taken at the
+# precision the value carries: the residual at twice the working precision
+_PINNED_SYSTEMS = {
+    ("decimal3", 53): (
+        [
+            "mpf('-0.48297987780425089')",
+            "mpf('1.0459295605199217')",
+            "mpf('0.98131678894104868')",
+        ],
+        "mpf('1.208539623688407400128711137463175e-16')",
+        "mpf('4.7035573588733461')",
+        "mpf('-21.195499999999999')",
+    ),
+    ("decimal3", 113): (
+        [
+            "mpf('-0.482979877804250902314170460710999929')",
+            "mpf('1.04592956051992168148899530560732231')",
+            "mpf('0.981316788941048807529900214668207794')",
+        ],
+        "mpf('8.490068962522382667521107444302239921341197979471192991845728985941641e-35')",
+        "mpf('4.70355735887334575735415536316671012')",
+        "mpf('-21.1954999999999999999999999999999999')",
+    ),
+    ("decimal3", 256): (
+        [
+            "mpf('-0.4829798778042509023141704607109999764100870467787973862376447830907503951310474')",
+            "mpf('1.045929560519921681488995305607322308980679861291311835059328631077351324573617')",
+            "mpf('0.9813167889410488075299002146682078743129437852374324738741714043075181052581946')",
+        ],
+        "mpf('8.06952446933925793505441263820131695061343585831094681526165700962716775402791240803482323033692648946454018755983021651022144754970866362401647591455020142e-78')",
+        "mpf('4.703557358873345757354155363166709914840414238871458564317897666957608926423169')",
+        "mpf('-21.19549999999999999999999999999999999999999999999999999999999999999999999999973')",
+    ),
+    ("mixed5", 53): (
+        [
+            "mpf('0.29069906686245467')",
+            "mpf('-1.1544526539437132')",
+            "mpf('1.3709613272614383')",
+            "mpf('0.13824245508537533')",
+            "mpf('1.0679070176300134')",
+        ],
+        "mpf('8.119066435191768001037413473900795e-17')",
+        "mpf('2.6143635013596693')",
+        "mpf('63.392897439572621')",
+    ),
+    ("mixed5", 113): (
+        [
+            "mpf('0.290699066862454650653741301575593956')",
+            "mpf('-1.15445265394371324741898649655104767')",
+            "mpf('1.37096132726143848895320971125484112')",
+            "mpf('0.138242455085375306891161044266984964')",
+            "mpf('1.06790701763001341020537922698524387')",
+        ],
+        "mpf('5.731444860945215345233620299817906917234974780842170874977298812381748e-35')",
+        "mpf('2.61436350135966901278537941500611481')",
+        "mpf('63.3928974395726103492543401840454056')",
+    ),
+    ("mixed5", 256): (
+        [
+            "mpf('0.290699066862454650653741301575593938203834378375403858700248405129453299290476')",
+            "mpf('-1.154452653943713247418986496551047822335905708921780340342532471891060102654345')",
+            "mpf('1.370961327261438488953209711254841220656905889793768590954676127478061529310363')",
+            "mpf('0.1382424550853753068911610442669849582984165052477003299756604757271794620863077')",
+            "mpf('1.067907017630013410205379226985243917147718148790819906291902628996773890820208')",
+        ],
+        "mpf('4.78888006243867919288782244586590751711484765396142941453867458685779410898241171909966623312002042239556317581556997378408268658252121234776191380919476117e-78')",
+        "mpf('2.614363501359669012785379415006114536940461854690620683285215310655629648969992')",
+        "mpf('63.39289743957261034925434018404539946490059868744676000911828576227669198190796')",
+    ),
+    ("log7", 53): (
+        [
+            "mpf('5.0568686381578001')",
+            "mpf('7.2684448192647491')",
+            "mpf('8.5295680967750389')",
+            "mpf('6.498710621747585')",
+            "mpf('-1.7157469464021429')",
+            "mpf('-16.724424964018173')",
+            "mpf('-31.118925522488336')",
+        ],
+        "mpf('3.969867200893939464478551983013201e-16')",
+        "mpf('7.7547177101714881e+32')",
+        "mpf('1.1539753223648986e-26')",
+    ),
+    ("log7", 113): (
+        [
+            "mpf('5.05686863815780030067205134791058224')",
+            "mpf('7.26844481926474924578314777363174494')",
+            "mpf('8.52956809677503948861658010367414907')",
+            "mpf('6.49871062174758452256320111062274423')",
+            "mpf('-1.71574694640214277178424282517211664')",
+            "mpf('-16.7244249640181712045408452089581194')",
+            "mpf('-31.1189255224883378545418019092810032')",
+        ],
+        "mpf('7.765664259536824060158349058824367995290825696943418422857836610171479e-35')",
+        "mpf('775471771017603450278439876406485.125')",
+        "mpf('1.15397532236452976505859717335436223e-26')",
+    ),
+    ("log7", 256): (
+        [
+            "mpf('5.056868638157800300672051347910582556345153534775908298446117678763855844501366')",
+            "mpf('7.268444819264749245783147773631745161975247374996438369641347791132693017913023')",
+            "mpf('8.529568096775039488616580103674148952919677767800617452901561205992205963391745')",
+            "mpf('6.49871062174758452256320111062274392000968395397524430924928646620904612491064')",
+            "mpf('-1.715746946402142771784242825172116615116915210823012162676958468614375688269141')",
+            "mpf('-16.72442496401817120454084520895811949316420912629338432915664545198906763875245')",
+            "mpf('-31.11892552248833785454180190928100437304303973812722074047918599641158280129822')",
+        ],
+        "mpf('3.43432296959389305324311031999409181911974263513810926987287468016604439271065635471160497122081435027833592480984549354339715749256683168787486877458701115e-77')",
+        "mpf('775471771017603450278439876406580.9720115829106089432406259517214916551485125678')",
+        "mpf('1.153975322364529765058597173354217794675928768423091091295533714862077971013292e-26')",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, bits", sorted(_PINNED_SYSTEMS))
+def test_solve_and_det_bits_are_pinned(name, bits):
+    A, b = _SYSTEMS[name]()
+    report = solve_linear(A, b, bits)
+    determinant = det(A, bits)
+    solution, residual, condition, expected_det = _PINNED_SYSTEMS[name, bits]
+    with mp.workprec(bits):
+        assert [repr(x) for x in report.solution] == solution
+        assert repr(report.condition_estimate) == condition
+        assert repr(determinant) == expected_det
+    with mp.workprec(2 * bits):
+        assert repr(report.residual_norm) == residual
+
+
+def test_refinement_corrections_are_rounded_to_working_precision():
+    # ones plus offsets c * 2^e, built at 400 bits; rows 0 and 1 differ by
+    # 2^-52 in the last column, so the refinement makes large corrections,
+    # and carrying them wider than 113 bits changes the last bits below
+    offsets = [
+        [(-1, -96), (1, -116), (0, 0), (-3, -77)],
+        [(-1, -96), (1, -116), (0, 0), (-3, -77)],
+        [(-1, -108), (1, -107), (0, 0), (-1, -46)],
+        [(-1, -91), (3, -84), (-1, -81), (0, 0)],
+    ]
+    with mp.workprec(400):
+        A = [[1 + mp.ldexp(c, e) for c, e in row] for row in offsets]
+        A[1][3] += mp.ldexp(1, -52)
+        b = [1 + mp.ldexp(c, e) for c, e in [(-1, -97), (-1, -99), (1, -67), (-1, -107)]]
+    report = solve_linear(A, b, 113)
+    with mp.workprec(113):
+        assert [repr(x) for x in report.solution] == [
+            "mpf('537192298.568070443366462304300849564')",
+            "mpf('-390315701.478752145165876408349436133')",
+            "mpf('-146876596.08931829820060721222670586')",
+            "mpf('2.13162820728030055761337280273438814e-14')",
+        ]
+    with mp.workprec(226):
+        assert repr(report.residual_norm) == (
+            "mpf('4.889294092912107630085669257370400704253647489736540290280511282172554e-26')"
+        )
+
+
+# -- pivot rules ----------------------------------------------------------------------
+
+
+def _guard_system(bits, extra):
+    # column 0 ties (2/2 = 3/3), so row 0 pivots; the second pivot is then
+    # exactly 3 * 2^(-bits + 8) + extra against a row scale of 3
+    with mp.workprec(bits):
+        corner = mp.mpf("1.5") + 3 * mp.ldexp(1, -bits + 8) + extra
+    return [[2, 1], [3, corner]]
+
+
+@pytest.mark.parametrize("bits", [53, 113])
+def test_pivot_at_the_guard_is_singular(bits):
+    matrix = _guard_system(bits, 0)
+    with pytest.raises(SingularSystem):
+        solve_linear(matrix, [1, 1], bits)
+    assert det(matrix, bits) == 0
+
+
+@pytest.mark.parametrize("bits", [53, 113])
+def test_pivot_just_above_the_guard_factors(bits):
+    # one ulp of 1.5 above the guard
+    ulp = mp.ldexp(1, -bits + 1)
+    matrix = _guard_system(bits, ulp)
+    solve_linear(matrix, [1, 1], bits)
+    with mp.workprec(bits):
+        assert det(matrix, bits) == 2 * (3 * mp.ldexp(1, -bits + 8) + ulp)
+
+
+def test_equal_scaled_pivots_take_the_first_row():
+    # rows 1 and 2 tie in column 0 (3.1/3.1 = 6.2/6.2); taking row 2 gives
+    # det -159.78 at 53 bits, one ulp from the pinned value
+    A = [[1, 5, 2], ["3.1", "1.3", "-2.2"], ["6.2", "-0.7", "4.9"]]
+    b = ["0.3", "1.7", "-2.9"]
+    report = solve_linear(A, b, 53)
+    with mp.workprec(53):
+        assert [repr(x) for x in report.solution] == [
+            "mpf('0.01965828013518588')",
+            "mpf('0.28638753285767926')",
+            "mpf('-0.57579797221179119')",
+        ]
+        assert repr(det(A, 53)) == "mpf('-159.78000000000003')"
 
 
 # -- find_root_bracketed --------------------------------------------------------------
