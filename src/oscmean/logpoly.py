@@ -23,7 +23,10 @@ Numeric evaluation (`lp_eval_many`, with `lp_eval` as its one-polynomial
 form) is the single bridge out of the exact world: it takes one log of the
 point and one table of its powers for all the polynomials it is given, and
 sums each polynomial's terms in canonical order as mpmath binary floats with
-a configurable significand width.
+a configurable significand width.  Like ``numerics``, it runs on raw
+``mpmath.libmp`` values (the ``_mpf_`` tuples), each operation rounding to
+nearest at the requested width, and wraps only the values it returns in
+``mpf``.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_pow_int, round_nearest
 
 from .errors import BadParameter, DomainError, NonPositiveArgument
 from .precision import as_mpf, require_precision
@@ -40,6 +44,7 @@ from .precision import as_mpf, require_precision
 TermKey = Tuple[int, int]  # (t_power, log_power)
 #: A stored coefficient: ``int`` if integral, else a non-integral ``Fraction``.
 Coefficient = Union[int, Fraction]
+_RND = round_nearest
 
 
 def _exact(c: Coefficient) -> Coefficient:
@@ -256,43 +261,54 @@ class LogPoly:
 
 def lp_eval_many(polys: Sequence[LogPoly], t, precision_bits: int = 53) -> List[mpmath.mpf]:
     """Values of every polynomial in ``polys`` at ``t > 0``, in order, each
-    with at least ``precision_bits`` significand bits.
+    rounded to ``precision_bits`` significand bits.
 
     The point and the precision are validated once, log t is taken once, and
     each distinct t^m and (log t)^j is computed once and shared by all the
-    polynomials.  Each polynomial's terms are still summed one by one in
-    canonical order, so a value is bit-for-bit the same whichever other
-    polynomials it is evaluated with, and repeat calls are reproducible at a
-    given precision.  Nothing is kept between calls.
+    polynomials.  An mpf point is used as given, not rounded; any other is
+    converted at ``precision_bits``.
+
+    The loop works on raw libmp values and rounds every operation to
+    nearest at ``precision_bits``, in this order: a term c * t^m * (log t)^j
+    is c rounded (an ``int`` by ``from_int``; a ``Fraction`` as its rounded
+    numerator over its exact denominator by ``mpf_div``), times t^m, times
+    (log t)^j (the powers by ``mpf_pow_int``), and each polynomial's terms
+    are added one by one in canonical order, starting from zero.  So a
+    value is bit-for-bit the same whichever other polynomials it is
+    evaluated with, and does not depend on the ambient ``mp.prec``.
+    Nothing is kept between calls.
     """
     require_precision(precision_bits)
-    with mp.workprec(precision_bits):
+    prec = precision_bits
+    with mp.workprec(prec):
         tv = as_mpf(t)
         if tv <= 0:
             raise NonPositiveArgument(f"evaluation point must be positive, got {t!r}")
-        log_t = mp.log(tv)
-        t_powers: Dict[int, mpmath.mpf] = {}
-        log_powers: Dict[int, mpmath.mpf] = {}
-        values = []
-        for p in polys:
-            total = mp.mpf(0)
-            for (m, j), c in p.items():
-                piece = mp.mpf(c.numerator)
-                if c.denominator != 1:
-                    piece = piece / c.denominator
-                if m:
-                    power = t_powers.get(m)
-                    if power is None:
-                        power = t_powers[m] = tv ** m
-                    piece = piece * power
-                if j:
-                    power = log_powers.get(j)
-                    if power is None:
-                        power = log_powers[j] = log_t ** j
-                    piece = piece * power
-                total = total + piece
-            values.append(+total)
-        return values
+        log_t = mp.log(tv)._mpf_
+    t_raw = tv._mpf_
+    t_powers: Dict[int, tuple] = {}
+    log_powers: Dict[int, tuple] = {}
+    values = []
+    for p in polys:
+        total = fzero
+        for (m, j), c in p.items():
+            if type(c) is int:
+                piece = from_int(c, prec, _RND)
+            else:
+                piece = mpf_div(from_int(c.numerator, prec, _RND), from_int(c.denominator), prec, _RND)
+            if m:
+                power = t_powers.get(m)
+                if power is None:
+                    power = t_powers[m] = mpf_pow_int(t_raw, m, prec, _RND)
+                piece = mpf_mul(piece, power, prec, _RND)
+            if j:
+                power = log_powers.get(j)
+                if power is None:
+                    power = log_powers[j] = mpf_pow_int(log_t, j, prec, _RND)
+                piece = mpf_mul(piece, power, prec, _RND)
+            total = mpf_add(total, piece, prec, _RND)
+        values.append(mp.make_mpf(total))
+    return values
 
 
 def lp_eval(p: LogPoly, t, precision_bits: int = 53) -> mpmath.mpf:

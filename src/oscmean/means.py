@@ -28,6 +28,18 @@ from typing import Dict, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import (
+    fone,
+    from_int,
+    fzero,
+    mpf_add,
+    mpf_div,
+    mpf_log,
+    mpf_mul,
+    mpf_pos,
+    mpf_sub,
+    round_nearest,
+)
 
 from .errors import (
     BadDimension,
@@ -51,6 +63,7 @@ ESCALATED_PRECISION_BITS = 113
 #: does not eat into the digits of the answer delivered at the requested
 #: precision.
 GUARD_BITS = 30
+_RND = round_nearest
 
 
 @dataclass(frozen=True)
@@ -154,6 +167,8 @@ def hyperplane_at(curve: Curve, a, precision_bits: int = 53) -> Hyperplane:
     the dot product of the curve point with that normal (for the log curve
     this equals the full Wronskian at a).  The n minors and the n components
     are evaluated together, on one log of a and one table of its powers.
+    The dot product adds coordinate times coefficient left to right on raw
+    libmp values, each operation rounded to nearest at ``precision_bits``.
     """
     require_precision(precision_bits)
     with mp.workprec(precision_bits):
@@ -163,11 +178,11 @@ def hyperplane_at(curve: Curve, a, precision_bits: int = 53) -> Hyperplane:
     n = curve.dimension
     values = lp_eval_many(normal_field(curve) + curve.components, av, precision_bits)
     normal = tuple(values[:n])
-    with mp.workprec(precision_bits):
-        offset = mp.mpf(0)
-        for coord, coeff in zip(values[n:], normal):
-            offset = offset + coord * coeff
-    return Hyperplane(normal=normal, offset=offset)
+    offset = fzero
+    for coord, coeff in zip(values[n:], normal):
+        product = mpf_mul(coord._mpf_, coeff._mpf_, precision_bits, _RND)
+        offset = mpf_add(offset, product, precision_bits, _RND)
+    return Hyperplane(normal=normal, offset=mp.make_mpf(offset))
 
 
 def intersect(curve: Curve, values: Sequence, precision_bits: int = 53) -> IntersectionResult:
@@ -304,22 +319,25 @@ def neuman_LN(values: Sequence, precision_bits: int = 53) -> mpmath.mpf:
 
     Symmetric in its arguments and positively homogeneous of degree 1.  The
     sum cancels heavily when the logs are close, so it is accumulated with
-    guard bits and rounded to the requested precision at the end.
+    guard bits and rounded to the requested precision at the end.  It runs
+    on raw libmp values: the logs, each log gap, each product of the
+    denominator (from 1, i ascending), each quotient, each partial sum (j
+    ascending) and the final product with (n-1)! round to nearest at
+    ``precision_bits + GUARD_BITS``.
     """
-    vals = sorted_positive_distinct(values, precision_bits)
+    vals = [v._mpf_ for v in sorted_positive_distinct(values, precision_bits)]
     n = len(vals)
-    with mp.workprec(precision_bits + GUARD_BITS):
-        logs = [mp.log(v) for v in vals]
-        total = mp.mpf(0)
-        for j in range(n):
-            denom = mp.mpf(1)
-            for i in range(n):
-                if i != j:
-                    denom = denom * (logs[j] - logs[i])
-            total = total + vals[j] / denom
-        result = mp.mpf(factorial(n - 1)) * total
-    with mp.workprec(precision_bits):
-        return +result
+    prec = precision_bits + GUARD_BITS
+    logs = [mpf_log(v, prec, _RND) for v in vals]
+    total = fzero
+    for j in range(n):
+        denom = fone
+        for i in range(n):
+            if i != j:
+                denom = mpf_mul(denom, mpf_sub(logs[j], logs[i], prec, _RND), prec, _RND)
+        total = mpf_add(total, mpf_div(vals[j], denom, prec, _RND), prec, _RND)
+    result = mpf_mul(from_int(factorial(n - 1), prec, _RND), total, prec, _RND)
+    return mp.make_mpf(mpf_pos(result, precision_bits, _RND))
 
 
 def identric_IZ(values: Sequence, precision_bits: int = 53) -> mpmath.mpf:

@@ -16,7 +16,9 @@ per operation.  Each operation rounds to nearest at an explicit precision,
 in the order the same code written with ``mpf`` arithmetic under
 ``mp.workprec`` would use, so the results are bit-for-bit those of that
 code.  ``solve_linear``, ``det`` and ``residual_norm`` take and return
-``mpf`` values; the conversion happens there and nowhere else.
+``mpf`` values; the conversion happens there and nowhere else.  The same
+convention serves the other hot loops: ``logpoly.lp_eval_many``, the plane
+offsets of ``means.hyperplane_at`` and the sum of ``means.neuman_LN``.
 """
 
 from __future__ import annotations

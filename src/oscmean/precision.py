@@ -13,10 +13,12 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import finf, fnan, fninf
 
 from .errors import BadParameter
 
 MIN_PRECISION_BITS = 53
+_NON_FINITE = (finf, fninf, fnan)
 
 
 def require_precision(bits: int) -> int:
@@ -33,9 +35,13 @@ def as_mpf(value) -> mpmath.mpf:
 
     Accepts mpf, int, float, decimal strings, and Fraction.  Strings are
     parsed at the working precision, so a caller that raises the precision
-    before converting keeps all the digits of a decimal literal.
+    before converting keeps all the digits of a decimal literal.  An mpf is
+    returned as given, not rounded.  Infinities and nan raise
+    ``BadParameter`` whatever their type.
     """
     if isinstance(value, mpmath.mpf):
+        if value._mpf_ in _NON_FINITE:
+            raise BadParameter(f"value {value!r} is not finite")
         return value
     if isinstance(value, Fraction):
         return mp.mpf(value.numerator) / value.denominator

@@ -1,6 +1,7 @@
 """Command-line contract: exit statuses, determinism, output shapes."""
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -127,6 +128,27 @@ def test_conjecture_csv_byte_identical(capsys):
     assert code == 0
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            "verify --max-n 5 --precision 113 --trials 20 --seed 101 --json",
+            "6b91d9a3657fa5ad80bf6a7dff557c2f2b9d73ed21a2cc8562e8b8dc3e3f5079",
+        ),
+        (
+            "conjecture --n 3 --trials 20 --seed 101 --json",
+            "6c027caecfcd31bd88d8eded4d643ba9e2c9cbcb333384b77508b2d192202e73",
+        ),
+    ],
+)
+def test_verify_path_output_is_pinned(capsys, argv, digest):
+    # every byte of the verification user's output; a rounding change
+    # anywhere under verify or conjecture changes the digest
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -- verify --------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from oscmean.logpoly import (
     substitute_power,
     to_text,
 )
+from oscmean.wronskian import make_conjecture_curve, make_log_curve, normal_field
 
 T = LogPoly.term(1, 1, 0)
 LOG_T = LogPoly.term(1, 0, 1)
@@ -357,6 +358,172 @@ def test_eval_many_rejects_what_eval_rejects(polys):
             lp_eval_many(polys, t)
     with pytest.raises(BadParameter):
         lp_eval_many(polys, 1.0, 32)
+
+
+@pytest.mark.parametrize("t", [mp.inf, -mp.inf, mp.nan])
+def test_eval_rejects_non_finite_mpf(t):
+    with pytest.raises(BadParameter):
+        lp_eval(LogPoly.term(1, 1, 1), t)
+
+
+# -- pinned bits ---------------------------------------------------------------
+
+
+def _field_and_components(curve):
+    return normal_field(curve) + curve.components
+
+
+# the integer 3^45 + 2 needs 72 bits and the numerators 2^70 + 1 and
+# 7^109 + 1 need 71 and 307, so a coefficient is rounded at every precision;
+# 7^109 + 1 rounded and then divided by 11^88 differs from the correctly
+# rounded quotient at 53, 113 and 256 bits.  The t-powers run from -40 to 2
+FRACTIONAL = LogPoly({
+    (-40, 1): 3 ** 45 + 2,
+    (-3, 2): Fraction(7, 3),
+    (-1, 0): Fraction(-5, 4),
+    (0, 3): Fraction(2 ** 70 + 1, 2 ** 68),
+    (2, 1): Fraction(7 ** 109 + 1, 11 ** 88),
+})
+with mp.workprec(400):
+    MPF_400_BITS = mp.sqrt(2) + 1
+FRACTIONAL_POINTS = (3, 0.7, "1.2375", Fraction(22, 7), MPF_400_BITS)
+
+_PINNED_EVALUATIONS = {
+    ('log7', 53): [
+        "mpf('66.792090439512052')",
+        "mpf('-66.770128364712264')",
+        "mpf('33.313158812032654')",
+        "mpf('-10.973595595072497')",
+        "mpf('2.6006596228425272')",
+        "mpf('-0.4266642482337405')",
+        "mpf('0.037108517437440001')",
+        "mpf('2.5')",
+        "mpf('2.2907268296853878')",
+        "mpf('2.0989717632961873')",
+        "mpf('1.9232683731738489')",
+        "mpf('1.7622729852458818')",
+        "mpf('1.6147544034130012')",
+        "mpf('1.4795844941003136')",
+    ],
+    ('conj5', 53): [
+        "mpf('-460.80000000000001')",
+        "mpf('138.24000000000001')",
+        "mpf('-24.576000000000001')",
+        "mpf('1.8432000000000002')",
+        "mpf('288.0')",
+        "mpf('2.5')",
+        "mpf('6.25')",
+        "mpf('15.625')",
+        "mpf('39.0625')",
+        "mpf('0.91629073187415511')",
+    ],
+    ('frac', 53): [
+        "mpf('301.34548003315729')",
+        "mpf('-1.6550360707659768e+27')",
+        "mpf('1.2508861410615253e+17')",
+        "mpf('82.614211212133839')",
+        "mpf('1272316.3106790537')",
+    ],
+    ('log7', 113): [
+        "mpf('66.7920904395120468254019856206016572')",
+        "mpf('-66.7701283647122519007472409193515616')",
+        "mpf('33.3131588120326447121004967530967438')",
+        "mpf('-10.9735955950724957631469724741438042')",
+        "mpf('2.60065962284252668276005483010679349')",
+        "mpf('-0.426664248233740457088176516230427869')",
+        "mpf('0.0371085174374400000000000000000000001')",
+        "mpf('2.5')",
+        "mpf('2.29072682968538766295881802942002776')",
+        "mpf('2.09897176329618682283220168511155492')",
+        "mpf('1.92326837317384879196804681405286006')",
+        "mpf('1.76227298524588148979307067294391073')",
+        "mpf('1.61475440341300082131064438769506218')",
+        "mpf('1.47958449410031315823321005222852181')",
+    ],
+    ('conj5', 113): [
+        "mpf('-460.80000000000000000000000000000001')",
+        "mpf('138.240000000000000000000000000000008')",
+        "mpf('-24.5759999999999999999999999999999986')",
+        "mpf('1.84320000000000000000000000000000001')",
+        "mpf('288.0')",
+        "mpf('2.5')",
+        "mpf('6.25')",
+        "mpf('15.625')",
+        "mpf('39.0625')",
+        "mpf('0.916290731874155065183527211768011027')",
+    ],
+    ('frac', 113): [
+        "mpf('301.345480033157307725012755206992289')",
+        "mpf('-1655036070765976661410923553.80574203')",
+        "mpf('125088614106152689.867051237817094714')",
+        "mpf('82.6142112121337998652440491000481512')",
+        "mpf('1272316.3106790538396444236646646297')",
+    ],
+    ('log7', 256): [
+        "mpf('66.79209043951204682540198562060166386241933845291988394396124509283670581945004')",
+        "mpf('-66.7701283647122519007472409193515724988933635580950550597355054684306460109103')",
+        "mpf('33.3131588120326447121004967530967481284946117084679130410347235509311287236464')",
+        "mpf('-10.97359559507249576314697247414380658668887180535886305647468463406134822769451')",
+        "mpf('2.600659622842526682760054830106794040740968281843795851175744733968809078999556')",
+        "mpf('-0.4266642482337404570881765162304278945013583531949126431791431591371383862690795')",
+        "mpf('0.03710851743744000000000000000000000000000000000000000000000000000000000000000021')",
+        "mpf('2.5')",
+        "mpf('2.290726829685387662958818029420027678625253049770656169479919704951963414344922')",
+        "mpf('2.098971763296186822832201685111555106621410393137933182268659917854354841041289')",
+        "mpf('1.923268373173848791968046814052860280736673835349155934642401371719918985630084')",
+        "mpf('1.762272985245881489793070672943910950831448633032458700376687313186599233093223')",
+        "mpf('1.614754403413000821310644387695062560437636433845426709080852241634103304651018')",
+        "mpf('1.479584494100313158233210052228522189881435852592463105068359383212387408472949')",
+    ],
+    ('conj5', 256): [
+        "mpf('-460.8000000000000000000000000000000000000000000000000000000000000000000000000027')",
+        "mpf('138.239999999999999999999999999999999999999999999999999999999999999999999999999')",
+        "mpf('-24.57599999999999999999999999999999999999999999999999999999999999999999999999977')",
+        "mpf('1.843200000000000000000000000000000000000000000000000000000000000000000000000017')",
+        "mpf('288.0')",
+        "mpf('2.5')",
+        "mpf('6.25')",
+        "mpf('15.625')",
+        "mpf('39.0625')",
+        "mpf('0.9162907318741550651835272117680110714501012199082624677919678819807853657379671')",
+    ],
+    ('frac', 256): [
+        "mpf('301.3454800331573077250127552069923221646600946818199370261141424437451285180536')",
+        "mpf('-1655036070765976661410923553.805741813243247052005016717201150416133571974619478')",
+        "mpf('125088614106152689.8670512378170948351160376558064124595682981487669525576477857')",
+        "mpf('82.61421121213379986524404910004812097103155290443159170812428474808521988693917')",
+        "mpf('1272316.310679053839644423664664629771648718015980765740095432701136574617033503')",
+    ],
+}
+
+
+def _pinned_evaluation(name, bits):
+    if name == "log7":
+        return lp_eval_many(_field_and_components(make_log_curve(7)), "2.5", bits)
+    if name == "conj5":
+        return lp_eval_many(_field_and_components(make_conjecture_curve(5)), "2.5", bits)
+    return [lp_eval_many([FRACTIONAL], t, bits)[0] for t in FRACTIONAL_POINTS]
+
+
+@pytest.mark.parametrize("name, bits", sorted(_PINNED_EVALUATIONS))
+def test_eval_many_bits_are_pinned(name, bits):
+    values = _pinned_evaluation(name, bits)
+    with mp.workprec(bits):
+        assert [repr(v) for v in values] == _PINNED_EVALUATIONS[name, bits]
+
+
+@pytest.mark.parametrize("bits", [53, 113, 256])
+def test_eval_many_ignores_the_ambient_precision(bits):
+    polys = _field_and_components(make_log_curve(5)) + (FRACTIONAL,)
+    results = []
+    for ambient in (20, 500):
+        with mp.workprec(ambient):
+            results.append([v._mpf_ for v in lp_eval_many(polys, "2.5", bits)])
+            assert mp.prec == ambient
+            with pytest.raises(NonPositiveArgument):
+                lp_eval_many(polys, "-2.5", bits)
+            assert mp.prec == ambient
+    assert results[0] == results[1]
 
 
 def test_value_at_one_exact():

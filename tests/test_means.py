@@ -8,6 +8,7 @@ from mpmath import mp
 from oscmean import means
 from oscmean.errors import (
     BadDimension,
+    BadParameter,
     BadIndex,
     DistinctnessViolation,
     DomainError,
@@ -317,6 +318,95 @@ def test_neuman_validations():
         neuman_LN((-1.0, 2.0))
     with pytest.raises(BadDimension):
         neuman_LN((2.0,))
+
+
+@pytest.mark.parametrize("bad", [mp.inf, -mp.inf, mp.nan])
+def test_non_finite_mpf_inputs_are_refused(bad):
+    curve = make_log_curve(3)
+    with pytest.raises(BadParameter):
+        neuman_LN([1, 2, bad])
+    with pytest.raises(BadParameter):
+        intersect(curve, [1, 2, bad])
+    with pytest.raises(BadParameter):
+        mean_M(curve, 1, [1, 2, bad])
+
+
+# -- pinned bits of the closed form and the plane offsets ---------------------------
+
+
+_NEUMAN_INPUTS = (
+    ["1.5", "4"],
+    ["0.3", "1.7", "2", "9.25", "40"],
+    ["1.5", "1.8", "2.16", "2.592", "3.11", "3.732", "4.479", "5.375", "6.45", "7.74"],
+)
+# neuman: L_N of the three inputs above (the n = 10 logs are 0.18 apart, so
+# the sum cancels about 22 bits, and multiplying a denominator's gaps in
+# another order shows at all three precisions); offset: the planes of
+# make_log_curve(7) and make_conjecture_curve(5) at 2.5
+_PINNED_SUMS = {
+    ('neuman', 53): [
+        "mpf('2.5488636195581651')",
+        "mpf('4.129647083807729')",
+        "mpf('3.449959521058231')",
+    ],
+    ('offset', 53): [
+        "mpf('66.795331387391997')",
+        "mpf('-336.1082692202433')",
+    ],
+    ('neuman', 113): [
+        "mpf('2.54886361955816525945547998225195411')",
+        "mpf('4.12964708380772889606495080615679496')",
+        "mpf('3.44995952105823060291605300801112741')",
+    ],
+    ('offset', 113): [
+        "mpf('66.7953313873919999999999999999999896')",
+        "mpf('-336.108269220243341227144163010812812')",
+    ],
+    ('neuman', 256): [
+        "mpf('2.548863619558165259455479982251954083286524996733230939300620490748515008489275')",
+        "mpf('4.129647083807728896064950806156794874751427514348833599265503944392392608128943')",
+        "mpf('3.449959521058230602916053008011127349972278539678151887454806506077739293962522')",
+    ],
+    ('offset', 256): [
+        "mpf('66.79533138739200000000000000000000000000000000000000000000000000000000000000132')",
+        "mpf('-336.1082692202433412271441630108128114223708486664204092759132499895338146674641')",
+    ],
+}
+
+
+def _pinned_sums(name, bits):
+    if name == "neuman":
+        return [neuman_LN(values, bits) for values in _NEUMAN_INPUTS]
+    curves = (make_log_curve(7), make_conjecture_curve(5))
+    return [hyperplane_at(curve, "2.5", bits).offset for curve in curves]
+
+
+@pytest.mark.parametrize("name, bits", sorted(_PINNED_SUMS))
+def test_neuman_and_offset_bits_are_pinned(name, bits):
+    values = _pinned_sums(name, bits)
+    with mp.workprec(bits):
+        assert [repr(v) for v in values] == _PINNED_SUMS[name, bits]
+
+
+@pytest.mark.parametrize("bits", [53, 113, 256])
+def test_neuman_and_planes_ignore_the_ambient_precision(bits):
+    curve = make_log_curve(5)
+    results = []
+    for ambient in (20, 500):
+        with mp.workprec(ambient):
+            plane = hyperplane_at(curve, "2.5", bits)
+            results.append((
+                neuman_LN(_NEUMAN_INPUTS[1], bits)._mpf_,
+                [c._mpf_ for c in plane.normal],
+                plane.offset._mpf_,
+            ))
+            assert mp.prec == ambient
+            with pytest.raises(NonPositiveArgument):
+                neuman_LN(["-0.3", "1.7"], bits)
+            with pytest.raises(NonPositiveArgument):
+                hyperplane_at(curve, "-2.5", bits)
+            assert mp.prec == ambient
+    assert results[0] == results[1]
 
 
 def test_neuman_permutation_symmetry():
