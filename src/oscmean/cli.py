@@ -36,7 +36,7 @@ from .identities import (
     run_identity_suite,
     run_numeric_suite,
 )
-from .means import MeanRequest, evaluate_request
+from .means import evaluate_request
 from .precision import require_precision
 
 ENV_PRECISION = "OSCMEAN_PRECISION"
@@ -45,6 +45,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+#: Identity rows carry no warnings: the ``warnings`` field is always empty and
+#: stays for the documented JSON and CSV row format.
 CSV_HEADER = ["identity", "n", "exact", "max_rel_error", "instances", "warnings"]
 
 #: Scalar mpf fields of a ``mean`` outcome; every output format prints them as floats.
@@ -80,7 +82,7 @@ def _report_dict(report: IdentityReport) -> dict:
         "exact": report.exact,
         "max_rel_error": report.max_rel_error,
         "instances": report.instances_checked,
-        "warnings": list(report.warnings),
+        "warnings": [],
     }
 
 
@@ -98,7 +100,7 @@ def _emit_reports(reports: List[IdentityReport], args: argparse.Namespace) -> No
             "true" if r.exact else "false",
             "" if r.max_rel_error is None else repr(r.max_rel_error),
             r.instances_checked,
-            ";".join(r.warnings),
+            "",
         ] for r in rows)
         return
     width = max(len(r.name) for r in rows) + 2
@@ -111,9 +113,8 @@ def _emit_reports(reports: List[IdentityReport], args: argparse.Namespace) -> No
         status = "PASS" if r.passed else "FAIL"
         if r.max_rel_error is not None and r.tolerance is None:
             status = "REPORT"
-        warn = f"  [{'; '.join(r.warnings)}]" if r.warnings else ""
         print(f"{status:6} {r.name:<{width}} n={n_part:<3} {detail}  "
-              f"instances={r.instances_checked}{warn}")
+              f"instances={r.instances_checked}")
 
 
 def _fail_reports(reports: List[IdentityReport], args: argparse.Namespace) -> int:
@@ -131,8 +132,7 @@ def _fail_reports(reports: List[IdentityReport], args: argparse.Namespace) -> in
 
 def cmd_mean(args: argparse.Namespace) -> int:
     values = tuple(piece.strip() for piece in args.values.split(",") if piece.strip())
-    outcome = evaluate_request(MeanRequest(values=values, k=args.k,
-                                           precision_bits=args.precision))
+    outcome = evaluate_request(values, args.k, args.precision)
     record = dict(outcome)
     record["values"] = [float(v) for v in outcome["values"]]
     record["point"] = [float(v) for v in outcome["point"]]

@@ -6,6 +6,11 @@ can assert equality with zero tolerance.  Numeric checkers return a relative
 error measured at a configurable precision; the default gate of 1e-8 at 113
 bits has enormous headroom over the cancellation actually observed in the
 log-gap products at these sizes.
+
+The randomized scans share one loop: each draws seeded tuples whose adjacent
+log gaps are at least ``MIN_LN_GAP``, runs its checks on every tuple, and
+keeps the largest relative error of each check.  The tuples are well
+separated, so report rows carry no conditioning warnings.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
@@ -28,7 +33,6 @@ from .means import (
     alternating_cofactor_sum,
     identric_IZ,
     intersect,
-    ln_gap_warnings,
     mean_M,
     neuman_LN,
     sorted_positive_distinct,
@@ -56,9 +60,13 @@ from .wronskian import (
 NUMERIC_TOLERANCE = 1e-8
 #: Gate for the n = 3 mean-vs-identric experiment.
 CONJECTURE_TOLERANCE = 1e-6
+#: Every scan rejection-samples its tuples until adjacent log gaps are at
+#: least this wide.
+MIN_LN_GAP = 0.05
 #: Largest n the experiment accepts.  Its tuples are rejection-sampled from
-#: [1.5, 20] with log gaps >= 0.05, and the share of draws accepted collapses
-#: as n grows (one n = 20 tuple takes 0.5 s; at n >= 53 none can succeed).
+#: [1.5, 20] with log gaps >= ``MIN_LN_GAP``, and the share of draws accepted
+#: collapses as n grows (one n = 20 tuple takes 0.5 s; at n >= 53 none can
+#: succeed).
 CONJECTURE_MAX_N = 16
 #: Gate for the first-coordinate vs closed-form comparison.
 MAIN_THEOREM_TOLERANCE = 1e-9
@@ -88,7 +96,6 @@ class IdentityReport:
     exact: bool
     max_rel_error: Optional[float]
     instances_checked: int
-    warnings: Tuple[str, ...] = ()
     tolerance: Optional[float] = None
 
     @property
@@ -226,19 +233,37 @@ def determinant_checks(
 # -- randomized scans ----------------------------------------------------------
 
 
-def draw_tuple(
-    rng: random.Random,
-    n: int,
-    low: float,
-    high: float,
-    min_ln_gap: float,
-) -> Tuple[float, ...]:
-    """Sorted tuple of n draws from [low, high] with adjacent log gaps >= min_ln_gap."""
+def draw_tuple(rng: random.Random, n: int, low: float, high: float) -> Tuple[float, ...]:
+    """Sorted tuple of n draws from [low, high] with adjacent log gaps >= ``MIN_LN_GAP``."""
     while True:
         vals = sorted(rng.uniform(low, high) for _ in range(n))
         gaps = [math.log(b) - math.log(a) for a, b in zip(vals, vals[1:])]
-        if all(g >= min_ln_gap for g in gaps):
+        if all(g >= MIN_LN_GAP for g in gaps):
             return tuple(vals)
+
+
+def _worst_errors(
+    check: Callable[[Tuple[float, ...]], Sequence[mpmath.mpf]],
+    n: int,
+    low: float,
+    high: float,
+    trials: int,
+    seed: int,
+    precision_bits: int,
+) -> List[float]:
+    """Per position, the largest relative error ``check`` returns over
+    ``trials`` tuples of n values from [low, high], drawn by one generator
+    seeded with ``seed``.  Every scan runs through here.
+    """
+    if trials < 1:
+        raise BadParameter(f"trials must be >= 1, got {trials}")
+    require_precision(precision_bits)
+    rng = random.Random(seed)
+    worst: Sequence = ()
+    for _ in range(trials):
+        errors = check(draw_tuple(rng, n, low, high))
+        worst = [max(w, e) for w, e in zip(worst or [0] * len(errors), errors)]
+    return [float(w) for w in worst]
 
 
 def determinant_scan(
@@ -246,27 +271,20 @@ def determinant_scan(
 ) -> Tuple[IdentityReport, IdentityReport, IdentityReport]:
     """prop3, prop4 and Cramer-quotient rows over one set of drawn tuples.
 
-    Tuples are drawn from [1.5, 20] with log gaps >= 0.05, and every check
-    runs on each tuple.
+    Tuples are drawn from [1.5, 20], and every check runs on each tuple.
     """
     if n < 3:
         raise BadDimension(f"need n >= 3, got {n}")
-    if trials < 1:
-        raise BadParameter(f"trials must be >= 1, got {trials}")
-    require_precision(precision_bits)
-    rng = random.Random(seed + n)
-    worst = [mp.mpf(0)] * 3
-    warnings: Tuple[str, ...] = ()
-    for _ in range(trials):
-        vals = draw_tuple(rng, n, 1.5, 20.0, 0.05)
-        warnings = warnings or ln_gap_warnings(vals)
-        worst = [max(w, e) for w, e in zip(worst, determinant_checks(vals, precision_bits))]
+    worst = _worst_errors(
+        lambda vals: determinant_checks(vals, precision_bits),
+        n, 1.5, 20.0, trials, seed + n, precision_bits,
+    )
     det_gate = _det_tolerance(precision_bits, NUMERIC_TOLERANCE)
     return (
-        IdentityReport("prop3_determinant", n, False, float(worst[0]), trials, warnings, det_gate),
-        IdentityReport("prop4_determinant", n, False, float(worst[1]), trials, warnings, det_gate),
+        IdentityReport("prop3_determinant", n, False, worst[0], trials, det_gate),
+        IdentityReport("prop4_determinant", n, False, worst[1], trials, det_gate),
         IdentityReport(
-            "cramer_quotient_vs_neuman", n, False, float(worst[2]), trials, warnings,
+            "cramer_quotient_vs_neuman", n, False, worst[2], trials,
             _det_tolerance(precision_bits, MAIN_THEOREM_TOLERANCE),
         ),
     )
@@ -297,70 +315,55 @@ def main_theorem_scan(
 ) -> IdentityReport:
     """Intersection first coordinate versus the closed-form logarithmic mean.
 
-    Tuples are drawn from [1.1, 50] with log gaps >= 0.05.  The gate is
-    1e-9 at double precision and 1e-20 from 113 bits up.
+    Tuples are drawn from [1.1, 50].  The gate is 1e-9 at double precision
+    and 1e-20 from 113 bits up.
     """
     if n < 3:
         raise BadDimension(f"need n >= 3, got {n}")
-    if trials < 1:
-        raise BadParameter(f"trials must be >= 1, got {trials}")
-    require_precision(precision_bits)
-    rng = random.Random(seed + n)
     curve = make_log_curve(n)
-    worst = mp.mpf(0)
-    for _ in range(trials):
-        vals = draw_tuple(rng, n, 1.1, 50.0, 0.05)
+
+    def check(vals):
         point = intersect(curve, vals, precision_bits)
         reference = neuman_LN(vals, precision_bits)
         with mp.workprec(precision_bits):
-            worst = max(worst, _rel_error(point.means[1], reference))
+            return (_rel_error(point.means[1], reference),)
+
+    [worst] = _worst_errors(check, n, 1.1, 50.0, trials, seed + n, precision_bits)
     tolerance = (
         MAIN_THEOREM_TOLERANCE_113 if precision_bits >= 113 else MAIN_THEOREM_TOLERANCE
     )
-    return IdentityReport(
-        "main_theorem_m1_vs_neuman", n, False, float(worst), trials, (), tolerance
-    )
+    return IdentityReport("main_theorem_m1_vs_neuman", n, False, worst, trials, tolerance)
 
 
 def tangent_scan(trials: int = 100, seed: int = 0, precision_bits: int = 53) -> IdentityReport:
-    """n = 2 case: tangent-line intersection versus (b-a)/(ln b - ln a)."""
-    if trials < 1:
-        raise BadParameter(f"trials must be >= 1, got {trials}")
-    require_precision(precision_bits)
-    rng = random.Random(seed)
+    """n = 2 case: tangent-line intersection versus (b-a)/(ln b - ln a).
+
+    Pairs are drawn from [0.2, 50].
+    """
     curve = make_log_curve(2)
-    worst = mp.mpf(0)
-    for _ in range(trials):
-        a, b = draw_tuple(rng, 2, 0.2, 50.0, 0.05)
-        point = intersect(curve, (a, b), precision_bits)
+
+    def check(pair):
+        point = intersect(curve, pair, precision_bits)
         with mp.workprec(precision_bits):
-            av, bv = mp.mpf(a), mp.mpf(b)
-            reference = (bv - av) / (mp.log(bv) - mp.log(av))
-            worst = max(worst, _rel_error(point.means[1], reference))
+            a, b = mp.mpf(pair[0]), mp.mpf(pair[1])
+            reference = (b - a) / (mp.log(b) - mp.log(a))
+            return (_rel_error(point.means[1], reference),)
+
+    [worst] = _worst_errors(check, 2, 0.2, 50.0, trials, seed, precision_bits)
     return IdentityReport(
-        "tangent_n2_vs_two_variable_mean",
-        2,
-        False,
-        float(worst),
-        trials,
-        (),
-        TANGENT_TOLERANCE,
+        "tangent_n2_vs_two_variable_mean", 2, False, worst, trials, TANGENT_TOLERANCE
     )
 
 
 def conjecture_scan(
-    n: int,
-    trials: int = 100,
-    seed: int = 0,
-    precision_bits: int = 53,
-    low: float = 1.5,
-    high: float = 20.0,
+    n: int, trials: int = 100, seed: int = 0, precision_bits: int = 53
 ) -> IdentityReport:
     """Compare the n-th mean of the power-log curve with the identric mean.
 
-    The n-th component is log t, which is globally monotone, so the mean is
-    recovered by bracketed inversion.  Agreement is gated at n = 3 and
-    reported (not gated) for 4 <= n <= ``CONJECTURE_MAX_N``.
+    Tuples are drawn from [1.5, 20].  The n-th component is log t, which is
+    globally monotone, so the mean is recovered by bracketed inversion.
+    Agreement is gated at n = 3 and reported (not gated) for
+    4 <= n <= ``CONJECTURE_MAX_N``.
     """
     if n < 3:
         raise BadDimension(f"the power-log curve needs n >= 3, got {n}")
@@ -368,25 +371,17 @@ def conjecture_scan(
         raise BadDimension(
             f"the conjecture scan is bounded at n = {CONJECTURE_MAX_N}, got {n}"
         )
-    if trials < 1:
-        raise BadParameter(f"trials must be >= 1, got {trials}")
-    require_precision(precision_bits)
-    rng = random.Random(seed + n)
     curve = make_conjecture_curve(n)
-    worst = mp.mpf(0)
-    for _ in range(trials):
-        vals = draw_tuple(rng, n, low, high, 0.05)
+
+    def check(vals):
         mean_value = mean_M(curve, n, vals, precision_bits)
         reference = identric_IZ(vals, precision_bits)
         with mp.workprec(precision_bits):
-            worst = max(worst, _rel_error(mean_value, reference))
+            return (_rel_error(mean_value, reference),)
+
+    [worst] = _worst_errors(check, n, 1.5, 20.0, trials, seed + n, precision_bits)
     return IdentityReport(
-        "conjecture_mn_vs_identric",
-        n,
-        False,
-        float(worst),
-        trials,
-        (),
+        "conjecture_mn_vs_identric", n, False, worst, trials,
         CONJECTURE_TOLERANCE if n == 3 else None,
     )
 
@@ -424,7 +419,7 @@ def _check_derivatives_at_one() -> IdentityReport:
 
 
 def _check_alternating_sum() -> IdentityReport:
-    ok = all(lemma3_check(n)[0] == lemma3_check(n)[1] for n in range(1, 21))
+    ok = all(lhs == rhs for lhs, rhs in map(lemma3_check, range(1, 21)))
     return _exact_report("alternating_binomial_sum", None, ok, 20)
 
 

@@ -1,6 +1,8 @@
 """Osculating hyperplanes, their common intersection point, and the means
 derived from it, plus the closed-form n-variable logarithmic and identric
-means used as references.
+means used as references.  ``evaluate_request`` serves the command line's
+``mean``: it parses, checks, escalates and evaluates one request in a
+single call.
 
 Geometry recap: for a curve with log-polynomial components, the osculating
 hyperplane at parameter a has normal vector given by the alternating-sign
@@ -21,7 +23,7 @@ which is what makes this construction worth verifying numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Dict, Sequence, Tuple
@@ -89,39 +91,6 @@ class IntersectionResult:
     point: Tuple[mpmath.mpf, ...]
     report: SolveReport
     means: Dict[int, mpmath.mpf]
-
-
-@dataclass(frozen=True)
-class MeanRequest:
-    """Validated inputs for one mean computation.
-
-    Values are parsed at the configured precision, sorted increasingly, and
-    checked for positivity and distinctness.  If the smallest log-gap falls
-    below ``LN_GAP_FLOOR`` a warning is attached and the effective precision is
-    escalated to at least 113 bits (the identity still holds; near-equal
-    inputs just need more headroom).
-    """
-
-    values: Tuple
-    k: int = 1
-    precision_bits: int = 53
-    warnings: Tuple[str, ...] = field(init=False)
-    effective_precision_bits: int = field(init=False)
-
-    def __post_init__(self):
-        require_precision(self.precision_bits)
-        raw = tuple(self.values)
-        parsed = sorted_positive_distinct(raw, self.precision_bits)
-        warnings = ln_gap_warnings(parsed)
-        effective = self.precision_bits
-        if warnings:
-            effective = max(ESCALATED_PRECISION_BITS, effective)
-            parsed = sorted_positive_distinct(raw, effective)
-        if not 1 <= self.k <= len(parsed):
-            raise BadIndex(f"mean index k must be in 1..{len(parsed)}, got {self.k}")
-        object.__setattr__(self, "values", parsed)
-        object.__setattr__(self, "warnings", warnings)
-        object.__setattr__(self, "effective_precision_bits", effective)
 
 
 # -- input validation --------------------------------------------------------
@@ -364,20 +333,34 @@ def identric_IZ(values: Sequence, precision_bits: int = 53) -> mpmath.mpf:
 # -- request evaluation (used by the command-line front end) -------------------
 
 
-def evaluate_request(request: MeanRequest) -> dict:
-    """Evaluate one validated mean request on the log curve.
+def evaluate_request(values: Sequence, k: int = 1, precision_bits: int = 53) -> dict:
+    """Parse, check and evaluate one mean request on the log curve.
+
+    The values are parsed at ``precision_bits``, sorted increasingly, and
+    checked for positivity and distinctness.  If the smallest log gap falls
+    below ``LN_GAP_FLOOR`` a warning is attached and the values are parsed
+    again at the effective precision, at least 113 bits (the identity still
+    holds; near-equal inputs just need more headroom).  Then k must lie in
+    1..n (``BadIndex``), and a k >= 2 request with an input <= 1 raises
+    ``DomainError`` before any hyperplane is built.
 
     Returns a plain dict (stable key order) with the intersection point, the
     first mean, the closed-form logarithmic mean, their relative gap, the
     requested k-th mean, and any warnings.  One intersection serves every k.
-    A k >= 2 request with an input <= 1 raises ``DomainError`` before any
-    hyperplane is built, and an M_1 or L_N outside [min, max] of the inputs
-    (lost to cancellation) raises ``SingularSystem``.
+    An M_1 or L_N outside [min, max] of the inputs (lost to cancellation)
+    raises ``SingularSystem``.
     """
-    bits = request.effective_precision_bits
-    vals = request.values
-    curve = make_log_curve(len(vals))
-    _require_invertible(curve, request.k, vals)
+    vals = sorted_positive_distinct(values, precision_bits)
+    warnings = ln_gap_warnings(vals)
+    bits = precision_bits
+    if warnings:
+        bits = max(ESCALATED_PRECISION_BITS, precision_bits)
+        vals = sorted_positive_distinct(values, bits)
+    n = len(vals)
+    if not 1 <= k <= n:
+        raise BadIndex(f"mean index k must be in 1..{n}, got {k}")
+    curve = make_log_curve(n)
+    _require_invertible(curve, k, vals)
     result = intersect(curve, vals, bits)
     m1 = result.means[1]
     reference = neuman_LN(vals, bits)
@@ -391,11 +374,11 @@ def evaluate_request(request: MeanRequest) -> dict:
             )
     with mp.workprec(bits):
         rel_gap = abs(m1 - reference) / abs(reference)
-    mk = _pull_back(curve, request.k, result.point[request.k - 1], vals, bits)
+    mk = _pull_back(curve, k, result.point[k - 1], vals, bits)
     return {
-        "n": len(vals),
-        "k": request.k,
-        "precision_bits": request.precision_bits,
+        "n": n,
+        "k": k,
+        "precision_bits": precision_bits,
         "effective_precision_bits": bits,
         "values": list(vals),
         "point": list(result.point),
@@ -405,5 +388,5 @@ def evaluate_request(request: MeanRequest) -> dict:
         "mk": mk,
         "residual_norm": result.report.residual_norm,
         "condition_estimate": result.report.condition_estimate,
-        "warnings": list(request.warnings),
+        "warnings": list(warnings),
     }

@@ -141,14 +141,48 @@ def test_conjecture_csv_byte_identical(capsys):
             "conjecture --n 3 --trials 20 --seed 101 --json",
             "6c027caecfcd31bd88d8eded4d643ba9e2c9cbcb333384b77508b2d192202e73",
         ),
+        (
+            "verify --max-n 4 --trials 10 --seed 3",
+            "756a719f2142f8a756672599249777da0a8701f4e421ad2ed6925d06703844af",
+        ),
+        (
+            "verify --max-n 4 --trials 10 --seed 3 --csv",
+            "bbd278eb08afdeb5205c6e17417918063113209ac91d26b315fc0d9e6ed1f310",
+        ),
+        (
+            "identities --max-n 4 --trials 20 --seed 2",
+            "63fbd3f5a4e68b0de930d9809f8f7cbf9406276b42d829b7808f2d63b211f478",
+        ),
+        (
+            "identities --max-n 4 --trials 20 --seed 2 --csv",
+            "9c694a35bd4cf8adc66bf0e934ca3cc5ffd2b595def63de2463ace5b009b7840",
+        ),
+        (
+            # escalates to 113 bits and warns
+            "mean --values 2,2.0000000001,3",
+            "cae23c3afad41390e9b1aeb75d0cd348d89bf842ae79a0d38481832836ff1c07",
+        ),
+        (
+            "mean --values 2,2.0000000001,3 --json",
+            "6d0972956d8d5e29bb2cfa9a734d2cd7304ba6cc3d5de990322262668b97386c",
+        ),
+        (
+            "mean --values 2,2.0000000001,3 --csv",
+            "180cbc34af4ba66f3d5a9abf1bc1b96ad8ae3a79de38dbedbadad1a2bce13063",
+        ),
+        (
+            # a refusal: exit 2, the message on stderr
+            "mean --values 2,2,3",
+            "d801cb6fa6a331f8791d61fcac7c39c1239c8a0f7c8ff9e8d566a1ddc45a880d",
+        ),
     ],
 )
 def test_verify_path_output_is_pinned(capsys, argv, digest):
-    # every byte of the verification user's output; a rounding change
-    # anywhere under verify or conjecture changes the digest
-    code, out, _ = run_cli(capsys, *argv.split())
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    # every byte of the output, stdout then stderr; a rounding change
+    # anywhere under verify, identities, conjecture or mean changes the digest
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == (2 if err else 0)
+    assert hashlib.sha256((out + err).encode()).hexdigest() == digest
 
 
 # -- verify --------------------------------------------------------------------------
@@ -331,9 +365,9 @@ def test_failing_report_exits_1(capsys):
     from oscmean.cli import _fail_reports
     from oscmean.identities import IdentityReport
 
-    failing = IdentityReport("made_up_row", 3, False, 0.5, 1, (), 1e-9)
-    passing = IdentityReport("passing_row", 3, False, 0.0, 1, (), 1e-9)
-    second = IdentityReport("other_row", 7, False, 0.5, 1, (), 1e-9)
+    failing = IdentityReport("made_up_row", 3, False, 0.5, 1, 1e-9)
+    passing = IdentityReport("passing_row", 3, False, 0.0, 1, 1e-9)
+    second = IdentityReport("other_row", 7, False, 0.5, 1, 1e-9)
     args = argparse.Namespace(seed=0, trials=100, precision=53)
     assert _fail_reports([failing, passing, second], args) == 1
     err = capsys.readouterr().err

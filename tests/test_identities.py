@@ -207,7 +207,7 @@ def test_scan_reports_pass():
 def test_determinant_scan_is_the_max_over_one_draw():
     rows = determinant_scan(4, trials=10, seed=2, precision_bits=113)
     rng = random.Random(2 + 4)  # the scan seeds its draws with seed + n
-    errors = [determinant_checks(draw_tuple(rng, 4, 1.5, 20.0, 0.05), 113) for _ in range(10)]
+    errors = [determinant_checks(draw_tuple(rng, 4, 1.5, 20.0), 113) for _ in range(10)]
     names = ("prop3_determinant", "prop4_determinant", "cramer_quotient_vs_neuman")
     gates = (NUMERIC_TOLERANCE, NUMERIC_TOLERANCE, MAIN_THEOREM_TOLERANCE)
     for index, (row, name, gate) in enumerate(zip(rows, names, gates)):

@@ -16,7 +16,6 @@ from oscmean.errors import (
     SingularSystem,
 )
 from oscmean.means import (
-    MeanRequest,
     evaluate_request,
     hyperplane_at,
     identric_IZ,
@@ -462,20 +461,23 @@ def test_identric_betweenness_and_symmetry():
 
 
 def test_mean_request_sorts_and_validates():
-    request = MeanRequest(values=("4", "1.5", "2.25"), k=1, precision_bits=53)
-    assert [float(v) for v in request.values] == [1.5, 2.25, 4.0]
-    assert request.warnings == ()
-    assert request.effective_precision_bits == 53
+    outcome = evaluate_request(("4", "1.5", "2.25"), k=1, precision_bits=53)
+    assert [float(v) for v in outcome["values"]] == [1.5, 2.25, 4.0]
+    assert outcome["warnings"] == []
+    assert outcome["effective_precision_bits"] == 53
     with pytest.raises(BadIndex):
-        MeanRequest(values=(1.0, 2.0), k=3)
+        evaluate_request((1.0, 2.0), k=3)
     with pytest.raises(DistinctnessViolation):
-        MeanRequest(values=(1.0, 1.0), k=1)
+        evaluate_request((1.0, 1.0), k=1)
+    # distinctness is checked before the range of k
+    with pytest.raises(DistinctnessViolation):
+        evaluate_request((1.0, 1.0), k=3)
 
 
 def test_mean_request_escalates_on_tiny_ln_gap():
-    request = MeanRequest(values=(2.0, 2.0 * (1 + 1e-8)), k=1, precision_bits=53)
-    assert request.warnings
-    assert request.effective_precision_bits >= 113
+    outcome = evaluate_request((2.0, 2.0 * (1 + 1e-8)), k=1, precision_bits=53)
+    assert outcome["warnings"]
+    assert outcome["effective_precision_bits"] >= 113
 
 
 def test_ln_gap_warning_helper():
@@ -484,8 +486,7 @@ def test_ln_gap_warning_helper():
 
 
 def test_evaluate_request_agreement():
-    request = MeanRequest(values=(1.0, 2.718281828459045, 7.389056098930650), k=1)
-    outcome = evaluate_request(request)
+    outcome = evaluate_request((1.0, 2.718281828459045, 7.389056098930650), k=1)
     assert float(outcome["rel_gap"]) < 1e-9
     assert abs(outcome["m1"] - (mp.e - 1) ** 2) < 1e-10
 
@@ -503,9 +504,8 @@ def _count_intersections(monkeypatch):
 
 def test_evaluate_request_refuses_k2_below_one(monkeypatch):
     calls = _count_intersections(monkeypatch)
-    request = MeanRequest(values=(0.5, 2.0, 5.0), k=2)
     with pytest.raises(DomainError):
-        evaluate_request(request)
+        evaluate_request((0.5, 2.0, 5.0), k=2)
     assert calls == []
 
 
@@ -516,7 +516,7 @@ def test_evaluate_request_intersects_once_for_every_k(monkeypatch):
     calls = _count_intersections(monkeypatch)
     for k, mk in enumerate(expected, start=1):
         calls.clear()
-        assert evaluate_request(MeanRequest(values=values, k=k))["mk"] == mk
+        assert evaluate_request(values, k=k)["mk"] == mk
         assert len(calls) == 1, k
 
 
@@ -528,11 +528,11 @@ def test_evaluate_request_refuses_means_outside_the_inputs():
         "0.85130856335521258248",
     )
     with pytest.raises(SingularSystem):
-        evaluate_request(MeanRequest(values=values, precision_bits=113))
+        evaluate_request(values, precision_bits=113)
     # M_1 and L_N both fall below the smallest input at 113 bits
     values = (
         "0.54896602621678882421", "0.54896602609182398869", "0.54896602652808839490",
         "0.54896602665847601854", "0.54896602640281305315",
     )
     with pytest.raises(SingularSystem):
-        evaluate_request(MeanRequest(values=values, precision_bits=113))
+        evaluate_request(values, precision_bits=113)
