@@ -23,23 +23,24 @@ Numeric evaluation (`lp_eval_many`, with `lp_eval` as its one-polynomial
 form) is the single bridge out of the exact world: it takes one log of the
 point and one table of its powers for all the polynomials it is given, and
 sums each polynomial's terms in canonical order as mpmath binary floats with
-a configurable significand width.  Like ``numerics``, it runs on raw
-``mpmath.libmp`` values (the ``_mpf_`` tuples), each operation rounding to
-nearest at the requested width, and wraps only the values it returns in
-``mpf``.
+a configurable significand width, each coefficient rounded once per width
+and cached.  Like ``numerics``, it runs on raw ``mpmath.libmp`` values (the
+``_mpf_`` tuples), each operation rounding to nearest at the requested
+width, and wraps only the values it returns in ``mpf``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_pow_int, round_nearest
+from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_log, mpf_mul, mpf_pow_int, round_nearest
 
 from .errors import BadParameter, DomainError, NonPositiveArgument
-from .precision import as_mpf, require_precision
+from .precision import as_mpf_at, require_precision
 
 TermKey = Tuple[int, int]  # (t_power, log_power)
 #: A stored coefficient: ``int`` if integral, else a non-integral ``Fraction``.
@@ -259,6 +260,26 @@ class LogPoly:
         return LogPoly._canonical(out)
 
 
+#: Entries kept by the coefficient cache of :func:`lp_eval_many`, one per
+#: polynomial set and precision: the benchmark's verify batch fills 15 and
+#: mean-spread at most 69.  Like ``wronskian.CACHE_MAXSIZE``, the bound stops
+#: a process that sees many distinct sets from growing without limit.
+COEFF_CACHE_MAXSIZE = 128
+
+
+@lru_cache(maxsize=COEFF_CACHE_MAXSIZE)
+def _rounded_terms(polys: Tuple[LogPoly, ...], prec: int) -> Tuple[Tuple[tuple, ...], ...]:
+    """Each polynomial's terms as ``(m, j, c)`` in canonical order, c rounded
+    to nearest at ``prec``: an ``int`` by ``from_int``, a ``Fraction`` as its
+    rounded numerator over its exact denominator by ``mpf_div``."""
+    return tuple(
+        tuple((m, j, from_int(c, prec, _RND) if type(c) is int else
+               mpf_div(from_int(c.numerator, prec, _RND), from_int(c.denominator), prec, _RND))
+              for (m, j), c in p.items())
+        for p in polys
+    )
+
+
 def lp_eval_many(polys: Sequence[LogPoly], t, precision_bits: int = 53) -> List[mpmath.mpf]:
     """Values of every polynomial in ``polys`` at ``t > 0``, in order, each
     rounded to ``precision_bits`` significand bits.
@@ -272,30 +293,27 @@ def lp_eval_many(polys: Sequence[LogPoly], t, precision_bits: int = 53) -> List[
     nearest at ``precision_bits``, in this order: a term c * t^m * (log t)^j
     is c rounded (an ``int`` by ``from_int``; a ``Fraction`` as its rounded
     numerator over its exact denominator by ``mpf_div``), times t^m, times
-    (log t)^j (the powers by ``mpf_pow_int``), and each polynomial's terms
-    are added one by one in canonical order, starting from zero.  So a
-    value is bit-for-bit the same whichever other polynomials it is
-    evaluated with, and does not depend on the ambient ``mp.prec``.
-    Nothing is kept between calls.
+    (log t)^j (the powers by ``mpf_pow_int``, log t by ``mpf_log``), and
+    each polynomial's terms are added one by one in canonical order,
+    starting from zero.  So a value is bit-for-bit the same whichever other
+    polynomials it is evaluated with, and does not depend on the ambient
+    ``mp.prec``.  The rounded coefficients are kept between calls, one LRU
+    entry per polynomial set and precision (``_rounded_terms``), and give
+    the same bits cold or warm.
     """
     require_precision(precision_bits)
     prec = precision_bits
-    with mp.workprec(prec):
-        tv = as_mpf(t)
-        if tv <= 0:
-            raise NonPositiveArgument(f"evaluation point must be positive, got {t!r}")
-        log_t = mp.log(tv)._mpf_
+    tv = as_mpf_at(t, prec)
+    if tv <= 0:
+        raise NonPositiveArgument(f"evaluation point must be positive, got {t!r}")
     t_raw = tv._mpf_
+    log_t = mpf_log(t_raw, prec, _RND)
     t_powers: Dict[int, tuple] = {}
     log_powers: Dict[int, tuple] = {}
     values = []
-    for p in polys:
+    for terms in _rounded_terms(tuple(polys), prec):
         total = fzero
-        for (m, j), c in p.items():
-            if type(c) is int:
-                piece = from_int(c, prec, _RND)
-            else:
-                piece = mpf_div(from_int(c.numerator, prec, _RND), from_int(c.denominator), prec, _RND)
+        for m, j, piece in terms:
             if m:
                 power = t_powers.get(m)
                 if power is None:

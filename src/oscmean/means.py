@@ -23,7 +23,7 @@ which is what makes this construction worth verifying numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 from typing import Dict, Sequence, Tuple
@@ -136,16 +136,12 @@ def hyperplane_at(curve: Curve, a, precision_bits: int = 53) -> Hyperplane:
     the dot product of the curve point with that normal (for the log curve
     this equals the full Wronskian at a).  The n minors and the n components
     are evaluated together, on one log of a and one table of its powers.
-    The dot product adds coordinate times coefficient left to right on raw
-    libmp values, each operation rounded to nearest at ``precision_bits``.
+    ``lp_eval_many`` validates and converts a and the precision.  The dot
+    product adds coordinate times coefficient left to right on raw libmp
+    values, each operation rounded to nearest at ``precision_bits``.
     """
-    require_precision(precision_bits)
-    with mp.workprec(precision_bits):
-        av = as_mpf(a)
-    if av <= 0:
-        raise NonPositiveArgument(f"hyperplane parameter must be positive, got {a!r}")
     n = curve.dimension
-    values = lp_eval_many(normal_field(curve) + curve.components, av, precision_bits)
+    values = lp_eval_many(normal_field(curve) + curve.components, a, precision_bits)
     normal = tuple(values[:n])
     offset = fzero
     for coord, coeff in zip(values[n:], normal):
@@ -187,7 +183,7 @@ def intersect(curve: Curve, values: Sequence, precision_bits: int = 53) -> Inter
     with mp.workprec(precision_bits):
         point = tuple(+x for x in guarded.solution)
     residual = residual_norm(matrix, point, rhs, precision_bits)
-    report = SolveReport(point, residual, guarded.condition_estimate)
+    report = replace(guarded, solution=point, residual_norm=residual)
     means: Dict[int, mpmath.mpf] = {}
     if curve.components[0] == T:
         means[1] = point[0]

@@ -2,8 +2,8 @@
 
 Everything here works on mpmath floats so the significand width can be
 raised at runtime; 53 bits reproduces IEEE double behaviour.  One
-scaled-pivot LU factorization serves both the solver (which also extracts
-the inverse for an infinity-norm condition estimate) and the determinant.
+scaled-pivot LU factorization serves both the solver (whose report, when
+read, extracts the inverse for an infinity-norm condition estimate) and det.
 It is dense Gaussian elimination, O(n^3) for any n: ``mean`` accepts any
 number of values, and the intersection systems reach n = 16 in the tests.
 One routine, ``residual_norm``, measures ||Ax - b||_inf / ||b||_inf for
@@ -23,7 +23,8 @@ offsets of ``means.hyperplane_at`` and the sum of ``means.neuman_LN``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
 
 import mpmath
@@ -45,7 +46,7 @@ from mpmath.libmp import (
 )
 
 from .errors import BadDimension, NoBracket, SingularSystem
-from .precision import as_mpf, require_precision
+from .precision import as_mpf, as_mpf_at, require_precision
 
 # Pivots at or below 2^(-precision+8) times the row scale are treated as zero.
 _PIVOT_GUARD_BITS = 8
@@ -61,20 +62,30 @@ class SolveReport:
     rounded to the requested precision against the guard-precision planes
     it solved, at twice the requested precision.  condition_estimate is the
     infinity-norm condition number computed from the explicit inverse (n
-    more pairs of triangular solves on the same LU); it is reported only,
-    and nothing reads it.
+    more pairs of triangular solves on the same LU kept in ``_factors``
+    with the raw matrix).  It is computed on first read and cached; only
+    ``mean``'s report reads it.
     """
 
     solution: Tuple[mpmath.mpf, ...]
     residual_norm: mpmath.mpf
-    condition_estimate: mpmath.mpf
+    _factors: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def condition_estimate(self) -> mpmath.mpf:
+        original, lu, perm, prec = self._factors
+        n = len(lu)
+        units = ([fone if i == j else fzero for i in range(n)] for j in range(n))
+        inverse_cols = [_lu_solve(lu, perm, unit, prec) for unit in units]
+        a_norm = _max(_sum_abs(row, prec) for row in original)
+        inv_norm = _max(_sum_abs(row, prec) for row in zip(*inverse_cols))
+        return mp.make_mpf(mpf_mul(a_norm, inv_norm, prec, _RND))
 
 
 def _raw(values: Sequence, precision_bits: int):
     """Raw values of a sequence: an mpf is taken as given, not rounded;
     anything else is converted at ``precision_bits``."""
-    with mp.workprec(precision_bits):
-        return [as_mpf(x)._mpf_ for x in values]
+    return [as_mpf_at(x, precision_bits)._mpf_ for x in values]
 
 
 def _max(values):
@@ -221,20 +232,11 @@ def solve_linear(A: Sequence[Sequence], b: Sequence, precision_bits: int = 53) -
         correction = _lu_solve(lu, perm, [mpf_neg(r, prec, _RND) for r in res], prec)
         solution = [mpf_add(x, d, prec, _RND) for x, d in zip(solution, correction)]
 
-    inverse_cols = []
-    for j in range(n):
-        unit = [fzero] * n
-        unit[j] = fone
-        inverse_cols.append(_lu_solve(lu, perm, unit, prec))
-    a_norm = _max(_sum_abs(row, prec) for row in original)
-    inv_norm = _max(_sum_abs(row, prec) for row in zip(*inverse_cols))
-    condition = mpf_mul(a_norm, inv_norm, prec, _RND)
-
     residual = _residual_norm(original, solution, rhs, prec)
     return SolveReport(
         tuple(mp.make_mpf(mpf_pos(x, prec, _RND)) for x in solution),
         mp.make_mpf(residual),
-        mp.make_mpf(condition),
+        (original, lu, perm, prec),
     )
 
 

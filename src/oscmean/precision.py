@@ -4,7 +4,7 @@ Everything numeric in this package runs on mpmath binary floats whose
 significand width is a runtime parameter (at least 53 bits, i.e. at least
 IEEE double).  Callers pass ``precision_bits`` explicitly; these helpers
 validate it and convert heterogeneous inputs to ``mpf`` at the current
-working precision.
+working precision (``as_mpf``) or at a given one (``as_mpf_at``).
 """
 
 from __future__ import annotations
@@ -52,3 +52,12 @@ def as_mpf(value) -> mpmath.mpf:
     if not mp.isfinite(result):
         raise BadParameter(f"value {value!r} is not finite")
     return result
+
+
+def as_mpf_at(value, precision_bits: int) -> mpmath.mpf:
+    """``as_mpf(value)`` under ``mp.workprec(precision_bits)``; an mpf, which
+    is not rounded, is checked without entering the context."""
+    if isinstance(value, mpmath.mpf):
+        return as_mpf(value)
+    with mp.workprec(precision_bits):
+        return as_mpf(value)

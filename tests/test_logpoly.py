@@ -8,7 +8,9 @@ from mpmath import mp
 
 from oscmean.errors import BadParameter, DomainError, NonPositiveArgument
 from oscmean.logpoly import (
+    COEFF_CACHE_MAXSIZE,
     LogPoly,
+    _rounded_terms,
     lp_eval,
     lp_eval_many,
     substitute_power,
@@ -524,6 +526,38 @@ def test_eval_many_ignores_the_ambient_precision(bits):
                 lp_eval_many(polys, "-2.5", bits)
             assert mp.prec == ambient
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("bits", [53, 113, 256])
+def test_cold_coefficient_cache_gives_the_warm_bits(bits):
+    polys = _field_and_components(make_log_curve(7)) + (FRACTIONAL,)
+    _rounded_terms.cache_clear()
+    cold = [v._mpf_ for v in lp_eval_many(polys, "2.5", bits)]
+    warm = [v._mpf_ for v in lp_eval_many(polys, "2.5", bits)]
+    assert cold == warm
+    assert _rounded_terms.cache_info().hits >= 1
+
+
+def test_fraction_bits_are_pinned_at_each_precision_through_the_cache():
+    # one entry per precision: a coefficient rounded at 53 bits must not
+    # serve a 113-bit evaluation, nor the reverse
+    _rounded_terms.cache_clear()
+    for bits in (53, 113, 53, 113):
+        values = [lp_eval_many([FRACTIONAL], t, bits)[0] for t in FRACTIONAL_POINTS]
+        with mp.workprec(bits):
+            assert [repr(v) for v in values] == _PINNED_EVALUATIONS["frac", bits]
+    assert _rounded_terms.cache_info().currsize == 2
+
+
+def test_coefficient_cache_stays_within_its_bound():
+    _rounded_terms.cache_clear()
+    polys = [LogPoly.term(Fraction(i, 3), i % 5, i % 3) for i in range(COEFF_CACHE_MAXSIZE + 20)]
+    first = lp_eval_many([polys[0]], "1.5", 113)
+    for p in polys:
+        lp_eval_many([p], "1.5", 113)
+        assert _rounded_terms.cache_info().currsize <= COEFF_CACHE_MAXSIZE
+    assert _rounded_terms.cache_info().currsize == COEFF_CACHE_MAXSIZE
+    assert lp_eval_many([polys[0]], "1.5", 113) == first  # evicted, then rebuilt
 
 
 def test_value_at_one_exact():

@@ -5,7 +5,7 @@ import random
 import pytest
 from mpmath import mp
 
-from oscmean import means
+from oscmean import identities, logpoly, means, numerics
 from oscmean.errors import (
     BadDimension,
     BadParameter,
@@ -51,17 +51,26 @@ def test_hyperplane_rejects_nonpositive_parameter():
         hyperplane_at(make_log_curve(3), 0)
 
 
-def test_hyperplane_takes_one_log_per_point(monkeypatch):
+def _counting(monkeypatch, module, name):
     calls = []
-    real_log = mp.log
+    real = getattr(module, name)
 
-    def counting_log(*args, **kwargs):
+    def wrapper(*args):
         calls.append(args)
-        return real_log(*args, **kwargs)
+        return real(*args)
 
-    monkeypatch.setattr(mp, "log", counting_log)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_hyperplane_takes_one_log_per_point(monkeypatch):
+    # the evaluator takes log t on the raw value; a log through the mpf
+    # interface would count too
+    through_mpf = _counting(monkeypatch, mp, "log")
+    raw = _counting(monkeypatch, logpoly, "mpf_log")
+    logpoly._rounded_terms.cache_clear()
     hyperplane_at(make_log_curve(5), 3.7, 113)
-    assert len(calls) == 1
+    assert len(through_mpf) + len(raw) == 1
 
 
 def test_log_hyperplane_n10_values_are_pinned():
@@ -155,6 +164,26 @@ def test_intersection_report_bits_are_pinned(n):
         assert repr(result.report.residual_norm) == residual
     with mp.workprec(83):
         assert repr(result.report.condition_estimate) == condition
+
+
+def test_inverse_is_built_only_when_the_condition_estimate_is_read(monkeypatch):
+    solves = _counting(monkeypatch, numerics, "_lu_solve")
+    report = intersect(make_log_curve(7), [1.5, 2, 3, 4.5, 6, 8, 11], 113).report
+    assert len(solves) <= 3  # the solve and at most two refinement steps
+    before = len(solves)
+    first = report.condition_estimate
+    assert len(solves) == before + 7  # one unit-vector solve per column
+    assert report.condition_estimate is first
+    assert len(solves) == before + 7
+
+
+def test_scans_build_no_inverse(monkeypatch):
+    solves = _counting(monkeypatch, numerics, "_lu_solve")
+    factors = _counting(monkeypatch, numerics, "_lu_factor")
+    identities.main_theorem_scan(5, trials=3)
+    # an inverse would add 5 solves to the at most 3 of each factorization
+    assert len(factors) == 3
+    assert len(solves) <= 3 * len(factors)
 
 
 def test_intersect_validations():
