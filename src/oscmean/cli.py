@@ -10,7 +10,8 @@ Subcommands:
 Exit status: 0 all checks passed, 1 an identity failed, 2 usage or domain
 error.  Output is human text by default; ``--json`` / ``--csv`` emit a
 machine-readable form whose bytes are fully determined by the arguments and
-seed.  The OSCMEAN_PRECISION environment variable overrides the default
+seed.  JSON output is standard JSON: a float that is not finite prints as
+``null``.  The OSCMEAN_PRECISION environment variable overrides the default
 precision; an explicit ``--precision`` flag wins over both.
 
 The parser is built once per process and shared by every :func:`main` call.
@@ -24,6 +25,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 from typing import List, Optional, Sequence
@@ -75,6 +77,21 @@ def _check_max_n(max_n: int) -> int:
     return max_n
 
 
+def _print_json(payload) -> None:
+    """Print standard JSON, with every float that is not finite as null."""
+
+    def finite(value):
+        if isinstance(value, float) and not math.isfinite(value):
+            return None
+        if isinstance(value, list):
+            return [finite(v) for v in value]
+        if isinstance(value, dict):
+            return {key: finite(v) for key, v in value.items()}
+        return value
+
+    print(json.dumps(finite(payload), indent=2, allow_nan=False))
+
+
 def _report_dict(report: IdentityReport) -> dict:
     return {
         "identity": report.name,
@@ -89,7 +106,7 @@ def _report_dict(report: IdentityReport) -> dict:
 def _emit_reports(reports: List[IdentityReport], args: argparse.Namespace) -> None:
     rows = sorted(reports, key=lambda r: (r.name, r.n if r.n is not None else -1))
     if args.json:
-        print(json.dumps([_report_dict(r) for r in rows], indent=2))
+        _print_json([_report_dict(r) for r in rows])
         return
     if args.csv:
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -139,7 +156,7 @@ def cmd_mean(args: argparse.Namespace) -> int:
     for key in _FLOAT_FIELDS:
         record[key] = float(outcome[key])
     if args.json:
-        print(json.dumps(record, indent=2))
+        _print_json(record)
         return EXIT_OK
     if args.csv:
         writer = csv.writer(sys.stdout, lineterminator="\n")

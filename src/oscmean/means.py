@@ -52,7 +52,7 @@ from .errors import (
     SingularSystem,
 )
 from .logpoly import LogPoly, lp_eval, lp_eval_many
-from .numerics import SolveReport, find_root_bracketed, residual_norm, solve_linear
+from .numerics import SolveReport, find_root_bracketed, solve_linear
 from .precision import as_mpf, require_precision
 from .wronskian import Curve, T, make_log_curve, normal_field
 
@@ -161,7 +161,7 @@ def intersect(curve: Curve, values: Sequence, precision_bits: int = 53) -> Inter
     elimination and the reported residual.  The point is rounded back to the
     requested precision; ``report.residual_norm`` is that rounded point's
     residual against the guard-precision planes, evaluated at twice the
-    requested precision.
+    requested precision when it is first read.
     """
     n = curve.dimension
     if len(values) != n:
@@ -182,8 +182,7 @@ def intersect(curve: Curve, values: Sequence, precision_bits: int = 53) -> Inter
         raise SingularSystem(f"{exc}{detail}") from exc
     with mp.workprec(precision_bits):
         point = tuple(+x for x in guarded.solution)
-    residual = residual_norm(matrix, point, rhs, precision_bits)
-    report = replace(guarded, solution=point, residual_norm=residual)
+    report = replace(guarded, solution=point, _residual_bits=precision_bits)
     means: Dict[int, mpmath.mpf] = {}
     if curve.components[0] == T:
         means[1] = point[0]

@@ -2,35 +2,38 @@
 
 Everything here works on mpmath floats so the significand width can be
 raised at runtime; 53 bits reproduces IEEE double behaviour.  One
-scaled-pivot LU factorization serves both the solver (whose report, when
-read, extracts the inverse for an infinity-norm condition estimate) and det.
-It is dense Gaussian elimination, O(n^3) for any n: ``mean`` accepts any
-number of values, and the intersection systems reach n = 16 in the tests.
-One routine, ``residual_norm``, measures ||Ax - b||_inf / ||b||_inf for
-both ``solve_linear`` and ``means.intersect``.
+scaled-pivot LU factorization serves both the solver and det.  The solver's
+report computes two numbers only when they are read: the residual
+||Ax - b||_inf / ||b||_inf of its solution (``means.intersect`` swaps in
+the rounded point and the requested precision), and the infinity-norm
+condition number of the system equilibrated by powers of two, from the
+same LU converted once to float64.  It is dense Gaussian elimination,
+O(n^3) for any n: ``mean`` accepts any number of values, and the
+intersection systems reach n = 16 in the tests.
 
-The elimination, the substitutions, the residuals and the norms run on raw
-``mpmath.libmp`` values (the ``_mpf_`` tuples) rather than on ``mpf``
+The elimination, the substitutions, the residuals and their norms run on
+raw ``mpmath.libmp`` values (the ``_mpf_`` tuples) rather than on ``mpf``
 objects, which saves an object, an argument conversion and a context lookup
 per operation.  Each operation rounds to nearest at an explicit precision,
 in the order the same code written with ``mpf`` arithmetic under
 ``mp.workprec`` would use, so the results are bit-for-bit those of that
-code.  ``solve_linear``, ``det`` and ``residual_norm`` take and return
-``mpf`` values; the conversion happens there and nowhere else.  The same
-convention serves the other hot loops: ``logpoly.lp_eval_many``, the plane
-offsets of ``means.hyperplane_at`` and the sum of ``means.neuman_LN``.
+code.  ``solve_linear`` and ``det`` take and return ``mpf`` values; the
+conversion happens there and nowhere else.  The same convention serves the
+other hot loops: ``logpoly.lp_eval_many``, the plane offsets of
+``means.hyperplane_at`` and the sum of ``means.neuman_LN``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 from typing import Callable, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
 from mpmath.libmp import (
-    fone,
     from_int,
     fzero,
     mpf_abs,
@@ -57,29 +60,93 @@ _RND = round_nearest
 class SolveReport:
     """Solution of a square system plus honesty metadata.
 
-    residual_norm is ||Ax - b||_inf / ||b||_inf from ``residual_norm``, at
-    twice the working precision.  ``means.intersect`` reports the point
-    rounded to the requested precision against the guard-precision planes
-    it solved, at twice the requested precision.  condition_estimate is the
-    infinity-norm condition number computed from the explicit inverse (n
-    more pairs of triangular solves on the same LU kept in ``_factors``
-    with the raw matrix).  It is computed on first read and cached; only
-    ``mean``'s report reads it.
+    residual_norm is ||Ax - b||_inf / ||b||_inf of ``solution`` against the
+    system solved, at twice ``_residual_bits``: the working precision for
+    ``solve_linear``; ``means.intersect`` reports the point rounded to the
+    requested precision, at twice the requested precision.
+
+    condition_estimate is kappa_inf(R A C) = ||RAC||_inf ||(RAC)^-1||_inf,
+    a float.  R and C are powers of two that scale the rows, and then the
+    columns, to a largest entry in [1/2, 1), so the equilibration is exact
+    and kappa says how near the system is to singular whatever the scales
+    of its rows and columns.  The inverse comes from the LU the solve kept,
+    scaled and converted once to float64 from the top 53 bits of each
+    mantissa: P RAC = (R_p L R_p^-1)(R_p U C).  A pivot that underflows to
+    0.0, or any overflow, gives +inf.
+
+    Both are computed on first read from the raw system, right-hand side,
+    LU and permutation kept in ``_factors``, and cached; only ``mean``
+    reads them.
     """
 
     solution: Tuple[mpmath.mpf, ...]
-    residual_norm: mpmath.mpf
+    _residual_bits: int
     _factors: tuple = field(repr=False, compare=False)
 
     @cached_property
-    def condition_estimate(self) -> mpmath.mpf:
-        original, lu, perm, prec = self._factors
-        n = len(lu)
-        units = ([fone if i == j else fzero for i in range(n)] for j in range(n))
-        inverse_cols = [_lu_solve(lu, perm, unit, prec) for unit in units]
-        a_norm = _max(_sum_abs(row, prec) for row in original)
-        inv_norm = _max(_sum_abs(row, prec) for row in zip(*inverse_cols))
-        return mp.make_mpf(mpf_mul(a_norm, inv_norm, prec, _RND))
+    def residual_norm(self) -> mpmath.mpf:
+        original, rhs, _, _ = self._factors
+        x = [v._mpf_ for v in self.solution]
+        return mp.make_mpf(_residual_norm(original, x, rhs, self._residual_bits))
+
+    @cached_property
+    def condition_estimate(self) -> float:
+        original, _, lu, perm = self._factors
+        # R = diag(2^-row_exp), C = diag(2^-col_exp); a nonzero raw value
+        # (sign, man, exp, bc) has 2^(exp+bc-1) <= |v| < 2^(exp+bc)
+        row_exp = [max(v[2] + v[3] for v in row if v[1]) for row in original]
+        col_exp = [
+            max(v[2] + v[3] - r for v, r in zip(column, row_exp) if v[1])
+            for column in zip(*original)
+        ]
+        a_norm = max(
+            sum(abs(_to_float(v, -r - c)) for v, c in zip(row, col_exp))
+            for row, r in zip(original, row_exp)
+        )
+        # row i of lu is row perm[i] of the system
+        lu_exp = [row_exp[p] for p in perm]
+        factors = [
+            [
+                _to_float(v, lu_exp[j] - r if j < i else -r - col_exp[j])
+                for j, v in enumerate(row)
+            ]
+            for i, (row, r) in enumerate(zip(lu, lu_exp))
+        ]
+        return a_norm * _inverse_norm(factors)
+
+
+def _to_float(v, shift: int) -> float:
+    """A raw value times 2^shift as a float64, from the top 53 bits of its
+    mantissa; +-inf past the float range."""
+    sign, man, exp, bc = v
+    if bc > 53:
+        man >>= bc - 53
+        exp += bc - 53
+    try:
+        x = math.ldexp(man, exp + shift)
+    except OverflowError:
+        x = math.inf
+    return -x if sign else x
+
+
+def _inverse_norm(lu) -> float:
+    """||(LU)^-1||_inf in float64, for a unit lower L and an upper U stored
+    together; +inf if a pivot is 0.0 or the inverse overflows."""
+    n = len(lu)
+    if any(lu[i][i] == 0.0 for i in range(n)):
+        return math.inf
+    columns = []
+    for k in range(n):
+        x = [0.0] * n
+        x[k] = 1.0
+        for i in range(k + 1, n):
+            x[i] = -sum(map(mul, lu[i][k:i], x[k:i]))
+        for i in range(n - 1, -1, -1):
+            row = lu[i]
+            x[i] = (x[i] - sum(map(mul, row[i + 1 :], x[i + 1 :]))) / row[i]
+        columns.append(x)
+    sums = [sum(map(abs, row)) for row in zip(*columns)]
+    return max(sums) if all(map(math.isfinite, sums)) else math.inf
 
 
 def _raw(values: Sequence, precision_bits: int):
@@ -100,15 +167,6 @@ def _max(values):
 def _max_abs(values, prec: int):
     """max(abs(v) for v in values), each abs rounded to ``prec``."""
     return _max(mpf_abs(v, prec, _RND) for v in values)
-
-
-def _sum_abs(values, prec: int):
-    """sum(abs(v) for v in values): abs and each partial sum rounded to
-    ``prec``, left to right."""
-    total = fzero
-    for v in values:
-        total = mpf_add(total, mpf_abs(v, prec, _RND), prec, _RND)
-    return total
 
 
 def _lu_factor(matrix, prec: int):
@@ -191,16 +249,6 @@ def _residual_norm(A, x, b, precision_bits: int):
     return mpf_div(worst, b_norm, prec, _RND) if mpf_cmp(b_norm, fzero) > 0 else worst
 
 
-def residual_norm(
-    A: Sequence[Sequence], x: Sequence, b: Sequence, precision_bits: int
-) -> mpmath.mpf:
-    """||Ax - b||_inf / ||b||_inf at twice ``precision_bits`` (the absolute
-    residual when b is zero).  mpf entries are used as given, not rounded."""
-    bits = 2 * precision_bits
-    matrix = [_raw(row, bits) for row in A]
-    return mp.make_mpf(_residual_norm(matrix, _raw(x, bits), _raw(b, bits), precision_bits))
-
-
 _REFINEMENT_STEPS = 2
 
 
@@ -232,11 +280,10 @@ def solve_linear(A: Sequence[Sequence], b: Sequence, precision_bits: int = 53) -
         correction = _lu_solve(lu, perm, [mpf_neg(r, prec, _RND) for r in res], prec)
         solution = [mpf_add(x, d, prec, _RND) for x, d in zip(solution, correction)]
 
-    residual = _residual_norm(original, solution, rhs, prec)
     return SolveReport(
         tuple(mp.make_mpf(mpf_pos(x, prec, _RND)) for x in solution),
-        mp.make_mpf(residual),
-        (original, lu, perm, prec),
+        prec,
+        (original, rhs, lu, perm),
     )
 
 

@@ -98,6 +98,27 @@ def test_mean_json_keys(capsys):
     ]
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not standard JSON")
+
+
+@pytest.mark.parametrize(
+    "values, bits",
+    [
+        # n = 24: the condition estimate overflowed a float before equilibration
+        (",".join(f"{1.2 ** i:.6f}" for i in range(1, 25)), "200"),
+        # a gap of 1e-400: the equilibrated estimate is about 3.6e401
+        ("1,1." + "0" * 399 + "1,2", "1500"),
+    ],
+)
+def test_mean_json_is_standard_json(capsys, values, bits):
+    code, out, _ = run_cli(capsys, "mean", "--values", values, "--precision", bits, "--json")
+    assert code == 0
+    payload = json.loads(out, parse_constant=_reject_constant)
+    if bits == "1500":
+        assert payload["condition_estimate"] is None
+
+
 def test_mean_human_output(capsys):
     code, out, _ = run_cli(capsys, "mean", "--values", "1,4")
     assert code == 0
@@ -164,7 +185,7 @@ def test_conjecture_csv_byte_identical(capsys):
         ),
         (
             "mean --values 2,2.0000000001,3 --json",
-            "6d0972956d8d5e29bb2cfa9a734d2cd7304ba6cc3d5de990322262668b97386c",
+            "51668cf8725c68672c2cc6258d550d8dae29895e98c5c855b6dbc1fbb25504e6",
         ),
         (
             "mean --values 2,2.0000000001,3 --csv",

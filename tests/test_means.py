@@ -118,8 +118,8 @@ def test_intersection_golden_one_e_e_squared():
 
 
 # every bit of the report for points 1.3, 3.4, 5.5, ... at the default 53
-# bits: the point at 53, the residual at 106 and the condition estimate at
-# the 83 guard bits it was solved at
+# bits: the point at 53, the residual at 106 and the condition estimate of
+# the system solved at the 83 guard bits, a float64
 _PINNED_INTERSECTIONS = {
     7: (
         [
@@ -132,7 +132,7 @@ _PINNED_INTERSECTIONS = {
             "mpf('92.61863540310118')",
         ],
         "mpf('1.646653222214591291090088965245596e-16')",
-        "mpf('4055617747738922006999.94629')",
+        "19157941.060562134",
     ),
     10: (
         [
@@ -148,7 +148,7 @@ _PINNED_INTERSECTIONS = {
             "mpf('2527.6081946309037')",
         ],
         "mpf('1.276880915456332044900129846366621e-15')",
-        "mpf('5.36744571696712743653369055e+53')",
+        "567645398684.9093",
     ),
 }
 
@@ -162,28 +162,79 @@ def test_intersection_report_bits_are_pinned(n):
         assert [repr(x) for x in result.point] == point
     with mp.workprec(106):
         assert repr(result.report.residual_norm) == residual
-    with mp.workprec(83):
-        assert repr(result.report.condition_estimate) == condition
+    assert repr(result.report.condition_estimate) == condition
+
+
+def _equilibrated_kappa_at_1500_bits(matrix):
+    """kappa_inf(R A C) with an inverse taken at 1500 bits: R scales each row
+    and then C each column by a power of two to a largest entry in [1/2, 1)."""
+    with mp.workprec(1500):
+        rows = [mp.frexp(max(abs(a) for a in row))[1] for row in matrix]
+        scaled = [[mp.ldexp(a, -r) for a in row] for row, r in zip(matrix, rows)]
+        cols = [mp.frexp(max(abs(a) for a in col))[1] for col in zip(*scaled)]
+        rac = mp.matrix([[mp.ldexp(a, -c) for a, c in zip(row, cols)] for row in scaled])
+        return mp.mnorm(rac, "inf") * mp.mnorm(rac ** -1, "inf")
+
+
+@pytest.mark.parametrize(
+    "literals, bits",
+    [
+        (("1.5", "4.25"), 53),
+        (("0.35", "1.2", "2.5", "9.1", "41"), 53),
+        (tuple(f"{1.3 + 2.1 * i:.1f}" for i in range(10)), 53),
+        # the clustered reproducer of tests/test_cli.py, kappa about 7e32
+        (("5.3181779619479737183", "5.3181777314889760834", "5.3181780846020593170",
+          "5.3181782456291209025", "5.3181775014407985935"), 113),
+        # the n = 16 reproducer of tests/test_cli.py, kappa about 7e16
+        (("1.1", "1.3", "1.6", "2", "2.5", "3.1", "3.9", "4.9",
+          "6.1", "7.6", "9.5", "11.9", "14.9", "18.6", "23.3", "29.1"), 53),
+    ],
+)
+def test_condition_estimate_matches_a_1500_bit_inverse(literals, bits):
+    curve = make_log_curve(len(literals))
+    report = intersect(curve, literals, bits).report
+    vals = means.sorted_positive_distinct(literals, bits)
+    matrix = [hyperplane_at(curve, a, bits + means.GUARD_BITS).normal for a in vals]
+    reference = _equilibrated_kappa_at_1500_bits(matrix)
+    assert abs(report.condition_estimate - reference) <= 1e-10 * reference
 
 
 def test_inverse_is_built_only_when_the_condition_estimate_is_read(monkeypatch):
     solves = _counting(monkeypatch, numerics, "_lu_solve")
+    inverses = _counting(monkeypatch, numerics, "_inverse_norm")
     report = intersect(make_log_curve(7), [1.5, 2, 3, 4.5, 6, 8, 11], 113).report
     assert len(solves) <= 3  # the solve and at most two refinement steps
+    assert not inverses
     before = len(solves)
     first = report.condition_estimate
-    assert len(solves) == before + 7  # one unit-vector solve per column
+    # the float64 inverse comes from the kept LU: no multiprecision solve
+    assert len(solves) == before
+    assert len(inverses) == 1
     assert report.condition_estimate is first
-    assert len(solves) == before + 7
+    assert len(inverses) == 1
+
+
+def test_residual_is_computed_only_when_read(monkeypatch):
+    residuals = _counting(monkeypatch, numerics, "_residual_norm")
+    report = intersect(make_log_curve(5), [1.5, 2, 3, 4.5, 6], 53).report
+    assert not residuals
+    first = report.residual_norm
+    assert len(residuals) == 1
+    assert report.residual_norm is first
+    assert len(residuals) == 1
 
 
 def test_scans_build_no_inverse(monkeypatch):
     solves = _counting(monkeypatch, numerics, "_lu_solve")
     factors = _counting(monkeypatch, numerics, "_lu_factor")
+    inverses = _counting(monkeypatch, numerics, "_inverse_norm")
+    residuals = _counting(monkeypatch, numerics, "_residual_norm")
     identities.main_theorem_scan(5, trials=3)
-    # an inverse would add 5 solves to the at most 3 of each factorization
     assert len(factors) == 3
     assert len(solves) <= 3 * len(factors)
+    assert not inverses
+    # the refinement steps measure their residual vectors; no norm is read
+    assert not residuals
 
 
 def test_intersect_validations():
