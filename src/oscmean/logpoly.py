@@ -20,24 +20,27 @@ divisors, and :meth:`LogPoly.exact_div` divides wherever the quotient lies in
 it, which is all that fraction-free elimination of Wronskian matrices needs.
 
 Numeric evaluation (`lp_eval_many`, with `lp_eval` as its one-polynomial
-form) is the single bridge out of the exact world: it takes one log of the
-point and one table of its powers for all the polynomials it is given, and
-sums each polynomial's terms in canonical order as mpmath binary floats with
-a configurable significand width, each coefficient rounded once per width
-and cached.  Like ``numerics``, it runs on raw ``mpmath.libmp`` values (the
-``_mpf_`` tuples), each operation rounding to nearest at the requested
-width, and wraps only the values it returns in ``mpf``.
+form) is the single bridge out of the exact world.  It takes one log of the
+point for all the polynomials it is given, and one power t^m per t-power m.
+Each polynomial's terms are grouped by t-power, with integer coefficients
+over one common denominator, once per polynomial set and cached.  A group's
+value is then computed exactly in integers from the mantissas of log t and
+t^m, and rounded once to the requested significand width; only a polynomial
+with several t-powers rounds again, once per added group.  Like
+``numerics``, it runs on raw ``mpmath.libmp`` values (the ``_mpf_``
+tuples), and wraps only the values it returns in ``mpf``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from math import lcm
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_log, mpf_mul, mpf_pow_int, round_nearest
+from mpmath.libmp import from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_log, mpf_pow_int, round_nearest
 
 from .errors import BadParameter, DomainError, NonPositiveArgument
 from .precision import as_mpf_at, require_precision
@@ -260,46 +263,65 @@ class LogPoly:
         return LogPoly._canonical(out)
 
 
-#: Entries kept by the coefficient cache of :func:`lp_eval_many`, one per
-#: polynomial set and precision: the benchmark's verify batch fills 15 and
-#: mean-spread at most 69.  Like ``wronskian.CACHE_MAXSIZE``, the bound stops
-#: a process that sees many distinct sets from growing without limit.
+#: Entries kept by the grouped-coefficient cache of :func:`lp_eval_many`, one
+#: per polynomial set, whatever the precision: the benchmark's verify batch
+#: fills 10 and ten blocks of mean-spread 23.  Like ``wronskian.CACHE_MAXSIZE``,
+#: the bound stops a process that sees many distinct sets from growing
+#: without limit.
 COEFF_CACHE_MAXSIZE = 128
 
 
 @lru_cache(maxsize=COEFF_CACHE_MAXSIZE)
-def _rounded_terms(polys: Tuple[LogPoly, ...], prec: int) -> Tuple[Tuple[tuple, ...], ...]:
-    """Each polynomial's terms as ``(m, j, c)`` in canonical order, c rounded
-    to nearest at ``prec``: an ``int`` by ``from_int``, a ``Fraction`` as its
-    rounded numerator over its exact denominator by ``mpf_div``."""
-    return tuple(
-        tuple((m, j, from_int(c, prec, _RND) if type(c) is int else
-               mpf_div(from_int(c.numerator, prec, _RND), from_int(c.denominator), prec, _RND))
-              for (m, j), c in p.items())
-        for p in polys
-    )
+def _grouped_terms(polys: Tuple[LogPoly, ...]) -> Tuple[Tuple[Optional[tuple], tuple], ...]:
+    """Each polynomial as ``(denominator, groups)``, exactly.
+
+    ``denominator`` is the least common denominator D of its coefficients as
+    an exact raw mpf, or None when D = 1.  ``groups`` holds one
+    ``(m, coefficients)`` pair per t-power m, in ascending m, where
+    ``coefficients`` lists the integers D * c of (log t)^J down to
+    (log t)^0, zeros included.  Nothing here is rounded, so one entry serves
+    every precision.
+    """
+    out = []
+    for p in polys:
+        denom = 1
+        for _, c in p.items():
+            if type(c) is not int:
+                denom = lcm(denom, c.denominator)
+        by_power: Dict[int, Dict[int, int]] = {}
+        for (m, j), c in p.items():
+            by_power.setdefault(m, {})[j] = int(c * denom)
+        groups = tuple(
+            (m, tuple(row.get(j, 0) for j in range(max(row), -1, -1)))
+            for m, row in sorted(by_power.items())
+        )
+        out.append((None if denom == 1 else from_int(denom), groups))
+    return tuple(out)
 
 
 def lp_eval_many(polys: Sequence[LogPoly], t, precision_bits: int = 53) -> List[mpmath.mpf]:
     """Values of every polynomial in ``polys`` at ``t > 0``, in order, each
     rounded to ``precision_bits`` significand bits.
 
-    The point and the precision are validated once, log t is taken once, and
-    each distinct t^m and (log t)^j is computed once and shared by all the
-    polynomials.  An mpf point is used as given, not rounded; any other is
-    converted at ``precision_bits``.
+    The point and the precision are validated once, log t is taken once,
+    and each t^m is computed once and shared by all the polynomials.  An
+    mpf point is used as given, not rounded; any other is converted at
+    ``precision_bits``.
 
-    The loop works on raw libmp values and rounds every operation to
-    nearest at ``precision_bits``, in this order: a term c * t^m * (log t)^j
-    is c rounded (an ``int`` by ``from_int``; a ``Fraction`` as its rounded
-    numerator over its exact denominator by ``mpf_div``), times t^m, times
-    (log t)^j (the powers by ``mpf_pow_int``, log t by ``mpf_log``), and
-    each polynomial's terms are added one by one in canonical order,
-    starting from zero.  So a value is bit-for-bit the same whichever other
-    polynomials it is evaluated with, and does not depend on the ambient
-    ``mp.prec``.  The rounded coefficients are kept between calls, one LRU
-    entry per polynomial set and precision (``_rounded_terms``), and give
-    the same bits cold or warm.
+    Rounding contract, on raw libmp values at ``precision_bits``, to
+    nearest: L = log t (``mpf_log``) and P_m = t^m (``mpf_pow_int``; P_0 =
+    1) are rounded.  A polynomial's terms are grouped by t-power m, and each
+    group's value P_m * sum_j c_j L^j is computed exactly, by integer Horner
+    on L's mantissa with the coefficients over their common denominator,
+    then rounded once (``from_man_exp``, or one ``mpf_div`` by the
+    denominator).  A polynomial with several groups adds the rounded groups
+    in ascending m, each addition rounded; the zero polynomial is 0.  Every
+    other step is exact integer arithmetic, so a value is bit-for-bit the
+    same whichever other polynomials it is evaluated with, on either mpmath
+    backend, and does not depend on the ambient ``mp.prec``.  The grouped
+    integer coefficients are kept between calls, one LRU entry per
+    polynomial set (``_grouped_terms``), and give the same bits cold or
+    warm.
     """
     require_precision(precision_bits)
     prec = precision_bits
@@ -307,25 +329,37 @@ def lp_eval_many(polys: Sequence[LogPoly], t, precision_bits: int = 53) -> List[
     if tv <= 0:
         raise NonPositiveArgument(f"evaluation point must be positive, got {t!r}")
     t_raw = tv._mpf_
-    log_t = mpf_log(t_raw, prec, _RND)
+    # L = y * 2^-shift exactly, with y an integer and shift >= 0
+    sign, man, exp, _ = mpf_log(t_raw, prec, _RND)
+    y = -man if sign else man
+    shift = 0
+    if exp >= 0:
+        y <<= exp
+    else:
+        shift = -exp
     t_powers: Dict[int, tuple] = {}
-    log_powers: Dict[int, tuple] = {}
     values = []
-    for terms in _rounded_terms(tuple(polys), prec):
-        total = fzero
-        for m, j, piece in terms:
+    for denom, groups in _grouped_terms(tuple(polys)):
+        total = None
+        for m, coefficients in groups:
+            # sum_j c_j L^j = acc * 2^(-shift * J) with J the top log power
+            acc = 0
+            for k, c in enumerate(coefficients):
+                acc = acc * y + (c << shift * k)
+            scale = -shift * (len(coefficients) - 1)
             if m:
                 power = t_powers.get(m)
                 if power is None:
                     power = t_powers[m] = mpf_pow_int(t_raw, m, prec, _RND)
-                piece = mpf_mul(piece, power, prec, _RND)
-            if j:
-                power = log_powers.get(j)
-                if power is None:
-                    power = log_powers[j] = mpf_pow_int(log_t, j, prec, _RND)
-                piece = mpf_mul(piece, power, prec, _RND)
-            total = mpf_add(total, piece, prec, _RND)
-        values.append(mp.make_mpf(total))
+                _, power_man, power_exp, _ = power  # t^m > 0
+                acc *= power_man
+                scale += power_exp
+            if denom is None:
+                piece = from_man_exp(acc, scale, prec, _RND)
+            else:
+                piece = mpf_div(from_man_exp(acc, scale), denom, prec, _RND)
+            total = piece if total is None else mpf_add(total, piece, prec, _RND)
+        values.append(mp.make_mpf(fzero if total is None else total))
     return values
 
 

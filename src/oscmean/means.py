@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Dict, Sequence, Tuple
 
@@ -54,7 +55,7 @@ from .errors import (
 from .logpoly import LogPoly, lp_eval, lp_eval_many
 from .numerics import SolveReport, find_root_bracketed, solve_linear
 from .precision import as_mpf, require_precision
-from .wronskian import Curve, T, make_log_curve, normal_field
+from .wronskian import CACHE_MAXSIZE, Curve, T, make_log_curve, normal_field
 
 #: Inputs whose logs are closer than this get a conditioning warning and an
 #: automatic escalation to at least 113 significand bits.
@@ -129,25 +130,31 @@ def ln_gap_warnings(values: Sequence) -> Tuple[str, ...]:
 # -- hyperplanes and their intersection ---------------------------------------
 
 
+@lru_cache(maxsize=CACHE_MAXSIZE)
+def _offset_polynomial(curve: Curve) -> LogPoly:
+    """sum_k component_k * field_k, exactly: the plane offset as a function
+    of the parameter (for the log curve, the full Wronskian)."""
+    product = LogPoly.zero()
+    for component, coefficient in zip(curve.components, normal_field(curve)):
+        product = product + component * coefficient
+    return product
+
+
 def hyperplane_at(curve: Curve, a, precision_bits: int = 53) -> Hyperplane:
     """Osculating hyperplane to ``curve`` at parameter ``a > 0``.
 
     The normal is the alternating-minor field evaluated at a; the offset is
-    the dot product of the curve point with that normal (for the log curve
-    this equals the full Wronskian at a).  The n minors and the n components
-    are evaluated together, on one log of a and one table of its powers.
-    ``lp_eval_many`` validates and converts a and the precision.  The dot
-    product adds coordinate times coefficient left to right on raw libmp
-    values, each operation rounded to nearest at ``precision_bits``.
+    the dot product of the curve point with that normal.  That dot product
+    is formed once per curve, exactly, as one more log-polynomial
+    (``_offset_polynomial``; for the log curve it is the full Wronskian), so
+    the offset is rounded once like every coordinate of the normal, not once
+    per product and sum.  The n minors and the offset are evaluated together
+    by ``lp_eval_many``, on one log of a, which validates and converts a and
+    the precision.
     """
-    n = curve.dimension
-    values = lp_eval_many(normal_field(curve) + curve.components, a, precision_bits)
-    normal = tuple(values[:n])
-    offset = fzero
-    for coord, coeff in zip(values[n:], normal):
-        product = mpf_mul(coord._mpf_, coeff._mpf_, precision_bits, _RND)
-        offset = mpf_add(offset, product, precision_bits, _RND)
-    return Hyperplane(normal=normal, offset=mp.make_mpf(offset))
+    field = normal_field(curve)
+    values = lp_eval_many(field + (_offset_polynomial(curve),), a, precision_bits)
+    return Hyperplane(normal=tuple(values[:-1]), offset=values[-1])
 
 
 def intersect(curve: Curve, values: Sequence, precision_bits: int = 53) -> IntersectionResult:
@@ -158,10 +165,12 @@ def intersect(curve: Curve, values: Sequence, precision_bits: int = 53) -> Inter
 
     The planes are built once, with guard bits on top of the requested
     precision, and that one matrix and right-hand side serve both the
-    elimination and the reported residual.  The point is rounded back to the
-    requested precision; ``report.residual_norm`` is that rounded point's
-    residual against the guard-precision planes, evaluated at twice the
-    requested precision when it is first read.
+    elimination and the reported residual.  Each right-hand side is a
+    plane's offset: the exact offset polynomial of ``hyperplane_at``,
+    evaluated and rounded once like each entry of the matrix.  The point is
+    rounded back to the requested precision; ``report.residual_norm`` is
+    that rounded point's residual against the guard-precision planes,
+    evaluated at twice the requested precision when it is first read.
     """
     n = curve.dimension
     if len(values) != n:

@@ -19,8 +19,9 @@ in the order the same code written with ``mpf`` arithmetic under
 ``mp.workprec`` would use, so the results are bit-for-bit those of that
 code.  ``solve_linear`` and ``det`` take and return ``mpf`` values; the
 conversion happens there and nowhere else.  The same convention serves the
-other hot loops: ``logpoly.lp_eval_many``, the plane offsets of
-``means.hyperplane_at`` and the sum of ``means.neuman_LN``.
+other hot loops: ``logpoly.lp_eval_many`` (which also evaluates the plane
+offsets of ``means.hyperplane_at``, as one more log-polynomial) and the sum
+of ``means.neuman_LN``.
 """
 
 from __future__ import annotations

@@ -149,9 +149,9 @@ def test_determinant_checks_values_are_pinned():
     errors = determinant_checks((1.7, 2.9, 4.4, 8.1, 13.6), 113)
     with mp.workprec(113):
         assert [repr(e) for e in errors] == [
-            "mpf('8.49117376257492042955747999238952183e-32')",
-            "mpf('3.46564752814639680045837404928949812e-32')",
-            "mpf('5.34602796593910586928205302186445996e-32')",
+            "mpf('1.68618276394874871497922086558548041e-31')",
+            "mpf('4.98628879049634641698602796887570687e-32')",
+            "mpf('1.156233955424039176379606816356732e-31')",
         ]
 
 

@@ -5,17 +5,19 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import mpf_log, mpf_pow_int, round_nearest
 
 from oscmean.errors import BadParameter, DomainError, NonPositiveArgument
 from oscmean.logpoly import (
     COEFF_CACHE_MAXSIZE,
     LogPoly,
-    _rounded_terms,
+    _grouped_terms,
     lp_eval,
     lp_eval_many,
     substitute_power,
     to_text,
 )
+from oscmean.precision import as_mpf_at
 from oscmean.wronskian import make_conjecture_curve, make_log_curve, normal_field
 
 T = LogPoly.term(1, 1, 0)
@@ -313,39 +315,93 @@ def test_eval_homomorphism_within_ulps():
                 assert abs(lhs - rhs) <= 4 * eps * max(abs(lhs), abs(rhs), mp.mpf(1))
 
 
-def _term_by_term(p, t, bits):
-    # reference evaluation: every term computes its own t^m and (log t)^j
-    with mp.workprec(bits):
-        tv = mp.mpf(t) if not isinstance(t, Fraction) else mp.mpf(t.numerator) / t.denominator
-        log_t = mp.log(tv)
-        total = mp.mpf(0)
-        for (m, j), c in p.items():
-            piece = mp.mpf(c.numerator)
-            if c.denominator != 1:
-                piece = piece / c.denominator
-            if m:
-                piece = piece * tv ** m
-            if j:
-                piece = piece * log_t ** j
-            total = total + piece
-        return +total
+def _exact(raw):
+    # the rational value of a raw libmp float
+    sign, man, exp, _ = raw
+    value = Fraction(int(man)) * Fraction(2) ** exp
+    return -value if sign else value
 
 
-@pytest.mark.parametrize("bits", [53, 113, 256])
-def test_eval_many_is_bit_identical_to_single_evaluation(bits):
+def _round_to_bits(q, bits):
+    # q rounded to the nearest rational with ``bits`` significant bits, ties to even
+    if not q:
+        return Fraction(0)
+    e = q.numerator.bit_length() - q.denominator.bit_length() - bits
+    scaled = abs(q) / Fraction(2) ** e
+    while scaled >= 2 ** bits:
+        scaled, e = scaled / 2, e + 1
+    while scaled < 2 ** (bits - 1):
+        scaled, e = scaled * 2, e - 1
+    whole = scaled.numerator // scaled.denominator
+    rest = scaled - whole
+    if rest > Fraction(1, 2) or (rest == Fraction(1, 2) and whole % 2):
+        whole += 1
+    return (whole if q > 0 else -whole) * Fraction(2) ** e
+
+
+def _fraction_reference(p, t, bits):
+    # lp_eval_many's rounding contract in exact rationals: log t and t^m come
+    # from libmp, each t-power group's value is exact and rounded once, and
+    # the rounded groups are added in ascending t-power, each sum rounded
+    t_raw = as_mpf_at(t, bits)._mpf_
+    log_t = _exact(mpf_log(t_raw, bits, round_nearest))
+    groups = {}
+    for (m, j), c in p.items():
+        groups[m] = groups.get(m, 0) + c * log_t ** j
+    total = None
+    for m in sorted(groups):
+        power = _exact(mpf_pow_int(t_raw, m, bits, round_nearest)) if m else 1
+        piece = _round_to_bits(power * groups[m], bits)
+        total = piece if total is None else _round_to_bits(total + piece, bits)
+    return Fraction(0) if total is None else total
+
+
+def _assert_matches_reference(polys, t, bits):
+    values = lp_eval_many(polys, t, bits)
+    assert [_exact(v._mpf_) for v in values] == [_fraction_reference(p, t, bits) for p in polys]
+
+
+with mp.workprec(53):
+    E_SQUARED_53 = mp.e ** 2  # its 53-bit log rounds to exactly 2: a positive exponent
+
+
+def _evaluation_cases(bits):
     # ``shared`` has a negative t-power and non-integer coefficients, and its
     # exponent pairs recur in the ``p + shared`` polynomials of each draw
     rng = random.Random(bits)
     shared = LogPoly({(-3, 2): Fraction(7, 3), (2, 1): Fraction(-5, 4), (0, 3): 1})
-    for _ in range(15):
+    points = (1, "0.3", "1e-300", "1e300", MPF_400_BITS, E_SQUARED_53)
+    for draw in range(15):
         polys = [random_logpoly(rng) for _ in range(5)] + [shared, LogPoly.zero()]
         polys += [p + shared for p in polys[:2]]
-        for t in (rng.uniform(0.05, 40.0), "0.3", Fraction(22, 7)):
-            values = lp_eval_many(polys, t, bits)
-            assert values == [lp_eval(p, t, bits) for p in polys]
-            assert values == [_term_by_term(p, t, bits) for p in polys]
-    unshared = [LogPoly.term(Fraction(2, 3), -2, 0), LogPoly.term(-5, 3, 1)]
-    assert lp_eval_many(unshared, 1.9, bits) == [_term_by_term(p, 1.9, bits) for p in unshared]
+        for t in (rng.uniform(0.05, 40.0), Fraction(22, 7), points[draw % len(points)]):
+            yield polys, t
+    yield [LogPoly.term(Fraction(2, 3), -2, 0), LogPoly.term(-5, 3, 1)], 1.9
+    for t in (MPF_400_BITS, "0.3"):
+        yield [FRACTIONAL], t
+
+
+@pytest.mark.parametrize("bits", [53, 113, 256])
+def test_eval_many_is_bit_identical_to_single_evaluation(bits):
+    for polys, t in _evaluation_cases(bits):
+        assert lp_eval_many(polys, t, bits) == [lp_eval(p, t, bits) for p in polys]
+
+
+@pytest.mark.parametrize("bits", [53, 113, 256])
+def test_eval_many_is_pinned_to_the_fraction_reference(bits):
+    for polys, t in _evaluation_cases(bits):
+        _assert_matches_reference(polys, t, bits)
+
+
+def test_eval_many_reference_cases_are_reached():
+    # the points above take the kernel's edge paths: t = 1 has log 0, and
+    # the 53-bit log of E_SQUARED_53 has a positive exponent
+    assert mpf_log(E_SQUARED_53._mpf_, 53, round_nearest)[2] > 0
+    assert lp_eval_many([LogPoly({(0, 0): 3, (0, 2): 5, (4, 1): 1})], 1, 53) == [3]
+
+
+def test_n16_log_curve_is_pinned_to_the_fraction_reference_at_286_bits():
+    _assert_matches_reference(_field_and_components(make_log_curve(16)), "3.7", 286)
 
 
 def test_eval_many_empty_and_zero():
@@ -394,15 +450,15 @@ _PINNED_EVALUATIONS = {
     ('log7', 53): [
         "mpf('66.792090439512052')",
         "mpf('-66.770128364712264')",
-        "mpf('33.313158812032654')",
+        "mpf('33.313158812032647')",
         "mpf('-10.973595595072497')",
         "mpf('2.6006596228425272')",
         "mpf('-0.4266642482337405')",
         "mpf('0.037108517437440001')",
         "mpf('2.5')",
         "mpf('2.2907268296853878')",
-        "mpf('2.0989717632961873')",
-        "mpf('1.9232683731738489')",
+        "mpf('2.0989717632961868')",
+        "mpf('1.9232683731738491')",
         "mpf('1.7622729852458818')",
         "mpf('1.6147544034130012')",
         "mpf('1.4795844941003136')",
@@ -428,17 +484,17 @@ _PINNED_EVALUATIONS = {
     ],
     ('log7', 113): [
         "mpf('66.7920904395120468254019856206016572')",
-        "mpf('-66.7701283647122519007472409193515616')",
+        "mpf('-66.7701283647122519007472409193515739')",
         "mpf('33.3131588120326447121004967530967438')",
-        "mpf('-10.9735955950724957631469724741438042')",
-        "mpf('2.60065962284252668276005483010679349')",
+        "mpf('-10.9735955950724957631469724741438058')",
+        "mpf('2.60065962284252668276005483010679388')",
         "mpf('-0.426664248233740457088176516230427869')",
         "mpf('0.0371085174374400000000000000000000001')",
         "mpf('2.5')",
         "mpf('2.29072682968538766295881802942002776')",
         "mpf('2.09897176329618682283220168511155492')",
         "mpf('1.92326837317384879196804681405286006')",
-        "mpf('1.76227298524588148979307067294391073')",
+        "mpf('1.76227298524588148979307067294391053')",
         "mpf('1.61475440341300082131064438769506218')",
         "mpf('1.47958449410031315823321005222852181')",
     ],
@@ -457,23 +513,23 @@ _PINNED_EVALUATIONS = {
     ('frac', 113): [
         "mpf('301.345480033157307725012755206992289')",
         "mpf('-1655036070765976661410923553.80574203')",
-        "mpf('125088614106152689.867051237817094714')",
+        "mpf('125088614106152689.8670512378170947')",
         "mpf('82.6142112121337998652440491000481512')",
         "mpf('1272316.3106790538396444236646646297')",
     ],
     ('log7', 256): [
         "mpf('66.79209043951204682540198562060166386241933845291988394396124509283670581945004')",
         "mpf('-66.7701283647122519007472409193515724988933635580950550597355054684306460109103')",
-        "mpf('33.3131588120326447121004967530967481284946117084679130410347235509311287236464')",
+        "mpf('33.31315881203264471210049675309674812849461170846791304103472355093112872364585')",
         "mpf('-10.97359559507249576314697247414380658668887180535886305647468463406134822769451')",
-        "mpf('2.600659622842526682760054830106794040740968281843795851175744733968809078999556')",
+        "mpf('2.600659622842526682760054830106794040740968281843795851175744733968809078999521')",
         "mpf('-0.4266642482337404570881765162304278945013583531949126431791431591371383862690795')",
         "mpf('0.03710851743744000000000000000000000000000000000000000000000000000000000000000021')",
         "mpf('2.5')",
         "mpf('2.290726829685387662958818029420027678625253049770656169479919704951963414344922')",
-        "mpf('2.098971763296186822832201685111555106621410393137933182268659917854354841041289')",
+        "mpf('2.098971763296186822832201685111555106621410393137933182268659917854354841041254')",
         "mpf('1.923268373173848791968046814052860280736673835349155934642401371719918985630084')",
-        "mpf('1.762272985245881489793070672943910950831448633032458700376687313186599233093223')",
+        "mpf('1.762272985245881489793070672943910950831448633032458700376687313186599233093206')",
         "mpf('1.614754403413000821310644387695062560437636433845426709080852241634103304651018')",
         "mpf('1.479584494100313158233210052228522189881435852592463105068359383212387408472949')",
     ],
@@ -493,7 +549,7 @@ _PINNED_EVALUATIONS = {
         "mpf('301.3454800331573077250127552069923221646600946818199370261141424437451285180536')",
         "mpf('-1655036070765976661410923553.805741813243247052005016717201150416133571974619478')",
         "mpf('125088614106152689.8670512378170948351160376558064124595682981487669525576477857')",
-        "mpf('82.61421121213379986524404910004812097103155290443159170812428474808521988693917')",
+        "mpf('82.61421121213379986524404910004812097103155290443159170812428474808521988693807')",
         "mpf('1272316.310679053839644423664664629771648718015980765740095432701136574617033503')",
     ],
 }
@@ -531,32 +587,32 @@ def test_eval_many_ignores_the_ambient_precision(bits):
 @pytest.mark.parametrize("bits", [53, 113, 256])
 def test_cold_coefficient_cache_gives_the_warm_bits(bits):
     polys = _field_and_components(make_log_curve(7)) + (FRACTIONAL,)
-    _rounded_terms.cache_clear()
+    _grouped_terms.cache_clear()
     cold = [v._mpf_ for v in lp_eval_many(polys, "2.5", bits)]
     warm = [v._mpf_ for v in lp_eval_many(polys, "2.5", bits)]
     assert cold == warm
-    assert _rounded_terms.cache_info().hits >= 1
+    assert _grouped_terms.cache_info().hits >= 1
 
 
 def test_fraction_bits_are_pinned_at_each_precision_through_the_cache():
-    # one entry per precision: a coefficient rounded at 53 bits must not
-    # serve a 113-bit evaluation, nor the reverse
-    _rounded_terms.cache_clear()
+    # one exact entry serves every precision: the 53-bit and the 113-bit
+    # evaluations read the same integers and each keeps its own bits
+    _grouped_terms.cache_clear()
     for bits in (53, 113, 53, 113):
         values = [lp_eval_many([FRACTIONAL], t, bits)[0] for t in FRACTIONAL_POINTS]
         with mp.workprec(bits):
             assert [repr(v) for v in values] == _PINNED_EVALUATIONS["frac", bits]
-    assert _rounded_terms.cache_info().currsize == 2
+    assert _grouped_terms.cache_info().currsize == 1
 
 
 def test_coefficient_cache_stays_within_its_bound():
-    _rounded_terms.cache_clear()
+    _grouped_terms.cache_clear()
     polys = [LogPoly.term(Fraction(i, 3), i % 5, i % 3) for i in range(COEFF_CACHE_MAXSIZE + 20)]
     first = lp_eval_many([polys[0]], "1.5", 113)
     for p in polys:
         lp_eval_many([p], "1.5", 113)
-        assert _rounded_terms.cache_info().currsize <= COEFF_CACHE_MAXSIZE
-    assert _rounded_terms.cache_info().currsize == COEFF_CACHE_MAXSIZE
+        assert _grouped_terms.cache_info().currsize <= COEFF_CACHE_MAXSIZE
+    assert _grouped_terms.cache_info().currsize == COEFF_CACHE_MAXSIZE
     assert lp_eval_many([polys[0]], "1.5", 113) == first  # evicted, then rebuilt
 
 

@@ -68,7 +68,7 @@ def test_hyperplane_takes_one_log_per_point(monkeypatch):
     # interface would count too
     through_mpf = _counting(monkeypatch, mp, "log")
     raw = _counting(monkeypatch, logpoly, "mpf_log")
-    logpoly._rounded_terms.cache_clear()
+    logpoly._grouped_terms.cache_clear()
     hyperplane_at(make_log_curve(5), 3.7, 113)
     assert len(through_mpf) + len(raw) == 1
 
@@ -80,13 +80,13 @@ def test_log_hyperplane_n10_values_are_pinned():
     plane = hyperplane_at(make_log_curve(10), "3.7", 83)
     with mp.workprec(83):
         assert [repr(c) for c in plane.normal] == [
-            "mpf('23.7990401637774586081971014')",
+            "mpf('23.7990401637774586081971047')",
             "mpf('-23.7988410692391535282493291')",
             "mpf('11.8987357505883908677380987')",
             "mpf('-3.96484951149539409883741622')",
             "mpf('0.989345465502926408106796604')",
-            "mpf('-0.196156765158138994439950393')",
-            "mpf('0.0316021390243940496452853907')",
+            "mpf('-0.196156765158138994439950368')",
+            "mpf('0.0316021390243940496452853971')",
             "mpf('-0.00403823579649083223574761478')",
             "mpf('0.000368244407120806287847317011')",
             "mpf('-0.0000177253665014587683144129')",
@@ -131,24 +131,24 @@ _PINNED_INTERSECTIONS = {
             "mpf('73.310469978690364')",
             "mpf('92.61863540310118')",
         ],
-        "mpf('1.646653222214591291090088965245596e-16')",
+        "mpf('1.646653219503843720986258797060725e-16')",
         "19157941.060562134",
     ),
     10: (
         [
-            "mpf('8.6313379334178713')",
-            "mpf('18.300716753110091')",
-            "mpf('38.153093626035599')",
-            "mpf('77.999783834151955')",
-            "mpf('155.80879171155391')",
-            "mpf('302.57754318701473')",
-            "mpf('567.02289301200744')",
-            "mpf('1013.3652958430633')",
-            "mpf('1691.7287118403228')",
-            "mpf('2527.6081946309037')",
+            "mpf('8.6313379334179903')",
+            "mpf('18.30071675311045')",
+            "mpf('38.153093626036565')",
+            "mpf('77.999783834154385')",
+            "mpf('155.80879171155959')",
+            "mpf('302.57754318702735')",
+            "mpf('567.02289301203382')",
+            "mpf('1013.3652958431151')",
+            "mpf('1691.7287118404161')",
+            "mpf('2527.608194631051')",
         ],
-        "mpf('1.276880915456332044900129846366621e-15')",
-        "567645398684.9093",
+        "mpf('3.621516180234216438508803248837381e-16')",
+        "567645398684.9105",
     ),
 }
 
@@ -248,19 +248,41 @@ def test_intersect_validations():
         intersect(curve, (1.0, 2.0))
 
 
-def test_point_satisfies_every_plane():
-    curve = make_log_curve(4)
-    values = (1.3, 2.9, 7.7, 15.0)
-    result = intersect(curve, values)
-    planes = [hyperplane_at(curve, a) for a in values]
-    # measure at extended precision so the check sees the true residual,
-    # not the rounding of its own dot products
+def _worst_plane_misfit(planes, point, residual_norm):
+    """max over planes of |normal . point - offset| over its bound.
+
+    The point solves the guard-precision planes, so against 53-bit planes
+    its misfit is its residual against the solved planes (residual_norm
+    times the offsets' scale) plus the 53-bit planes' own rounding.
+    lp_eval_many rounds each normal coordinate and the offset of a log-curve
+    plane once (each is one t-power group), so that rounding is charged as
+    c = 1 unit of 2^-53 on each term of the sum.
+    """
     with mp.workprec(160):
-        scale = max(abs(p.offset) for p in planes)
-        bound = result.report.residual_norm * scale
+        base = residual_norm * max(abs(p.offset) for p in planes)
+        worst = 0
         for plane in planes:
-            lhs = sum(c * x for c, x in zip(plane.normal, result.point))
-            assert abs(lhs - plane.offset) <= 2 * bound + mp.mpf(1e-25)
+            terms = [c * x for c, x in zip(plane.normal, point)]
+            misfit = abs(sum(terms) - plane.offset)
+            rounding = mp.ldexp(sum(abs(v) for v in terms) + abs(plane.offset), -53)
+            worst = max(worst, misfit / (base + rounding))
+        return worst
+
+
+def test_point_satisfies_every_plane():
+    rng = random.Random(1717)
+    tuples = [(1.3, 2.9, 7.7, 15.0)]
+    for _ in range(300):
+        tuples.append(sorted(rng.uniform(1.1, 20) for _ in range(rng.randint(3, 5))))
+    for values in tuples:
+        curve = make_log_curve(len(values))
+        result = intersect(curve, values)
+        planes = [hyperplane_at(curve, a) for a in values]
+        residual = result.report.residual_norm
+        assert _worst_plane_misfit(planes, result.point, residual) <= 1
+        # negative control: the point moved by 1e-12 relative breaks the bound
+        moved = [x * (1 + mp.mpf(1e-12)) for x in result.point]
+        assert _worst_plane_misfit(planes, moved, residual) > 1
 
 
 def test_intersect_builds_each_plane_once(monkeypatch):
@@ -438,7 +460,7 @@ _PINNED_SUMS = {
         "mpf('3.44995952105823060291605300801112741')",
     ],
     ('offset', 113): [
-        "mpf('66.7953313873919999999999999999999896')",
+        "mpf('66.7953313873920000000000000000000019')",
         "mpf('-336.108269220243341227144163010812812')",
     ],
     ('neuman', 256): [
@@ -447,7 +469,7 @@ _PINNED_SUMS = {
         "mpf('3.449959521058230602916053008011127349972278539678151887454806506077739293962522')",
     ],
     ('offset', 256): [
-        "mpf('66.79533138739200000000000000000000000000000000000000000000000000000000000000132')",
+        "mpf('66.79533138739199999999999999999999999999999999999999999999999999999999999999911')",
         "mpf('-336.1082692202433412271441630108128114223708486664204092759132499895338146674641')",
     ],
 }

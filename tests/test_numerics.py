@@ -251,7 +251,7 @@ _PINNED_SYSTEMS = {
             "mpf('-16.72442496401817120454084520895811949316420912629338432915664545198906763875245')",
             "mpf('-31.11892552248833785454180190928100437304303973812722074047918599641158280129822')",
         ],
-        "mpf('3.43432296959389305324311031999409181911974263513810926987287468016604439271065635471160497122081435027833592480984549354339715749256683168787486877458701115e-77')",
+        "mpf('3.43432296959398250049030753024963791813420674391301940169449659390956494302565272459280088133601063857327262838113114137274154325812193760754010929088101305e-77')",
         "56796.84069966886",
         "mpf('1.153975322364529765058597173354217794675928768423091091295533714862077971013292e-26')",
     ),
