@@ -28,15 +28,14 @@ from mpmath import mp
 from .errors import BadDimension, BadParameter, DistinctnessViolation
 # oscbench/spans.py wraps lp_eval here by name, so it stays imported; nothing
 # in this module calls it.
-from .logpoly import LogPoly, lp_eval, lp_eval_many, substitute_power
+from .logpoly import LogPoly, lp_eval, substitute_power
 from .means import (
-    alternating_cofactor_sum,
+    hyperplane_at,
     identric_IZ,
     intersect,
     mean_M,
     neuman_LN,
     sorted_positive_distinct,
-    vandermonde,
 )
 from .numerics import det
 from .precision import require_precision
@@ -108,6 +107,33 @@ class IdentityReport:
 
 
 # -- exact combinatorial identities -------------------------------------------
+
+
+def vandermonde(xs: Sequence):
+    """prod_{i<j} (x_j - x_i) at the working precision (exact for rationals).
+
+    With the logs of the inputs as ``xs`` this is the log-gap product of the
+    determinant closed forms.
+    """
+    out = 1
+    for i, xi in enumerate(xs):
+        for xj in xs[i + 1 :]:
+            out = out * (xj - xi)
+    return out
+
+
+def alternating_cofactor_sum(weights: Sequence, xs: Sequence):
+    """sum_i (-1)^(i+1) w_i V(xs without x_i), with i counted from 1.
+
+    The cofactor expansion, along a column of weights, of the matrix whose
+    other columns are those of the Vandermonde matrix of ``xs``.
+    """
+    xs = list(xs)
+    total = 0
+    for i, w in enumerate(weights):
+        piece = w * vandermonde(xs[:i] + xs[i + 1 :])
+        total = total + piece if i % 2 == 0 else total - piece
+    return total
 
 
 def lemma3_check(n: int) -> Tuple[Fraction, Fraction]:
@@ -198,12 +224,13 @@ def determinant_checks(
 ) -> Tuple[mpmath.mpf, mpmath.mpf, mpmath.mpf]:
     """Relative errors of prop3, prop4 and the Cramer quotient at one tuple.
 
-    The minor matrix has row j equal to the signed minors evaluated at a_j.
-    prop3: its determinant is (prod r!)^(n-2) times the product of log gaps
-    over prod a_j^((n-1)(n-2)/2).  prop4: with column 1 replaced by the full
-    Wronskian, the determinant is (-1)^(n-1) (n-1)! (prod r!)^(n-2) times
-    sum_i (-1)^(i+1) a_i prod_{j<k; j,k != i} (ln a_k - ln a_j), over the same
-    power of the a_j.  The quotient of the two determinants is the first
+    The minor matrix has row j equal to the signed minors evaluated at a_j: the
+    normal of the osculating hyperplane there (``hyperplane_at``).  prop3: its
+    determinant is (prod r!)^(n-2) times the product of log gaps over prod
+    a_j^((n-1)(n-2)/2).  prop4: with column 1 replaced by the full Wronskian
+    (the plane's offset), the determinant is (-1)^(n-1) (n-1)! (prod r!)^(n-2)
+    times sum_i (-1)^(i+1) a_i prod_{j<k; j,k != i} (ln a_k - ln a_j), over the
+    same power of the a_j.  The quotient of the two determinants is the first
     intersection coordinate and must agree with ``neuman_LN``; when the minor
     determinant evaluates to 0 its error is ``mp.inf``.
     """
@@ -211,11 +238,10 @@ def determinant_checks(
     n = len(vals)
     if n < 3:
         raise BadDimension(f"need at least 3 values, got {n}")
-    field = normal_field(make_log_curve(n))
-    k_full = full_wronskian_closed_form(n)
-    rows = [lp_eval_many(field + (k_full,), v, precision_bits) for v in vals]
-    minors = [row[:-1] for row in rows]
-    replaced = [row[-1:] + row[1:-1] for row in rows]
+    curve = make_log_curve(n)
+    planes = [hyperplane_at(curve, v, precision_bits) for v in vals]
+    minors = [plane.normal for plane in planes]
+    replaced = [(plane.offset,) + plane.normal[1:] for plane in planes]
     det_minors = det(minors, precision_bits)
     det_replaced = det(replaced, precision_bits)
     with mp.workprec(precision_bits):
@@ -310,6 +336,15 @@ def closure_scan(
     return determinant_scan(n, trials, seed, precision_bits)[2]
 
 
+def _m1_error(vals: Sequence, precision_bits: int) -> Tuple[mpmath.mpf]:
+    """Relative error of the intersection's first coordinate against
+    ``neuman_LN`` at one tuple: the check both M_1 scans run."""
+    point = intersect(make_log_curve(len(vals)), vals, precision_bits)
+    reference = neuman_LN(vals, precision_bits)
+    with mp.workprec(precision_bits):
+        return (_rel_error(point.means[1], reference),)
+
+
 def main_theorem_scan(
     n: int, trials: int = 100, seed: int = 0, precision_bits: int = 53
 ) -> IdentityReport:
@@ -320,15 +355,9 @@ def main_theorem_scan(
     """
     if n < 3:
         raise BadDimension(f"need n >= 3, got {n}")
-    curve = make_log_curve(n)
-
-    def check(vals):
-        point = intersect(curve, vals, precision_bits)
-        reference = neuman_LN(vals, precision_bits)
-        with mp.workprec(precision_bits):
-            return (_rel_error(point.means[1], reference),)
-
-    [worst] = _worst_errors(check, n, 1.1, 50.0, trials, seed + n, precision_bits)
+    [worst] = _worst_errors(
+        lambda t: _m1_error(t, precision_bits), n, 1.1, 50.0, trials, seed + n, precision_bits
+    )
     tolerance = (
         MAIN_THEOREM_TOLERANCE_113 if precision_bits >= 113 else MAIN_THEOREM_TOLERANCE
     )
@@ -336,20 +365,12 @@ def main_theorem_scan(
 
 
 def tangent_scan(trials: int = 100, seed: int = 0, precision_bits: int = 53) -> IdentityReport:
-    """n = 2 case: tangent-line intersection versus (b-a)/(ln b - ln a).
-
-    Pairs are drawn from [0.2, 50].
+    """n = 2 case: tangent-line intersection versus ``neuman_LN``, here the
+    two-variable mean (b-a)/(ln b - ln a).  Pairs are drawn from [0.2, 50].
     """
-    curve = make_log_curve(2)
-
-    def check(pair):
-        point = intersect(curve, pair, precision_bits)
-        with mp.workprec(precision_bits):
-            a, b = mp.mpf(pair[0]), mp.mpf(pair[1])
-            reference = (b - a) / (mp.log(b) - mp.log(a))
-            return (_rel_error(point.means[1], reference),)
-
-    [worst] = _worst_errors(check, 2, 0.2, 50.0, trials, seed, precision_bits)
+    [worst] = _worst_errors(
+        lambda t: _m1_error(t, precision_bits), 2, 0.2, 50.0, trials, seed, precision_bits
+    )
     return IdentityReport(
         "tangent_n2_vs_two_variable_mean", 2, False, worst, trials, TANGENT_TOLERANCE
     )

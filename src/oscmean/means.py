@@ -34,12 +34,15 @@ from mpmath import mp
 from mpmath.libmp import (
     fone,
     from_int,
+    from_rational,
     fzero,
     mpf_add,
     mpf_div,
+    mpf_exp,
     mpf_log,
     mpf_mul,
     mpf_pos,
+    mpf_pow_int,
     mpf_sub,
     round_nearest,
 )
@@ -258,30 +261,19 @@ def mean_M(curve: Curve, k: int, values: Sequence, precision_bits: int = 53) -> 
 # -- closed-form reference means ----------------------------------------------
 
 
-def vandermonde(xs: Sequence):
-    """prod_{i<j} (x_j - x_i) at the working precision (exact for rationals).
-
-    With the logs of the inputs as ``xs`` this is the log-gap product of the
-    determinant closed forms.
+def _divided_difference(weights: Sequence, xs: Sequence, prec: int):
+    """sum_j w_j / prod_{i != j} (x_j - x_i) on raw libmp values: the divided
+    difference at the nodes ``xs`` of any f with f(x_j) = w_j.  Each gap, each
+    product of a denominator (from 1, i ascending), each quotient and each
+    partial sum (j ascending) rounds to nearest at ``prec``.
     """
-    out = 1
-    for i, xi in enumerate(xs):
-        for xj in xs[i + 1 :]:
-            out = out * (xj - xi)
-    return out
-
-
-def alternating_cofactor_sum(weights: Sequence, xs: Sequence):
-    """sum_i (-1)^(i+1) w_i V(xs without x_i), with i counted from 1.
-
-    The cofactor expansion, along a column of weights, of the matrix whose
-    other columns are those of the Vandermonde matrix of ``xs``.
-    """
-    xs = list(xs)
-    total = 0
-    for i, w in enumerate(weights):
-        piece = w * vandermonde(xs[:i] + xs[i + 1 :])
-        total = total + piece if i % 2 == 0 else total - piece
+    total = fzero
+    for j, xj in enumerate(xs):
+        denom = fone
+        for i, xi in enumerate(xs):
+            if i != j:
+                denom = mpf_mul(denom, mpf_sub(xj, xi, prec, _RND), prec, _RND)
+        total = mpf_add(total, mpf_div(weights[j], denom, prec, _RND), prec, _RND)
     return total
 
 
@@ -290,48 +282,44 @@ def neuman_LN(values: Sequence, precision_bits: int = 53) -> mpmath.mpf:
 
         (n-1)! * sum_j a_j / prod_{i != j} (ln a_j - ln a_i)
 
+    that is, (n-1)! times the divided difference of exp at the logs.
     Symmetric in its arguments and positively homogeneous of degree 1.  The
     sum cancels heavily when the logs are close, so it is accumulated with
-    guard bits and rounded to the requested precision at the end.  It runs
-    on raw libmp values: the logs, each log gap, each product of the
-    denominator (from 1, i ascending), each quotient, each partial sum (j
-    ascending) and the final product with (n-1)! round to nearest at
-    ``precision_bits + GUARD_BITS``.
+    guard bits and rounded to the requested precision at the end: the logs,
+    the divided difference (``_divided_difference``) and the final product
+    with (n-1)! round to nearest at ``precision_bits + GUARD_BITS``.
     """
     vals = [v._mpf_ for v in sorted_positive_distinct(values, precision_bits)]
     n = len(vals)
     prec = precision_bits + GUARD_BITS
     logs = [mpf_log(v, prec, _RND) for v in vals]
-    total = fzero
-    for j in range(n):
-        denom = fone
-        for i in range(n):
-            if i != j:
-                denom = mpf_mul(denom, mpf_sub(logs[j], logs[i], prec, _RND), prec, _RND)
-        total = mpf_add(total, mpf_div(vals[j], denom, prec, _RND), prec, _RND)
+    total = _divided_difference(vals, logs, prec)
     result = mpf_mul(from_int(factorial(n - 1), prec, _RND), total, prec, _RND)
     return mp.make_mpf(mpf_pos(result, precision_bits, _RND))
 
 
 def identric_IZ(values: Sequence, precision_bits: int = 53) -> mpmath.mpf:
-    """The n-variable identric mean built from Vandermonde minors.
+    """The n-variable identric mean.
 
-        exp[ (1/V) * sum_i (-1)^(n+i) a_i^(n-1) V_i ln a_i  -  m ]
+        exp[ sum_j a_j^(n-1) ln a_j / prod_{i != j} (a_j - a_i)  -  m ]
 
-    where V is the Vandermonde product of the inputs, V_i the Vandermonde
-    determinant of the inputs with a_i removed, and m the harmonic number
-    1 + 1/2 + ... + 1/(n-1).  For n = 2 this reduces to the classical
-    identric mean exp[(b ln b - a ln a)/(b - a) - 1].
+    the exp of the divided difference of t^(n-1) ln t at the inputs, less
+    the harmonic number m = 1 + 1/2 + ... + 1/(n-1).  For n = 2 this
+    reduces to the classical identric mean exp[(b ln b - a ln a)/(b - a) - 1].
+    Every step rounds to nearest at ``precision_bits + GUARD_BITS``, and
+    the result once more, to the requested precision.
     """
-    vals = sorted_positive_distinct(values, precision_bits)
+    vals = [v._mpf_ for v in sorted_positive_distinct(values, precision_bits)]
     n = len(vals)
-    harmonic = sum(Fraction(1, k) for k in range(1, n))
-    with mp.workprec(precision_bits + GUARD_BITS):
-        weights = [v ** (n - 1) * mp.log(v) for v in vals]
-        total = (-1) ** (n - 1) * alternating_cofactor_sum(weights, vals)
-        result = mp.exp(total / vandermonde(vals) - as_mpf(harmonic))
-    with mp.workprec(precision_bits):
-        return +result
+    prec = precision_bits + GUARD_BITS
+    weights = [
+        mpf_mul(mpf_pow_int(v, n - 1, prec, _RND), mpf_log(v, prec, _RND), prec, _RND)
+        for v in vals
+    ]
+    m = sum(Fraction(1, k) for k in range(1, n))
+    harmonic = from_rational(m.numerator, m.denominator, prec, _RND)
+    exponent = mpf_sub(_divided_difference(weights, vals, prec), harmonic, prec, _RND)
+    return mp.make_mpf(mpf_pos(mpf_exp(exponent, prec, _RND), precision_bits, _RND))
 
 
 # -- request evaluation (used by the command-line front end) -------------------

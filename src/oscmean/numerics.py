@@ -20,8 +20,8 @@ in the order the same code written with ``mpf`` arithmetic under
 code.  ``solve_linear`` and ``det`` take and return ``mpf`` values; the
 conversion happens there and nowhere else.  The same convention serves the
 other hot loops: ``logpoly.lp_eval_many`` (which also evaluates the plane
-offsets of ``means.hyperplane_at``, as one more log-polynomial) and the sum
-of ``means.neuman_LN``.
+offsets of ``means.hyperplane_at``, as one more log-polynomial) and the
+divided-difference kernel of ``means.neuman_LN`` and ``means.identric_IZ``.
 """
 
 from __future__ import annotations

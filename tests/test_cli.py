@@ -156,7 +156,7 @@ def test_conjecture_csv_byte_identical(capsys):
     [
         (
             "verify --max-n 5 --precision 113 --trials 20 --seed 101 --json",
-            "a8bae02e5065c34e91bac08e1ce010d59129984507c90c97b375e2886cc5a149",
+            "b8294e774162ebde2429cf3b21709a4a48b6979938baa08af468dd7eee80f9ab",
         ),
         (
             "conjecture --n 3 --trials 20 --seed 101 --json",
@@ -164,11 +164,11 @@ def test_conjecture_csv_byte_identical(capsys):
         ),
         (
             "verify --max-n 4 --trials 10 --seed 3",
-            "a091244f9806b115975cce31f12ec444874c8501ad69efbb8ab7ab708530661e",
+            "c569d2543f810ef95d96547f59e30b0d2590a784846d02faeb4fe5423bc524d7",
         ),
         (
             "verify --max-n 4 --trials 10 --seed 3 --csv",
-            "e7f9357bb8c4568f20f88d2ef005bcaf4b9c9a2cda8ef481ce6d415b3ff2f35c",
+            "332148e4dffeb5614812bcfcfa1f90abf85b33c687e94faf461df355a8ff426b",
         ),
         (
             "identities --max-n 4 --trials 20 --seed 2",

@@ -240,6 +240,15 @@ def test_tangent_scan_passes():
     assert report.max_rel_error < 1e-12
 
 
+@pytest.mark.parametrize("bits", [53, 113, 256])
+def test_tangent_scan_measures_the_construction(bits):
+    # both sides carry guard bits and round once, so the worst error is at
+    # most one rounding of each; a reference rounded at every step, with no
+    # guard bits, reads 8.5e-15 (about 38 units of 2^-53) at 53 bits
+    report = tangent_scan(1000, 0, bits)
+    assert report.max_rel_error <= 2.0 ** (1 - bits)
+
+
 def test_conjecture_scan_n3_agrees():
     report = conjecture_scan(3, trials=20, seed=1)
     assert report.tolerance == 1e-6

@@ -15,6 +15,7 @@ from oscmean.errors import (
     NonPositiveArgument,
     SingularSystem,
 )
+from oscmean.identities import draw_tuple
 from oscmean.means import (
     evaluate_request,
     hyperplane_at,
@@ -498,12 +499,15 @@ def test_neuman_and_planes_ignore_the_ambient_precision(bits):
             plane = hyperplane_at(curve, "2.5", bits)
             results.append((
                 neuman_LN(_NEUMAN_INPUTS[1], bits)._mpf_,
+                identric_IZ(_NEUMAN_INPUTS[1], bits)._mpf_,
                 [c._mpf_ for c in plane.normal],
                 plane.offset._mpf_,
             ))
             assert mp.prec == ambient
             with pytest.raises(NonPositiveArgument):
                 neuman_LN(["-0.3", "1.7"], bits)
+            with pytest.raises(NonPositiveArgument):
+                identric_IZ(["-0.3", "1.7"], bits)
             with pytest.raises(NonPositiveArgument):
                 hyperplane_at(curve, "-2.5", bits)
             assert mp.prec == ambient
@@ -557,6 +561,70 @@ def test_identric_betweenness_and_symmetry():
         assert triple[0] < value < triple[2]
         shuffled = [triple[2], triple[0], triple[1]]
         assert abs(identric_IZ(shuffled) - value) <= 4 * eps * value
+
+
+def _identric_at_600_bits(values):
+    # the defining formula: exp of the divided difference of t^(n-1) ln t
+    # at the values, less the harmonic number H_(n-1)
+    with mp.workprec(600):
+        a = [mp.mpf(v) for v in values]
+        n = len(a)
+        total = mp.mpf(0)
+        for j in range(n):
+            denom = mp.mpf(1)
+            for i in range(n):
+                if i != j:
+                    denom *= a[j] - a[i]
+            total += a[j] ** (n - 1) * mp.log(a[j]) / denom
+        return mp.exp(total - sum(mp.mpf(1) / k for k in range(1, n)))
+
+
+def test_identric_is_within_four_units_of_a_600_bit_reference():
+    # the bound, 4 * 2^-p relative, was set before measuring.  On these
+    # tuples the worst error is about 1.1 units at 53 bits and 2.3 at 113,
+    # both at n = 16, where the divided difference cancels the most
+    for n in (2, 3, 5, 7, 10, 16):
+        rng = random.Random(102)
+        for _ in range(40):
+            values = draw_tuple(rng, n, 1.5, 20.0)
+            reference = _identric_at_600_bits(values)
+            for bits in (53, 113):
+                value = identric_IZ(values, bits)
+                with mp.workprec(600):
+                    assert abs(value - reference) <= 4 * mp.ldexp(reference, -bits), (n, bits)
+
+
+# identric_IZ of the three inputs of _NEUMAN_INPUTS and of one n = 16 tuple,
+# whose divided difference cancels enough that evaluating it in another
+# order shows at 256 bits
+_PINNED_IDENTRIC = {
+    53: [
+        "mpf('2.6506155947515384')",
+        "mpf('8.9633651123814921')",
+        "mpf('3.8481618420195987')",
+        "mpf('10.012296799148778')",
+    ],
+    113: [
+        "mpf('2.65061559475153842612295888493708885')",
+        "mpf('8.96336511238149149042308064634536668')",
+        "mpf('3.84816184201959872703217216452247727')",
+        "mpf('10.0122967991487781613197062071248817')",
+    ],
+    256: [
+        "mpf('2.650615594751538426122958884937088784388578768066686353808249575220934334401899')",
+        "mpf('8.963365112381491490423080646345366017542914660015192299539169154138419109576335')",
+        "mpf('3.848161842019598727032172164522477212501373248133208780350332066588953465950373')",
+        "mpf('10.01229679914877816131970620712488138694809576061582618996242559070393107812476')",
+    ],
+}
+
+
+@pytest.mark.parametrize("bits", [53, 113, 256])
+def test_identric_bits_are_pinned(bits):
+    inputs = list(_NEUMAN_INPUTS) + [draw_tuple(random.Random(102), 16, 1.5, 20.0)]
+    values = [identric_IZ(v, bits) for v in inputs]
+    with mp.workprec(bits):
+        assert [repr(v) for v in values] == _PINNED_IDENTRIC[bits]
 
 
 # -- requests -------------------------------------------------------------------------
