@@ -32,12 +32,8 @@ from typing import Dict, Sequence, Tuple
 import mpmath
 from mpmath import mp
 from mpmath.libmp import (
-    fone,
     from_int,
     from_rational,
-    fzero,
-    mpf_add,
-    mpf_div,
     mpf_exp,
     mpf_log,
     mpf_mul,
@@ -56,7 +52,19 @@ from .errors import (
     SingularSystem,
 )
 from .logpoly import LogPoly, lp_eval, lp_eval_many
-from .numerics import SolveReport, find_root_bracketed, solve_linear
+from .numerics import (
+    _ONE,
+    _ZERO,
+    SolveReport,
+    _add,
+    _div,
+    _mul,
+    _pair,
+    _raw_value,
+    _sub,
+    find_root_bracketed,
+    solve_linear,
+)
 from .precision import as_mpf, require_precision
 from .wronskian import CACHE_MAXSIZE, Curve, T, make_log_curve, normal_field
 
@@ -262,19 +270,24 @@ def mean_M(curve: Curve, k: int, values: Sequence, precision_bits: int = 53) -> 
 
 
 def _divided_difference(weights: Sequence, xs: Sequence, prec: int):
-    """sum_j w_j / prod_{i != j} (x_j - x_i) on raw libmp values: the divided
-    difference at the nodes ``xs`` of any f with f(x_j) = w_j.  Each gap, each
-    product of a denominator (from 1, i ascending), each quotient and each
-    partial sum (j ascending) rounds to nearest at ``prec``.
+    """sum_j w_j / prod_{i != j} (x_j - x_i): the divided difference at the
+    nodes ``xs`` of any f with f(x_j) = w_j.  Takes and returns raw libmp
+    values and computes on ``numerics``' integer (mantissa, exponent) pairs.
+    Each gap, each product of a denominator (from 1, i ascending), each
+    quotient and each partial sum (j ascending) rounds to nearest at
+    ``prec``, exactly as the same steps with libmp's ``mpf_sub``,
+    ``mpf_mul``, ``mpf_div`` and ``mpf_add`` would.
     """
-    total = fzero
-    for j, xj in enumerate(xs):
-        denom = fone
-        for i, xi in enumerate(xs):
+    ws = [_pair(w) for w in weights]
+    nodes = [_pair(x) for x in xs]
+    total = _ZERO
+    for j, xj in enumerate(nodes):
+        denom = _ONE
+        for i, xi in enumerate(nodes):
             if i != j:
-                denom = mpf_mul(denom, mpf_sub(xj, xi, prec, _RND), prec, _RND)
-        total = mpf_add(total, mpf_div(weights[j], denom, prec, _RND), prec, _RND)
-    return total
+                denom = _mul(denom, _sub(xj, xi, prec), prec)
+        total = _add(total, _div(ws[j], denom, prec), prec)
+    return _raw_value(total)
 
 
 def neuman_LN(values: Sequence, precision_bits: int = 53) -> mpmath.mpf:

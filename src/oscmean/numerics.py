@@ -11,17 +11,24 @@ same LU converted once to float64.  It is dense Gaussian elimination,
 O(n^3) for any n: ``mean`` accepts any number of values, and the
 intersection systems reach n = 16 in the tests.
 
-The elimination, the substitutions, the residuals and their norms run on
-raw ``mpmath.libmp`` values (the ``_mpf_`` tuples) rather than on ``mpf``
-objects, which saves an object, an argument conversion and a context lookup
-per operation.  Each operation rounds to nearest at an explicit precision,
-in the order the same code written with ``mpf`` arithmetic under
-``mp.workprec`` would use, so the results are bit-for-bit those of that
-code.  ``solve_linear`` and ``det`` take and return ``mpf`` values; the
-conversion happens there and nowhere else.  The same convention serves the
-other hot loops: ``logpoly.lp_eval_many`` (which also evaluates the plane
-offsets of ``means.hyperplane_at``, as one more log-polynomial) and the
-divided-difference kernel of ``means.neuman_LN`` and ``means.identric_IZ``.
+The elimination, the substitutions, the residuals, their norms and the
+determinant's pivot product run on integer pairs (m, e), the value m * 2^e,
+rather than on ``mpf`` objects or raw ``mpmath.libmp`` tuples: a few private
+primitives round to nearest-even, multiply, add, subtract and divide on the
+integers directly, without building libmp's four-field tuples.  Each returns
+exactly the value the libmp call it replaces (``mpf_mul``, ``mpf_add``,
+``mpf_sub``, ``mpf_div``) returns at the same precision, including
+``mpf_add``'s stand-in for an operand far below the other, which is not
+correctly rounded when the larger operand is wider than the precision.  The
+operations run in the order the same code written with ``mpf`` arithmetic
+under ``mp.workprec`` would use, so the results are bit-for-bit those of
+that code.  ``solve_linear`` and ``det`` take and return ``mpf`` values;
+the conversion happens there, in ``SolveReport``'s two properties, and
+nowhere else.  ``means``' divided-difference kernel, which serves
+``neuman_LN`` and ``identric_IZ``, uses the same primitives.
+``logpoly.lp_eval_many`` (which also evaluates the plane offsets of
+``means.hyperplane_at``, as one more log-polynomial) works on raw libmp
+values, exact in integers per t-power group and rounded once per group.
 """
 
 from __future__ import annotations
@@ -34,27 +41,13 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (
-    from_int,
-    fzero,
-    mpf_abs,
-    mpf_add,
-    mpf_cmp,
-    mpf_div,
-    mpf_mul,
-    mpf_neg,
-    mpf_pos,
-    mpf_shift,
-    mpf_sub,
-    round_nearest,
-)
+from mpmath.libmp import MPZ, fzero
 
 from .errors import BadDimension, NoBracket, SingularSystem
 from .precision import as_mpf, as_mpf_at, require_precision
 
 # Pivots at or below 2^(-precision+8) times the row scale are treated as zero.
 _PIVOT_GUARD_BITS = 8
-_RND = round_nearest
 
 
 @dataclass(frozen=True)
@@ -75,9 +68,11 @@ class SolveReport:
     mantissa: P RAC = (R_p L R_p^-1)(R_p U C).  A pivot that underflows to
     0.0, or any overflow, gives +inf.
 
-    Both are computed on first read from the raw system, right-hand side,
-    LU and permutation kept in ``_factors``, and cached; only ``mean``
-    reads them.
+    Both are computed on first read from the system, right-hand side, LU
+    and permutation kept in ``_factors``, and cached; only ``mean`` reads
+    them.  ``_factors`` holds (system, rhs, lu, perm): the first three as
+    lists (of lists) of integer pairs (m, e), the value m * 2^e with m odd
+    or the pair (0, 0), and perm a list of row indices.
     """
 
     solution: Tuple[mpmath.mpf, ...]
@@ -87,17 +82,17 @@ class SolveReport:
     @cached_property
     def residual_norm(self) -> mpmath.mpf:
         original, rhs, _, _ = self._factors
-        x = [v._mpf_ for v in self.solution]
-        return mp.make_mpf(_residual_norm(original, x, rhs, self._residual_bits))
+        x = [_pair(v._mpf_) for v in self.solution]
+        return mp.make_mpf(_raw_value(_residual_norm(original, x, rhs, self._residual_bits)))
 
     @cached_property
     def condition_estimate(self) -> float:
         original, _, lu, perm = self._factors
-        # R = diag(2^-row_exp), C = diag(2^-col_exp); a nonzero raw value
-        # (sign, man, exp, bc) has 2^(exp+bc-1) <= |v| < 2^(exp+bc)
-        row_exp = [max(v[2] + v[3] for v in row if v[1]) for row in original]
+        # R = diag(2^-row_exp), C = diag(2^-col_exp); a nonzero pair (m, e)
+        # has 2^(e+b-1) <= |v| < 2^(e+b) for b = m.bit_length()
+        row_exp = [max(e + m.bit_length() for m, e in row if m) for row in original]
         col_exp = [
-            max(v[2] + v[3] - r for v, r in zip(column, row_exp) if v[1])
+            max(e + m.bit_length() - r for (m, e), r in zip(column, row_exp) if m)
             for column in zip(*original)
         ]
         a_norm = max(
@@ -117,9 +112,11 @@ class SolveReport:
 
 
 def _to_float(v, shift: int) -> float:
-    """A raw value times 2^shift as a float64, from the top 53 bits of its
+    """A pair times 2^shift as a float64, from the top 53 bits of its
     mantissa; +-inf past the float range."""
-    sign, man, exp, bc = v
+    m, exp = v
+    man = abs(m)
+    bc = man.bit_length()
     if bc > 53:
         man >>= bc - 53
         exp += bc - 53
@@ -127,7 +124,7 @@ def _to_float(v, shift: int) -> float:
         x = math.ldexp(man, exp + shift)
     except OverflowError:
         x = math.inf
-    return -x if sign else x
+    return -x if m < 0 else x
 
 
 def _inverse_norm(lu) -> float:
@@ -150,48 +147,168 @@ def _inverse_norm(lu) -> float:
     return max(sums) if all(map(math.isfinite, sums)) else math.inf
 
 
-def _raw(values: Sequence, precision_bits: int):
-    """Raw values of a sequence: an mpf is taken as given, not rounded;
-    anything else is converted at ``precision_bits``."""
-    return [as_mpf_at(x, precision_bits)._mpf_ for x in values]
+# -- exact integer arithmetic on (mantissa, exponent) pairs --------------------
+#
+# A pair (m, e) is the value m * 2^e, with m a signed integer that is odd
+# unless the value is zero, which is (0, 0).  That is libmp's canonical raw
+# value (sign, |m|, e, bitcount) without the sign and the bitcount, so every
+# primitive below returns exactly the value the libmp call it names returns
+# at the same precision, rounding to nearest with ties to even.
+
+_ZERO = (0, 0)
+_ONE = (1, 0)
 
 
-def _max(values):
-    """The largest of some raw values, as the builtin ``max`` finds it."""
-    best = None
-    for v in values:
-        if best is None or mpf_cmp(v, best) > 0:
-            best = v
-    return best
+def _pair(v):
+    """The pair of a finite raw value."""
+    sign, man, exp, _ = v
+    return (-man if sign else man), exp
+
+
+def _raw_value(x):
+    """The raw value of a pair."""
+    m, e = x
+    if not m:
+        return fzero
+    if m < 0:
+        return (1, MPZ(-m), e, m.bit_length())
+    return (0, MPZ(m), e, m.bit_length())
+
+
+def _pairs(values: Sequence, precision_bits: int):
+    """Pairs of a sequence: an mpf is taken as given, not rounded; anything
+    else is converted at ``precision_bits``."""
+    return [_pair(as_mpf_at(x, precision_bits)._mpf_) for x in values]
+
+
+def _round(m: int, e: int, prec: int):
+    """m * 2^e rounded to ``prec`` bits, as a canonical pair (libmp's
+    ``normalize``).  The tie test works on the two's complement of m, so a
+    negative m rounds by the same rule as its magnitude."""
+    n = m.bit_length() - prec
+    if n > 0:
+        t = m >> (n - 1)
+        if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)):
+            m = (t >> 1) + 1
+        else:
+            m = t >> 1
+        e += n
+    if m & 1:
+        return m, e
+    if not m:
+        return _ZERO
+    zeros = (m & -m).bit_length() - 1
+    return m >> zeros, e + zeros
+
+
+def _mul(x, y, prec: int):
+    """x * y (``mpf_mul``)."""
+    return _round(x[0] * y[0], x[1] + y[1], prec)
+
+
+def _sum(a: int, ea: int, b: int, eb: int, prec: int):
+    """a * 2^ea + b * 2^eb, as ``mpf_add``.  When the exponents are more than
+    100 apart and the smaller operand lies over prec + 4 bits below the
+    larger's top bit, libmp does not add it: it appends prec + 4 zero bits
+    to the larger mantissa and adds or subtracts one unit there.  That is
+    correctly rounded unless the larger operand is wider than ``prec``."""
+    if not a:
+        return _round(b, eb, prec) if b else _ZERO
+    if not b:
+        return _round(a, ea, prec)
+    offset = ea - eb
+    if offset > 100 and a.bit_length() + offset - b.bit_length() > prec + 4:
+        return _round((a << (prec + 4)) + (1 if b > 0 else -1), ea - prec - 4, prec)
+    if offset < -100 and b.bit_length() - offset - a.bit_length() > prec + 4:
+        return _round((b << (prec + 4)) + (1 if a > 0 else -1), eb - prec - 4, prec)
+    if offset >= 0:
+        return _round((a << offset) + b, eb, prec)
+    return _round(a + (b << -offset), ea, prec)
+
+
+def _add(x, y, prec: int):
+    """x + y (``mpf_add``)."""
+    return _sum(x[0], x[1], y[0], y[1], prec)
+
+
+def _sub(x, y, prec: int):
+    """x - y (``mpf_sub``)."""
+    return _sum(x[0], x[1], -y[0], y[1], prec)
+
+
+def _div(x, y, prec: int):
+    """x / y (``mpf_div``): at least prec + 5 quotient bits, the last one
+    set when the division leaves a remainder, then rounded once."""
+    a, ea = x
+    b, eb = y
+    if not b:
+        raise ZeroDivisionError
+    if not a:
+        return _ZERO
+    if b == 1 or b == -1:
+        return _round(a * b, ea - eb, prec)
+    extra = max(prec - a.bit_length() + b.bit_length() + 5, 5)
+    quotient, remainder = divmod(abs(a) << extra, abs(b))
+    if remainder:
+        quotient = (quotient << 1) | 1
+        extra += 1
+    return _round(-quotient if (a < 0) != (b < 0) else quotient, ea - eb - extra, prec)
+
+
+def _abs(x, prec: int):
+    """|x| rounded to ``prec`` (``mpf_abs``)."""
+    return _round(abs(x[0]), x[1], prec)
+
+
+def _gt(x, y) -> bool:
+    """x > y for non-negative pairs, exactly."""
+    a, ea = x
+    b, eb = y
+    if not a or not b:
+        return a > b
+    top_a = a.bit_length() + ea
+    top_b = b.bit_length() + eb
+    if top_a != top_b:
+        return top_a > top_b
+    if ea >= eb:
+        return a << (ea - eb) > b
+    return a > b << (eb - ea)
 
 
 def _max_abs(values, prec: int):
-    """max(abs(v) for v in values), each abs rounded to ``prec``."""
-    return _max(mpf_abs(v, prec, _RND) for v in values)
+    """max(abs(v) for v in values), each abs rounded to ``prec``; the first
+    of equal values, as the builtin ``max`` finds it."""
+    best = None
+    for v in values:
+        v = _abs(v, prec)
+        if best is None or _gt(v, best):
+            best = v
+    return best
 
 
 def _lu_factor(matrix, prec: int):
     """Doolittle LU with scaled partial pivoting; multipliers stored in place.
 
-    Takes and returns raw values.  Returns (lu, perm).  Raises
-    SingularSystem when the best available pivot is at or below
-    2^(-prec + 8) times the scale of its original row.
+    Takes and returns pairs.  Returns (lu, perm).  Raises SingularSystem
+    when the best available pivot is at or below 2^(-prec + 8) times the
+    scale of its original row.
     """
     n = len(matrix)
     lu = [row[:] for row in matrix]
     scales = [_max_abs(row, prec) for row in lu]
-    if any(s == fzero for s in scales):
+    if not all(s[0] for s in scales):
         raise SingularSystem("matrix has an all-zero row")
     perm = list(range(n))
     for col in range(n):
         # the first row of largest |a| / scale pivots
         pivot_row, best = col, None
         for i in range(col, n):
-            ratio = mpf_div(mpf_abs(lu[i][col], prec, _RND), scales[i], prec, _RND)
-            if best is None or mpf_cmp(ratio, best) > 0:
+            ratio = _div(_abs(lu[i][col], prec), scales[i], prec)
+            if best is None or _gt(ratio, best):
                 pivot_row, best = i, ratio
-        guard = mpf_shift(scales[pivot_row], -prec + _PIVOT_GUARD_BITS)
-        if mpf_cmp(mpf_abs(lu[pivot_row][col], prec, _RND), guard) <= 0:
+        scale, scale_exp = scales[pivot_row]
+        guard = (scale, scale_exp - prec + _PIVOT_GUARD_BITS)
+        if not _gt(_abs(lu[pivot_row][col], prec), guard):
             raise SingularSystem(
                 f"pivot {col} fell below the relative threshold; "
                 "the system is numerically singular"
@@ -204,11 +321,11 @@ def _lu_factor(matrix, prec: int):
         pivot = upper[col]
         for i in range(col + 1, n):
             row = lu[i]
-            factor = mpf_div(row[col], pivot, prec, _RND)
+            factor = _div(row[col], pivot, prec)
             row[col] = factor
-            if factor != fzero:
+            if factor[0]:
                 for j in range(col + 1, n):
-                    row[j] = mpf_sub(row[j], mpf_mul(factor, upper[j], prec, _RND), prec, _RND)
+                    row[j] = _sub(row[j], _mul(factor, upper[j], prec), prec)
     return lu, perm
 
 
@@ -219,14 +336,14 @@ def _lu_solve(lu, perm, rhs, prec: int):
         row = lu[i]
         s = x[i]
         for j in range(i):
-            s = mpf_sub(s, mpf_mul(row[j], x[j], prec, _RND), prec, _RND)
+            s = _sub(s, _mul(row[j], x[j], prec), prec)
         x[i] = s
     for i in range(n - 1, -1, -1):
         row = lu[i]
         s = x[i]
         for j in range(i + 1, n):
-            s = mpf_sub(s, mpf_mul(row[j], x[j], prec, _RND), prec, _RND)
-        x[i] = mpf_div(s, row[i], prec, _RND)
+            s = _sub(s, _mul(row[j], x[j], prec), prec)
+        x[i] = _div(s, row[i], prec)
     return x
 
 
@@ -235,10 +352,10 @@ def _residual_vector(A, x, b, precision_bits: int):
     residual measures the solve, not its own rounding."""
     prec = 2 * precision_bits
     out = []
-    for row, bi in zip(A, b):
-        r = mpf_neg(bi, prec, _RND)
+    for row, (bm, be) in zip(A, b):
+        r = _round(-bm, be, prec)
         for a, xj in zip(row, x):
-            r = mpf_add(r, mpf_mul(a, xj, prec, _RND), prec, _RND)
+            r = _add(r, _mul(a, xj, prec), prec)
         out.append(r)
     return out
 
@@ -247,7 +364,7 @@ def _residual_norm(A, x, b, precision_bits: int):
     prec = 2 * precision_bits
     worst = _max_abs(_residual_vector(A, x, b, precision_bits), prec)
     b_norm = _max_abs(b, prec)
-    return mpf_div(worst, b_norm, prec, _RND) if mpf_cmp(b_norm, fzero) > 0 else worst
+    return _div(worst, b_norm, prec) if b_norm[0] else worst
 
 
 _REFINEMENT_STEPS = 2
@@ -269,20 +386,21 @@ def solve_linear(A: Sequence[Sequence], b: Sequence, precision_bits: int = 53) -
         raise BadDimension(f"right-hand side has length {len(b)}, expected {n}")
 
     prec = precision_bits
-    original = [_raw(row, prec) for row in A]
-    rhs = _raw(b, prec)
+    original = [_pairs(row, prec) for row in A]
+    rhs = _pairs(b, prec)
     lu, perm = _lu_factor(original, prec)
     solution = _lu_solve(lu, perm, rhs, prec)
 
     for _ in range(_REFINEMENT_STEPS):
         res = _residual_vector(original, solution, rhs, prec)
-        if all(r == fzero for r in res):
+        if not any(m for m, _ in res):
             break
-        correction = _lu_solve(lu, perm, [mpf_neg(r, prec, _RND) for r in res], prec)
-        solution = [mpf_add(x, d, prec, _RND) for x, d in zip(solution, correction)]
+        correction = _lu_solve(lu, perm, [_round(-m, e, prec) for m, e in res], prec)
+        solution = [_add(x, d, prec) for x, d in zip(solution, correction)]
 
+    # every component was rounded to prec by its last division or addition
     return SolveReport(
-        tuple(mp.make_mpf(mpf_pos(x, prec, _RND)) for x in solution),
+        tuple(mp.make_mpf(_raw_value(x)) for x in solution),
         prec,
         (original, rhs, lu, perm),
     )
@@ -299,7 +417,7 @@ def det(A: Sequence[Sequence], precision_bits: int = 53) -> mpmath.mpf:
     if n == 0 or any(len(row) != n for row in A):
         raise BadDimension("determinant requires a square, nonempty matrix")
     try:
-        lu, perm = _lu_factor([_raw(row, precision_bits) for row in A], precision_bits)
+        lu, perm = _lu_factor([_pairs(row, precision_bits) for row in A], precision_bits)
     except SingularSystem:
         return mp.mpf(0)
     # sort the permutation by swaps; each swap flips the sign
@@ -309,10 +427,10 @@ def det(A: Sequence[Sequence], precision_bits: int = 53) -> mpmath.mpf:
             j = perm[i]
             perm[i], perm[j] = perm[j], perm[i]
             sign = -sign
-    result = from_int(sign)
+    result = (sign, 0)
     for i in range(n):
-        result = mpf_mul(result, lu[i][i], precision_bits, _RND)
-    return mp.make_mpf(result)
+        result = _mul(result, lu[i][i], precision_bits)
+    return mp.make_mpf(_raw_value(result))
 
 
 def find_root_bracketed(

@@ -25,11 +25,12 @@ from .logpoly import LogPoly
 T = LogPoly.term(1, 1, 0)
 #: The component log t.
 LOG_T = LogPoly.term(1, 0, 1)
-#: Entries kept by the :func:`normal_field` cache, the one cache here: every
-#: ``mean`` request and every intersection in the scans asks for its curve's
-#: field again.  ``verify --max-n 7``, both conjecture curves and ``mean`` up
-#: to n = 10 fill at most 40 entries; the bound stops a process that sees many
-#: distinct curves from growing without limit.
+#: Entries kept by each cache here, :func:`make_log_curve`'s and
+#: :func:`normal_field`'s: every ``mean`` request and every intersection in
+#: the scans asks for its curve, and its curve's field, again.  ``verify
+#: --max-n 7``, both conjecture curves and ``mean`` up to n = 10 fill at most
+#: 40 entries; the bound stops a process that sees many distinct curves from
+#: growing without limit.
 CACHE_MAXSIZE = 128
 
 
@@ -79,8 +80,10 @@ class DerivTable:
 # -- curve constructors ------------------------------------------------------
 
 
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def make_log_curve(n: int) -> Curve:
-    """The curve <t, t*log t, ..., t*(log t)^(n-1)>."""
+    """The curve <t, t*log t, ..., t*(log t)^(n-1)>, built once per n (a
+    ``Curve`` is immutable, so every caller can share it)."""
     if n < 2:
         raise BadDimension(f"log curve needs n >= 2, got {n}")
     return Curve(tuple(LogPoly.term(1, 1, k) for k in range(n)), label="log")

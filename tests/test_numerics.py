@@ -1,11 +1,16 @@
 """Linear solver and bracketed root finder at configurable precision."""
 
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
+from mpmath.libmp import from_man_exp, mpf_add, mpf_div, mpf_mul, mpf_sub, round_nearest
+
+from oscmean import numerics
 from oscmean.errors import BadDimension, BadParameter, NoBracket, SingularSystem
 from oscmean.logpoly import lp_eval
 from oscmean.means import hyperplane_at
@@ -131,6 +136,31 @@ def _log_minor_system():
     return [p.normal for p in planes], [p.offset for p in planes]
 
 
+def _wide(k, scale=0, tie_at=None):
+    # 2^scale times a 400-bit value in [1, 2), the leading bits of sqrt(k)
+    # for k in [1, 4); with tie_at, its first tie_at bits, a one, zeros and
+    # a final one, so that it lies just above a tie at tie_at bits
+    man = math.isqrt(k << 798)
+    if tie_at is not None:
+        man = (man >> (400 - tie_at) << 1 | 1) << (399 - tie_at) | 1
+    return mp.make_mpf(from_man_exp(man, scale - 399))
+
+
+def _wide_system():
+    # 400-bit entries, wider than the working precision, and a column 0 that
+    # spans 2^-480..1: the elimination and the forward substitution subtract
+    # products far below a wide operand, where mpf_add stands in a unit for
+    # them.  At 113 and 256 bits the ties at 113 and 256 bits make that
+    # differ from the correctly rounded difference.
+    A = [
+        [mp.mpf(1), _wide(2, -1), _wide(3, -1)],
+        [mp.ldexp(1, -393), _wide(2, 0, 113), _wide(3, 0, 256)],
+        [mp.ldexp(1, -480), _wide(5, -1), _wide(6, -1)],
+    ]
+    b = [_wide(7, -1), _wide(2, 0, 113), _wide(3, -1, 256)]
+    return A, b
+
+
 _SYSTEMS = {
     "decimal3": lambda: (
         [["0.1", "2.7", "-1.3"], ["3.3", "-0.45", "1.9"], ["-2.2", "1.1", "0.7"]],
@@ -141,6 +171,7 @@ _SYSTEMS = {
         [1, -2, 3, 0.5, Fraction(7, 3)],
     ),
     "log7": _log_minor_system,
+    "wide3": _wide_system,
 }
 
 # (solution, residual_norm, condition_estimate, det), each repr taken at the
@@ -255,6 +286,36 @@ _PINNED_SYSTEMS = {
         "56796.84069966886",
         "mpf('1.153975322364529765058597173354217794675928768423091091295533714862077971013292e-26')",
     ),
+    ("wide3", 53): (
+        [
+            "mpf('0.61576887434574779')",
+            "mpf('-1.135050993654408')",
+            "mpf('1.7432618364251682')",
+        ],
+        "mpf('2.250293470120664729524243139156317e-17')",
+        "45.50392050813706",
+        "mpf('-0.20444086553483123')",
+    ),
+    ("wide3", 113): (
+        [
+            "mpf('0.615768874345747770849963514714781208')",
+            "mpf('-1.13505099365440792058418925466840821')",
+            "mpf('1.74326183642516815710633435032971851')",
+        ],
+        "mpf('1.010226804982545233204196122143132969446963153544273743712297634005653e-34')",
+        "45.50392050813708",
+        "mpf('-0.204440865534831149062186358385327495')",
+    ),
+    ("wide3", 256): (
+        [
+            "mpf('0.615768874345747770849963514714781171356169196473506120448175444447544500955989')",
+            "mpf('-1.135050993654407920584189254668408152691036468747133896580951411196056237056313')",
+            "mpf('1.743261836425168157106334350329718546319587925688102644188624554087140943472723')",
+        ],
+        "mpf('6.93846584413784511390150356826947210363544943506433532719096441611721711845231858299563098183948102562831176611883849405973891704125966218583759270863456287e-78')",
+        "45.50392050813708",
+        "mpf('-0.2044408655348311490621863583853274359334468807696829734105725896257792742577141')",
+    ),
 }
 
 
@@ -270,6 +331,32 @@ def test_solve_and_det_bits_are_pinned(name, bits):
         assert repr(determinant) == expected_det
     with mp.workprec(2 * bits):
         assert repr(report.residual_norm) == residual
+
+
+@pytest.mark.parametrize("bits", [53, 113, 256])
+def test_wide_system_reaches_the_unit_stand_in(monkeypatch, bits):
+    # the pinned wide3 bits rest on additions that take mpf_add's unit
+    # stand-in with a larger operand wider than the working precision, both
+    # in the elimination and in the forward substitution
+    reached = set()
+    original_sum = numerics._sum
+
+    def recording(*args):
+        a, ea, b, eb, prec = args
+        if ea < eb:
+            a, ea, b, eb = b, eb, a, ea
+        if (
+            a and b and ea - eb > 100 and a.bit_length() > prec
+            and (a.bit_length() + ea) - (b.bit_length() + eb) > prec + 4
+        ):
+            # the caller of _add or _sub
+            reached.add(sys._getframe(2).f_code.co_name)
+        return original_sum(*args)
+
+    monkeypatch.setattr(numerics, "_sum", recording)
+    A, b = _wide_system()
+    solve_linear(A, b, bits)
+    assert reached == {"_lu_factor", "_lu_solve"}
 
 
 def test_refinement_corrections_are_rounded_to_working_precision():
@@ -297,6 +384,80 @@ def test_refinement_corrections_are_rounded_to_working_precision():
     with mp.workprec(226):
         assert repr(report.residual_norm) == (
             "mpf('4.889294092912107630085669257370400704253647489736540290280511282172554e-26')"
+        )
+
+
+# -- integer (mantissa, exponent) arithmetic against libmp --------------------------
+
+
+def _fuzz_mantissa(rng, prec):
+    """A signed mantissa: zero, a power of two, a random one up to 64 bits
+    wider than prec, an exact tie at prec, or a run of ones that carries."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        man = 1
+    elif kind == 2:
+        width = rng.randint(1, prec + 64)
+        man = 1 << (width - 1) | rng.getrandbits(width - 1)
+    elif kind == 3:
+        # prec random bits, a one, then zeros: halfway between two values
+        man = ((1 << (prec - 1) | rng.getrandbits(prec - 1)) << 1 | 1) << rng.randrange(20)
+    else:
+        man = (1 << (prec + rng.randrange(3))) - 1
+    return -man if rng.random() < 0.5 else man
+
+
+def _fuzz_offset(rng):
+    """An exponent offset: 0, at most 100, above 100, or about 10^4."""
+    offset = rng.choice((0, rng.randint(1, 100), rng.randint(101, 400), rng.randint(9900, 10100)))
+    return -offset if rng.random() < 0.5 else offset
+
+
+def _perturbation_case(rng, prec):
+    """An addition libmp does not round correctly: s is wider than prec and
+    just above a tie (prec bits, a one, 40 zeros, a one), and t, of the
+    opposite sign, lies 120 exponents lower but reaches 30 bits above s's
+    last bit, so s + t is below the tie while s plus a unit is above it."""
+    s = ((1 << (prec - 1) | rng.getrandbits(prec - 1)) << 1 | 1) << 41 | 1
+    t = -(1 << 149 | rng.getrandbits(149) | 1)
+    s_exp = rng.randint(-50, 50)
+    if rng.random() < 0.5:
+        s, t = -s, -t
+    return from_man_exp(s, s_exp), from_man_exp(t, s_exp - 120)
+
+
+@pytest.mark.parametrize("prec", [53, 83, 113, 143, 256, 286, 1500])
+def test_pair_arithmetic_matches_libmp(prec):
+    rng = random.Random(prec)
+    cases = [_perturbation_case(rng, prec) for _ in range(10)]
+    for _ in range(1500):
+        s = from_man_exp(_fuzz_mantissa(rng, prec), rng.randint(-50, 50))
+        t = from_man_exp(_fuzz_mantissa(rng, prec), 0)
+        if t[1]:
+            t = (t[0], t[1], s[2] - _fuzz_offset(rng), t[3])
+        cases.append((s, t))
+    for s, t in cases:
+        x, y = numerics._pair(s), numerics._pair(t)
+        for ours, theirs in (
+            (numerics._add, mpf_add),
+            (numerics._sub, mpf_sub),
+            (numerics._mul, mpf_mul),
+        ):
+            assert numerics._raw_value(ours(x, y, prec)) == theirs(s, t, prec, round_nearest), (
+                ours.__name__, s, t,
+            )
+        if t[1]:
+            assert numerics._raw_value(numerics._div(x, y, prec)) == mpf_div(
+                s, t, prec, round_nearest
+            ), (s, t)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                numerics._div(x, y, prec)
+        man = _fuzz_mantissa(rng, prec)
+        assert numerics._raw_value(numerics._round(man, 7, prec)) == from_man_exp(
+            man, 7, prec, round_nearest
         )
 
 
