@@ -63,10 +63,10 @@ class LogPoly:
     is an ``int`` when integral and a ``Fraction`` with denominator > 1
     otherwise, and terms are ordered lexicographically by
     ``(t_power, log_power)``.  Instances are hashable and safe to share
-    across threads.
+    across threads; the hash is computed on first use and kept.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_hash")
 
     def __init__(
         self,
@@ -148,7 +148,12 @@ class LogPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(self._terms)
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(self._terms)
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def __repr__(self) -> str:
         return f"LogPoly({to_text(self)!r})"

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import ceil, factorial
 from typing import Dict, Sequence, Tuple
 
 import mpmath
@@ -36,6 +36,7 @@ from mpmath.libmp import (
     from_rational,
     mpf_exp,
     mpf_log,
+    mpf_lt,
     mpf_mul,
     mpf_pos,
     mpf_pow_int,
@@ -58,6 +59,7 @@ from .numerics import (
     SolveReport,
     _add,
     _div,
+    _gt,
     _mul,
     _pair,
     _raw_value,
@@ -72,6 +74,17 @@ from .wronskian import CACHE_MAXSIZE, Curve, T, make_log_curve, normal_field
 #: automatic escalation to at least 113 significand bits.
 LN_GAP_FLOOR = 1e-6
 ESCALATED_PRECISION_BITS = 113
+# ln(b/a) >= (b - a)/b, so positive values a < b with a * 2^_GAP_SHIFT <=
+# b * _GAP_KEEP, that is (b - a)/b >= LN_GAP_FLOOR + 2^-30, have a log gap
+# at least that large.  When every value lies in [2^(top-1), 2^top) with
+# |top| <= _GAP_MAX_TOP, a 53-bit log is within one unit in its last place,
+# 2^-52 * (2^21 + 1) * ln 2 < 3.3e-10, so two rounded logs and their
+# rounded difference still reach the floor.
+_GAP_SHIFT = 40
+_GAP_KEEP = (1 << _GAP_SHIFT) - ceil(
+    (Fraction(LN_GAP_FLOOR) + Fraction(1, 1 << 30)) * (1 << _GAP_SHIFT)
+)
+_GAP_MAX_TOP = 1 << 21
 #: Internal headroom for intersections and closed-form mean evaluations:
 #: the arithmetic carries this many extra bits so that log-gap cancellation
 #: does not eat into the digits of the answer delivered at the requested
@@ -88,7 +101,7 @@ class Hyperplane:
     offset: mpmath.mpf
 
     def __post_init__(self):
-        if not any(abs(c) > 0 for c in self.normal):
+        if not any(self.normal):
             raise DomainError("hyperplane normal is the zero vector")
 
 
@@ -108,11 +121,34 @@ class IntersectionResult:
 # -- input validation --------------------------------------------------------
 
 
+def _strictly_increasing_positive(values: Sequence) -> bool:
+    """True when ``values`` are finite, positive, strictly increasing mpf
+    values, checked with n - 1 raw comparisons."""
+    raws = []
+    for v in values:
+        if not isinstance(v, mpmath.mpf):
+            return False
+        raws.append(v._mpf_)
+    first, last = raws[0], raws[-1]
+    # zero, inf and nan have a zero mantissa; a value between two finite
+    # positive ones is finite and positive, and nan compares false
+    if first[0] or not first[1] or not last[1]:
+        return False
+    return all(map(mpf_lt, raws, raws[1:]))
+
+
 def sorted_positive_distinct(values: Sequence, precision_bits: int = 53) -> Tuple[mpmath.mpf, ...]:
-    """Parse, validate, and sort mean inputs at the given precision."""
+    """Parse, validate, and sort mean inputs at the given precision.
+
+    An mpf is taken as given, not rounded, so values that are already
+    validated (finite, positive, strictly increasing mpf values) come back
+    as they are, after n - 1 comparisons.
+    """
     require_precision(precision_bits)
     if len(values) < 2:
         raise BadDimension(f"need at least 2 values, got {len(values)}")
+    if _strictly_increasing_positive(values):
+        return tuple(values)
     with mp.workprec(precision_bits):
         parsed = [as_mpf(v) for v in values]
         for v in parsed:
@@ -125,8 +161,31 @@ def sorted_positive_distinct(values: Sequence, precision_bits: int = 53) -> Tupl
     return tuple(parsed)
 
 
+def _log_gaps_clear_the_floor(values: Sequence) -> bool:
+    """True when the 53-bit log gaps of ``values``, increasing positive mpf
+    values, provably all reach ``LN_GAP_FLOOR``, with no log taken."""
+    pairs = []
+    for v in values:
+        if not isinstance(v, mpmath.mpf):
+            return False
+        sign, man, exp, bc = v._mpf_
+        if sign or not man or abs(exp + bc) > _GAP_MAX_TOP:
+            return False
+        pairs.append((man, exp))
+    return not any(
+        _gt((a, ea + _GAP_SHIFT), (b * _GAP_KEEP, eb))
+        for (a, ea), (b, eb) in zip(pairs, pairs[1:])
+    )
+
+
 def ln_gap_warnings(values: Sequence) -> Tuple[str, ...]:
-    """Conditioning warnings for sorted positive values with close logs."""
+    """Conditioning warnings for sorted positive values with close logs.
+
+    The logs are taken at 53 bits, unless the inputs' relative gaps show
+    that every log gap clears ``LN_GAP_FLOOR`` whatever their rounding.
+    """
+    if len(values) >= 2 and _log_gaps_clear_the_floor(values):
+        return ()
     with mp.workprec(53):
         logs = [mp.log(as_mpf(v)) for v in values]
         smallest = min(b - a for a, b in zip(logs, logs[1:]))

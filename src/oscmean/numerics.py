@@ -2,8 +2,11 @@
 
 Everything here works on mpmath floats so the significand width can be
 raised at runtime; 53 bits reproduces IEEE double behaviour.  One
-scaled-pivot LU factorization serves both the solver and det.  The solver's
-report computes two numbers only when they are read: the residual
+scaled-pivot LU factorization serves both the solver and det.  The solver
+takes one step of iterative refinement, which leaves a relative error of
+about 2^-w + (kappa * 2^-w)^2 at working precision w against the exact
+solution of the system as given (``solve_linear``).  The solver's report
+computes two numbers only when they are read: the residual
 ||Ax - b||_inf / ||b||_inf of its solution (``means.intersect`` swaps in
 the rounded point and the requested precision), and the infinity-norm
 condition number of the system equilibrated by powers of two, from the
@@ -176,9 +179,17 @@ def _raw_value(x):
 
 
 def _pairs(values: Sequence, precision_bits: int):
-    """Pairs of a sequence: an mpf is taken as given, not rounded; anything
-    else is converted at ``precision_bits``."""
-    return [_pair(as_mpf_at(x, precision_bits)._mpf_) for x in values]
+    """Pairs of a sequence: a finite mpf is read as given, not rounded;
+    anything else is converted at ``precision_bits`` (``as_mpf_at``, which
+    refuses inf and nan)."""
+    out = []
+    for x in values:
+        # inf and nan are the raw values with a zero mantissa other than 0
+        if isinstance(x, mpmath.mpf) and (x._mpf_[1] or x._mpf_ == fzero):
+            out.append(_pair(x._mpf_))
+        else:
+            out.append(_pair(as_mpf_at(x, precision_bits)._mpf_))
+    return out
 
 
 def _round(m: int, e: int, prec: int):
@@ -367,16 +378,24 @@ def _residual_norm(A, x, b, precision_bits: int):
     return _div(worst, b_norm, prec) if b_norm[0] else worst
 
 
-_REFINEMENT_STEPS = 2
-
-
 def solve_linear(A: Sequence[Sequence], b: Sequence, precision_bits: int = 53) -> SolveReport:
     """Solve Ax = b by row-pivoted elimination at the requested precision.
 
-    After the factorization the solution is polished with iterative
-    refinement (residuals accumulated at twice the working precision), which
-    recovers near-working-precision accuracy even when log-gap cancellation
-    makes the system ill-conditioned.
+    After the factorization the solution takes one step of iterative
+    refinement: the residual b - Ax accumulated at twice the working
+    precision w and rounded to w, one more solve with the kept LU, and the
+    correction added at w.  An exactly zero residual skips the step.
+
+    Guarantee: the relative error against the exact solution of the system
+    as given (its entries taken exactly) is about 2^-w + (kappa * 2^-w)^2,
+    with kappa as in ``SolveReport.condition_estimate``; a second step would
+    bring it to about 2^-w (Skeel 1980; Higham 2002, ch. 12).  On seeded
+    log-curve intersection systems at w = 83, one step left at most 13
+    units of 2^-83 at n = 10 and 3.2e6 units, about 2^-61, at n = 12, where
+    two steps left under one unit; up to n = 7, at 83, 143 and 286 bits,
+    one step stays within one unit.  That is enough for ``means.intersect``:
+    its planes already carry about kappa * 3.4 * 2^-w of rounding from their
+    evaluation, and it rounds the point to 30 bits below w.
     """
     require_precision(precision_bits)
     n = len(A)
@@ -391,10 +410,8 @@ def solve_linear(A: Sequence[Sequence], b: Sequence, precision_bits: int = 53) -
     lu, perm = _lu_factor(original, prec)
     solution = _lu_solve(lu, perm, rhs, prec)
 
-    for _ in range(_REFINEMENT_STEPS):
-        res = _residual_vector(original, solution, rhs, prec)
-        if not any(m for m, _ in res):
-            break
+    res = _residual_vector(original, solution, rhs, prec)
+    if any(m for m, _ in res):
         correction = _lu_solve(lu, perm, [_round(-m, e, prec) for m, e in res], prec)
         solution = [_add(x, d, prec) for x, d in zip(solution, correction)]
 

@@ -64,6 +64,13 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
+def test_hyperplane_refuses_a_zero_normal():
+    with pytest.raises(DomainError):
+        means.Hyperplane(normal=(mp.mpf(0), mp.mpf(0)), offset=mp.mpf(1))
+    plane = means.Hyperplane(normal=(mp.mpf(0), mp.mpf(-2)), offset=mp.mpf(1))
+    assert plane.normal[1] == -2
+
+
 def test_hyperplane_takes_one_log_per_point(monkeypatch):
     # the evaluator takes log t on the raw value; a log through the mpf
     # interface would count too
@@ -204,7 +211,7 @@ def test_inverse_is_built_only_when_the_condition_estimate_is_read(monkeypatch):
     solves = _counting(monkeypatch, numerics, "_lu_solve")
     inverses = _counting(monkeypatch, numerics, "_inverse_norm")
     report = intersect(make_log_curve(7), [1.5, 2, 3, 4.5, 6, 8, 11], 113).report
-    assert len(solves) <= 3  # the solve and at most two refinement steps
+    assert len(solves) <= 2  # the solve and one refinement step
     assert not inverses
     before = len(solves)
     first = report.condition_estimate
@@ -232,9 +239,10 @@ def test_scans_build_no_inverse(monkeypatch):
     residuals = _counting(monkeypatch, numerics, "_residual_norm")
     identities.main_theorem_scan(5, trials=3)
     assert len(factors) == 3
-    assert len(solves) <= 3 * len(factors)
+    # the solve and one refinement step per factorization
+    assert len(solves) <= 2 * len(factors)
     assert not inverses
-    # the refinement steps measure their residual vectors; no norm is read
+    # the refinement step measures its residual vector; no norm is read
     assert not residuals
 
 
@@ -653,6 +661,95 @@ def test_mean_request_escalates_on_tiny_ln_gap():
 def test_ln_gap_warning_helper():
     assert ln_gap_warnings((2.0, 7.0)) == ()
     assert ln_gap_warnings((2.0, 2.0 + 2e-7))
+
+
+def test_validated_values_come_back_as_given(monkeypatch):
+    parsed = _counting(monkeypatch, means, "as_mpf")
+    with mp.workprec(400):
+        values = [mp.mpf(1) / 3, mp.mpf(2), mp.mpf(10) ** 90]
+    out = means.sorted_positive_distinct(values, 53)
+    assert type(out) is tuple
+    assert len(out) == 3
+    assert all(a is b for a, b in zip(out, values))
+    # already increasing, positive and finite mpf values are not parsed again
+    assert not parsed
+    assert means.sorted_positive_distinct(out, 113) == out
+
+
+@pytest.mark.parametrize(
+    "values, error, message",
+    [
+        ((3, 2), None, None),
+        ((2, 2, 3), DistinctnessViolation, "duplicate value 2.0"),
+        ((1, 2, 2), DistinctnessViolation, "duplicate value 2.0"),
+        ((0, 2), NonPositiveArgument, "values must be positive, got 0.0"),
+        ((-1, 2), NonPositiveArgument, "values must be positive, got -1.0"),
+        ((1, -2), NonPositiveArgument, "values must be positive, got -2.0"),
+        ((1, mp.inf), BadParameter, "value mpf('+inf') is not finite"),
+        ((-mp.inf, 1), BadParameter, "value mpf('-inf') is not finite"),
+        ((1, mp.nan), BadParameter, "value mpf('nan') is not finite"),
+        ((mp.nan, 1), BadParameter, "value mpf('nan') is not finite"),
+    ],
+)
+def test_other_mpf_inputs_take_the_full_check(values, error, message):
+    values = [mp.mpf(v) for v in values]
+    if error is None:
+        assert means.sorted_positive_distinct(values) == tuple(sorted(values))
+        return
+    with pytest.raises(error) as err:
+        means.sorted_positive_distinct(values)
+    assert str(err.value) == message
+
+
+def _gap_warnings_by_logs(monkeypatch, values):
+    with monkeypatch.context() as patch:
+        patch.setattr(means, "_log_gaps_clear_the_floor", lambda values: False)
+        return ln_gap_warnings(values)
+
+
+_GAP_BASES = ("1.5", "7", "1e-300", "1e300", "1e-100000", "1e100000")
+
+
+@pytest.mark.parametrize(
+    "x",
+    [mp.mpf(base) for base in _GAP_BASES]
+    + [mp.ldexp(1.3, 3 - (1 << 21)), mp.ldexp(1.3, (1 << 21) - 3)],
+    ids=list(_GAP_BASES) + ["1.3*2^-2097149", "1.3*2^2097149"],
+)
+def test_ln_gap_shortcut_agrees_with_the_logs(monkeypatch, x):
+    with mp.workprec(113):
+        # relative gaps (b - a)/b from 5e-7 to 4e-6
+        gaps = [mp.mpf("5e-7") * mp.mpf(8) ** (mp.mpf(i) / 40) for i in range(41)]
+        cases = [(x, x / (1 - g)) for g in gaps] + [(x, x / (1 - g), 3 * x) for g in gaps]
+        # a relative gap just above the floor, at points whose logs sit at
+        # different offsets in their last 53-bit place: at large exponents
+        # some of the rounded log gaps fall below the floor
+        near = mp.mpf(1e-6) + mp.ldexp(1, -39)
+        points = [x * (1 + mp.ldexp(i * 0.3719, -32)) for i in range(200)]
+        cases += [(y, y / (1 - near)) for y in points]
+    fired = set()
+    for values in cases:
+        expected = _gap_warnings_by_logs(monkeypatch, values)
+        assert ln_gap_warnings(values) == expected
+        fired.add(bool(expected))
+    assert fired == {True, False}
+
+
+def test_ln_gap_shortcut_takes_no_log_when_the_gaps_are_clear(monkeypatch):
+    logs = _counting(monkeypatch, mp, "log")
+    clear = (mp.mpf(2), mp.mpf("2.00001"), mp.mpf(9))
+    assert ln_gap_warnings(clear) == ()
+    assert not logs
+    # a relative gap of 1e-6 + 2^-31 is too close to the floor to skip
+    # the logs, and so are exponents past 2^21 and values given as floats
+    for values in [
+        (mp.mpf(2), mp.mpf(2) * (1 + mp.mpf("1e-6") + mp.ldexp(1, -31))),
+        (mp.ldexp(1, 1 << 22), mp.ldexp(3, 1 << 22)),
+        (2.0, 9.0),
+    ]:
+        before = len(logs)
+        assert ln_gap_warnings(values) == ()
+        assert len(logs) == before + len(values)
 
 
 def test_evaluate_request_agreement():

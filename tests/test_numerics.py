@@ -12,6 +12,7 @@ from mpmath.libmp import from_man_exp, mpf_add, mpf_div, mpf_mul, mpf_sub, round
 
 from oscmean import numerics
 from oscmean.errors import BadDimension, BadParameter, NoBracket, SingularSystem
+from oscmean.identities import draw_tuple
 from oscmean.logpoly import lp_eval
 from oscmean.means import hyperplane_at
 from oscmean.numerics import det, find_root_bracketed, solve_linear
@@ -56,6 +57,24 @@ def test_shape_validation():
         solve_linear([[1, 2], [3]], [1, 2])
     with pytest.raises(BadParameter):
         solve_linear([[1]], [1], precision_bits=10)
+
+
+@pytest.mark.parametrize("bad", [mp.inf, -mp.inf, mp.nan])
+def test_non_finite_entries_are_refused(bad):
+    with pytest.raises(BadParameter):
+        solve_linear([[1, 0], [0, bad]], [1, 1])
+    with pytest.raises(BadParameter):
+        solve_linear([[1, 0], [0, 1]], [bad, 1])
+    with pytest.raises(BadParameter):
+        det([[bad, 0], [0, 1]])
+
+
+def test_mpf_entries_are_read_as_given():
+    # zero, and 400-bit entries that 53 bits would round
+    with mp.workprec(400):
+        third = mp.mpf(1) / 3
+    report = solve_linear([[third, mp.mpf(0)], [mp.mpf(0), mp.mpf(1)]], [third, 2], 400)
+    assert report.solution == (1, 2)
 
 
 def test_random_well_conditioned_residuals():
@@ -385,6 +404,64 @@ def test_refinement_corrections_are_rounded_to_working_precision():
         assert repr(report.residual_norm) == (
             "mpf('4.889294092912107630085669257370400704253647489736540290280511282172554e-26')"
         )
+
+
+def _exact_solution(A, b):
+    """Gauss-Jordan in Fractions: the exact solution of a nonsingular system."""
+    n = len(A)
+    rows = [list(row) + [rhs] for row, rhs in zip(A, b)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if rows[i][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for i in range(n):
+            if i != col and rows[i][col]:
+                factor = rows[i][col] / rows[col][col]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[col])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def _fraction(pair):
+    m, e = pair
+    return Fraction(m) * Fraction(2) ** e
+
+
+def _units_off(pairs, truth, bits):
+    """The largest |x_i - x*_i| / |x*_i| over the components, in units of 2^-bits."""
+    return max(abs(_fraction(x) - t) / abs(t) * 2 ** bits for x, t in zip(pairs, truth))
+
+
+def _log_curve_systems(n, bits, count=4):
+    """Seeded intersection systems of the log curve, as built at ``bits``,
+    with their pairs and the exact solution of those rounded pairs."""
+    rng = random.Random(1000 * n + bits)
+    curve = make_log_curve(n)
+    for _ in range(count):
+        planes = [hyperplane_at(curve, a, bits) for a in draw_tuple(rng, n, 1.1, 50)]
+        A = [plane.normal for plane in planes]
+        b = [plane.offset for plane in planes]
+        A_pairs = [numerics._pairs(row, bits) for row in A]
+        b_pairs = numerics._pairs(b, bits)
+        truth = _exact_solution(
+            [[_fraction(v) for v in row] for row in A_pairs], [_fraction(v) for v in b_pairs]
+        )
+        yield A, b, A_pairs, b_pairs, truth
+
+
+@pytest.mark.parametrize("bits", [83, 143, 286])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_one_refinement_step_is_within_a_unit_of_the_exact_solution(n, bits):
+    # the solve and one refinement step leave each component within 2^-bits
+    # relative of the exact solution of the rounded system; the uncorrected
+    # LU solution is not, on the same systems (the negative control)
+    worst_refined = worst_unrefined = 0
+    for A, b, A_pairs, b_pairs, truth in _log_curve_systems(n, bits):
+        solution = [numerics._pair(x._mpf_) for x in solve_linear(A, b, bits).solution]
+        worst_refined = max(worst_refined, _units_off(solution, truth, bits))
+        lu, perm = numerics._lu_factor(A_pairs, bits)
+        unrefined = numerics._lu_solve(lu, perm, b_pairs, bits)
+        worst_unrefined = max(worst_unrefined, _units_off(unrefined, truth, bits))
+    assert worst_refined <= 1
+    assert worst_unrefined > 1
 
 
 # -- integer (mantissa, exponent) arithmetic against libmp --------------------------
