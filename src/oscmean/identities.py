@@ -11,6 +11,16 @@ The randomized scans share one loop: each draws seeded tuples whose adjacent
 log gaps are at least ``MIN_LN_GAP``, runs its checks on every tuple, and
 keeps the largest relative error of each check.  The tuples are well
 separated, so report rows carry no conditioning warnings.
+
+Every numeric identity at one n comes from one scan, ``numeric_scan``: it
+draws each tuple once (from [1.1, 50] for n >= 3) and intersects the
+tuple's osculating hyperplanes once, at p + ``GUARD_BITS`` bits.  The
+main-theorem row compares that intersection's first coordinate with
+``neuman_LN``, both rounded to p.  The prop3, prop4 and Cramer-quotient
+rows are computed at p + ``GUARD_BITS`` on the planes the intersection
+built, the minor determinant read from the solve's LU, so one elimination
+serves the solve and that determinant.  The n = 2 tangent row is the same
+check on pairs from [0.2, 50].
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from .errors import BadDimension, BadParameter, DistinctnessViolation
 # in this module calls it.
 from .logpoly import LogPoly, lp_eval, substitute_power
 from .means import (
-    hyperplane_at,
+    GUARD_BITS,
     identric_IZ,
     intersect,
     mean_M,
@@ -203,7 +213,7 @@ def lemma7_check(b: Sequence) -> Tuple[Fraction, Fraction]:
     return lhs, rhs
 
 
-# -- numeric determinant identities --------------------------------------------
+# -- numeric identities --------------------------------------------------------
 
 
 def _det_closed_form(vals: Sequence[mpmath.mpf], product: mpmath.mpf) -> mpmath.mpf:
@@ -219,41 +229,47 @@ def _rel_error(value: mpmath.mpf, reference: mpmath.mpf) -> mpmath.mpf:
     return abs(value - reference) / abs(reference)
 
 
-def determinant_checks(
-    a: Sequence, precision_bits: int = 53
-) -> Tuple[mpmath.mpf, mpmath.mpf, mpmath.mpf]:
-    """Relative errors of prop3, prop4 and the Cramer quotient at one tuple.
+def numeric_checks(a, precision_bits: int = 53) -> Tuple[mpmath.mpf, ...]:
+    """Relative errors of every numeric identity at one tuple, all read off
+    one intersection of the tuple's osculating hyperplanes on the log curve.
 
-    The minor matrix has row j equal to the signed minors evaluated at a_j: the
-    normal of the osculating hyperplane there (``hyperplane_at``).  prop3: its
-    determinant is (prod r!)^(n-2) times the product of log gaps over prod
-    a_j^((n-1)(n-2)/2).  prop4: with column 1 replaced by the full Wronskian
-    (the plane's offset), the determinant is (-1)^(n-1) (n-1)! (prod r!)^(n-2)
-    times sum_i (-1)^(i+1) a_i prod_{j<k; j,k != i} (ln a_k - ln a_j), over the
-    same power of the a_j.  The quotient of the two determinants is the first
-    intersection coordinate and must agree with ``neuman_LN``; when the minor
-    determinant evaluates to 0 its error is ``mp.inf``.
+    The last error is the main theorem's: the intersection's first
+    coordinate M_1 against ``neuman_LN``, both rounded to ``precision_bits``.
+    At n = 2 (the tangent case) it is the only one.  For n >= 3 the errors
+    of prop3, prop4 and the Cramer quotient come first, taken on the planes
+    the intersection built, at its working precision w = precision_bits +
+    ``GUARD_BITS``.  The minor matrix has row j equal to the plane normal at
+    a_j, and its determinant is the solve's (``SolveReport.determinant``).
+    prop3: that determinant is (prod r!)^(n-2) times the product of log
+    gaps over prod a_j^((n-1)(n-2)/2).  prop4: with column 1 replaced by
+    the planes' offsets (the full Wronskian), the determinant is (-1)^(n-1)
+    (n-1)! (prod r!)^(n-2) times sum_i (-1)^(i+1) a_i prod_{j<k; j,k != i}
+    (ln a_k - ln a_j), over the same power of the a_j.  The closed forms
+    take their logs at w.  The quotient of the two determinants is the
+    first intersection coordinate by Cramer's rule and must agree with
+    ``neuman_LN``.  A numerically singular minor matrix raises
+    ``SingularSystem`` from the solve.
     """
     vals = sorted_positive_distinct(a, precision_bits)
     n = len(vals)
-    if n < 3:
-        raise BadDimension(f"need at least 3 values, got {n}")
-    curve = make_log_curve(n)
-    planes = [hyperplane_at(curve, v, precision_bits) for v in vals]
-    minors = [plane.normal for plane in planes]
-    replaced = [(plane.offset,) + plane.normal[1:] for plane in planes]
-    det_minors = det(minors, precision_bits)
-    det_replaced = det(replaced, precision_bits)
+    result = intersect(make_log_curve(n), vals, precision_bits)
+    reference = neuman_LN(vals, precision_bits)
     with mp.workprec(precision_bits):
+        m1 = _rel_error(result.means[1], reference)
+    if n == 2:
+        return (m1,)
+    work_bits = precision_bits + GUARD_BITS
+    det_minors = result.report.determinant
+    det_replaced = det(
+        [(plane.offset,) + plane.normal[1:] for plane in result.planes], work_bits
+    )
+    with mp.workprec(work_bits):
         logs = [mp.log(v) for v in vals]
         prop3 = _rel_error(det_minors, _det_closed_form(vals, vandermonde(logs)))
         alternating = (-1) ** (n - 1) * factorial(n - 1) * alternating_cofactor_sum(vals, logs)
         prop4 = _rel_error(det_replaced, _det_closed_form(vals, alternating))
-        if det_minors == 0:
-            quotient = mp.inf
-        else:
-            quotient = _rel_error(det_replaced / det_minors, neuman_LN(vals, precision_bits))
-    return prop3, prop4, quotient
+        quotient = _rel_error(det_replaced / det_minors, reference)
+    return prop3, prop4, quotient, m1
 
 
 # -- randomized scans ----------------------------------------------------------
@@ -292,88 +308,86 @@ def _worst_errors(
     return [float(w) for w in worst]
 
 
-def determinant_scan(
+def numeric_scan(
     n: int, trials: int = 100, seed: int = 0, precision_bits: int = 113
-) -> Tuple[IdentityReport, IdentityReport, IdentityReport]:
-    """prop3, prop4 and Cramer-quotient rows over one set of drawn tuples.
+) -> Tuple[IdentityReport, ...]:
+    """Every numeric identity row at n, with every check run on each drawn
+    tuple (``numeric_checks``).
 
-    Tuples are drawn from [1.5, 20], and every check runs on each tuple.
+    n = 2 gives the tangent row: the tangent-line intersection against
+    ``neuman_LN``, here the two-variable mean (b-a)/(ln b - ln a), on pairs
+    drawn from [0.2, 50] with ``seed``.  n >= 3 gives the prop3, prop4,
+    Cramer-quotient and main-theorem rows, on tuples drawn from [1.1, 50]
+    with ``seed + n``.  The main-theorem gate is 1e-9 at double precision
+    and 1e-20 from 113 bits up.
     """
-    if n < 3:
-        raise BadDimension(f"need n >= 3, got {n}")
-    worst = _worst_errors(
-        lambda vals: determinant_checks(vals, precision_bits),
-        n, 1.5, 20.0, trials, seed + n, precision_bits,
+    if n < 2:
+        raise BadDimension(f"need n >= 2, got {n}")
+
+    def check(vals):
+        return numeric_checks(vals, precision_bits)
+
+    if n == 2:
+        [worst] = _worst_errors(check, 2, 0.2, 50.0, trials, seed, precision_bits)
+        return (
+            IdentityReport(
+                "tangent_n2_vs_two_variable_mean", 2, False, worst, trials, TANGENT_TOLERANCE
+            ),
+        )
+    prop3, prop4, quotient, m1 = _worst_errors(
+        check, n, 1.1, 50.0, trials, seed + n, precision_bits
     )
     det_gate = _det_tolerance(precision_bits, NUMERIC_TOLERANCE)
+    main_gate = (
+        MAIN_THEOREM_TOLERANCE_113 if precision_bits >= 113 else MAIN_THEOREM_TOLERANCE
+    )
     return (
-        IdentityReport("prop3_determinant", n, False, worst[0], trials, det_gate),
-        IdentityReport("prop4_determinant", n, False, worst[1], trials, det_gate),
+        IdentityReport("prop3_determinant", n, False, prop3, trials, det_gate),
+        IdentityReport("prop4_determinant", n, False, prop4, trials, det_gate),
         IdentityReport(
-            "cramer_quotient_vs_neuman", n, False, worst[2], trials,
+            "cramer_quotient_vs_neuman", n, False, quotient, trials,
             _det_tolerance(precision_bits, MAIN_THEOREM_TOLERANCE),
         ),
+        IdentityReport("main_theorem_m1_vs_neuman", n, False, m1, trials, main_gate),
     )
 
 
-# oscbench/spans.py wraps these three names as benchmark entry points, so they
-# stay as selectors over determinant_scan; nothing in the package calls them.
+# oscbench/spans.py wraps these five names as benchmark entry points, so they
+# stay as selectors over numeric_scan; run_numeric_suite calls tangent_scan.
+def tangent_scan(trials: int = 100, seed: int = 0, precision_bits: int = 53) -> IdentityReport:
+    return numeric_scan(2, trials, seed, precision_bits)[0]
+
+
+def _row_of_scan(
+    index: int, n: int, trials: int, seed: int, precision_bits: int
+) -> IdentityReport:
+    if n < 3:
+        raise BadDimension(f"need n >= 3, got {n}")
+    return numeric_scan(n, trials, seed, precision_bits)[index]
+
+
 def prop3_scan(
     n: int, trials: int = 100, seed: int = 0, precision_bits: int = 113
 ) -> IdentityReport:
-    return determinant_scan(n, trials, seed, precision_bits)[0]
+    return _row_of_scan(0, n, trials, seed, precision_bits)
 
 
 def prop4_scan(
     n: int, trials: int = 100, seed: int = 0, precision_bits: int = 113
 ) -> IdentityReport:
-    return determinant_scan(n, trials, seed, precision_bits)[1]
+    return _row_of_scan(1, n, trials, seed, precision_bits)
 
 
 def closure_scan(
     n: int, trials: int = 100, seed: int = 0, precision_bits: int = 113
 ) -> IdentityReport:
-    return determinant_scan(n, trials, seed, precision_bits)[2]
-
-
-def _m1_error(vals: Sequence, precision_bits: int) -> Tuple[mpmath.mpf]:
-    """Relative error of the intersection's first coordinate against
-    ``neuman_LN`` at one tuple: the check both M_1 scans run."""
-    point = intersect(make_log_curve(len(vals)), vals, precision_bits)
-    reference = neuman_LN(vals, precision_bits)
-    with mp.workprec(precision_bits):
-        return (_rel_error(point.means[1], reference),)
+    return _row_of_scan(2, n, trials, seed, precision_bits)
 
 
 def main_theorem_scan(
     n: int, trials: int = 100, seed: int = 0, precision_bits: int = 53
 ) -> IdentityReport:
-    """Intersection first coordinate versus the closed-form logarithmic mean.
-
-    Tuples are drawn from [1.1, 50].  The gate is 1e-9 at double precision
-    and 1e-20 from 113 bits up.
-    """
-    if n < 3:
-        raise BadDimension(f"need n >= 3, got {n}")
-    [worst] = _worst_errors(
-        lambda t: _m1_error(t, precision_bits), n, 1.1, 50.0, trials, seed + n, precision_bits
-    )
-    tolerance = (
-        MAIN_THEOREM_TOLERANCE_113 if precision_bits >= 113 else MAIN_THEOREM_TOLERANCE
-    )
-    return IdentityReport("main_theorem_m1_vs_neuman", n, False, worst, trials, tolerance)
-
-
-def tangent_scan(trials: int = 100, seed: int = 0, precision_bits: int = 53) -> IdentityReport:
-    """n = 2 case: tangent-line intersection versus ``neuman_LN``, here the
-    two-variable mean (b-a)/(ln b - ln a).  Pairs are drawn from [0.2, 50].
-    """
-    [worst] = _worst_errors(
-        lambda t: _m1_error(t, precision_bits), 2, 0.2, 50.0, trials, seed, precision_bits
-    )
-    return IdentityReport(
-        "tangent_n2_vs_two_variable_mean", 2, False, worst, trials, TANGENT_TOLERANCE
-    )
+    return _row_of_scan(3, n, trials, seed, precision_bits)
 
 
 def conjecture_scan(
@@ -591,14 +605,15 @@ def run_numeric_suite(
     seed: int = 0,
     precision_bits: int = 113,
 ) -> List[IdentityReport]:
-    """Every numeric identity row at the requested precision."""
+    """Every numeric identity row at the requested precision: the tangent
+    row, then the four rows of ``numeric_scan`` for each n from 3 to
+    ``max_n``."""
     if max_n < 2:
         raise BadParameter(f"max_n must be >= 2, got {max_n}")
     require_precision(precision_bits)
     rows: List[IdentityReport] = [tangent_scan(trials, seed, precision_bits)]
     for n in range(3, max_n + 1):
-        rows.extend(determinant_scan(n, trials, seed, precision_bits))
-        rows.append(main_theorem_scan(n, trials, seed, precision_bits))
+        rows.extend(numeric_scan(n, trials, seed, precision_bits))
     return rows
 
 
@@ -608,7 +623,11 @@ def run_identity_suite(
     seed: int = 0,
     precision_bits: int = 113,
 ) -> List[IdentityReport]:
-    """Combinatorial and determinant identity rows only (no curve geometry)."""
+    """Combinatorial and determinant identity rows: the exact alternating
+    sums and Vandermonde cofactor rows, then the prop3, prop4 and
+    Cramer-quotient rows of ``numeric_scan`` for each n from 3 to ``max_n``.
+    Those rows are computed on intersected osculating hyperplanes of the
+    log curve; the main-theorem row of the same scan is left out."""
     if max_n < 2:
         raise BadParameter(f"max_n must be >= 2, got {max_n}")
     require_precision(precision_bits)
@@ -618,5 +637,5 @@ def run_identity_suite(
     ]
     rows.extend(_check_vandermonde_cofactor(max_n, min(trials, 50), seed))
     for n in range(3, max_n + 1):
-        rows.extend(determinant_scan(n, trials, seed, precision_bits))
+        rows.extend(numeric_scan(n, trials, seed, precision_bits)[:3])
     return rows

@@ -111,11 +111,15 @@ class IntersectionResult:
 
     ``means`` maps a mean index k to its value when it could be read off
     directly (component k equal to t makes coordinate k itself a mean).
+    ``planes`` are the hyperplanes the system was built from, at the guard
+    precision, in the order of the sorted inputs: the rows of the matrix
+    whose determinant ``report.determinant`` is.
     """
 
     point: Tuple[mpmath.mpf, ...]
     report: SolveReport
     means: Dict[int, mpmath.mpf]
+    planes: Tuple[Hyperplane, ...]
 
 
 # -- input validation --------------------------------------------------------
@@ -235,7 +239,7 @@ def intersect(curve: Curve, values: Sequence, precision_bits: int = 53) -> Inter
 
     The planes are built once, with guard bits on top of the requested
     precision, and that one matrix and right-hand side serve both the
-    elimination and the reported residual.  Each right-hand side is a
+    elimination and the reported residual; the result carries them.  Each right-hand side is a
     plane's offset: the exact offset polynomial of ``hyperplane_at``,
     evaluated and rounded once like each entry of the matrix.  The point is
     rounded back to the requested precision; ``report.residual_norm`` is
@@ -250,7 +254,7 @@ def intersect(curve: Curve, values: Sequence, precision_bits: int = 53) -> Inter
     require_precision(precision_bits)
     vals = sorted_positive_distinct(values, precision_bits)
     work_bits = precision_bits + GUARD_BITS
-    planes = [hyperplane_at(curve, a, work_bits) for a in vals]
+    planes = tuple(hyperplane_at(curve, a, work_bits) for a in vals)
     matrix = [plane.normal for plane in planes]
     rhs = [plane.offset for plane in planes]
     try:
@@ -265,7 +269,7 @@ def intersect(curve: Curve, values: Sequence, precision_bits: int = 53) -> Inter
     means: Dict[int, mpmath.mpf] = {}
     if curve.components[0] == T:
         means[1] = point[0]
-    return IntersectionResult(point=point, report=report, means=means)
+    return IntersectionResult(point=point, report=report, means=means, planes=planes)
 
 
 def _is_log_curve(curve: Curve) -> bool:

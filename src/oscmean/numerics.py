@@ -12,7 +12,9 @@ the rounded point and the requested precision), and the infinity-norm
 condition number of the system equilibrated by powers of two, from the
 same LU converted once to float64.  It is dense Gaussian elimination,
 O(n^3) for any n: ``mean`` accepts any number of values, and the
-intersection systems reach n = 16 in the tests.
+intersection systems reach n = 16 in the tests.  The report also gives the
+determinant of the system's matrix from the same LU, bit for bit what
+``det`` returns, so the identity scans factor each minor matrix once.
 
 The elimination, the substitutions, the residuals, their norms and the
 determinant's pivot product run on integer pairs (m, e), the value m * 2^e,
@@ -26,7 +28,7 @@ correctly rounded when the larger operand is wider than the precision.  The
 operations run in the order the same code written with ``mpf`` arithmetic
 under ``mp.workprec`` would use, so the results are bit-for-bit those of
 that code.  ``solve_linear`` and ``det`` take and return ``mpf`` values;
-the conversion happens there, in ``SolveReport``'s two properties, and
+the conversion happens there, in ``SolveReport``'s three properties, and
 nowhere else.  ``means``' divided-difference kernel, which serves
 ``neuman_LN`` and ``identric_IZ``, uses the same primitives.
 ``logpoly.lp_eval_many`` (which also evaluates the plane offsets of
@@ -71,11 +73,17 @@ class SolveReport:
     mantissa: P RAC = (R_p L R_p^-1)(R_p U C).  A pivot that underflows to
     0.0, or any overflow, gives +inf.
 
-    Both are computed on first read from the system, right-hand side, LU
-    and permutation kept in ``_factors``, and cached; only ``mean`` reads
-    them.  ``_factors`` holds (system, rhs, lu, perm): the first three as
-    lists (of lists) of integer pairs (m, e), the value m * 2^e with m odd
-    or the pair (0, 0), and perm a list of row indices.
+    determinant is det A from the kept LU at the working precision, the
+    sign of the permutation times the pivots: bit for bit what ``det``
+    returns for the same matrix and precision, without a second
+    factorization.  ``identities`` reads it for the minor matrix.
+
+    All three are computed on first read from the system, right-hand side,
+    LU, permutation and working precision kept in ``_factors``, and cached;
+    ``mean`` reads the first two.  ``_factors`` holds (system, rhs, lu,
+    perm, bits): the first three as lists (of lists) of integer pairs
+    (m, e), the value m * 2^e with m odd or the pair (0, 0), perm a list of
+    row indices, and bits the precision of the factorization.
     """
 
     solution: Tuple[mpmath.mpf, ...]
@@ -84,13 +92,13 @@ class SolveReport:
 
     @cached_property
     def residual_norm(self) -> mpmath.mpf:
-        original, rhs, _, _ = self._factors
+        original, rhs, _, _, _ = self._factors
         x = [_pair(v._mpf_) for v in self.solution]
         return mp.make_mpf(_raw_value(_residual_norm(original, x, rhs, self._residual_bits)))
 
     @cached_property
     def condition_estimate(self) -> float:
-        original, _, lu, perm = self._factors
+        original, _, lu, perm, _ = self._factors
         # R = diag(2^-row_exp), C = diag(2^-col_exp); a nonzero pair (m, e)
         # has 2^(e+b-1) <= |v| < 2^(e+b) for b = m.bit_length()
         row_exp = [max(e + m.bit_length() for m, e in row if m) for row in original]
@@ -112,6 +120,11 @@ class SolveReport:
             for i, (row, r) in enumerate(zip(lu, lu_exp))
         ]
         return a_norm * _inverse_norm(factors)
+
+    @cached_property
+    def determinant(self) -> mpmath.mpf:
+        _, _, lu, perm, bits = self._factors
+        return mp.make_mpf(_raw_value(_lu_determinant(lu, perm, bits)))
 
 
 def _to_float(v, shift: int) -> float:
@@ -340,6 +353,23 @@ def _lu_factor(matrix, prec: int):
     return lu, perm
 
 
+def _lu_determinant(lu, perm, prec: int):
+    """det of the factored matrix as a pair: the sign of the permutation
+    times the pivots, multiplied in order and rounded at ``prec``."""
+    # sort a copy of the permutation by swaps; each swap flips the sign
+    perm = list(perm)
+    sign = 1
+    for i in range(len(perm)):
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j] = perm[j], perm[i]
+            sign = -sign
+    result = (sign, 0)
+    for i, row in enumerate(lu):
+        result = _mul(result, row[i], prec)
+    return result
+
+
 def _lu_solve(lu, perm, rhs, prec: int):
     n = len(lu)
     x = [rhs[p] for p in perm]
@@ -419,7 +449,7 @@ def solve_linear(A: Sequence[Sequence], b: Sequence, precision_bits: int = 53) -
     return SolveReport(
         tuple(mp.make_mpf(_raw_value(x)) for x in solution),
         prec,
-        (original, rhs, lu, perm),
+        (original, rhs, lu, perm, prec),
     )
 
 
@@ -437,17 +467,7 @@ def det(A: Sequence[Sequence], precision_bits: int = 53) -> mpmath.mpf:
         lu, perm = _lu_factor([_pairs(row, precision_bits) for row in A], precision_bits)
     except SingularSystem:
         return mp.mpf(0)
-    # sort the permutation by swaps; each swap flips the sign
-    sign = 1
-    for i in range(n):
-        while perm[i] != i:
-            j = perm[i]
-            perm[i], perm[j] = perm[j], perm[i]
-            sign = -sign
-    result = (sign, 0)
-    for i in range(n):
-        result = _mul(result, lu[i][i], precision_bits)
-    return mp.make_mpf(_raw_value(result))
+    return mp.make_mpf(_raw_value(_lu_determinant(lu, perm, precision_bits)))
 
 
 def find_root_bracketed(

@@ -17,12 +17,12 @@ from mpmath import mp
 from oscmean.cli import main as cli_main
 from oscmean.identities import (
     conjecture_scan,
-    determinant_scan,
     draw_tuple,
     lemma3_check,
     lemma4_check,
     lemma7_check,
     main_theorem_scan,
+    numeric_scan,
     run_exact_suite,
     tangent_scan,
 )
@@ -161,7 +161,7 @@ def test_c5_numeric_determinant_identities():
     worst_det = 0.0
     worst_closure = 0.0
     for n in range(3, 7):
-        prop3, prop4, closure = determinant_scan(n, 100, 0, 113)
+        prop3, prop4, closure, _ = numeric_scan(n, 100, 0, 113)
         worst_det = max(worst_det, prop3.max_rel_error, prop4.max_rel_error)
         worst_closure = max(worst_closure, closure.max_rel_error)
     ok = worst_det < 1e-8 and worst_closure < 1e-9

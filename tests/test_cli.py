@@ -156,7 +156,7 @@ def test_conjecture_csv_byte_identical(capsys):
     [
         (
             "verify --max-n 5 --precision 113 --trials 20 --seed 101 --json",
-            "b8294e774162ebde2429cf3b21709a4a48b6979938baa08af468dd7eee80f9ab",
+            "19befac35941fdb59264dda31158865f384f3c6081d0dd88f9c3801ec3fc6aa0",
         ),
         (
             "conjecture --n 3 --trials 20 --seed 101 --json",
@@ -164,19 +164,19 @@ def test_conjecture_csv_byte_identical(capsys):
         ),
         (
             "verify --max-n 4 --trials 10 --seed 3",
-            "c569d2543f810ef95d96547f59e30b0d2590a784846d02faeb4fe5423bc524d7",
+            "73a9da47ff9fed738e7efc51914655eb52a55f2a3f3ad8821e0b0711528927ec",
         ),
         (
             "verify --max-n 4 --trials 10 --seed 3 --csv",
-            "332148e4dffeb5614812bcfcfa1f90abf85b33c687e94faf461df355a8ff426b",
+            "54480675e9779114676978ef679abc971c7cf3c7c956a8f4daec21b526517286",
         ),
         (
             "identities --max-n 4 --trials 20 --seed 2",
-            "5283055c1e52fed75da5e06ea98c92b2d3007381b1b03fb3c490525f6b52d3f7",
+            "a1e93fd0151edcb4cc1f9ca1f73a94ffbbee11a6318ad39347ae2044f150b651",
         ),
         (
             "identities --max-n 4 --trials 20 --seed 2 --csv",
-            "d2e1d6cd8717183a45fd28eb6cf5ab11b97685fa1db64f27333bf0fd6a0236df",
+            "48a854d48e3e5063507db1b2bf90fd4e1b5e74536d6f2b057ba56085c3d95081",
         ),
         (
             # escalates to 113 bits and warns
@@ -218,6 +218,18 @@ def test_verify_small_run_passes(capsys):
         assert set(row) == {"identity", "n", "exact", "max_rel_error",
                             "instances", "warnings"}
         assert row["exact"] or row["max_rel_error"] is not None
+
+
+def test_verify_max_n7_at_53_bits_passes(capsys, monkeypatch):
+    # the n = 7 determinant rows are taken at 53 + 30 bits on the planes of
+    # the main theorem's intersection, and clear the 53-bit gates
+    monkeypatch.delenv("OSCMEAN_PRECISION", raising=False)
+    code, out, err = run_cli(capsys, "verify", "--max-n", "7", "--json")
+    assert code == 0 and not err
+    rows = {r["identity"]: r for r in json.loads(out) if r["n"] == 7 and not r["exact"]}
+    assert sorted(rows) == ["cramer_quotient_vs_neuman", "main_theorem_m1_vs_neuman",
+                            "prop3_determinant", "prop4_determinant"]
+    assert all(r["instances"] == 100 and r["max_rel_error"] < 1e-14 for r in rows.values())
 
 
 def test_verify_csv_header(capsys):

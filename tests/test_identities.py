@@ -6,27 +6,30 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from oscmean.errors import BadDimension, BadParameter, DistinctnessViolation
+from oscmean import identities, means
+from oscmean.errors import BadDimension, BadParameter, DistinctnessViolation, SingularSystem
 from oscmean.identities import (
     MAIN_THEOREM_TOLERANCE,
+    MAIN_THEOREM_TOLERANCE_113,
     NUMERIC_TOLERANCE,
     closure_scan,
     conjecture_scan,
-    determinant_checks,
-    determinant_scan,
     draw_tuple,
     lemma3_check,
     lemma4_check,
     lemma7_check,
     main_theorem_scan,
+    numeric_checks,
+    numeric_scan,
     prop3_scan,
     prop4_scan,
     run_exact_suite,
     run_identity_suite,
+    run_numeric_suite,
     tangent_scan,
 )
 from oscmean.logpoly import LogPoly, substitute_power
-from oscmean.means import ln_gap_warnings
+from oscmean.means import Hyperplane, ln_gap_warnings
 from oscmean.wronskian import (
     det_symbolic,
     full_wronskian_closed_form,
@@ -102,15 +105,15 @@ def test_vandermonde_cofactor_validations():
 # -- numeric determinant identities -----------------------------------------------------
 
 
-# determinant_checks returns (prop3, prop4, Cramer quotient) relative errors
+# numeric_checks returns (prop3, prop4, Cramer quotient, M_1) relative errors
 PROP3, PROP4, QUOTIENT = 0, 1, 2
 
 
 def test_prop3_exponential_points():
     # a = (e, e^2, e^3): the log gaps are the integers (1, 2, 1)
     values = (float(mp.e), float(mp.e ** 2), float(mp.e ** 3))
-    assert determinant_checks(values, 113)[PROP3] < 1e-10
-    assert determinant_checks(values, 53)[PROP3] < 1e-10
+    assert numeric_checks(values, 113)[PROP3] < 1e-10
+    assert numeric_checks(values, 53)[PROP3] < 1e-10
 
 
 def test_prop_checks_random_tuples():
@@ -120,7 +123,7 @@ def test_prop_checks_random_tuples():
             values = sorted(rng.uniform(1.5, 20) for _ in range(n))
             while any(b / a < 1.06 for a, b in zip(values, values[1:])):
                 values = sorted(rng.uniform(1.5, 20) for _ in range(n))
-            errors = determinant_checks(values, 113)
+            errors = numeric_checks(values, 113)
             assert errors[PROP3] < 1e-8
             assert errors[PROP4] < 1e-8
             assert errors[QUOTIENT] < 1e-9
@@ -129,43 +132,47 @@ def test_prop_checks_random_tuples():
 def test_prop4_degenerate_pair_grows_and_warns():
     separated = (2.0, 5.0, 12.0)
     degenerate = (2.0, 2.0 * (1 + 1e-7), 12.0)
-    assert determinant_checks(degenerate, 53)[PROP4] > determinant_checks(separated, 53)[PROP4]
+    assert numeric_checks(degenerate, 53)[PROP4] > numeric_checks(separated, 53)[PROP4]
     assert ln_gap_warnings(degenerate)
     assert not ln_gap_warnings(separated)
 
 
 def test_quotient_check_singular_minor_matrix():
-    # the minor determinant of this tuple evaluates to 0 at 53 bits: the
-    # quotient error is infinite, and prop3 and prop4 still report their own
-    values = (2.0, 2.000000000000002, 3.0, 12.0)
-    prop3, prop4, quotient = determinant_checks(values, 53)
-    assert quotient == mp.inf
-    assert prop3 == 1 and prop4 == 1
+    # at 53 bits the determinants are taken at 83, where the minor matrix of
+    # this tuple (a log gap of 1e-15) is still regular: every error is
+    # measured, and within the 53-bit determinant gate of 2.2e-8
+    errors = numeric_checks((2.0, 2.000000000000002, 3.0, 12.0), 53)
+    assert all(e < 2.2e-8 for e in errors)
+    # three values one float64 ulp apart leave it singular at 83 bits, and
+    # the solve refuses it
+    with pytest.raises(SingularSystem):
+        numeric_checks((2.0, 2.0000000000000004, 2.000000000000001, 12.0), 53)
 
 
 def test_determinant_checks_values_are_pinned():
-    # every bit of the three errors, so a change in evaluation or summation
+    # every bit of the four errors, so a change in evaluation or summation
     # order shows here
-    errors = determinant_checks((1.7, 2.9, 4.4, 8.1, 13.6), 113)
+    errors = numeric_checks((1.7, 2.9, 4.4, 8.1, 13.6), 113)
     with mp.workprec(113):
         assert [repr(e) for e in errors] == [
-            "mpf('1.68618276394874871497922086558548041e-31')",
-            "mpf('4.98628879049634641698602796887570687e-32')",
-            "mpf('1.156233955424039176379606816356732e-31')",
+            "mpf('8.38760506822767828873118151789733413e-41')",
+            "mpf('2.96415530689873896122257837641807154e-42')",
+            "mpf('2.18956788377534386773338028250687137e-35')",
+            "mpf('0.0')",
         ]
 
 
 def test_prop_checks_validate_inputs():
     with pytest.raises(BadDimension):
-        determinant_checks((2.0, 3.0), 53)
+        numeric_checks((2.0,), 53)
     with pytest.raises(DistinctnessViolation):
-        determinant_checks((2.0, 2.0, 3.0), 53)
+        numeric_checks((2.0, 2.0, 3.0), 53)
 
 
 def test_prop_error_decreases_with_precision():
     values = (1.7, 3.1, 4.9, 11.3)
-    low = determinant_checks(values, 53)
-    high = determinant_checks(values, 113)
+    low = numeric_checks(values, 53)
+    high = numeric_checks(values, 113)
     for index in (PROP3, PROP4):
         assert high[index] <= low[index] or high[index] < mp.mpf(1e-25)
 
@@ -205,11 +212,14 @@ def test_scan_reports_pass():
 
 
 def test_determinant_scan_is_the_max_over_one_draw():
-    rows = determinant_scan(4, trials=10, seed=2, precision_bits=113)
+    rows = numeric_scan(4, trials=10, seed=2, precision_bits=113)
     rng = random.Random(2 + 4)  # the scan seeds its draws with seed + n
-    errors = [determinant_checks(draw_tuple(rng, 4, 1.5, 20.0), 113) for _ in range(10)]
-    names = ("prop3_determinant", "prop4_determinant", "cramer_quotient_vs_neuman")
-    gates = (NUMERIC_TOLERANCE, NUMERIC_TOLERANCE, MAIN_THEOREM_TOLERANCE)
+    errors = [numeric_checks(draw_tuple(rng, 4, 1.1, 50.0), 113) for _ in range(10)]
+    names = ("prop3_determinant", "prop4_determinant", "cramer_quotient_vs_neuman",
+             "main_theorem_m1_vs_neuman")
+    gates = (NUMERIC_TOLERANCE, NUMERIC_TOLERANCE, MAIN_THEOREM_TOLERANCE,
+             MAIN_THEOREM_TOLERANCE_113)
+    assert len(rows) == len(names)
     for index, (row, name, gate) in enumerate(zip(rows, names, gates)):
         assert row.name == name and row.n == 4 and not row.exact
         assert row.max_rel_error == float(max(e[index] for e in errors))
@@ -220,9 +230,70 @@ def test_determinant_scan_is_the_max_over_one_draw():
 
 def test_determinant_scan_validations():
     with pytest.raises(BadDimension):
-        determinant_scan(2, trials=5, seed=0)
+        numeric_scan(1, trials=5, seed=0)
+    for scan in (prop3_scan, prop4_scan, closure_scan, main_theorem_scan):
+        with pytest.raises(BadDimension):
+            scan(2, trials=5, seed=0)
     with pytest.raises(BadParameter):
-        determinant_scan(3, trials=0, seed=0)
+        numeric_scan(3, trials=0, seed=0)
+
+
+def test_tangent_row_is_the_n2_scan(monkeypatch):
+    checked = []
+    real = identities.numeric_checks
+
+    def recording(vals, bits):
+        checked.append(vals)
+        return real(vals, bits)
+
+    monkeypatch.setattr(identities, "numeric_checks", recording)
+    [row] = numeric_scan(2, trials=25, seed=3, precision_bits=53)
+    # the pairs come from [0.2, 50], seeded with seed itself
+    rng = random.Random(3)
+    assert checked == [draw_tuple(rng, 2, 0.2, 50.0) for _ in range(25)]
+    assert row == tangent_scan(trials=25, seed=3)
+    assert row.name == "tangent_n2_vs_two_variable_mean"
+    assert row.max_rel_error == float(max(real(t, 53)[0] for t in checked))
+
+
+def test_numeric_suite_takes_every_row_from_one_scan_per_n():
+    rows = run_numeric_suite(4, trials=3, seed=5, precision_bits=113)
+    assert rows == [tangent_scan(3, 5, 113), *numeric_scan(3, 3, 5, 113),
+                    *numeric_scan(4, 3, 5, 113)]
+    assert run_identity_suite(4, trials=3, seed=5)[-6:] == [*rows[1:4], *rows[5:8]]
+
+
+def test_flipped_minor_sign_fails_prop3_and_the_main_theorem(monkeypatch):
+    # negate the first coordinate of every plane normal: the minor
+    # determinant and M_1 change sign.  The offsets come from the cached,
+    # unpatched offset polynomial.
+    curve = make_log_curve(5)
+    assert all(row.passed for row in numeric_scan(5, trials=3, seed=0))
+    means._offset_polynomial(curve)
+    real = means.normal_field
+    monkeypatch.setattr(means, "normal_field", lambda c: (-real(c)[0],) + real(c)[1:])
+    for bits in (53, 113):
+        prop3, _, _, main = numeric_scan(5, trials=3, seed=0, precision_bits=bits)
+        assert not prop3.passed and not main.passed
+
+
+def test_perturbed_offset_fails_prop4_and_the_quotient(monkeypatch):
+    # one plane's offset (the first of each intersection) off by 1e-6 relative
+    real = means.hyperplane_at
+    built = []
+
+    def perturbed(curve, a, bits):
+        plane = real(curve, a, bits)
+        built.append(a)
+        if len(built) % curve.dimension == 1:
+            with mp.workprec(bits):
+                plane = Hyperplane(plane.normal, plane.offset * (1 + mp.mpf("1e-6")))
+        return plane
+
+    monkeypatch.setattr(means, "hyperplane_at", perturbed)
+    for bits in (53, 113):
+        _, prop4, quotient, _ = numeric_scan(5, trials=3, seed=0, precision_bits=bits)
+        assert not prop4.passed and not quotient.passed
 
 
 def test_main_theorem_scan_gates():

@@ -238,12 +238,36 @@ def test_scans_build_no_inverse(monkeypatch):
     inverses = _counting(monkeypatch, numerics, "_inverse_norm")
     residuals = _counting(monkeypatch, numerics, "_residual_norm")
     identities.main_theorem_scan(5, trials=3)
-    assert len(factors) == 3
+    # per tuple, the solve's LU and the Wronskian-replaced matrix's det
+    assert len(factors) == 2 * 3
     # the solve and one refinement step per factorization
     assert len(solves) <= 2 * len(factors)
     assert not inverses
     # the refinement step measures its residual vector; no norm is read
     assert not residuals
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+def test_scan_factors_two_matrices_per_tuple(monkeypatch, n):
+    # one elimination serves the solve and the minor determinant; the
+    # Wronskian-replaced matrix is the only other factorization (none at n = 2)
+    factors = _counting(monkeypatch, numerics, "_lu_factor")
+    identities.numeric_scan(n, trials=4, seed=1, precision_bits=53)
+    assert len(factors) == (4 if n == 2 else 2 * 4)
+
+
+@pytest.mark.parametrize("bits", [53, 113])
+def test_solve_determinant_is_det_bit_for_bit(monkeypatch, bits):
+    factors = _counting(monkeypatch, numerics, "_lu_factor")
+    rng = random.Random(bits)
+    for n in (3, 5, 7):
+        result = intersect(make_log_curve(n), draw_tuple(rng, n, 1.1, 50.0), bits)
+        determinant = result.report.determinant
+        assert len(factors) == 1  # read from the solve's LU
+        minors = [plane.normal for plane in result.planes]
+        assert determinant._mpf_ == numerics.det(minors, bits + means.GUARD_BITS)._mpf_
+        assert result.report.determinant is determinant
+        factors.clear()
 
 
 def test_intersect_validations():
