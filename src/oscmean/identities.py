@@ -21,6 +21,13 @@ rows are computed at p + ``GUARD_BITS`` on the planes the intersection
 built, the minor determinant read from the solve's LU, so one elimination
 serves the solve and that determinant.  The n = 2 tangent row is the same
 check on pairs from [0.2, 50].
+
+The Vandermonde product and its alternating cofactor sum have one home,
+``vandermonde`` and ``alternating_cofactor_sum``, exact, on integers.  The
+cofactor identity scales its rationals to integers; the two determinant
+closed forms write the inputs and their logs (each log rounded at p +
+``GUARD_BITS``) as integers times one power of two, so each closed form is
+exact and rounded once at p + ``GUARD_BITS``.
 """
 
 from __future__ import annotations
@@ -29,11 +36,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import mpf_log, round_nearest
 
 from .errors import BadDimension, BadParameter, DistinctnessViolation
 # oscbench/spans.py wraps lp_eval here by name, so it stays imported; nothing
@@ -47,7 +55,7 @@ from .means import (
     neuman_LN,
     sorted_positive_distinct,
 )
-from .numerics import det
+from .numerics import _abs, _div, _pair, _pairs, _raw_value, _sub, det
 from .precision import require_precision
 from .wronskian import (
     closed_form_v,
@@ -119,30 +127,40 @@ class IdentityReport:
 # -- exact combinatorial identities -------------------------------------------
 
 
-def vandermonde(xs: Sequence):
-    """prod_{i<j} (x_j - x_i) at the working precision (exact for rationals).
+def vandermonde(xs: Sequence[int]) -> int:
+    """prod_{i<j} (x_j - x_i), exact, on integers.
 
-    With the logs of the inputs as ``xs`` this is the log-gap product of the
-    determinant closed forms.
+    With the logs of the inputs, scaled to integers by one power of two, as
+    ``xs`` this is the log-gap product of the determinant closed forms
+    (``numeric_checks``); ``lemma7_check`` scales its rationals to integers.
     """
     out = 1
     for i, xi in enumerate(xs):
         for xj in xs[i + 1 :]:
-            out = out * (xj - xi)
+            out *= xj - xi
     return out
 
 
-def alternating_cofactor_sum(weights: Sequence, xs: Sequence):
-    """sum_i (-1)^(i+1) w_i V(xs without x_i), with i counted from 1.
+def alternating_cofactor_sum(weights: Sequence[int], xs: Sequence[int]) -> int:
+    """sum_i (-1)^(i+1) w_i V(xs without x_i), with i counted from 1, exact,
+    on integers.
 
     The cofactor expansion, along a column of weights, of the matrix whose
-    other columns are those of the Vandermonde matrix of ``xs``.
+    other columns are those of the Vandermonde matrix of ``xs``.  Each
+    V(xs without x_i) is V(xs) divided exactly by the n - 1 gaps at x_i; only
+    a repeated node, one of whose gaps is zero, is multiplied out afresh.
     """
-    xs = list(xs)
+    full = vandermonde(xs)
     total = 0
-    for i, w in enumerate(weights):
-        piece = w * vandermonde(xs[:i] + xs[i + 1 :])
-        total = total + piece if i % 2 == 0 else total - piece
+    for i, (w, xi) in enumerate(zip(weights, xs)):
+        gaps = 1
+        for j, xj in enumerate(xs):
+            if j < i:
+                gaps *= xi - xj
+            elif j > i:
+                gaps *= xj - xi
+        cofactor = full // gaps if gaps else vandermonde(xs[:i] + xs[i + 1 :])
+        total += w * cofactor if i % 2 == 0 else -w * cofactor
     return total
 
 
@@ -198,6 +216,10 @@ def lemma7_check(b: Sequence) -> Tuple[Fraction, Fraction]:
 
     lhs = sum_k (-1)^(k+1) b_k^(n-1) prod_{i<j; i,j != k} (b_j - b_i)
     rhs = (-1)^(n-1) prod_{i<j} (b_j - b_i)
+
+    Both sides are homogeneous of degree n(n-1)/2, so they are computed on
+    the integers D * b_k, D the lcm of the denominators, and divided by
+    D^(n(n-1)/2) once.
     """
     vals = [Fraction(x) for x in b]
     n = len(vals)
@@ -208,25 +230,57 @@ def lemma7_check(b: Sequence) -> Tuple[Fraction, Fraction]:
         if v in seen:
             raise DistinctnessViolation(f"duplicate value {v}")
         seen.add(v)
-    lhs = alternating_cofactor_sum([v ** (n - 1) for v in vals], vals)
-    rhs = (-1) ** (n - 1) * vandermonde(vals)
-    return lhs, rhs
+    scale = math.lcm(*(v.denominator for v in vals))
+    ints = [v.numerator * (scale // v.denominator) for v in vals]
+    denominator = scale ** (n * (n - 1) // 2)
+    lhs = alternating_cofactor_sum([x ** (n - 1) for x in ints], ints)
+    rhs = (-1) ** (n - 1) * vandermonde(ints)
+    return Fraction(lhs, denominator), Fraction(rhs, denominator)
 
 
 # -- numeric identities --------------------------------------------------------
 
 
-def _det_closed_form(vals: Sequence[mpmath.mpf], product: mpmath.mpf) -> mpmath.mpf:
-    # (prod r!)^(n-2) * product / prod_j a_j^((n-1)(n-2)/2), shared by both closed forms
+def _scaled(raws) -> Tuple[List[int], int]:
+    """Integers X_j and one exponent E with raw value j equal to X_j * 2^E."""
+    pairs = [_pair(v) for v in raws]
+    shift = min(e for _, e in pairs)
+    return [m << (e - shift) for m, e in pairs], shift
+
+
+def _determinant_closed_forms(vals: Sequence[mpmath.mpf], work_bits: int):
+    """The prop3 and prop4 closed forms at the increasing inputs ``vals``,
+    as (mantissa, exponent) pairs, each exact on integers and rounded once
+    to nearest at ``work_bits``.
+
+    The inputs a_j and their logs y_j, each log rounded once at
+    ``work_bits``, are written as integers times one power of two per list.
+    The log-gap product V(y), the alternating cofactor sum, prod a_j^k with
+    k = (n-1)(n-2)/2 and (prod r!)^(n-2) are then integers times known
+    powers of two, and each closed form is one quotient of integers.
+    """
     n = len(vals)
-    closed = mp.mpf(factorial_product(n)) ** (n - 2) * product
-    for v in vals:
-        closed = closed / v ** (((n - 1) * (n - 2)) // 2)
-    return closed
+    raws = [v._mpf_ for v in vals]
+    inputs, e_in = _scaled(raws)
+    logs, e_log = _scaled([mpf_log(v, work_bits, round_nearest) for v in raws])
+    k = (n - 1) * (n - 2) // 2
+    scale = factorial_product(n) ** (n - 2)
+    denominator = (prod(inputs) ** k, 0)
+    e_den = e_in * n * k
+    # V(y) carries n(n-1)/2 = k + n - 1 log factors; each cofactor carries k
+    prop3 = (scale * vandermonde(logs), e_log * (k + n - 1) - e_den)
+    prop4 = (
+        (-1) ** (n - 1) * factorial(n - 1) * scale * alternating_cofactor_sum(inputs, logs),
+        e_in + e_log * k - e_den,
+    )
+    return _div(prop3, denominator, work_bits), _div(prop4, denominator, work_bits)
 
 
-def _rel_error(value: mpmath.mpf, reference: mpmath.mpf) -> mpmath.mpf:
-    return abs(value - reference) / abs(reference)
+def _rel_error(value, reference, prec: int) -> mpmath.mpf:
+    """|value - reference| / |reference| for pairs, rounded as the same
+    ``mpf`` arithmetic under ``mp.workprec(prec)`` rounds it."""
+    error = _div(_abs(_sub(value, reference, prec), prec), _abs(reference, prec), prec)
+    return mp.make_mpf(_raw_value(error))
 
 
 def numeric_checks(a, precision_bits: int = 53) -> Tuple[mpmath.mpf, ...]:
@@ -245,31 +299,31 @@ def numeric_checks(a, precision_bits: int = 53) -> Tuple[mpmath.mpf, ...]:
     the planes' offsets (the full Wronskian), the determinant is (-1)^(n-1)
     (n-1)! (prod r!)^(n-2) times sum_i (-1)^(i+1) a_i prod_{j<k; j,k != i}
     (ln a_k - ln a_j), over the same power of the a_j.  The closed forms
-    take their logs at w.  The quotient of the two determinants is the
-    first intersection coordinate by Cramer's rule and must agree with
-    ``neuman_LN``.  A numerically singular minor matrix raises
-    ``SingularSystem`` from the solve.
+    take the logs rounded at w and are otherwise exact, on integers
+    (``_determinant_closed_forms``), each rounded once at w.  The quotient
+    of the two determinants is the first intersection coordinate by
+    Cramer's rule and must agree with ``neuman_LN``.  A numerically
+    singular minor matrix raises ``SingularSystem`` from the solve.
     """
     vals = sorted_positive_distinct(a, precision_bits)
     n = len(vals)
     result = intersect(make_log_curve(n), vals, precision_bits)
-    reference = neuman_LN(vals, precision_bits)
-    with mp.workprec(precision_bits):
-        m1 = _rel_error(result.means[1], reference)
+    m1, reference = _pairs([result.means[1], neuman_LN(vals, precision_bits)], precision_bits)
+    m1_error = _rel_error(m1, reference, precision_bits)
     if n == 2:
-        return (m1,)
+        return (m1_error,)
     work_bits = precision_bits + GUARD_BITS
-    det_minors = result.report.determinant
-    det_replaced = det(
-        [(plane.offset,) + plane.normal[1:] for plane in result.planes], work_bits
+    replaced = [(plane.offset,) + plane.normal[1:] for plane in result.planes]
+    det_minors, det_replaced = _pairs(
+        [result.report.determinant, det(replaced, work_bits)], work_bits
     )
-    with mp.workprec(work_bits):
-        logs = [mp.log(v) for v in vals]
-        prop3 = _rel_error(det_minors, _det_closed_form(vals, vandermonde(logs)))
-        alternating = (-1) ** (n - 1) * factorial(n - 1) * alternating_cofactor_sum(vals, logs)
-        prop4 = _rel_error(det_replaced, _det_closed_form(vals, alternating))
-        quotient = _rel_error(det_replaced / det_minors, reference)
-    return prop3, prop4, quotient, m1
+    prop3, prop4 = _determinant_closed_forms(vals, work_bits)
+    return (
+        _rel_error(det_minors, prop3, work_bits),
+        _rel_error(det_replaced, prop4, work_bits),
+        _rel_error(_div(det_replaced, det_minors, work_bits), reference, work_bits),
+        m1_error,
+    )
 
 
 # -- randomized scans ----------------------------------------------------------
@@ -409,10 +463,12 @@ def conjecture_scan(
     curve = make_conjecture_curve(n)
 
     def check(vals):
-        mean_value = mean_M(curve, n, vals, precision_bits)
-        reference = identric_IZ(vals, precision_bits)
-        with mp.workprec(precision_bits):
-            return (_rel_error(mean_value, reference),)
+        vals = sorted_positive_distinct(vals, precision_bits)
+        mean_value, reference = _pairs(
+            [mean_M(curve, n, vals, precision_bits), identric_IZ(vals, precision_bits)],
+            precision_bits,
+        )
+        return (_rel_error(mean_value, reference, precision_bits),)
 
     [worst] = _worst_errors(check, n, 1.5, 20.0, trials, seed + n, precision_bits)
     return IdentityReport(

@@ -156,7 +156,7 @@ def test_conjecture_csv_byte_identical(capsys):
     [
         (
             "verify --max-n 5 --precision 113 --trials 20 --seed 101 --json",
-            "19befac35941fdb59264dda31158865f384f3c6081d0dd88f9c3801ec3fc6aa0",
+            "d26f2a4875a9bdcd4e516df9152c58f64fed37426e7fa214d0ff44b4e3d20e9b",
         ),
         (
             "conjecture --n 3 --trials 20 --seed 101 --json",
@@ -164,19 +164,19 @@ def test_conjecture_csv_byte_identical(capsys):
         ),
         (
             "verify --max-n 4 --trials 10 --seed 3",
-            "73a9da47ff9fed738e7efc51914655eb52a55f2a3f3ad8821e0b0711528927ec",
+            "0da58f39fc106aa304ad12e397bbdba5740f9f6a95007048654dee949a46908c",
         ),
         (
             "verify --max-n 4 --trials 10 --seed 3 --csv",
-            "54480675e9779114676978ef679abc971c7cf3c7c956a8f4daec21b526517286",
+            "3bfd0aed2f51ff3e5526c95e64b72ba649d2ea32750129d2305b957a5decbd4d",
         ),
         (
             "identities --max-n 4 --trials 20 --seed 2",
-            "a1e93fd0151edcb4cc1f9ca1f73a94ffbbee11a6318ad39347ae2044f150b651",
+            "f89fe713acb9894a1552b90f37871b1bdaff30eecafc30a592065e2944057793",
         ),
         (
             "identities --max-n 4 --trials 20 --seed 2 --csv",
-            "48a854d48e3e5063507db1b2bf90fd4e1b5e74536d6f2b057ba56085c3d95081",
+            "d4cb61dae8c1e838cf9666a67b21652d6775a5ae759bd2202b8ef1f1cde24c7e",
         ),
         (
             # escalates to 113 bits and warns

@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import from_rational, mpf_log, round_nearest, to_rational
 
 from oscmean import identities, means
 from oscmean.errors import BadDimension, BadParameter, DistinctnessViolation, SingularSystem
@@ -12,6 +14,7 @@ from oscmean.identities import (
     MAIN_THEOREM_TOLERANCE,
     MAIN_THEOREM_TOLERANCE_113,
     NUMERIC_TOLERANCE,
+    alternating_cofactor_sum,
     closure_scan,
     conjecture_scan,
     draw_tuple,
@@ -27,11 +30,14 @@ from oscmean.identities import (
     run_identity_suite,
     run_numeric_suite,
     tangent_scan,
+    vandermonde,
 )
 from oscmean.logpoly import LogPoly, substitute_power
 from oscmean.means import Hyperplane, ln_gap_warnings
+from oscmean.numerics import _pair
 from oscmean.wronskian import (
     det_symbolic,
+    factorial_product,
     full_wronskian_closed_form,
     make_log_curve,
     normal_field,
@@ -102,6 +108,67 @@ def test_vandermonde_cofactor_validations():
         lemma7_check((1, 2))
 
 
+def _fraction_vandermonde(xs):
+    # prod_{i<j} (x_j - x_i) on Fractions, the loop the identities ran before
+    # they moved to integers
+    out = Fraction(1)
+    for i, xi in enumerate(xs):
+        for xj in xs[i + 1:]:
+            out *= xj - xi
+    return out
+
+
+def _fraction_cofactor_sum(weights, xs):
+    return sum((-1) ** i * w * _fraction_vandermonde(xs[:i] + xs[i + 1:])
+               for i, w in enumerate(weights))
+
+
+def _fraction_lemma7(b):
+    vals = [Fraction(x) for x in b]
+    n = len(vals)
+    return (_fraction_cofactor_sum([v ** (n - 1) for v in vals], vals),
+            (-1) ** (n - 1) * _fraction_vandermonde(vals))
+
+
+def test_vandermonde_cofactor_matches_the_fraction_loop():
+    rng = random.Random(1234)  # the draws of test_vandermonde_cofactor_random_rationals
+    cases = [(0, 1, 2), (0, 1, 2, 3), (-5, 2, 7, 11, 3), (0.5, 1.25, -3.75, 2.1),
+             (1e-3, 7, Fraction(2, 3), -0.1)]
+    for n in range(3, 8):
+        for _ in range(25):
+            vec = []
+            while len(vec) < n:
+                candidate = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+                if candidate not in vec:
+                    vec.append(candidate)
+            cases.append(vec)
+    for vec in cases:
+        got = lemma7_check(vec)
+        assert got == _fraction_lemma7(vec)
+        assert all(type(side) is Fraction for side in got)
+
+
+def test_vandermonde_cofactor_validates_before_scaling(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("scaled before validating")
+
+    monkeypatch.setattr(identities.math, "lcm", unreachable)
+    monkeypatch.setattr(identities, "vandermonde", unreachable)
+    monkeypatch.setattr(identities, "alternating_cofactor_sum", unreachable)
+    for duplicated in ((1, 2, 1), (Fraction(1, 2), 3, 0.5)):
+        with pytest.raises(DistinctnessViolation):
+            lemma7_check(duplicated)
+    with pytest.raises(BadDimension):
+        lemma7_check((Fraction(1, 3), 2))
+
+
+def test_cofactor_sum_of_a_repeated_node():
+    # a zero gap leaves V = 0; the repeated nodes' cofactors are multiplied out
+    assert vandermonde([1, 2, 2]) == 0
+    # 4 V(2, 2) - 5 V(1, 2) + 6 V(1, 2) = 0 - 5 + 6
+    assert alternating_cofactor_sum([4, 5, 6], [1, 2, 2]) == 1
+
+
 # -- numeric determinant identities -----------------------------------------------------
 
 
@@ -155,11 +222,39 @@ def test_determinant_checks_values_are_pinned():
     errors = numeric_checks((1.7, 2.9, 4.4, 8.1, 13.6), 113)
     with mp.workprec(113):
         assert [repr(e) for e in errors] == [
-            "mpf('8.38760506822767828873118151789733413e-41')",
-            "mpf('2.96415530689873896122257837641807154e-42')",
+            "mpf('8.40801286644721035269403110796521085e-41')",
+            "mpf('9.2218165103516323238035771710784448e-42')",
             "mpf('2.18956788377534386773338028250687137e-35')",
             "mpf('0.0')",
         ]
+
+
+def _exact_closed_forms(vals, work_bits):
+    # prop3 and prop4 as Fractions of the inputs and of their logs rounded
+    # at work_bits
+    a = [Fraction(*to_rational(v._mpf_)) for v in vals]
+    y = [Fraction(*to_rational(mpf_log(v._mpf_, work_bits, round_nearest))) for v in vals]
+    n = len(a)
+    common = Fraction(factorial_product(n) ** (n - 2))
+    for v in a:
+        common /= v ** ((n - 1) * (n - 2) // 2)
+    return (common * _fraction_vandermonde(y),
+            (-1) ** (n - 1) * factorial(n - 1) * common * _fraction_cofactor_sum(a, y))
+
+
+@pytest.mark.parametrize("bits", [53, 113, 256])
+def test_closed_forms_are_exact_rounded_once(bits):
+    work_bits = bits + means.GUARD_BITS
+    rng = random.Random(bits)
+    # a log of exactly 0 among them (a_j = 1)
+    tuples = [(0.5, 1.0, 3.0), (1.0, 1.5, 2.25, 40.0)]
+    tuples += [draw_tuple(rng, n, 0.2, 50.0) for n in range(3, 8) for _ in range(4)]
+    for values in tuples:
+        vals = means.sorted_positive_distinct(values, bits)
+        got = identities._determinant_closed_forms(vals, work_bits)
+        for pair, exact in zip(got, _exact_closed_forms(vals, work_bits)):
+            rounded = from_rational(exact.numerator, exact.denominator, work_bits, round_nearest)
+            assert pair == _pair(rounded)
 
 
 def test_prop_checks_validate_inputs():
@@ -294,6 +389,28 @@ def test_perturbed_offset_fails_prop4_and_the_quotient(monkeypatch):
     for bits in (53, 113):
         _, prop4, quotient, _ = numeric_scan(5, trials=3, seed=0, precision_bits=bits)
         assert not prop4.passed and not quotient.passed
+
+
+def test_cofactor_sum_without_signs_fails_the_cofactor_rows_and_prop4(monkeypatch):
+    def unsigned(weights, xs):
+        return sum(w * vandermonde(xs[:i] + xs[i + 1:]) for i, w in enumerate(weights))
+
+    monkeypatch.setattr(identities, "alternating_cofactor_sum", unsigned)
+    rows = [r for r in run_exact_suite(7, trials=10) if r.name == "vandermonde_cofactor"]
+    assert [r.n for r in rows] == [3, 4, 5, 6, 7]
+    assert not any(r.passed for r in rows)
+    for bits in (53, 113):
+        prop3, prop4, _, _ = numeric_scan(5, trials=3, seed=0, precision_bits=bits)
+        assert prop3.passed and not prop4.passed
+
+
+def test_vandermonde_missing_a_gap_fails_prop3(monkeypatch):
+    real = identities.vandermonde
+    # the gap between the last two nodes left out
+    monkeypatch.setattr(identities, "vandermonde", lambda xs: real(xs) // (xs[-1] - xs[-2]))
+    for bits in (53, 113):
+        prop3, _, _, main = numeric_scan(5, trials=3, seed=0, precision_bits=bits)
+        assert not prop3.passed and main.passed
 
 
 def test_main_theorem_scan_gates():
