@@ -449,8 +449,8 @@ def conjecture_scan(
 ) -> IdentityReport:
     """Compare the n-th mean of the power-log curve with the identric mean.
 
-    Tuples are drawn from [1.5, 20].  The n-th component is log t, which is
-    globally monotone, so the mean is recovered by bracketed inversion.
+    Tuples are drawn from [1.5, 20].  The n-th component is log t, so the
+    mean is exp of the intersection's last coordinate (``means.mean_M``).
     Agreement is gated at n = 3 and reported (not gated) for
     4 <= n <= ``CONJECTURE_MAX_N``.
     """

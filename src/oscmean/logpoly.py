@@ -26,9 +26,9 @@ Each polynomial's terms are grouped by t-power, with integer coefficients
 over one common denominator, once per polynomial set and cached.  A group's
 value is then computed exactly in integers from the mantissas of log t and
 t^m, and rounded once to the requested significand width; only a polynomial
-with several t-powers rounds again, once per added group.  Like
-``numerics``, it runs on raw ``mpmath.libmp`` values (the ``_mpf_``
-tuples), and wraps only the values it returns in ``mpf``.
+with several t-powers rounds again, once per added group.  It rounds on
+``numerics``' integer (mantissa, exponent) pairs, and wraps only the values
+it returns in ``mpf``.
 """
 
 from __future__ import annotations
@@ -40,9 +40,10 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_log, mpf_pow_int, round_nearest
+from mpmath.libmp import mpf_log, mpf_pow_int, round_nearest
 
 from .errors import BadParameter, DomainError, NonPositiveArgument
+from .numerics import _ZERO, _add, _div, _raw_value, _round
 from .precision import as_mpf_at, require_precision
 
 TermKey = Tuple[int, int]  # (t_power, log_power)
@@ -281,7 +282,7 @@ def _grouped_terms(polys: Tuple[LogPoly, ...]) -> Tuple[Tuple[Optional[tuple], t
     """Each polynomial as ``(denominator, groups)``, exactly.
 
     ``denominator`` is the least common denominator D of its coefficients as
-    an exact raw mpf, or None when D = 1.  ``groups`` holds one
+    an exact ``numerics`` pair, or None when D = 1.  ``groups`` holds one
     ``(m, coefficients)`` pair per t-power m, in ascending m, where
     ``coefficients`` lists the integers D * c of (log t)^J down to
     (log t)^0, zeros included.  Nothing here is rounded, so one entry serves
@@ -300,7 +301,7 @@ def _grouped_terms(polys: Tuple[LogPoly, ...]) -> Tuple[Tuple[Optional[tuple], t
             (m, tuple(row.get(j, 0) for j in range(max(row), -1, -1)))
             for m, row in sorted(by_power.items())
         )
-        out.append((None if denom == 1 else from_int(denom), groups))
+        out.append((None if denom == 1 else _round(denom, 0, denom.bit_length()), groups))
     return tuple(out)
 
 
@@ -313,14 +314,17 @@ def lp_eval_many(polys: Sequence[LogPoly], t, precision_bits: int = 53) -> List[
     mpf point is used as given, not rounded; any other is converted at
     ``precision_bits``.
 
-    Rounding contract, on raw libmp values at ``precision_bits``, to
-    nearest: L = log t (``mpf_log``) and P_m = t^m (``mpf_pow_int``; P_0 =
-    1) are rounded.  A polynomial's terms are grouped by t-power m, and each
-    group's value P_m * sum_j c_j L^j is computed exactly, by integer Horner
-    on L's mantissa with the coefficients over their common denominator,
-    then rounded once (``from_man_exp``, or one ``mpf_div`` by the
-    denominator).  A polynomial with several groups adds the rounded groups
-    in ascending m, each addition rounded; the zero polynomial is 0.  Every
+    Rounding contract, at ``precision_bits``, to nearest: L = log t
+    (``mpf_log``) and P_m = t^m (``mpf_pow_int``; P_0 = 1) are rounded.  A
+    polynomial's terms are grouped by t-power m, and each group's value
+    P_m * sum_j c_j L^j is computed exactly, by integer Horner on L's
+    mantissa with the coefficients over their common denominator, then
+    rounded once (``numerics._round``, or one ``numerics._div`` of the exact
+    group, normalised to an odd mantissa, by the denominator).  A
+    polynomial with several groups adds the rounded groups in ascending m,
+    each addition rounded (``numerics._add``); the zero polynomial is 0.
+    Each step returns exactly what libmp's ``from_man_exp``, ``mpf_div`` and
+    ``mpf_add`` return for it, on ``numerics``' integer pairs.  Every
     other step is exact integer arithmetic, so a value is bit-for-bit the
     same whichever other polynomials it is evaluated with, on either mpmath
     backend, and does not depend on the ambient ``mp.prec``.  The grouped
@@ -360,11 +364,13 @@ def lp_eval_many(polys: Sequence[LogPoly], t, precision_bits: int = 53) -> List[
                 acc *= power_man
                 scale += power_exp
             if denom is None:
-                piece = from_man_exp(acc, scale, prec, _RND)
+                piece = _round(acc, scale, prec)
             else:
-                piece = mpf_div(from_man_exp(acc, scale), denom, prec, _RND)
-            total = piece if total is None else mpf_add(total, piece, prec, _RND)
-        values.append(mp.make_mpf(fzero if total is None else total))
+                # exact, with an odd mantissa, as mpf_div reads its dividend
+                exact = _round(acc, scale, acc.bit_length())
+                piece = _div(exact, denom, prec)
+            total = piece if total is None else _add(total, piece, prec)
+        values.append(mp.make_mpf(_raw_value(_ZERO if total is None else total)))
     return values
 
 

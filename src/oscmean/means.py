@@ -49,6 +49,7 @@ from .errors import (
     BadIndex,
     DistinctnessViolation,
     DomainError,
+    NoBracket,
     NonPositiveArgument,
     SingularSystem,
 )
@@ -68,7 +69,7 @@ from .numerics import (
     solve_linear,
 )
 from .precision import as_mpf, require_precision
-from .wronskian import CACHE_MAXSIZE, Curve, T, make_log_curve, normal_field
+from .wronskian import CACHE_MAXSIZE, LOG_T, Curve, T, make_log_curve, normal_field
 
 #: Inputs whose logs are closer than this get a conditioning warning and an
 #: automatic escalation to at least 113 significand bits.
@@ -286,7 +287,7 @@ def _require_invertible(curve: Curve, k: int, vals: Sequence) -> None:
     increasing only for t > 1, so k >= 2 there needs every input > 1.
     """
     lo = vals[0]
-    if k >= 2 and _is_log_curve(curve) and lo <= 1:
+    if k >= 2 and lo <= 1 and _is_log_curve(curve):
         raise DomainError(
             f"component {k} of the log curve is strictly increasing only for t > 1; "
             f"smallest input is {mp.nstr(lo, 12)}"
@@ -296,13 +297,20 @@ def _require_invertible(curve: Curve, k: int, vals: Sequence) -> None:
 def _pull_back(curve: Curve, k: int, target, vals: Sequence, precision_bits: int):
     """Invert component k at ``target`` on the range of the sorted inputs.
 
-    Component t needs no inversion; any other is inverted by bracketed root
-    finding on the inputs' range, which is where the mean is guaranteed to
-    live.
+    Component t needs no inversion, and log t is inverted in closed form:
+    exp of the target, rounded to nearest at ``precision_bits + 10``, the
+    width the root finder works at.  Any other component is inverted by
+    bracketed root finding on the inputs' range, which is where the mean is
+    guaranteed to live.  A value off that range raises ``NoBracket``.
     """
     component = curve.components[k - 1]
     if component == T:
         return target
+    if component == LOG_T:
+        value = mp.make_mpf(mpf_exp(target._mpf_, precision_bits + 10, _RND))
+        if not vals[0] <= value <= vals[-1]:
+            raise NoBracket(f"exp({target}) lies outside the inputs' range")
+        return value
     derivative = component.diff()
     return find_root_bracketed(
         lambda t: lp_eval(component, t, precision_bits) - target,
@@ -315,7 +323,9 @@ def _pull_back(curve: Curve, k: int, target, vals: Sequence, precision_bits: int
 
 def mean_M(curve: Curve, k: int, values: Sequence, precision_bits: int = 53) -> mpmath.mpf:
     """The k-th mean: coordinate k of the intersection point pulled back
-    through component k.
+    through component k (``_pull_back``: a coordinate read through log t is
+    exp of it, rounded once at ``precision_bits + 10``; any other non-t
+    component is inverted by bracketed root finding at that width).
 
     On the log curve k >= 2 needs all inputs > 1 (``DomainError``
     otherwise); the check runs before any hyperplane is built.

@@ -32,8 +32,8 @@ the conversion happens there, in ``SolveReport``'s three properties, and
 nowhere else.  ``means``' divided-difference kernel, which serves
 ``neuman_LN`` and ``identric_IZ``, uses the same primitives.
 ``logpoly.lp_eval_many`` (which also evaluates the plane offsets of
-``means.hyperplane_at``, as one more log-polynomial) works on raw libmp
-values, exact in integers per t-power group and rounded once per group.
+``means.hyperplane_at``, as one more log-polynomial) is exact in integers
+per t-power group and rounds and adds the groups with the same primitives.
 """
 
 from __future__ import annotations

@@ -160,7 +160,7 @@ def test_conjecture_csv_byte_identical(capsys):
         ),
         (
             "conjecture --n 3 --trials 20 --seed 101 --json",
-            "6c027caecfcd31bd88d8eded4d643ba9e2c9cbcb333384b77508b2d192202e73",
+            "a87e0f09ea972536e14b6d7d2b33a8055e07637d73910a74a629382d058f06c1",
         ),
         (
             "verify --max-n 4 --trials 10 --seed 3",

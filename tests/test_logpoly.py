@@ -2,10 +2,20 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from mpmath import mp
-from mpmath.libmp import mpf_log, mpf_pow_int, round_nearest
+from mpmath.libmp import (
+    from_int,
+    from_man_exp,
+    fzero,
+    mpf_add,
+    mpf_div,
+    mpf_log,
+    mpf_pow_int,
+    round_nearest,
+)
 
 from oscmean.errors import BadParameter, DomainError, NonPositiveArgument
 from oscmean.logpoly import (
@@ -18,7 +28,12 @@ from oscmean.logpoly import (
     to_text,
 )
 from oscmean.precision import as_mpf_at
-from oscmean.wronskian import make_conjecture_curve, make_log_curve, normal_field
+from oscmean.wronskian import (
+    make_conjecture_curve,
+    make_log_curve,
+    make_monomial_curve,
+    normal_field,
+)
 
 T = LogPoly.term(1, 1, 0)
 LOG_T = LogPoly.term(1, 0, 1)
@@ -398,6 +413,53 @@ def test_eval_many_reference_cases_are_reached():
     # the 53-bit log of E_SQUARED_53 has a positive exponent
     assert mpf_log(E_SQUARED_53._mpf_, 53, round_nearest)[2] > 0
     assert lp_eval_many([LogPoly({(0, 0): 3, (0, 2): 5, (4, 1): 1})], 1, 53) == [3]
+
+
+def _libmp_eval(p, t, bits):
+    # lp_eval_many's contract written on libmp's own calls: each t-power
+    # group exact, then from_man_exp, or mpf_div by the common denominator,
+    # at ``bits``; the groups added in ascending t-power with mpf_add
+    t_raw = as_mpf_at(t, bits)._mpf_
+    log_t = _exact(mpf_log(t_raw, bits, round_nearest))
+    denom = lcm(*(Fraction(c).denominator for _, c in p.items()))
+    total = None
+    for m in sorted({m for (m, _), _ in p.items()}):
+        exact = sum(c * denom * log_t ** j for (mj, j), c in p.items() if mj == m)
+        if m:
+            exact *= _exact(mpf_pow_int(t_raw, m, bits, round_nearest))
+        man, exp = exact.numerator, 1 - exact.denominator.bit_length()
+        if denom == 1:
+            piece = from_man_exp(man, exp, bits, round_nearest)
+        else:
+            piece = mpf_div(from_man_exp(man, exp), from_int(denom), bits, round_nearest)
+        total = piece if total is None else mpf_add(total, piece, bits, round_nearest)
+    return fzero if total is None else total
+
+
+def _field_offset_and_scaled(curve):
+    # the normal field, the components, the plane offset, and the field over
+    # 4 and times 5/12: a denominator that is a power of two (mpf_div's
+    # one-bit divisor) and one that is not
+    field = normal_field(curve)
+    offset = LogPoly.zero()
+    for component, coefficient in zip(curve.components, field):
+        offset = offset + component * coefficient
+    scaled = tuple(q / 4 for q in field) + tuple(q * Fraction(5, 12) for q in field)
+    return field + curve.components + (offset,) + scaled
+
+
+@pytest.mark.parametrize("bits", [53, 113, 256, 1500])
+def test_eval_many_matches_the_libmp_calls(bits):
+    points = (2.5, "0.3", 1, "17.125", "1e300", MPF_400_BITS, E_SQUARED_53)
+    for n in range(2, 11):
+        curves = [make_log_curve(n), make_monomial_curve([-2] + list(range(1, n)))]
+        if n >= 3:
+            curves.append(make_conjecture_curve(n))
+        for curve in curves:
+            polys = _field_offset_and_scaled(curve)
+            for t in points:
+                values = [v._mpf_ for v in lp_eval_many(polys, t, bits)]
+                assert values == [_libmp_eval(p, t, bits) for p in polys], (n, curve, t)
 
 
 def test_n16_log_curve_is_pinned_to_the_fraction_reference_at_286_bits():

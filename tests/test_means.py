@@ -4,6 +4,7 @@ import random
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import mpf_exp, round_nearest
 
 from oscmean import identities, logpoly, means, numerics
 from oscmean.errors import (
@@ -12,6 +13,7 @@ from oscmean.errors import (
     BadIndex,
     DistinctnessViolation,
     DomainError,
+    NoBracket,
     NonPositiveArgument,
     SingularSystem,
 )
@@ -25,7 +27,7 @@ from oscmean.means import (
     mean_M,
     neuman_LN,
 )
-from oscmean.wronskian import make_conjecture_curve, make_log_curve, make_monomial_curve
+from oscmean.wronskian import LOG_T, make_conjecture_curve, make_log_curve, make_monomial_curve
 
 
 # -- hyperplanes ---------------------------------------------------------------
@@ -407,6 +409,53 @@ def test_conjecture_curve_log_inversion_matches_exp():
     i3 = intersect(curve, values).point[2]
     assert abs(m3 - mp.exp(i3)) < 1e-12 * m3
     assert values[0] < m3 < values[2]
+
+
+def _conjecture_cases(bits):
+    # three seeded tuples per n from the conjecture scan's range, with the
+    # intersection's last coordinate i_n
+    for n in (3, 5, 8, 12, 16):
+        curve = make_conjecture_curve(n)
+        rng = random.Random(n * bits)
+        for _ in range(3):
+            vals = means.sorted_positive_distinct(draw_tuple(rng, n, 1.5, 20.0), bits)
+            yield curve, vals, intersect(curve, vals, bits).point[n - 1]
+
+
+def _agrees_with_the_root_finder(value, target, vals, bits):
+    # within 2^(-bits + 4) relative of the bracketed inversion of log t
+    root = numerics.find_root_bracketed(
+        lambda t: logpoly.lp_eval(LOG_T, t, bits) - target,
+        vals[0],
+        vals[-1],
+        bits,
+        derivative=lambda t: logpoly.lp_eval(LOG_T.diff(), t, bits),
+    )
+    with mp.workprec(bits + 20):
+        return abs(value - root) <= mp.ldexp(abs(root), -bits + 4)
+
+
+@pytest.mark.parametrize("bits", [53, 113, 256])
+def test_conjecture_mean_is_exp_of_the_last_coordinate(bits):
+    for curve, vals, i_n in _conjecture_cases(bits):
+        m_n = mean_M(curve, curve.dimension, vals, bits)
+        assert m_n._mpf_ == mpf_exp(i_n._mpf_, bits + 10, round_nearest)
+        assert _agrees_with_the_root_finder(m_n, i_n, vals, bits)
+
+
+@pytest.mark.parametrize("bits", [53, 113, 256])
+def test_exp_twenty_bits_short_fails_the_root_finder_agreement(bits):
+    # negative control: exp rounded 30 bits narrower than mean_M's fails the agreement
+    for curve, vals, i_n in _conjecture_cases(bits):
+        short = mp.make_mpf(mpf_exp(i_n._mpf_, bits - 20, round_nearest))
+        assert not _agrees_with_the_root_finder(short, i_n, vals, bits)
+
+
+def test_log_pull_back_refuses_a_target_below_the_inputs():
+    curve = make_conjecture_curve(3)
+    vals = means.sorted_positive_distinct((2.0, 5.0, 11.0))
+    with pytest.raises(NoBracket):
+        means._pull_back(curve, 3, mp.log(vals[0]) - 1, vals, 53)
 
 
 def test_betweenness_all_means():
