@@ -2,7 +2,8 @@
 derived from it, plus the closed-form n-variable logarithmic and identric
 means used as references.  ``evaluate_request`` serves the command line's
 ``mean``: it parses, checks, escalates and evaluates one request in a
-single call.
+single call.  Whether a request escalates is decided exactly on the parsed
+values' integers, with no log (``_gap_below_floor``).
 
 Geometry recap: for a curve with log-polynomial components, the osculating
 hyperplane at parameter a has normal vector given by the alternating-sign
@@ -26,12 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, factorial
+from math import factorial
 from typing import Dict, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
 from mpmath.libmp import (
+    fone,
+    from_float,
     from_int,
     from_rational,
     mpf_exp,
@@ -42,6 +45,7 @@ from mpmath.libmp import (
     mpf_pow_int,
     mpf_sub,
     round_nearest,
+    to_fixed,
 )
 
 from .errors import (
@@ -60,9 +64,9 @@ from .numerics import (
     SolveReport,
     _add,
     _div,
-    _gt,
     _mul,
     _pair,
+    _pairs,
     _raw_value,
     _sub,
     find_root_bracketed,
@@ -75,23 +79,17 @@ from .wronskian import CACHE_MAXSIZE, LOG_T, Curve, T, make_log_curve, normal_fi
 #: automatic escalation to at least 113 significand bits.
 LN_GAP_FLOOR = 1e-6
 ESCALATED_PRECISION_BITS = 113
-# ln(b/a) >= (b - a)/b, so positive values a < b with a * 2^_GAP_SHIFT <=
-# b * _GAP_KEEP, that is (b - a)/b >= LN_GAP_FLOOR + 2^-30, have a log gap
-# at least that large.  When every value lies in [2^(top-1), 2^top) with
-# |top| <= _GAP_MAX_TOP, a 53-bit log is within one unit in its last place,
-# 2^-52 * (2^21 + 1) * ln 2 < 3.3e-10, so two rounded logs and their
-# rounded difference still reach the floor.
-_GAP_SHIFT = 40
-_GAP_KEEP = (1 << _GAP_SHIFT) - ceil(
-    (Fraction(LN_GAP_FLOOR) + Fraction(1, 1 << 30)) * (1 << _GAP_SHIFT)
-)
-_GAP_MAX_TOP = 1 << 21
 #: Internal headroom for intersections and closed-form mean evaluations:
 #: the arithmetic carries this many extra bits so that log-gap cancellation
 #: does not eat into the digits of the answer delivered at the requested
 #: precision.
 GUARD_BITS = 30
 _RND = round_nearest
+# ln b - ln a < LN_GAP_FLOOR exactly when (b - a)/a < e^LN_GAP_FLOOR - 1, an
+# irrational bound: here times 2^96, taken at 128 bits and rounded up.
+_GAP_BOUND = 1 + to_fixed(
+    mpf_sub(mpf_exp(from_float(LN_GAP_FLOOR), 128, _RND), fone, 128, _RND), 96
+)
 
 
 @dataclass(frozen=True)
@@ -166,40 +164,37 @@ def sorted_positive_distinct(values: Sequence, precision_bits: int = 53) -> Tupl
     return tuple(parsed)
 
 
-def _log_gaps_clear_the_floor(values: Sequence) -> bool:
-    """True when the 53-bit log gaps of ``values``, increasing positive mpf
-    values, provably all reach ``LN_GAP_FLOOR``, with no log taken."""
-    pairs = []
-    for v in values:
-        if not isinstance(v, mpmath.mpf):
-            return False
-        sign, man, exp, bc = v._mpf_
-        if sign or not man or abs(exp + bc) > _GAP_MAX_TOP:
-            return False
-        pairs.append((man, exp))
-    return not any(
-        _gt((a, ea + _GAP_SHIFT), (b * _GAP_KEEP, eb))
-        for (a, ea), (b, eb) in zip(pairs, pairs[1:])
-    )
+def _gap_below_floor(a, b) -> bool:
+    """True when the pairs 0 < a < b have ln b - ln a < ``LN_GAP_FLOOR``:
+    (b - a) * 2^96 < ``_GAP_BOUND`` * a, compared exactly on integers.  A
+    pair with b >= 2a returns at once, so no shift exceeds the mantissas."""
+    (ma, ea), (mb, eb) = a, b
+    if mb.bit_length() + eb - ma.bit_length() - ea >= 2:
+        return False
+    e = min(ea, eb)
+    ma <<= ea - e
+    mb <<= eb - e
+    return (mb - ma) << 96 < _GAP_BOUND * ma
 
 
-def ln_gap_warnings(values: Sequence) -> Tuple[str, ...]:
-    """Conditioning warnings for sorted positive values with close logs.
-
-    The logs are taken at 53 bits, unless the inputs' relative gaps show
-    that every log gap clears ``LN_GAP_FLOOR`` whatever their rounding.
-    """
-    if len(values) >= 2 and _log_gaps_clear_the_floor(values):
-        return ()
+def _ln_gap_note(values: Sequence) -> str:
+    """The note "min ln-gap g is below 1e-06" when adjacent sorted positive
+    ``values`` (non-mpf ones parsed at 53 bits) have logs closer than
+    ``LN_GAP_FLOOR``, else "".  The decision is ``_gap_below_floor``; logs
+    are taken, at 53 bits, only for the printed smallest gap g."""
+    pairs = _pairs(values, 53)
+    if not any(map(_gap_below_floor, pairs, pairs[1:])):
+        return ""
     with mp.workprec(53):
         logs = [mp.log(as_mpf(v)) for v in values]
         smallest = min(b - a for a, b in zip(logs, logs[1:]))
-        if smallest < LN_GAP_FLOOR:
-            return (
-                f"min ln-gap {mp.nstr(smallest, 3)} is below {LN_GAP_FLOOR:g}; "
-                "results are ill-conditioned, precision escalated",
-            )
-    return ()
+    return f"min ln-gap {mp.nstr(smallest, 3)} is below {LN_GAP_FLOOR:g}"
+
+
+def ln_gap_warnings(values: Sequence) -> Tuple[str, ...]:
+    """``_ln_gap_note`` as the warning of a request ``evaluate_request`` escalates."""
+    note = _ln_gap_note(values)
+    return (f"{note}; results are ill-conditioned, precision escalated",) if note else ()
 
 
 # -- hyperplanes and their intersection ---------------------------------------
@@ -261,8 +256,8 @@ def intersect(curve: Curve, values: Sequence, precision_bits: int = 53) -> Inter
     try:
         guarded = solve_linear(matrix, rhs, work_bits)
     except SingularSystem as exc:
-        gap_note = ln_gap_warnings(vals)
-        detail = f" ({gap_note[0]})" if gap_note else ""
+        note = _ln_gap_note(vals)
+        detail = f" ({note})" if note else ""
         raise SingularSystem(f"{exc}{detail}") from exc
     with mp.workprec(precision_bits):
         point = tuple(+x for x in guarded.solution)

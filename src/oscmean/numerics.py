@@ -27,8 +27,9 @@ exactly the value the libmp call it replaces (``mpf_mul``, ``mpf_add``,
 correctly rounded when the larger operand is wider than the precision.  The
 operations run in the order the same code written with ``mpf`` arithmetic
 under ``mp.workprec`` would use, so the results are bit-for-bit those of
-that code.  ``solve_linear`` and ``det`` take and return ``mpf`` values;
-the conversion happens there, in ``SolveReport``'s three properties, and
+that code, except that the pivot ratios are compared exactly, with no
+division.  ``solve_linear`` and ``det`` take and return ``mpf`` values; the
+conversion happens there, in ``SolveReport``'s three properties, and
 nowhere else.  ``means``' divided-difference kernel, which serves
 ``neuman_LN`` and ``identric_IZ``, uses the same primitives.
 ``logpoly.lp_eval_many`` (which also evaluates the plane offsets of
@@ -313,9 +314,10 @@ def _max_abs(values, prec: int):
 def _lu_factor(matrix, prec: int):
     """Doolittle LU with scaled partial pivoting; multipliers stored in place.
 
-    Takes and returns pairs.  Returns (lu, perm).  Raises SingularSystem
-    when the best available pivot is at or below 2^(-prec + 8) times the
-    scale of its original row.
+    Takes and returns pairs.  Returns (lu, perm).  The pivot is the first
+    row of largest |a_i| / s_i, compared exactly by cross-multiplying.
+    Raises SingularSystem when the best available pivot is at or below
+    2^(-prec + 8) times the scale of its original row.
     """
     n = len(matrix)
     lu = [row[:] for row in matrix]
@@ -324,15 +326,16 @@ def _lu_factor(matrix, prec: int):
         raise SingularSystem("matrix has an all-zero row")
     perm = list(range(n))
     for col in range(n):
-        # the first row of largest |a| / scale pivots
-        pivot_row, best = col, None
-        for i in range(col, n):
-            ratio = _div(_abs(lu[i][col], prec), scales[i], prec)
-            if best is None or _gt(ratio, best):
-                pivot_row, best = i, ratio
+        # the first row of largest |a| / scale: |a_i| * s_p > |a_p| * s_i
+        pivot_row, best = col, _abs(lu[col][col], prec)
+        for i in range(col + 1, n):
+            a = _abs(lu[i][col], prec)
+            (sp, ep), (si, ei) = scales[pivot_row], scales[i]
+            if _gt((a[0] * sp, a[1] + ep), (best[0] * si, best[1] + ei)):
+                pivot_row, best = i, a
         scale, scale_exp = scales[pivot_row]
         guard = (scale, scale_exp - prec + _PIVOT_GUARD_BITS)
-        if not _gt(_abs(lu[pivot_row][col], prec), guard):
+        if not _gt(best, guard):
             raise SingularSystem(
                 f"pivot {col} fell below the relative threshold; "
                 "the system is numerically singular"

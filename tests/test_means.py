@@ -19,6 +19,7 @@ from oscmean.errors import (
 )
 from oscmean.identities import draw_tuple
 from oscmean.means import (
+    LN_GAP_FLOOR,
     evaluate_request,
     hyperplane_at,
     identric_IZ,
@@ -774,10 +775,10 @@ def test_other_mpf_inputs_take_the_full_check(values, error, message):
     assert str(err.value) == message
 
 
-def _gap_warnings_by_logs(monkeypatch, values):
-    with monkeypatch.context() as patch:
-        patch.setattr(means, "_log_gaps_clear_the_floor", lambda values: False)
-        return ln_gap_warnings(values)
+def _gap_below_floor_by_logs(values):
+    with mp.workprec(600):
+        logs = [mp.log(v) for v in values]
+        return min(b - a for a, b in zip(logs, logs[1:])) < LN_GAP_FLOOR
 
 
 _GAP_BASES = ("1.5", "7", "1e-300", "1e300", "1e-100000", "1e100000")
@@ -789,7 +790,8 @@ _GAP_BASES = ("1.5", "7", "1e-300", "1e300", "1e-100000", "1e100000")
     + [mp.ldexp(1.3, 3 - (1 << 21)), mp.ldexp(1.3, (1 << 21) - 3)],
     ids=list(_GAP_BASES) + ["1.3*2^-2097149", "1.3*2^2097149"],
 )
-def test_ln_gap_shortcut_agrees_with_the_logs(monkeypatch, x):
+def test_ln_gap_shortcut_agrees_with_the_logs(x):
+    # the exact rule against 600-bit logs
     with mp.workprec(113):
         # relative gaps (b - a)/b from 5e-7 to 4e-6
         gaps = [mp.mpf("5e-7") * mp.mpf(8) ** (mp.mpf(i) / 40) for i in range(41)]
@@ -800,29 +802,58 @@ def test_ln_gap_shortcut_agrees_with_the_logs(monkeypatch, x):
         near = mp.mpf(1e-6) + mp.ldexp(1, -39)
         points = [x * (1 + mp.ldexp(i * 0.3719, -32)) for i in range(200)]
         cases += [(y, y / (1 - near)) for y in points]
+        # log gaps 2^-40 relative above and below the floor
+        for side in (1, -1):
+            ratio = mp.exp(mp.mpf(LN_GAP_FLOOR) * (1 + side * mp.ldexp(1, -40)))
+            cases += [(y, y * ratio) for y in points[:20]]
     fired = set()
     for values in cases:
-        expected = _gap_warnings_by_logs(monkeypatch, values)
-        assert ln_gap_warnings(values) == expected
-        fired.add(bool(expected))
+        expected = _gap_below_floor_by_logs(values)
+        warnings = ln_gap_warnings(values)
+        assert bool(warnings) == expected
+        assert all(w.startswith("min ln-gap ") for w in warnings)
+        fired.add(expected)
     assert fired == {True, False}
 
 
 def test_ln_gap_shortcut_takes_no_log_when_the_gaps_are_clear(monkeypatch):
     logs = _counting(monkeypatch, mp, "log")
-    clear = (mp.mpf(2), mp.mpf("2.00001"), mp.mpf(9))
-    assert ln_gap_warnings(clear) == ()
-    assert not logs
-    # a relative gap of 1e-6 + 2^-31 is too close to the floor to skip
-    # the logs, and so are exponents past 2^21 and values given as floats
+    # gaps just above the floor, exponents past 2^21, a ratio of 2^(2^23),
+    # values given as floats and as strings: none takes a log
     for values in [
+        (mp.mpf(2), mp.mpf("2.00001"), mp.mpf(9)),
         (mp.mpf(2), mp.mpf(2) * (1 + mp.mpf("1e-6") + mp.ldexp(1, -31))),
         (mp.ldexp(1, 1 << 22), mp.ldexp(3, 1 << 22)),
+        (mp.ldexp(1, -(1 << 22)), mp.ldexp(1, 1 << 22)),
         (2.0, 9.0),
+        ("2", "2.0000021", "3"),
     ]:
-        before = len(logs)
         assert ln_gap_warnings(values) == ()
-        assert len(logs) == before + len(values)
+    assert not logs
+    # a gap below the floor takes the 53-bit logs, only to print it
+    assert ln_gap_warnings((2.0, 2.000001, 3.0)) == (
+        "min ln-gap 5.0e-7 is below 1e-06; results are ill-conditioned, precision escalated",
+    )
+    assert len(logs) == 3
+    # and so does a pair across a power of two, a log gap of 2^-31
+    assert ln_gap_warnings((mp.mpf(2) - mp.ldexp(1, -30), mp.mpf(2)))
+
+
+def test_gap_bound_is_the_floor_rounded_up():
+    with mp.workprec(600):
+        bound = int(mp.ceil(mp.expm1(mp.mpf(LN_GAP_FLOOR)) * mp.ldexp(1, 96)))
+    assert means._GAP_BOUND == bound
+
+
+def test_singular_intersection_notes_only_the_gap():
+    values = (2.0, 2.0000000000000004, 2.000000000000001, 12.0)
+    with pytest.raises(SingularSystem) as err:
+        intersect(make_log_curve(4), values, 53)
+    # intersect escalates nothing, so its note states only the gap
+    assert str(err.value) == (
+        "pivot 3 fell below the relative threshold; the system is numerically "
+        "singular (min ln-gap 2.22e-16 is below 1e-06)"
+    )
 
 
 def test_evaluate_request_agreement():

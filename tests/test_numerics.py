@@ -464,6 +464,19 @@ def test_one_refinement_step_is_within_a_unit_of_the_exact_solution(n, bits):
     assert worst_unrefined > 1
 
 
+def test_pivot_ratios_that_round_alike_are_compared_exactly():
+    # column 0's ratios |a| / scale are 2^51 / (2^52 + 1) and
+    # (2^51 + 1) / (2^52 + 3): the second is larger by about 2^-104, and
+    # both round to the same 53-bit value, so only an exact comparison
+    # takes row 1
+    A = [[1 << 51, -((1 << 52) + 1)], [(1 << 51) + 1, (1 << 52) + 3]]
+    A_pairs = [numerics._pairs(row, 53) for row in A]
+    ratios = [numerics._div(a, numerics._abs(s, 53), 53) for a, s in A_pairs]
+    assert ratios[0] == ratios[1]
+    _, perm = numerics._lu_factor(A_pairs, 53)
+    assert perm == [1, 0]
+
+
 # -- integer (mantissa, exponent) arithmetic against libmp --------------------------
 
 
