@@ -11,8 +11,10 @@ Exit status: 0 all checks passed, 1 an identity failed, 2 usage or domain
 error.  Output is human text by default; ``--json`` / ``--csv`` emit a
 machine-readable form whose bytes are fully determined by the arguments and
 seed.  JSON output is standard JSON: a float that is not finite prints as
-``null``.  The OSCMEAN_PRECISION environment variable overrides the default
-precision; an explicit ``--precision`` flag wins over both.
+``null``; ``mean`` refuses (exit 2) inputs, a point, M_1, L_N or M_k that
+a float64 would print as 0.0 or inf.  The OSCMEAN_PRECISION environment
+variable overrides the default precision; an explicit ``--precision`` flag
+wins over both.
 
 The parser is built once per process and shared by every :func:`main` call.
 Each subcommand's handler reads the parsed ``argparse.Namespace`` directly;
@@ -30,7 +32,7 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from .errors import BadParameter, OscmeanError
+from .errors import BadParameter, DomainError, OscmeanError
 from .identities import (
     IdentityReport,
     conjecture_scan,
@@ -147,14 +149,23 @@ def _fail_reports(reports: List[IdentityReport], args: argparse.Namespace) -> in
     return EXIT_FAIL
 
 
+def _printable(name: str, value) -> float:
+    """``float(value)``; a nonzero value that is 0.0 or inf as a float64 is refused."""
+    x = float(value)
+    if value and (x == 0.0 or math.isinf(x)):
+        raise DomainError(f"{name} = {value} lies outside the float64 range")
+    return x
+
+
 def cmd_mean(args: argparse.Namespace) -> int:
     values = tuple(piece.strip() for piece in args.values.split(",") if piece.strip())
     outcome = evaluate_request(values, args.k, args.precision)
     record = dict(outcome)
-    record["values"] = [float(v) for v in outcome["values"]]
-    record["point"] = [float(v) for v in outcome["point"]]
+    for key in ("values", "point"):
+        record[key] = [_printable(f"{key}[{i}]", v) for i, v in enumerate(outcome[key])]
     for key in _FLOAT_FIELDS:
-        record[key] = float(outcome[key])
+        value = outcome[key]
+        record[key] = _printable(key, value) if key in ("m1", "neuman_ln", "mk") else float(value)
     if args.json:
         _print_json(record)
         return EXIT_OK

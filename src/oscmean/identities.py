@@ -313,7 +313,8 @@ def numeric_checks(a, precision_bits: int = 53) -> Tuple[mpmath.mpf, ...]:
     if n == 2:
         return (m1_error,)
     work_bits = precision_bits + GUARD_BITS
-    replaced = [(plane.offset,) + plane.normal[1:] for plane in result.planes]
+    # the planes' rows as pairs, each offset moved into column 1
+    replaced = [row[-1:] + row[1:-1] for row in result._rows]
     det_minors, det_replaced = _pairs(
         [result.report.determinant, det(replaced, work_bits)], work_bits
     )

@@ -28,7 +28,7 @@ value is then computed exactly in integers from the mantissas of log t and
 t^m, and rounded once to the requested significand width; only a polynomial
 with several t-powers rounds again, once per added group.  It rounds on
 ``numerics``' integer (mantissa, exponent) pairs, and wraps only the values
-it returns in ``mpf``.
+it returns in ``mpf``; `lp_rows`, its many-point form, returns the pairs.
 """
 
 from __future__ import annotations
@@ -271,7 +271,7 @@ class LogPoly:
 
 #: Entries kept by the grouped-coefficient cache of :func:`lp_eval_many`, one
 #: per polynomial set, whatever the precision: the benchmark's verify batch
-#: fills 10 and ten blocks of mean-spread 23.  Like ``wronskian.CACHE_MAXSIZE``,
+#: fills 8 and mean-spread one per dimension, 5.  Like ``wronskian.CACHE_MAXSIZE``,
 #: the bound stops a process that sees many distinct sets from growing
 #: without limit.
 COEFF_CACHE_MAXSIZE = 128
@@ -330,10 +330,21 @@ def lp_eval_many(polys: Sequence[LogPoly], t, precision_bits: int = 53) -> List[
     backend, and does not depend on the ambient ``mp.prec``.  The grouped
     integer coefficients are kept between calls, one LRU entry per
     polynomial set (``_grouped_terms``), and give the same bits cold or
-    warm.
+    warm.  It is ``lp_rows`` at one point, with the pairs made ``mpf``.
     """
+    return [mp.make_mpf(_raw_value(v)) for v in lp_rows(polys, (t,), precision_bits)[0]]
+
+
+def lp_rows(polys: Sequence[LogPoly], points: Sequence, precision_bits: int = 53) -> List[list]:
+    """``lp_eval_many`` at each point, as ``numerics``' integer pairs (m, e),
+    with one ``_grouped_terms`` lookup for all the points."""
     require_precision(precision_bits)
-    prec = precision_bits
+    grouped = _grouped_terms(tuple(polys))
+    return [_eval_point(grouped, t, precision_bits) for t in points]
+
+
+def _eval_point(grouped, t, prec: int) -> List[tuple]:
+    """The kernel of ``lp_eval_many``: the grouped polynomials at ``t > 0`` as pairs."""
     tv = as_mpf_at(t, prec)
     if tv <= 0:
         raise NonPositiveArgument(f"evaluation point must be positive, got {t!r}")
@@ -348,7 +359,7 @@ def lp_eval_many(polys: Sequence[LogPoly], t, precision_bits: int = 53) -> List[
         shift = -exp
     t_powers: Dict[int, tuple] = {}
     values = []
-    for denom, groups in _grouped_terms(tuple(polys)):
+    for denom, groups in grouped:
         total = None
         for m, coefficients in groups:
             # sum_j c_j L^j = acc * 2^(-shift * J) with J the top log power
@@ -370,7 +381,7 @@ def lp_eval_many(polys: Sequence[LogPoly], t, precision_bits: int = 53) -> List[
                 exact = _round(acc, scale, acc.bit_length())
                 piece = _div(exact, denom, prec)
             total = piece if total is None else _add(total, piece, prec)
-        values.append(mp.make_mpf(_raw_value(_ZERO if total is None else total)))
+        values.append(_ZERO if total is None else total)
     return values
 
 

@@ -24,10 +24,10 @@ which is what makes this construction worth verifying numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from functools import cached_property, lru_cache
+from math import exp, factorial, log
 from typing import Dict, Sequence, Tuple
 
 import mpmath
@@ -37,6 +37,8 @@ from mpmath.libmp import (
     from_float,
     from_int,
     from_rational,
+    mpf_add,
+    mpf_div,
     mpf_exp,
     mpf_log,
     mpf_lt,
@@ -46,6 +48,7 @@ from mpmath.libmp import (
     mpf_sub,
     round_nearest,
     to_fixed,
+    to_float,
 )
 
 from .errors import (
@@ -57,7 +60,7 @@ from .errors import (
     NonPositiveArgument,
     SingularSystem,
 )
-from .logpoly import LogPoly, lp_eval, lp_eval_many
+from .logpoly import LogPoly, lp_eval, lp_rows
 from .numerics import (
     _ONE,
     _ZERO,
@@ -110,15 +113,20 @@ class IntersectionResult:
 
     ``means`` maps a mean index k to its value when it could be read off
     directly (component k equal to t makes coordinate k itself a mean).
-    ``planes`` are the hyperplanes the system was built from, at the guard
-    precision, in the order of the sorted inputs: the rows of the matrix
-    whose determinant ``report.determinant`` is.
+    ``_rows`` are the planes the system was built from (``_plane_rows``), at
+    the guard precision, in the order of the sorted inputs; ``planes`` makes
+    them ``Hyperplane`` objects when first read.  Their normals are the rows
+    of the matrix whose determinant ``report.determinant`` is.
     """
 
     point: Tuple[mpmath.mpf, ...]
     report: SolveReport
     means: Dict[int, mpmath.mpf]
-    planes: Tuple[Hyperplane, ...]
+    _rows: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def planes(self) -> Tuple[Hyperplane, ...]:
+        return tuple(map(_hyperplane, self._rows))
 
 
 # -- input validation --------------------------------------------------------
@@ -211,19 +219,26 @@ def _offset_polynomial(curve: Curve) -> LogPoly:
 
 
 def hyperplane_at(curve: Curve, a, precision_bits: int = 53) -> Hyperplane:
-    """Osculating hyperplane to ``curve`` at parameter ``a > 0``.
+    """Osculating hyperplane to ``curve`` at parameter ``a > 0``, as
+    ``_plane_rows`` builds it."""
+    return _hyperplane(_plane_rows(curve, (a,), precision_bits)[0])
 
-    The normal is the alternating-minor field evaluated at a; the offset is
-    the dot product of the curve point with that normal.  That dot product
-    is formed once per curve, exactly, as one more log-polynomial
-    (``_offset_polynomial``; for the log curve it is the full Wronskian), so
-    the offset is rounded once like every coordinate of the normal, not once
-    per product and sum.  The n minors and the offset are evaluated together
-    by ``lp_eval_many``, on one log of a, which validates and converts a and
-    the precision.
-    """
-    field = normal_field(curve)
-    values = lp_eval_many(field + (_offset_polynomial(curve),), a, precision_bits)
+
+def _plane_rows(curve: Curve, points: Sequence, precision_bits: int) -> list:
+    """The osculating hyperplane at each point as a row of pairs (m, e): the
+    alternating-minor field there, then the offset, the curve point's dot
+    product with that normal, formed exactly as one more log-polynomial
+    (``_offset_polynomial``; on the log curve the full Wronskian) and so
+    rounded once.  One ``lp_rows`` call evaluates them all, on one log per
+    point.  A zero normal raises ``DomainError``."""
+    rows = lp_rows(normal_field(curve) + (_offset_polynomial(curve),), points, precision_bits)
+    if not all(any(m for m, _ in row[:-1]) for row in rows):
+        raise DomainError("hyperplane normal is the zero vector")
+    return rows
+
+
+def _hyperplane(row) -> Hyperplane:
+    values = [mp.make_mpf(_raw_value(v)) for v in row]
     return Hyperplane(normal=tuple(values[:-1]), offset=values[-1])
 
 
@@ -233,14 +248,13 @@ def intersect(curve: Curve, values: Sequence, precision_bits: int = 53) -> Inter
     Values must be positive and pairwise distinct; they are sorted
     internally (the hyperplane set does not depend on input order).
 
-    The planes are built once, with guard bits on top of the requested
-    precision, and that one matrix and right-hand side serve both the
-    elimination and the reported residual; the result carries them.  Each right-hand side is a
-    plane's offset: the exact offset polynomial of ``hyperplane_at``,
-    evaluated and rounded once like each entry of the matrix.  The point is
-    rounded back to the requested precision; ``report.residual_norm`` is
-    that rounded point's residual against the guard-precision planes,
-    evaluated at twice the requested precision when it is first read.
+    The planes are built once, in one pass on integer pairs with guard bits
+    on top of the requested precision (``_plane_rows``: each offset rounded
+    once, like each normal entry), and that one matrix and right-hand side
+    serve both the elimination and the reported residual; the result
+    carries them.  The point is rounded back to the requested precision;
+    ``report.residual_norm`` is that rounded point's residual against the
+    guard-precision planes, at twice the requested precision, when read.
     """
     n = curve.dimension
     if len(values) != n:
@@ -250,11 +264,9 @@ def intersect(curve: Curve, values: Sequence, precision_bits: int = 53) -> Inter
     require_precision(precision_bits)
     vals = sorted_positive_distinct(values, precision_bits)
     work_bits = precision_bits + GUARD_BITS
-    planes = tuple(hyperplane_at(curve, a, work_bits) for a in vals)
-    matrix = [plane.normal for plane in planes]
-    rhs = [plane.offset for plane in planes]
+    rows = _plane_rows(curve, vals, work_bits)
     try:
-        guarded = solve_linear(matrix, rhs, work_bits)
+        guarded = solve_linear([row[:-1] for row in rows], [row[-1] for row in rows], work_bits)
     except SingularSystem as exc:
         note = _ln_gap_note(vals)
         detail = f" ({note})" if note else ""
@@ -265,7 +277,7 @@ def intersect(curve: Curve, values: Sequence, precision_bits: int = 53) -> Inter
     means: Dict[int, mpmath.mpf] = {}
     if curve.components[0] == T:
         means[1] = point[0]
-    return IntersectionResult(point=point, report=report, means=means, planes=planes)
+    return IntersectionResult(point=point, report=report, means=means, _rows=tuple(rows))
 
 
 def _is_log_curve(curve: Curve) -> bool:
@@ -289,38 +301,78 @@ def _require_invertible(curve: Curve, k: int, vals: Sequence) -> None:
         )
 
 
+def _newton_widths(bits: int) -> list:
+    """The widths of the Newton steps from a float64 seed to ``bits`` bits:
+    ``bits`` halved, rounding up, while above 53, ascending."""
+    return [bits] if bits <= 106 else _newton_widths((bits + 1) // 2) + [bits]
+
+
+def _invert_t_log_power(target, m: int, precision_bits: int):
+    """The t > 1 with t * (log t)^m = c = ``target`` (m >= 1), rounded to
+    nearest at p + 10 bits, p = ``precision_bits``; c <= 0 raises ``NoBracket``.
+    u = log t solves u + m log u = log c, so u = m W0(c^(1/m) / m) (Lambert
+    W; Corless et al. 1996).  Newton's method on v = log u, where e^v + m v
+    = log c is convex and increasing, takes a float64 seed to w = p + 18
+    plus the bits of |log c|, one step per ``_newton_widths(w)``.  Rounding
+    log c and u = e^v at w then moves t by under 2^-(p+18) relative.
+    """
+    c = target._mpf_
+    if c[0] or not c[1]:
+        raise NoBracket(f"t * (log t)^{m} = {target} has no solution t > 1")
+    w = precision_bits + 18 + abs(c[2] + c[3]).bit_length()
+    log_c = mpf_log(c, w, _RND)
+    x = to_float(log_c)
+    v = log(x) if x > 1 else (x - 1) / m  # right of the root, or left
+    for _ in range(64):
+        step = (exp(v) + m * v - x) / (exp(v) + m)
+        v -= step
+        if abs(step) <= 1e-15 * max(1.0, abs(v)):
+            break
+    v = from_float(v)
+    m_raw = from_int(m)
+    for q in _newton_widths(w):
+        e = mpf_exp(v, q, _RND)
+        f = mpf_sub(mpf_add(e, mpf_mul(m_raw, v, q, _RND), q, _RND), log_c, q, _RND)
+        v = mpf_sub(v, mpf_div(f, mpf_add(e, m_raw, q, _RND), q, _RND), q, _RND)
+    return mp.make_mpf(mpf_exp(mpf_exp(v, w, _RND), precision_bits + 10, _RND))
+
+
 def _pull_back(curve: Curve, k: int, target, vals: Sequence, precision_bits: int):
     """Invert component k at ``target`` on the range of the sorted inputs.
 
-    Component t needs no inversion, and log t is inverted in closed form:
-    exp of the target, rounded to nearest at ``precision_bits + 10``, the
-    width the root finder works at.  Any other component is inverted by
-    bracketed root finding on the inputs' range, which is where the mean is
-    guaranteed to live.  A value off that range raises ``NoBracket``.
+    Component t needs no inversion.  log t (exp of the target) and, when
+    every input is > 1, t * (log t)^m with m >= 1 (``_invert_t_log_power``)
+    are inverted in closed form, rounded to nearest at ``precision_bits +
+    10``, the width the root finder works at.  Any other component is
+    inverted by bracketed root finding on the inputs' range, where the mean
+    is guaranteed to live.  A value off that range raises ``NoBracket``.
     """
     component = curve.components[k - 1]
     if component == T:
         return target
+    m = component.items()[0][0][1] if len(component) == 1 else 0
     if component == LOG_T:
         value = mp.make_mpf(mpf_exp(target._mpf_, precision_bits + 10, _RND))
-        if not vals[0] <= value <= vals[-1]:
-            raise NoBracket(f"exp({target}) lies outside the inputs' range")
-        return value
-    derivative = component.diff()
-    return find_root_bracketed(
-        lambda t: lp_eval(component, t, precision_bits) - target,
-        vals[0],
-        vals[-1],
-        precision_bits,
-        derivative=lambda t: lp_eval(derivative, t, precision_bits),
-    )
+    elif m and vals[0] > 1 and component == LogPoly.term(1, 1, m):
+        value = _invert_t_log_power(target, m, precision_bits)
+    else:
+        derivative = component.diff()
+        return find_root_bracketed(
+            lambda t: lp_eval(component, t, precision_bits) - target,
+            vals[0],
+            vals[-1],
+            precision_bits,
+            derivative=lambda t: lp_eval(derivative, t, precision_bits),
+        )
+    if not vals[0] <= value <= vals[-1]:
+        raise NoBracket(f"component {k} takes {target} outside the inputs' range")
+    return value
 
 
 def mean_M(curve: Curve, k: int, values: Sequence, precision_bits: int = 53) -> mpmath.mpf:
     """The k-th mean: coordinate k of the intersection point pulled back
-    through component k (``_pull_back``: a coordinate read through log t is
-    exp of it, rounded once at ``precision_bits + 10``; any other non-t
-    component is inverted by bracketed root finding at that width).
+    through component k (``_pull_back``: in closed form through t, log t or
+    t * (log t)^m, else by bracketed root finding).
 
     On the log curve k >= 2 needs all inputs > 1 (``DomainError``
     otherwise); the check runs before any hyperplane is built.

@@ -17,24 +17,21 @@ determinant of the system's matrix from the same LU, bit for bit what
 ``det`` returns, so the identity scans factor each minor matrix once.
 
 The elimination, the substitutions, the residuals, their norms and the
-determinant's pivot product run on integer pairs (m, e), the value m * 2^e,
-rather than on ``mpf`` objects or raw ``mpmath.libmp`` tuples: a few private
-primitives round to nearest-even, multiply, add, subtract and divide on the
-integers directly, without building libmp's four-field tuples.  Each returns
-exactly the value the libmp call it replaces (``mpf_mul``, ``mpf_add``,
-``mpf_sub``, ``mpf_div``) returns at the same precision, including
-``mpf_add``'s stand-in for an operand far below the other, which is not
-correctly rounded when the larger operand is wider than the precision.  The
-operations run in the order the same code written with ``mpf`` arithmetic
-under ``mp.workprec`` would use, so the results are bit-for-bit those of
-that code, except that the pivot ratios are compared exactly, with no
-division.  ``solve_linear`` and ``det`` take and return ``mpf`` values; the
+determinant's pivot product run on integer pairs (m, e), the value m * 2^e:
+a few private primitives round to nearest-even, multiply, add, subtract and
+divide on the integers directly.  Each returns exactly the value the libmp
+call it replaces (``mpf_mul``, ``mpf_add``, ``mpf_sub``, ``mpf_div``)
+returns at the same precision, including ``mpf_add``'s stand-in for an
+operand far below the other, which is not correctly rounded when the larger
+operand is wider than the precision.  The operations run in the order the
+same code written with ``mpf`` arithmetic under ``mp.workprec`` would use,
+so the results are bit-for-bit those of that code, except that the pivot
+ratios are compared exactly, with no division.  ``solve_linear`` and
+``det`` take ``mpf`` values or pairs and return ``mpf`` values; the
 conversion happens there, in ``SolveReport``'s three properties, and
-nowhere else.  ``means``' divided-difference kernel, which serves
-``neuman_LN`` and ``identric_IZ``, uses the same primitives.
-``logpoly.lp_eval_many`` (which also evaluates the plane offsets of
-``means.hyperplane_at``, as one more log-polynomial) is exact in integers
-per t-power group and rounds and adds the groups with the same primitives.
+nowhere else.  ``means``' divided-difference kernel and ``logpoly``'s
+evaluator, which builds ``means.intersect``'s planes as pairs, use the same
+primitives.
 """
 
 from __future__ import annotations
@@ -193,13 +190,16 @@ def _raw_value(x):
 
 
 def _pairs(values: Sequence, precision_bits: int):
-    """Pairs of a sequence: a finite mpf is read as given, not rounded;
-    anything else is converted at ``precision_bits`` (``as_mpf_at``, which
-    refuses inf and nan)."""
+    """Pairs of a sequence: a finite mpf is read as given, not rounded; a
+    pair (m, e) is m * 2^e rounded at ``precision_bits``, as mpf((m, e)) reads
+    it; anything else is converted at ``precision_bits`` (``as_mpf_at``,
+    which refuses inf and nan)."""
     out = []
     for x in values:
+        if type(x) is tuple and len(x) == 2:
+            out.append(_round(x[0], x[1], precision_bits))
         # inf and nan are the raw values with a zero mantissa other than 0
-        if isinstance(x, mpmath.mpf) and (x._mpf_[1] or x._mpf_ == fzero):
+        elif isinstance(x, mpmath.mpf) and (x._mpf_[1] or x._mpf_ == fzero):
             out.append(_pair(x._mpf_))
         else:
             out.append(_pair(as_mpf_at(x, precision_bits)._mpf_))
@@ -418,6 +418,9 @@ def solve_linear(A: Sequence[Sequence], b: Sequence, precision_bits: int = 53) -
     refinement: the residual b - Ax accumulated at twice the working
     precision w and rounded to w, one more solve with the kept LU, and the
     correction added at w.  An exactly zero residual skips the step.
+
+    An entry is read as ``_pairs`` reads it: an mpf as given, a pair (m, e)
+    as m * 2^e rounded at the working precision.
 
     Guarantee: the relative error against the exact solution of the system
     as given (its entries taken exactly) is about 2^-w + (kappa * 2^-w)^2,

@@ -88,6 +88,24 @@ def test_mean_outside_inputs_exit_2(capsys):
     assert err.startswith("error: ") and "outside" in err
 
 
+@pytest.mark.parametrize(
+    "values, field",
+    [
+        # the mpf values are right, but float64 would print them as inf or 0.0
+        ("1.000000000779307447373867e+100000,1.000001000780308227348761e+100000", "values[0]"),
+        ("1e-400,2e-400,3e-400", "values[0]"),
+        # inputs a float64 holds, with i_2 = 8.6e309 past its range
+        ("1e307,1.2e307,1.5e307", "point[1]"),
+    ],
+)
+@pytest.mark.parametrize("fmt", [(), ("--json",), ("--csv",)])
+def test_mean_past_the_float64_range_exit_2(capsys, values, field, fmt):
+    code, out, err = run_cli(capsys, "mean", "--values", values, *fmt)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {field} = ") and "float64 range" in err
+
+
 def test_mean_json_keys(capsys):
     code, out, _ = run_cli(capsys, "mean", "--values", "1.5,3,8", "--k", "2", "--json")
     assert code == 0

@@ -33,7 +33,7 @@ from oscmean.identities import (
     vandermonde,
 )
 from oscmean.logpoly import LogPoly, substitute_power
-from oscmean.means import Hyperplane, ln_gap_warnings
+from oscmean.means import ln_gap_warnings
 from oscmean.numerics import _pair
 from oscmean.wronskian import (
     det_symbolic,
@@ -374,18 +374,16 @@ def test_flipped_minor_sign_fails_prop3_and_the_main_theorem(monkeypatch):
 
 def test_perturbed_offset_fails_prop4_and_the_quotient(monkeypatch):
     # one plane's offset (the first of each intersection) off by 1e-6 relative
-    real = means.hyperplane_at
-    built = []
+    real = means._plane_rows
 
-    def perturbed(curve, a, bits):
-        plane = real(curve, a, bits)
-        built.append(a)
-        if len(built) % curve.dimension == 1:
-            with mp.workprec(bits):
-                plane = Hyperplane(plane.normal, plane.offset * (1 + mp.mpf("1e-6")))
-        return plane
+    def perturbed(curve, vals, bits):
+        rows = real(curve, vals, bits)
+        with mp.workprec(bits):
+            offset = mp.mpf(rows[0][-1]) * (1 + mp.mpf("1e-6"))
+        rows[0] = rows[0][:-1] + [_pair(offset._mpf_)]
+        return rows
 
-    monkeypatch.setattr(means, "hyperplane_at", perturbed)
+    monkeypatch.setattr(means, "_plane_rows", perturbed)
     for bits in (53, 113):
         _, prop4, quotient, _ = numeric_scan(5, trials=3, seed=0, precision_bits=bits)
         assert not prop4.passed and not quotient.passed

@@ -4,7 +4,7 @@ import random
 
 import pytest
 from mpmath import mp
-from mpmath.libmp import mpf_exp, round_nearest
+from mpmath.libmp import mpf_exp, mpf_pos, round_nearest
 
 from oscmean import identities, logpoly, means, numerics
 from oscmean.errors import (
@@ -322,17 +322,48 @@ def test_point_satisfies_every_plane():
 
 
 def test_intersect_builds_each_plane_once(monkeypatch):
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return hyperplane_at(*args, **kwargs)
-
-    monkeypatch.setattr(means, "hyperplane_at", counting)
+    # one evaluation of the field and the offset per point
+    calls = _counting(monkeypatch, logpoly, "_eval_point")
     for n in (2, 4, 7):
         calls.clear()
         intersect(make_log_curve(n), [1.5 + j for j in range(n)], 113)
         assert len(calls) == n
+
+
+with mp.workprec(400):
+    _MPF_400_BITS = mp.sqrt(2) + 1
+_ROW_POINTS = (0.3, 1, "1e300", _MPF_400_BITS)
+
+
+@pytest.mark.parametrize("bits", [53, 113, 256, 1500])
+def test_plane_rows_are_hyperplane_at_bit_for_bit(bits):
+    for n in range(2, 17):
+        curves = [make_log_curve(n), make_monomial_curve([-2] + list(range(1, n)))]
+        if n >= 3:
+            curves.append(make_conjecture_curve(n))
+        for curve in curves:
+            points = means.sorted_positive_distinct(_ROW_POINTS, bits)
+            rows = means._plane_rows(curve, points, bits)
+            for row, t in zip(rows, points):
+                plane = hyperplane_at(curve, t, bits)
+                expected = [v._mpf_ for v in plane.normal + (plane.offset,)]
+                assert [numerics._raw_value(v) for v in row] == expected, (n, curve, t)
+
+
+def test_intersect_planes_are_its_rows():
+    result = intersect(make_log_curve(5), (1.5, 2.5, 4.0, 7.0, 11.0), 113)
+    assert [
+        [v._mpf_ for v in plane.normal + (plane.offset,)] for plane in result.planes
+    ] == [[numerics._raw_value(v) for v in row] for row in result._rows]
+    assert result.planes is result.planes
+
+
+def test_intersect_refuses_a_zero_normal(monkeypatch):
+    curve = make_log_curve(3)
+    means._offset_polynomial(curve)
+    monkeypatch.setattr(means, "normal_field", lambda c: (logpoly.LogPoly.zero(),) * 3)
+    with pytest.raises(DomainError, match="zero vector"):
+        intersect(curve, (1.5, 2.5, 4.0))
 
 
 # On each of these cases a residual measured against planes re-evaluated at
@@ -423,14 +454,14 @@ def _conjecture_cases(bits):
             yield curve, vals, intersect(curve, vals, bits).point[n - 1]
 
 
-def _agrees_with_the_root_finder(value, target, vals, bits):
-    # within 2^(-bits + 4) relative of the bracketed inversion of log t
+def _agrees_with_the_root_finder(value, target, vals, bits, component=LOG_T):
+    # within 2^(-bits + 4) relative of the bracketed inversion of the component
     root = numerics.find_root_bracketed(
-        lambda t: logpoly.lp_eval(LOG_T, t, bits) - target,
+        lambda t: logpoly.lp_eval(component, t, bits) - target,
         vals[0],
         vals[-1],
         bits,
-        derivative=lambda t: logpoly.lp_eval(LOG_T.diff(), t, bits),
+        derivative=lambda t: logpoly.lp_eval(component.diff(), t, bits),
     )
     with mp.workprec(bits + 20):
         return abs(value - root) <= mp.ldexp(abs(root), -bits + 4)
@@ -457,6 +488,102 @@ def test_log_pull_back_refuses_a_target_below_the_inputs():
     vals = means.sorted_positive_distinct((2.0, 5.0, 11.0))
     with pytest.raises(NoBracket):
         means._pull_back(curve, 3, mp.log(vals[0]) - 1, vals, 53)
+
+
+def _log_curve_targets(bits):
+    # every k >= 2 mean of seeded log-curve tuples: from [1.05, 50], near 1
+    # (1 + i * 1e-7) and up to 1e9, pulled back from one intersection per
+    # tuple, with k = n through mean_M too; a tuple the intersection
+    # refuses, or a coordinate cancellation has moved off the inputs'
+    # image, is skipped
+    rng = random.Random(bits)
+    for n in (3, 5, 7, 10, 16):
+        curve = make_log_curve(n)
+        tuples = (
+            draw_tuple(rng, n, 1.05, 50.0),
+            [1 + i * 1e-7 for i in range(1, n + 1)],
+            [10 ** rng.uniform(0.05, 9) for _ in range(n)],
+        )
+        for values in tuples:
+            vals = means.sorted_positive_distinct(values, bits)
+            try:
+                point = intersect(curve, vals, bits).point
+            except SingularSystem:
+                continue
+            for k in range(2, n + 1):
+                try:
+                    mk = means._pull_back(curve, k, point[k - 1], vals, bits)
+                except NoBracket:
+                    continue
+                if k == n:
+                    assert mean_M(curve, k, vals, bits) == mk
+                yield vals, k, point[k - 1], mk
+
+
+def _sixteenths_off(mk, target, m, bits):
+    # |mk - t| / t in units of 2^-bits, where t * (log t)^m = target, with t
+    # from mpmath's Lambert W at 2 * bits + 200 bits
+    with mp.workprec(2 * bits + 200):
+        t = mp.exp(m * mp.lambertw(mp.root(target, m) / m).real)
+        return abs(mk - t) / t * mp.mpf(2) ** bits * 16
+
+
+@pytest.mark.parametrize("bits", [53, 113, 256, 1500])
+def test_log_curve_mean_is_within_a_sixteenth_ulp(bits):
+    checked = []
+    for vals, k, target, mk in _log_curve_targets(bits):
+        assert _sixteenths_off(mk, target, k - 1, bits) <= 1, (vals, k)
+        component = make_log_curve(k).components[k - 1]
+        assert _agrees_with_the_root_finder(mk, target, vals, bits, component)
+        checked.append(vals[-1])
+    # 59, 78, 93 and 108 targets, each of the three kinds of tuple among them
+    assert len(checked) >= 59
+    assert min(checked) < 1.01 and max(checked) > 1e6
+
+
+@pytest.mark.parametrize("bits", [53, 113, 256, 1500])
+def test_a_newton_step_fewer_or_rounding_at_p_misses_a_sixteenth_ulp(monkeypatch, bits):
+    # negative controls: rounding t at p instead of p + 10, and dropping the
+    # last Newton step, each leave some target more than 1/16 unit off
+    cases = list(_log_curve_targets(bits))
+    rounded = [
+        _sixteenths_off(mp.make_mpf(mpf_pos(mk._mpf_, bits, round_nearest)), target, k - 1, bits)
+        for _, k, target, mk in cases
+    ]
+    assert max(rounded) > 1
+    widths = means._newton_widths
+    monkeypatch.setattr(means, "_newton_widths", lambda w: widths(w)[:-1])
+    short = [
+        _sixteenths_off(
+            means._pull_back(make_log_curve(len(vals)), k, target, vals, bits), target, k - 1, bits
+        )
+        for vals, k, target, _ in cases
+    ]
+    assert max(short) > 1
+
+
+def test_log_curve_means_take_no_root_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("find_root_bracketed was called")
+
+    monkeypatch.setattr(means, "find_root_bracketed", refuse)
+    values = (1.5, 2, 3, 4.5, 6, 8, 11, 15, 20, 27)
+    curve = make_log_curve(len(values))
+    for k in range(2, len(values) + 1):
+        assert values[0] < mean_M(curve, k, values, 113) < values[-1]
+        assert evaluate_request(values, k, 113)["mk"] == mean_M(curve, k, values, 113)
+
+
+def test_t_log_power_pull_back_refuses_a_target_off_the_image():
+    curve = make_log_curve(4)
+    vals = means.sorted_positive_distinct((2.0, 5.0, 11.0, 13.0))
+    for k in (2, 3, 4):
+        component = curve.components[k - 1]
+        low = logpoly.lp_eval(component, vals[0]) / 2
+        high = logpoly.lp_eval(component, vals[-1]) * 2
+        for target in (low, high, mp.mpf(0), mp.mpf(-1)):
+            with pytest.raises(NoBracket):
+                means._pull_back(curve, k, target, vals, 53)
 
 
 def test_betweenness_all_means():

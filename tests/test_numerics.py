@@ -77,6 +77,34 @@ def test_mpf_entries_are_read_as_given():
     assert report.solution == (1, 2)
 
 
+@pytest.mark.parametrize("bits", [53, 113, 256])
+def test_pair_entries_are_read_as_their_mpf_values(bits):
+    # (m, e) is m * 2^e rounded at the width, as mpf((m, e)) reads it: odd
+    # and even mantissas, zeros, and mantissas wider than the width
+    rng = random.Random(bits)
+    for n in (1, 2, 3, 5, 8):
+        for _ in range(5):
+            width = rng.choice([3, bits - 1, bits + 7, 2 * bits])
+            rows = [
+                [(rng.randrange(-(1 << width), 1 << width), rng.randint(-80, 40)) for _ in range(n)]
+                for _ in range(n)
+            ]
+            for i in range(n):
+                rows[i][i] = (rng.randrange(1 << width, 1 << (width + 1)), 0)
+            if n > 1:
+                rows[0][-1] = (0, 5)
+            rhs = [
+                (rng.randrange(-(1 << width), 1 << width), rng.randint(-20, 20)) for _ in range(n)
+            ]
+            with mp.workprec(bits):
+                as_mpf = [[mp.mpf(v) for v in row] for row in rows], [mp.mpf(v) for v in rhs]
+            from_pairs = solve_linear(rows, rhs, bits)
+            from_mpf = solve_linear(*as_mpf, bits)
+            assert [x._mpf_ for x in from_pairs.solution] == [x._mpf_ for x in from_mpf.solution]
+            assert from_pairs.determinant._mpf_ == from_mpf.determinant._mpf_
+            assert det(rows, bits)._mpf_ == det(as_mpf[0], bits)._mpf_
+
+
 def test_random_well_conditioned_residuals():
     rng = random.Random(7)
     for bits in (53, 113):
