@@ -11,9 +11,10 @@ Wronskian minors evaluated at a, and passes through the curve point.  For n
 strictly increasing positive inputs the n hyperplanes meet in a single
 point P; coordinate k of P pulled back through component k is a mean of the
 inputs (it always lands strictly between the smallest and largest input),
-provided component k is monotone on the inputs' range.  On the log curve
-that holds for k >= 2 only when every input is > 1; other inputs are
-refused, not rescaled, because M_k is not homogeneous for k >= 2.
+provided component k is monotone on the inputs' range.  Only t, t^e,
+log t and t * (log t)^m are pulled back, in closed form; the log curve's
+t * (log t)^m (k >= 2) needs every input > 1.  Other inputs are refused,
+not rescaled, because M_k is not homogeneous for k >= 2.
 For the log curve the first coordinate is exactly Neuman's n-variable
 logarithmic mean
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import exp, factorial, log
+from math import exp, factorial, log, log1p
 from typing import Dict, Sequence, Tuple
 
 import mpmath
@@ -60,6 +61,8 @@ from .errors import (
     NonPositiveArgument,
     SingularSystem,
 )
+# oscbench/spans.py wraps find_root_bracketed and lp_eval here by name, so
+# they stay imported; nothing in this module calls them.
 from .logpoly import LogPoly, lp_eval, lp_rows
 from .numerics import (
     _ONE,
@@ -172,31 +175,32 @@ def sorted_positive_distinct(values: Sequence, precision_bits: int = 53) -> Tupl
     return tuple(parsed)
 
 
-def _gap_below_floor(a, b) -> bool:
-    """True when the pairs 0 < a < b have ln b - ln a < ``LN_GAP_FLOOR``:
-    (b - a) * 2^96 < ``_GAP_BOUND`` * a, compared exactly on integers.  A
-    pair with b >= 2a returns at once, so no shift exceeds the mantissas."""
+def _gap_below_floor(a, b):
+    """For pairs 0 < a < b with ln b - ln a < ``LN_GAP_FLOOR``, the integers
+    b - a and a at a common exponent, else None: (b - a) * 2^96 <
+    ``_GAP_BOUND`` * a, compared exactly on integers.  A pair with b >= 2a
+    returns at once, so no shift exceeds the mantissas."""
     (ma, ea), (mb, eb) = a, b
     if mb.bit_length() + eb - ma.bit_length() - ea >= 2:
-        return False
+        return None
     e = min(ea, eb)
     ma <<= ea - e
     mb <<= eb - e
-    return (mb - ma) << 96 < _GAP_BOUND * ma
+    return (mb - ma, ma) if (mb - ma) << 96 < _GAP_BOUND * ma else None
 
 
 def _ln_gap_note(values: Sequence) -> str:
     """The note "min ln-gap g is below 1e-06" when adjacent sorted positive
     ``values`` (non-mpf ones parsed at 53 bits) have logs closer than
-    ``LN_GAP_FLOOR``, else "".  The decision is ``_gap_below_floor``; logs
-    are taken, at 53 bits, only for the printed smallest gap g."""
+    ``LN_GAP_FLOOR``, else "".  The decision is ``_gap_below_floor``; g is
+    the smallest, over the pairs it flags, of the float64 log1p of the
+    exact relative gap (b - a)/a, so no log is taken."""
     pairs = _pairs(values, 53)
-    if not any(map(_gap_below_floor, pairs, pairs[1:])):
+    gaps = [gap for gap in map(_gap_below_floor, pairs, pairs[1:]) if gap]
+    if not gaps:
         return ""
-    with mp.workprec(53):
-        logs = [mp.log(as_mpf(v)) for v in values]
-        smallest = min(b - a for a, b in zip(logs, logs[1:]))
-    return f"min ln-gap {mp.nstr(smallest, 3)} is below {LN_GAP_FLOOR:g}"
+    smallest = min(log1p(d / a) for d, a in gaps)
+    return f"min ln-gap {mp.nstr(mp.make_mpf(from_float(smallest)), 3)} is below {LN_GAP_FLOOR:g}"
 
 
 def ln_gap_warnings(values: Sequence) -> Tuple[str, ...]:
@@ -280,25 +284,49 @@ def intersect(curve: Curve, values: Sequence, precision_bits: int = 53) -> Inter
     return IntersectionResult(point=point, report=report, means=means, _rows=tuple(rows))
 
 
-def _is_log_curve(curve: Curve) -> bool:
-    return all(
-        comp == LogPoly.term(1, 1, i) for i, comp in enumerate(curve.components)
-    )
+def _pull_back(curve: Curve, k: int, vals: Sequence, precision_bits: int):
+    """The inverse of component k on the sorted inputs ``vals``, chosen from
+    the component's shape before any plane is built: a function taking a
+    target c to the t in the inputs' range where component k is c.
 
-
-def _require_invertible(curve: Curve, k: int, vals: Sequence) -> None:
-    """Refuse a k-th mean whose component is not monotone on the sorted
-    inputs ``vals``.
-
-    On the log curve the components with a log factor are strictly
-    increasing only for t > 1, so k >= 2 there needs every input > 1.
+    t needs no inversion.  For log t, t^e (e != 0) and t * (log t)^m
+    (m >= 1), u = log t is c, log(c) / e or ``_log_t_log_power``, taken at
+    w = p + 18 plus the bits of |log c|, and t = exp(u) is rounded to
+    nearest once at p + 10 bits.  t * (log t)^m is increasing only for
+    t > 1, so it needs every input > 1; that, and any other component,
+    raises ``DomainError``.  A target off the image of the inputs' range
+    raises ``NoBracket``.
     """
-    lo = vals[0]
-    if k >= 2 and lo <= 1 and _is_log_curve(curve):
-        raise DomainError(
-            f"component {k} of the log curve is strictly increasing only for t > 1; "
-            f"smallest input is {mp.nstr(lo, 12)}"
-        )
+    component = curve.components[k - 1]
+    if component == T:
+        return lambda target: target
+    (e, m), coeff = component.items()[0] if len(component) == 1 else ((0, 0), 0)
+    if component == LOG_T:
+        log_t = lambda c, w: c
+    elif coeff == 1 and e and not m:
+        log_t = lambda c, w: mpf_div(mpf_log(c, w, _RND), from_int(e), w, _RND)
+    elif coeff == 1 and e == 1 and m:
+        if vals[0] <= 1:
+            raise DomainError(
+                f"component {k} of the log curve is strictly increasing only for t > 1; "
+                f"smallest input is {mp.nstr(vals[0], 12)}"
+            )
+        log_t = lambda c, w: _log_t_log_power(c, m, w)
+    else:
+        raise DomainError(f"component {k} has no closed-form inverse")
+    lo, hi, bits = vals[0], vals[-1], precision_bits + 10
+
+    def pull_back(target):
+        c = target._mpf_
+        # every image but log t's is positive
+        if component == LOG_T or (c[1] and not c[0]):
+            u = log_t(c, bits + 8 + abs(c[2] + c[3]).bit_length())
+            value = mp.make_mpf(mpf_exp(u, bits, _RND))
+            if lo <= value <= hi:
+                return value
+        raise NoBracket(f"component {k} takes {target} outside the inputs' range")
+
+    return pull_back
 
 
 def _newton_widths(bits: int) -> list:
@@ -307,19 +335,14 @@ def _newton_widths(bits: int) -> list:
     return [bits] if bits <= 106 else _newton_widths((bits + 1) // 2) + [bits]
 
 
-def _invert_t_log_power(target, m: int, precision_bits: int):
-    """The t > 1 with t * (log t)^m = c = ``target`` (m >= 1), rounded to
-    nearest at p + 10 bits, p = ``precision_bits``; c <= 0 raises ``NoBracket``.
-    u = log t solves u + m log u = log c, so u = m W0(c^(1/m) / m) (Lambert
-    W; Corless et al. 1996).  Newton's method on v = log u, where e^v + m v
-    = log c is convex and increasing, takes a float64 seed to w = p + 18
-    plus the bits of |log c|, one step per ``_newton_widths(w)``.  Rounding
-    log c and u = e^v at w then moves t by under 2^-(p+18) relative.
+def _log_t_log_power(c, m: int, w: int):
+    """u = log t, rounded to nearest at ``w`` bits, for the t > 1 with
+    t * (log t)^m = c (raw, > 0; m >= 1).  u solves u + m log u = log c, so
+    u = m W0(c^(1/m) / m) (Lambert W; Corless et al. 1996).  Newton's method
+    on v = log u, where e^v + m v = log c is convex and increasing, takes a
+    float64 seed to w bits, one step per ``_newton_widths(w)``, each g bits
+    wider (|v| < 2^g) so that v's own rounding stays below 2^-q at width q.
     """
-    c = target._mpf_
-    if c[0] or not c[1]:
-        raise NoBracket(f"t * (log t)^{m} = {target} has no solution t > 1")
-    w = precision_bits + 18 + abs(c[2] + c[3]).bit_length()
     log_c = mpf_log(c, w, _RND)
     x = to_float(log_c)
     v = log(x) if x > 1 else (x - 1) / m  # right of the root, or left
@@ -328,62 +351,33 @@ def _invert_t_log_power(target, m: int, precision_bits: int):
         v -= step
         if abs(step) <= 1e-15 * max(1.0, abs(v)):
             break
+    g = int(abs(v)).bit_length()
     v = from_float(v)
     m_raw = from_int(m)
     for q in _newton_widths(w):
+        q += g
         e = mpf_exp(v, q, _RND)
         f = mpf_sub(mpf_add(e, mpf_mul(m_raw, v, q, _RND), q, _RND), log_c, q, _RND)
         v = mpf_sub(v, mpf_div(f, mpf_add(e, m_raw, q, _RND), q, _RND), q, _RND)
-    return mp.make_mpf(mpf_exp(mpf_exp(v, w, _RND), precision_bits + 10, _RND))
-
-
-def _pull_back(curve: Curve, k: int, target, vals: Sequence, precision_bits: int):
-    """Invert component k at ``target`` on the range of the sorted inputs.
-
-    Component t needs no inversion.  log t (exp of the target) and, when
-    every input is > 1, t * (log t)^m with m >= 1 (``_invert_t_log_power``)
-    are inverted in closed form, rounded to nearest at ``precision_bits +
-    10``, the width the root finder works at.  Any other component is
-    inverted by bracketed root finding on the inputs' range, where the mean
-    is guaranteed to live.  A value off that range raises ``NoBracket``.
-    """
-    component = curve.components[k - 1]
-    if component == T:
-        return target
-    m = component.items()[0][0][1] if len(component) == 1 else 0
-    if component == LOG_T:
-        value = mp.make_mpf(mpf_exp(target._mpf_, precision_bits + 10, _RND))
-    elif m and vals[0] > 1 and component == LogPoly.term(1, 1, m):
-        value = _invert_t_log_power(target, m, precision_bits)
-    else:
-        derivative = component.diff()
-        return find_root_bracketed(
-            lambda t: lp_eval(component, t, precision_bits) - target,
-            vals[0],
-            vals[-1],
-            precision_bits,
-            derivative=lambda t: lp_eval(derivative, t, precision_bits),
-        )
-    if not vals[0] <= value <= vals[-1]:
-        raise NoBracket(f"component {k} takes {target} outside the inputs' range")
-    return value
+    return mpf_exp(v, w, _RND)
 
 
 def mean_M(curve: Curve, k: int, values: Sequence, precision_bits: int = 53) -> mpmath.mpf:
     """The k-th mean: coordinate k of the intersection point pulled back
-    through component k (``_pull_back``: in closed form through t, log t or
-    t * (log t)^m, else by bracketed root finding).
+    through component k, in closed form (``_pull_back``: t, t^e, log t or
+    t * (log t)^m).
 
-    On the log curve k >= 2 needs all inputs > 1 (``DomainError``
-    otherwise); the check runs before any hyperplane is built.
+    A component with no such inverse, or t * (log t)^m with an input <= 1
+    (the log curve's k >= 2), raises ``DomainError`` before any hyperplane
+    is built.
     """
     n = curve.dimension
     if not 1 <= k <= n:
         raise BadIndex(f"mean index k must be in 1..{n}, got {k}")
     vals = sorted_positive_distinct(values, precision_bits)
-    _require_invertible(curve, k, vals)
+    pull_back = _pull_back(curve, k, vals, precision_bits)
     point = intersect(curve, vals, precision_bits).point
-    return _pull_back(curve, k, point[k - 1], vals, precision_bits)
+    return pull_back(point[k - 1])
 
 
 # -- closed-form reference means ----------------------------------------------
@@ -485,7 +479,7 @@ def evaluate_request(values: Sequence, k: int = 1, precision_bits: int = 53) -> 
     if not 1 <= k <= n:
         raise BadIndex(f"mean index k must be in 1..{n}, got {k}")
     curve = make_log_curve(n)
-    _require_invertible(curve, k, vals)
+    pull_back = _pull_back(curve, k, vals, bits)
     result = intersect(curve, vals, bits)
     m1 = result.means[1]
     reference = neuman_LN(vals, bits)
@@ -499,7 +493,7 @@ def evaluate_request(values: Sequence, k: int = 1, precision_bits: int = 53) -> 
             )
     with mp.workprec(bits):
         rel_gap = abs(m1 - reference) / abs(reference)
-    mk = _pull_back(curve, k, result.point[k - 1], vals, bits)
+    mk = pull_back(result.point[k - 1])
     return {
         "n": n,
         "k": k,

@@ -77,6 +77,27 @@ def test_mean_k2_below_one_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "t > 1" in err
+    assert err == (
+        "error: component 2 of the log curve is strictly increasing only for t > 1; "
+        "smallest input is 0.5\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "values, code, note",
+    [
+        ("2,2.00000000000000000001,3", 0, "warning: min ln-gap 5.0e-21 is below 1e-06"),
+        # mean-clustered's collapse request at seed 101, block 0
+        ("6.7790598949429542389,6.7783846561876487999,6.7798651254142204688,"
+         "6.7806116822035149348,6.7775049738276063536,6.7764168616189888183,"
+         "6.7806116822035149349", 2, "(min ln-gap 1.47e-20 is below 1e-06)"),
+    ],
+    ids=["gap-1e-20", "collapse"],
+)
+def test_mean_prints_a_ln_gap_finer_than_53_bits(capsys, values, code, note):
+    got, out, err = run_cli(capsys, "mean", "--values", values, "--precision", "113")
+    assert got == code
+    assert note in out + err
 
 
 def test_mean_outside_inputs_exit_2(capsys):

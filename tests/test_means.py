@@ -28,7 +28,15 @@ from oscmean.means import (
     mean_M,
     neuman_LN,
 )
-from oscmean.wronskian import LOG_T, make_conjecture_curve, make_log_curve, make_monomial_curve
+from oscmean.logpoly import LogPoly
+from oscmean.wronskian import (
+    LOG_T,
+    T,
+    Curve,
+    make_conjecture_curve,
+    make_log_curve,
+    make_monomial_curve,
+)
 
 
 # -- hyperplanes ---------------------------------------------------------------
@@ -404,6 +412,13 @@ def test_intersection_order_invariance():
 # -- mean_M -----------------------------------------------------------------------
 
 
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    return refuse
+
+
 def test_first_mean_reads_off_coordinate():
     curve = make_log_curve(3)
     values = (1.5, 3.0, 8.0)
@@ -420,9 +435,24 @@ def test_second_mean_betweenness_and_equation():
     assert abs(m2 * mp.log(m2) - i2) < 1e-12 * abs(i2)
 
 
-def test_log_k2_requires_inputs_above_one():
+def test_log_k2_requires_inputs_above_one(monkeypatch):
     with pytest.raises(DomainError):
         mean_M(make_log_curve(2), 2, (0.5, 2.0))
+    # mean-spread's k2-low requests are refused with exactly this text,
+    # before any plane is built
+    monkeypatch.setattr(means, "intersect", _refuse("intersect"))
+    for k in (2, 3):
+        message = (
+            f"component {k} of the log curve is strictly increasing only for t > 1; "
+            "smallest input is 0.5"
+        )
+        for refused in (
+            lambda: mean_M(make_log_curve(3), k, (5.0, 0.5, 2.0)),
+            lambda: evaluate_request((5.0, 0.5, 2.0), k=k),
+        ):
+            with pytest.raises(DomainError) as err:
+                refused()
+            assert str(err.value) == message
 
 
 def test_mean_index_validation():
@@ -434,7 +464,7 @@ def test_mean_index_validation():
 
 
 def test_conjecture_curve_log_inversion_matches_exp():
-    # component n is log t, so the bracketed inversion must agree with exp(i_n)
+    # component n is log t, so the pull-back must agree with exp(i_n)
     curve = make_conjecture_curve(3)
     values = (2.0, 5.0, 11.0)
     m3 = mean_M(curve, 3, values)
@@ -487,7 +517,7 @@ def test_log_pull_back_refuses_a_target_below_the_inputs():
     curve = make_conjecture_curve(3)
     vals = means.sorted_positive_distinct((2.0, 5.0, 11.0))
     with pytest.raises(NoBracket):
-        means._pull_back(curve, 3, mp.log(vals[0]) - 1, vals, 53)
+        means._pull_back(curve, 3, vals, 53)(mp.log(vals[0]) - 1)
 
 
 def _log_curve_targets(bits):
@@ -512,7 +542,7 @@ def _log_curve_targets(bits):
                 continue
             for k in range(2, n + 1):
                 try:
-                    mk = means._pull_back(curve, k, point[k - 1], vals, bits)
+                    mk = means._pull_back(curve, k, vals, bits)(point[k - 1])
                 except NoBracket:
                     continue
                 if k == n:
@@ -555,7 +585,7 @@ def test_a_newton_step_fewer_or_rounding_at_p_misses_a_sixteenth_ulp(monkeypatch
     monkeypatch.setattr(means, "_newton_widths", lambda w: widths(w)[:-1])
     short = [
         _sixteenths_off(
-            means._pull_back(make_log_curve(len(vals)), k, target, vals, bits), target, k - 1, bits
+            means._pull_back(make_log_curve(len(vals)), k, vals, bits)(target), target, k - 1, bits
         )
         for vals, k, target, _ in cases
     ]
@@ -563,15 +593,97 @@ def test_a_newton_step_fewer_or_rounding_at_p_misses_a_sixteenth_ulp(monkeypatch
 
 
 def test_log_curve_means_take_no_root_search(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("find_root_bracketed was called")
-
-    monkeypatch.setattr(means, "find_root_bracketed", refuse)
+    monkeypatch.setattr(means, "find_root_bracketed", _refuse("find_root_bracketed"))
+    monkeypatch.setattr(means, "lp_eval", _refuse("lp_eval"))
     values = (1.5, 2, 3, 4.5, 6, 8, 11, 15, 20, 27)
-    curve = make_log_curve(len(values))
-    for k in range(2, len(values) + 1):
+    n = len(values)
+    curve = make_log_curve(n)
+    for k in range(2, n + 1):
         assert values[0] < mean_M(curve, k, values, 113) < values[-1]
         assert evaluate_request(values, k, 113)["mk"] == mean_M(curve, k, values, 113)
+    # every mean of the conjecture and monomial curves too
+    for curve in (make_conjecture_curve(n), make_monomial_curve([-2, *range(1, n)])):
+        for k in range(1, n + 1):
+            assert values[0] < mean_M(curve, k, values, 113) < values[-1]
+
+
+def test_a_component_with_no_closed_form_inverse_is_refused_before_any_plane(monkeypatch):
+    monkeypatch.setattr(means, "intersect", _refuse("intersect"))
+    curve = Curve((T, T + LogPoly.term(1, 1, 1)))
+    vals = means.sorted_positive_distinct((2.0, 3.0))
+    with pytest.raises(DomainError) as err:
+        mean_M(curve, 2, vals)
+    assert str(err.value) == "component 2 has no closed-form inverse"
+    with pytest.raises(DomainError):
+        means._pull_back(curve, 2, vals, 53)
+
+
+def _power_targets(bits):
+    # every t^e mean (e other than 0 and 1) of seeded tuples on the
+    # conjecture curve (k = 2..n-1) and the monomial curve [-2, 1, ..., n-1],
+    # through mean_M, with its target, coordinate k of the intersection; the
+    # tuples come from [1.5, 20], [0.1, 10] and up to 1e9, and one the
+    # intersection refuses is skipped
+    rng = random.Random(bits)
+    for n in (3, 5, 7, 10):
+        for curve in (make_conjecture_curve(n), make_monomial_curve([-2, *range(1, n)])):
+            for values in (
+                draw_tuple(rng, n, 1.5, 20.0),
+                draw_tuple(rng, n, 0.1, 10.0),
+                [10 ** rng.uniform(0.05, 9) for _ in range(n)],
+            ):
+                vals = means.sorted_positive_distinct(values, bits)
+                try:
+                    point = intersect(curve, vals, bits).point
+                except SingularSystem:
+                    continue
+                for k, component in enumerate(curve.components, start=1):
+                    ((e, m), _), = component.items()
+                    if e not in (0, 1):
+                        yield e, point[k - 1], mean_M(curve, k, vals, bits)
+
+
+def _root_sixteenths_off(mk, target, e, bits):
+    # |mk - t| / t in units of 2^-bits, times 16, where t^e = target, with t
+    # from mp.root at 2 * bits + 200 bits
+    with mp.workprec(2 * bits + 200):
+        t = mp.root(target, e)
+        return abs(mk - t) / t * mp.mpf(2) ** bits * 16
+
+
+@pytest.mark.parametrize("bits", [53, 113, 256, 1500])
+def test_power_mean_is_within_a_sixteenth_ulp(bits):
+    cases = list(_power_targets(bits))
+    for e, target, mk in cases:
+        assert _root_sixteenths_off(mk, target, e, bits) <= 1, (e, target)
+    # 86, 105, 114 and 114 targets; the intersection refuses a few tuples
+    # drawn up to 1e9 at 53 and 113 bits
+    assert len(cases) >= 86
+    assert {-2, 2, 9} <= {e for e, _, _ in cases}
+    # negative control: the root rounded at p instead of p + 10
+    rounded = [
+        _root_sixteenths_off(mp.make_mpf(mpf_pos(mk._mpf_, bits, round_nearest)), target, e, bits)
+        for e, target, mk in cases
+    ]
+    assert max(rounded) > 1
+
+
+@pytest.mark.parametrize("bits", [53, 113, 256, 1500])
+def test_pull_backs_keep_a_sixteenth_ulp_far_from_one(bits):
+    # where |log c| is large, so the width of u = log t must grow with it
+    for t in (mp.mpf("1e-300"), mp.mpf("3e300"), mp.ldexp(1.7, -100000), mp.ldexp(1.3, 100000)):
+        vals = (t / 2, t * 2)
+        for e in (-2, 2, 3, 9):
+            with mp.workprec(bits):
+                target = t ** e
+            root = means._pull_back(make_monomial_curve([1, e]), 2, vals, bits)(target)
+            assert _root_sixteenths_off(root, target, e, bits) <= 1, (t, e)
+        if t > 2:
+            for m in (1, 2, 5):
+                with mp.workprec(bits):
+                    target = t * mp.log(t) ** m
+                mk = means._pull_back(make_log_curve(m + 1), m + 1, vals, bits)(target)
+                assert _sixteenths_off(mk, target, m, bits) <= 1, (t, m)
 
 
 def test_t_log_power_pull_back_refuses_a_target_off_the_image():
@@ -583,7 +695,7 @@ def test_t_log_power_pull_back_refuses_a_target_off_the_image():
         high = logpoly.lp_eval(component, vals[-1]) * 2
         for target in (low, high, mp.mpf(0), mp.mpf(-1)):
             with pytest.raises(NoBracket):
-                means._pull_back(curve, k, target, vals, 53)
+                means._pull_back(curve, k, vals, 53)(target)
 
 
 def test_betweenness_all_means():
@@ -957,13 +1069,21 @@ def test_ln_gap_shortcut_takes_no_log_when_the_gaps_are_clear(monkeypatch):
     ]:
         assert ln_gap_warnings(values) == ()
     assert not logs
-    # a gap below the floor takes the 53-bit logs, only to print it
+    # a gap below the floor prints log1p of its exact relative gap, no log
     assert ln_gap_warnings((2.0, 2.000001, 3.0)) == (
         "min ln-gap 5.0e-7 is below 1e-06; results are ill-conditioned, precision escalated",
     )
-    assert len(logs) == 3
+    assert not logs
     # and so does a pair across a power of two, a log gap of 2^-31
     assert ln_gap_warnings((mp.mpf(2) - mp.ldexp(1, -30), mp.mpf(2)))
+
+
+def test_ln_gap_note_prints_the_smallest_flagged_gap():
+    # two pairs below the floor, the second the closer: log gaps 1e-6 and
+    # 1e-13, each log1p of the exact relative gap
+    values = [mp.mpf(2), mp.mpf("2.000002"), mp.mpf("2.0000020000002"), mp.mpf(3)]
+    assert means._ln_gap_note(values) == "min ln-gap 1.0e-13 is below 1e-06"
+    assert means._ln_gap_note(values[:2] + values[3:]) == "min ln-gap 1.0e-6 is below 1e-06"
 
 
 def test_gap_bound_is_the_floor_rounded_up():
