@@ -277,9 +277,9 @@ def _determinant_closed_forms(vals: Sequence[mpmath.mpf], work_bits: int):
 
 
 def _rel_error(value, reference, prec: int) -> mpmath.mpf:
-    """|value - reference| / |reference| for pairs, rounded as the same
-    ``mpf`` arithmetic under ``mp.workprec(prec)`` rounds it."""
-    error = _div(_abs(_sub(value, reference, prec), prec), _abs(reference, prec), prec)
+    """|value - reference| / |reference| for pairs, the difference and the
+    quotient each rounded once at ``prec``."""
+    error = _div(_abs(_sub(value, reference, prec)), _abs(reference), prec)
     return mp.make_mpf(_raw_value(error))
 
 

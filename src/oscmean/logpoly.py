@@ -319,18 +319,16 @@ def lp_eval_many(polys: Sequence[LogPoly], t, precision_bits: int = 53) -> List[
     polynomial's terms are grouped by t-power m, and each group's value
     P_m * sum_j c_j L^j is computed exactly, by integer Horner on L's
     mantissa with the coefficients over their common denominator, then
-    rounded once (``numerics._round``, or one ``numerics._div`` of the exact
-    group, normalised to an odd mantissa, by the denominator).  A
-    polynomial with several groups adds the rounded groups in ascending m,
-    each addition rounded (``numerics._add``); the zero polynomial is 0.
-    Each step returns exactly what libmp's ``from_man_exp``, ``mpf_div`` and
-    ``mpf_add`` return for it, on ``numerics``' integer pairs.  Every
-    other step is exact integer arithmetic, so a value is bit-for-bit the
-    same whichever other polynomials it is evaluated with, on either mpmath
-    backend, and does not depend on the ambient ``mp.prec``.  The grouped
-    integer coefficients are kept between calls, one LRU entry per
-    polynomial set (``_grouped_terms``), and give the same bits cold or
-    warm.  It is ``lp_rows`` at one point, with the pairs made ``mpf``.
+    rounded once (``numerics._round``, or one ``numerics._div`` by the
+    denominator).  A polynomial with several groups adds the rounded groups
+    in ascending m, each addition rounded once (``numerics._add``); the zero
+    polynomial is 0.  Every other step is exact integer arithmetic, so a
+    value is bit-for-bit the same whichever other polynomials it is
+    evaluated with, on either mpmath backend, and does not depend on the
+    ambient ``mp.prec``.  The grouped integer coefficients are kept between
+    calls, one LRU entry per polynomial set (``_grouped_terms``), and give
+    the same bits cold or warm.  It is ``lp_rows`` at one point, with the
+    pairs made ``mpf``.
     """
     return [mp.make_mpf(_raw_value(v)) for v in lp_rows(polys, (t,), precision_bits)[0]]
 
@@ -377,9 +375,7 @@ def _eval_point(grouped, t, prec: int) -> List[tuple]:
             if denom is None:
                 piece = _round(acc, scale, prec)
             else:
-                # exact, with an odd mantissa, as mpf_div reads its dividend
-                exact = _round(acc, scale, acc.bit_length())
-                piece = _div(exact, denom, prec)
+                piece = _div((acc, scale), denom, prec)
             total = piece if total is None else _add(total, piece, prec)
         values.append(_ZERO if total is None else total)
     return values

@@ -388,9 +388,8 @@ def _divided_difference(weights: Sequence, xs: Sequence, prec: int):
     nodes ``xs`` of any f with f(x_j) = w_j.  Takes and returns raw libmp
     values and computes on ``numerics``' integer (mantissa, exponent) pairs.
     Each gap, each product of a denominator (from 1, i ascending), each
-    quotient and each partial sum (j ascending) rounds to nearest at
-    ``prec``, exactly as the same steps with libmp's ``mpf_sub``,
-    ``mpf_mul``, ``mpf_div`` and ``mpf_add`` would.
+    quotient and each partial sum (j ascending) is rounded once to nearest
+    at ``prec``.
     """
     ws = [_pair(w) for w in weights]
     nodes = [_pair(x) for x in xs]

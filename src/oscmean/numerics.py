@@ -17,21 +17,13 @@ determinant of the system's matrix from the same LU, bit for bit what
 ``det`` returns, so the identity scans factor each minor matrix once.
 
 The elimination, the substitutions, the residuals, their norms and the
-determinant's pivot product run on integer pairs (m, e), the value m * 2^e:
-a few private primitives round to nearest-even, multiply, add, subtract and
-divide on the integers directly.  Each returns exactly the value the libmp
-call it replaces (``mpf_mul``, ``mpf_add``, ``mpf_sub``, ``mpf_div``)
-returns at the same precision, including ``mpf_add``'s stand-in for an
-operand far below the other, which is not correctly rounded when the larger
-operand is wider than the precision.  The operations run in the order the
-same code written with ``mpf`` arithmetic under ``mp.workprec`` would use,
-so the results are bit-for-bit those of that code, except that the pivot
-ratios are compared exactly, with no division.  ``solve_linear`` and
-``det`` take ``mpf`` values or pairs and return ``mpf`` values; the
-conversion happens there, in ``SolveReport``'s three properties, and
-nowhere else.  ``means``' divided-difference kernel and ``logpoly``'s
-evaluator, which builds ``means.intersect``'s planes as pairs, use the same
-primitives.
+determinant's pivot product run on integer pairs (m, e), the value m * 2^e,
+through a few private primitives, each of which returns its exact result
+rounded once to nearest-even.  ``solve_linear`` and ``det`` take ``mpf``
+values or pairs and return ``mpf`` values; the conversion happens there, in
+``SolveReport``'s three properties, and nowhere else.  ``means``'
+divided-difference kernel and ``logpoly``'s evaluator, which builds
+``means.intersect``'s planes as pairs, use the same primitives.
 """
 
 from __future__ import annotations
@@ -164,10 +156,9 @@ def _inverse_norm(lu) -> float:
 # -- exact integer arithmetic on (mantissa, exponent) pairs --------------------
 #
 # A pair (m, e) is the value m * 2^e, with m a signed integer that is odd
-# unless the value is zero, which is (0, 0).  That is libmp's canonical raw
-# value (sign, |m|, e, bitcount) without the sign and the bitcount, so every
-# primitive below returns exactly the value the libmp call it names returns
-# at the same precision, rounding to nearest with ties to even.
+# unless the value is zero, which is (0, 0): libmp's canonical raw value
+# (sign, |m|, e, bitcount) without the sign and the bitcount.  Every
+# primitive below returns the exact result rounded once to nearest-even.
 
 _ZERO = (0, 0)
 _ONE = (1, 0)
@@ -227,43 +218,44 @@ def _round(m: int, e: int, prec: int):
 
 
 def _mul(x, y, prec: int):
-    """x * y (``mpf_mul``)."""
+    """x * y."""
     return _round(x[0] * y[0], x[1] + y[1], prec)
 
 
 def _sum(a: int, ea: int, b: int, eb: int, prec: int):
-    """a * 2^ea + b * 2^eb, as ``mpf_add``.  When the exponents are more than
-    100 apart and the smaller operand lies over prec + 4 bits below the
-    larger's top bit, libmp does not add it: it appends prec + 4 zero bits
-    to the larger mantissa and adds or subtracts one unit there.  That is
-    correctly rounded unless the larger operand is wider than ``prec``."""
+    """a * 2^ea + b * 2^eb, rounded once.  Take ea >= eb.  When b lies
+    wholly below 2^q, q = min(ea, top - prec - 1) - 2 with top a's top
+    exponent, no rounding boundary falls between a + b and a plus one
+    signed unit at 2^q, so that unit stands in for b and no shift grows
+    with the gap between the exponents.  Within prec exponents the exact
+    sum is as cheap, and the test is skipped."""
     if not a:
         return _round(b, eb, prec) if b else _ZERO
     if not b:
         return _round(a, ea, prec)
+    if ea < eb:
+        a, ea, b, eb = b, eb, a, ea
     offset = ea - eb
-    if offset > 100 and a.bit_length() + offset - b.bit_length() > prec + 4:
-        return _round((a << (prec + 4)) + (1 if b > 0 else -1), ea - prec - 4, prec)
-    if offset < -100 and b.bit_length() - offset - a.bit_length() > prec + 4:
-        return _round((b << (prec + 4)) + (1 if a > 0 else -1), eb - prec - 4, prec)
-    if offset >= 0:
-        return _round((a << offset) + b, eb, prec)
-    return _round(a + (b << -offset), ea, prec)
+    if offset > prec:
+        q = min(ea, a.bit_length() + ea - prec - 1) - 2
+        if b.bit_length() + eb <= q:
+            return _round((a << (ea - q)) + (1 if b > 0 else -1), q, prec)
+    return _round((a << offset) + b, eb, prec)
 
 
 def _add(x, y, prec: int):
-    """x + y (``mpf_add``)."""
+    """x + y."""
     return _sum(x[0], x[1], y[0], y[1], prec)
 
 
 def _sub(x, y, prec: int):
-    """x - y (``mpf_sub``)."""
+    """x - y."""
     return _sum(x[0], x[1], -y[0], y[1], prec)
 
 
 def _div(x, y, prec: int):
-    """x / y (``mpf_div``): at least prec + 5 quotient bits, the last one
-    set when the division leaves a remainder, then rounded once."""
+    """x / y: at least prec + 5 quotient bits, the last one set when the
+    division leaves a remainder, then rounded once."""
     a, ea = x
     b, eb = y
     if not b:
@@ -280,9 +272,9 @@ def _div(x, y, prec: int):
     return _round(-quotient if (a < 0) != (b < 0) else quotient, ea - eb - extra, prec)
 
 
-def _abs(x, prec: int):
-    """|x| rounded to ``prec`` (``mpf_abs``)."""
-    return _round(abs(x[0]), x[1], prec)
+def _abs(x):
+    """|x|, exactly."""
+    return abs(x[0]), x[1]
 
 
 def _gt(x, y) -> bool:
@@ -300,12 +292,12 @@ def _gt(x, y) -> bool:
     return a > b << (eb - ea)
 
 
-def _max_abs(values, prec: int):
-    """max(abs(v) for v in values), each abs rounded to ``prec``; the first
-    of equal values, as the builtin ``max`` finds it."""
+def _max_abs(values):
+    """max(abs(v) for v in values), exactly; the first of equal values, as
+    the builtin ``max`` finds it."""
     best = None
     for v in values:
-        v = _abs(v, prec)
+        v = _abs(v)
         if best is None or _gt(v, best):
             best = v
     return best
@@ -321,15 +313,15 @@ def _lu_factor(matrix, prec: int):
     """
     n = len(matrix)
     lu = [row[:] for row in matrix]
-    scales = [_max_abs(row, prec) for row in lu]
+    scales = [_max_abs(row) for row in lu]
     if not all(s[0] for s in scales):
         raise SingularSystem("matrix has an all-zero row")
     perm = list(range(n))
     for col in range(n):
         # the first row of largest |a| / scale: |a_i| * s_p > |a_p| * s_i
-        pivot_row, best = col, _abs(lu[col][col], prec)
+        pivot_row, best = col, _abs(lu[col][col])
         for i in range(col + 1, n):
-            a = _abs(lu[i][col], prec)
+            a = _abs(lu[i][col])
             (sp, ep), (si, ei) = scales[pivot_row], scales[i]
             if _gt((a[0] * sp, a[1] + ep), (best[0] * si, best[1] + ei)):
                 pivot_row, best = i, a
@@ -405,10 +397,9 @@ def _residual_vector(A, x, b, precision_bits: int):
 
 
 def _residual_norm(A, x, b, precision_bits: int):
-    prec = 2 * precision_bits
-    worst = _max_abs(_residual_vector(A, x, b, precision_bits), prec)
-    b_norm = _max_abs(b, prec)
-    return _div(worst, b_norm, prec) if b_norm[0] else worst
+    worst = _max_abs(_residual_vector(A, x, b, precision_bits))
+    b_norm = _max_abs(b)
+    return _div(worst, b_norm, 2 * precision_bits) if b_norm[0] else worst
 
 
 def solve_linear(A: Sequence[Sequence], b: Sequence, precision_bits: int = 53) -> SolveReport:

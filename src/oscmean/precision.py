@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import finf, fnan, fninf
+from mpmath.libmp import finf, fnan, fninf, from_rational, round_nearest
 
 from .errors import BadParameter
 
@@ -35,8 +35,9 @@ def as_mpf(value) -> mpmath.mpf:
 
     Accepts mpf, int, float, decimal strings, and Fraction.  Strings are
     parsed at the working precision, so a caller that raises the precision
-    before converting keeps all the digits of a decimal literal.  An mpf is
-    returned as given, not rounded.  Infinities and nan raise
+    before converting keeps all the digits of a decimal literal.  A Fraction
+    is rounded once, from its exact value.  An mpf is returned as given,
+    not rounded.  Infinities and nan raise
     ``BadParameter`` whatever their type.
     """
     if isinstance(value, mpmath.mpf):
@@ -44,7 +45,9 @@ def as_mpf(value) -> mpmath.mpf:
             raise BadParameter(f"value {value!r} is not finite")
         return value
     if isinstance(value, Fraction):
-        return mp.mpf(value.numerator) / value.denominator
+        return mp.make_mpf(
+            from_rational(value.numerator, value.denominator, mp.prec, round_nearest)
+        )
     try:
         result = mp.mpf(value)
     except (TypeError, ValueError) as exc:

@@ -235,6 +235,12 @@ def test_conjecture_csv_byte_identical(capsys):
             "mean --values 2,2,3",
             "d801cb6fa6a331f8791d61fcac7c39c1239c8a0f7c8ff9e8d566a1ddc45a880d",
         ),
+        (
+            # the solve's refinement adds a correction far below the
+            # solution component it corrects
+            "mean --values 1.67943726907852,47.5500308965592 --json --precision 256",
+            "6e2327671bc9f65146ce4b85ead8b6f50ddf28a0b72c29cc3f7515029a9e60c9",
+        ),
     ],
 )
 def test_verify_path_output_is_pinned(capsys, argv, digest):

@@ -10,12 +10,13 @@ from mpmath import mp
 
 from mpmath.libmp import from_man_exp, mpf_add, mpf_div, mpf_mul, mpf_sub, round_nearest
 
-from oscmean import numerics
+from oscmean import logpoly, numerics
 from oscmean.errors import BadDimension, BadParameter, NoBracket, SingularSystem
 from oscmean.identities import draw_tuple
 from oscmean.logpoly import lp_eval
-from oscmean.means import hyperplane_at
+from oscmean.means import evaluate_request, hyperplane_at
 from oscmean.numerics import det, find_root_bracketed, solve_linear
+from oscmean.precision import as_mpf_at
 from oscmean.wronskian import make_log_curve, normal_field
 
 
@@ -103,6 +104,26 @@ def test_pair_entries_are_read_as_their_mpf_values(bits):
             assert [x._mpf_ for x in from_pairs.solution] == [x._mpf_ for x in from_mpf.solution]
             assert from_pairs.determinant._mpf_ == from_mpf.determinant._mpf_
             assert det(rows, bits)._mpf_ == det(as_mpf[0], bits)._mpf_
+
+
+@pytest.mark.parametrize("bits", [53, 113])
+def test_fractions_are_rounded_once(bits):
+    # a Fraction is its exact value rounded once; rounding its numerator
+    # first and then the quotient puts this one an ulp off at 53 bits
+    example = Fraction(1897200288808408930379, 261)
+    with mp.workprec(53):
+        assert mp.mpf(example.numerator) / example.denominator != as_mpf_at(example, 53)
+    rng = random.Random(bits)
+    values = [example]
+    for _ in range(500):
+        # numerators of 54-120 bits, denominators of 2-70 bits
+        num, den = (
+            1 << (width - 1) | rng.getrandbits(width - 1)
+            for width in (rng.randint(54, 120), rng.randint(2, 70))
+        )
+        values.append(Fraction(-num if rng.random() < 0.5 else num, den))
+    for value in values:
+        assert numerics._pair(as_mpf_at(value, bits)._mpf_) == _nearest(value, bits), value
 
 
 def test_random_well_conditioned_residuals():
@@ -196,9 +217,8 @@ def _wide(k, scale=0, tie_at=None):
 def _wide_system():
     # 400-bit entries, wider than the working precision, and a column 0 that
     # spans 2^-480..1: the elimination and the forward substitution subtract
-    # products far below a wide operand, where mpf_add stands in a unit for
-    # them.  At 113 and 256 bits the ties at 113 and 256 bits make that
-    # differ from the correctly rounded difference.
+    # products far below a wide operand, where _sum stands in a unit for
+    # them.  Some entries lie just above a tie at 113 or 256 bits.
     A = [
         [mp.mpf(1), _wide(2, -1), _wide(3, -1)],
         [mp.ldexp(1, -393), _wide(2, 0, 113), _wide(3, 0, 256)],
@@ -315,7 +335,7 @@ _PINNED_SYSTEMS = {
             "mpf('-16.7244249640181712045408452089581194')",
             "mpf('-31.1189255224883378545418019092810032')",
         ],
-        "mpf('7.765664259536824060158349058824367995290825696943418422857836610171479e-35')",
+        "mpf('7.76566425953682406015834905882436799529082569694341842285783661017139e-35')",
         "56796.84069966886",
         "mpf('1.15397532236452976505859717335436223e-26')",
     ),
@@ -351,7 +371,7 @@ _PINNED_SYSTEMS = {
         ],
         "mpf('1.010226804982545233204196122143132969446963153544273743712297634005653e-34')",
         "45.50392050813708",
-        "mpf('-0.204440865534831149062186358385327495')",
+        "mpf('-0.204440865534831149062186358385327712')",
     ),
     ("wide3", 256): (
         [
@@ -361,7 +381,7 @@ _PINNED_SYSTEMS = {
         ],
         "mpf('6.93846584413784511390150356826947210363544943506433532719096441611721711845231858299563098183948102562831176611883849405973891704125966218583759270863456287e-78')",
         "45.50392050813708",
-        "mpf('-0.2044408655348311490621863583853274359334468807696829734105725896257792742577141')",
+        "mpf('-0.2044408655348311490621863583853274359334468807696829734105725896257792742576947')",
     ),
 }
 
@@ -382,28 +402,55 @@ def test_solve_and_det_bits_are_pinned(name, bits):
 
 @pytest.mark.parametrize("bits", [53, 113, 256])
 def test_wide_system_reaches_the_unit_stand_in(monkeypatch, bits):
-    # the pinned wide3 bits rest on additions that take mpf_add's unit
-    # stand-in with a larger operand wider than the working precision, both
-    # in the elimination and in the forward substitution
+    # the elimination and the forward substitution of wide3 add operands
+    # wholly below the rounding position of a larger operand wider than the
+    # working precision: _sum stands a unit in for them, and each such sum
+    # is still the exact sum rounded once
     reached = set()
-    original_sum = numerics._sum
+    exponents = []
+    original_sum, original_round = numerics._sum, numerics._round
 
-    def recording(*args):
-        a, ea, b, eb, prec = args
+    def rounding(m, e, prec):
+        exponents.append(e)
+        return original_round(m, e, prec)
+
+    def recording(a, ea, b, eb, prec):
+        exponents.clear()
+        result = original_sum(a, ea, b, eb, prec)
         if ea < eb:
             a, ea, b, eb = b, eb, a, ea
-        if (
-            a and b and ea - eb > 100 and a.bit_length() > prec
-            and (a.bit_length() + ea) - (b.bit_length() + eb) > prec + 4
-        ):
+        q = min(ea, a.bit_length() + ea - prec - 1) - 2
+        if a.bit_length() > prec and b and ea - eb > prec and b.bit_length() + eb <= q:
+            # the unit at 2^q was rounded, not the exact sum at 2^eb
+            assert exponents == [q]
+            assert result == _nearest(_fraction((a, ea)) + _fraction((b, eb)), prec)
             # the caller of _add or _sub
             reached.add(sys._getframe(2).f_code.co_name)
-        return original_sum(*args)
+        return result
 
+    monkeypatch.setattr(numerics, "_round", rounding)
     monkeypatch.setattr(numerics, "_sum", recording)
     A, b = _wide_system()
     solve_linear(A, b, bits)
     assert reached == {"_lu_factor", "_lu_solve"}
+
+
+def test_far_apart_inputs_round_only_narrow_integers(monkeypatch):
+    # inputs 10^60000000 apart: adding exactly would shift a mantissa by
+    # about 2 * 10^8 bits, where the unit stand-in keeps every integer that
+    # is rounded narrow
+    widest = 0
+    original_round = numerics._round
+
+    def recording(m, e, prec):
+        nonlocal widest
+        widest = max(widest, m.bit_length())
+        return original_round(m, e, prec)
+
+    monkeypatch.setattr(numerics, "_round", recording)
+    monkeypatch.setattr(logpoly, "_round", recording)
+    evaluate_request(["1e-30000000", "1", "1e30000000"], 1, 53)
+    assert 0 < widest <= 4096
 
 
 def test_refinement_corrections_are_rounded_to_working_precision():
@@ -499,13 +546,37 @@ def test_pivot_ratios_that_round_alike_are_compared_exactly():
     # takes row 1
     A = [[1 << 51, -((1 << 52) + 1)], [(1 << 51) + 1, (1 << 52) + 3]]
     A_pairs = [numerics._pairs(row, 53) for row in A]
-    ratios = [numerics._div(a, numerics._abs(s, 53), 53) for a, s in A_pairs]
+    ratios = [numerics._div(a, numerics._abs(s), 53) for a, s in A_pairs]
     assert ratios[0] == ratios[1]
     _, perm = numerics._lu_factor(A_pairs, 53)
     assert perm == [1, 0]
 
 
-# -- integer (mantissa, exponent) arithmetic against libmp --------------------------
+# -- integer (mantissa, exponent) arithmetic: exact, then rounded once ---------------
+
+
+def _nearest(value, prec):
+    """The canonical pair of a Fraction rounded to ``prec`` bits, to nearest
+    with ties to even, from the Fraction alone."""
+    if not value:
+        return (0, 0)
+    num, den = abs(value.numerator), value.denominator
+    e = num.bit_length() - den.bit_length() - prec
+    while True:
+        # m + r / d = |value| / 2^e
+        n, d = (num, den << e) if e >= 0 else (num << -e, den)
+        m, r = divmod(n, d)
+        if m >> prec:
+            e += 1
+        elif not m >> (prec - 1):
+            e -= 1
+        else:
+            break
+    if 2 * r > d or (2 * r == d and m & 1):
+        m += 1
+    zeros = (m & -m).bit_length() - 1
+    m >>= zeros
+    return (-m if value < 0 else m), e + zeros
 
 
 def _fuzz_mantissa(rng, prec):
@@ -546,8 +617,27 @@ def _perturbation_case(rng, prec):
     return from_man_exp(s, s_exp), from_man_exp(t, s_exp - 120)
 
 
-@pytest.mark.parametrize("prec", [53, 83, 113, 143, 256, 286, 1500])
-def test_pair_arithmetic_matches_libmp(prec):
+def _threshold_case(rng, prec):
+    """s and t with t's top bit within 3 exponents of 2^q, where
+    q = min(e, top - prec - 1) - 2 for s's exponent e and top exponent top:
+    the edge of ``numerics._sum``'s unit stand-in."""
+    man = 0
+    while not man:
+        man = _fuzz_mantissa(rng, prec)
+    s = from_man_exp(man, rng.randint(-50, 50))
+    _, _, s_exp, s_bc = s
+    q = min(s_exp, s_exp + s_bc - prec - 1) - 2
+    # t wider than prec too, so that t lies over prec exponents below a wide s
+    width = rng.choice((rng.randint(1, prec), rng.randint(prec + 4, prec + 64)))
+    t = 1 << (width - 1) | rng.getrandbits(width - 1)
+    if rng.random() < 0.5:
+        t = -t
+    return s, from_man_exp(t, q + rng.randint(-3, 3) - width)
+
+
+def _fuzz_cases(prec):
+    """The perturbation cases, then random operands with exponent offsets up
+    to about 10^4, then cases at the unit stand-in's edge, as raw values."""
     rng = random.Random(prec)
     cases = [_perturbation_case(rng, prec) for _ in range(10)]
     for _ in range(1500):
@@ -556,27 +646,61 @@ def test_pair_arithmetic_matches_libmp(prec):
         if t[1]:
             t = (t[0], t[1], s[2] - _fuzz_offset(rng), t[3])
         cases.append((s, t))
-    for s, t in cases:
+    cases += [_threshold_case(rng, prec) for _ in range(300)]
+    return cases
+
+
+_PRECISIONS = [53, 83, 113, 143, 256, 286, 1500]
+
+
+@pytest.mark.parametrize("prec", _PRECISIONS)
+def test_pair_arithmetic_is_exact_then_rounded_once(prec):
+    rng = random.Random(-prec)
+    for s, t in _fuzz_cases(prec):
         x, y = numerics._pair(s), numerics._pair(t)
-        for ours, theirs in (
-            (numerics._add, mpf_add),
-            (numerics._sub, mpf_sub),
-            (numerics._mul, mpf_mul),
-        ):
-            assert numerics._raw_value(ours(x, y, prec)) == theirs(s, t, prec, round_nearest), (
-                ours.__name__, s, t,
-            )
-        if t[1]:
-            assert numerics._raw_value(numerics._div(x, y, prec)) == mpf_div(
-                s, t, prec, round_nearest
-            ), (s, t)
+        fx, fy = _fraction(x), _fraction(y)
+        assert numerics._add(x, y, prec) == _nearest(fx + fy, prec), (s, t)
+        assert numerics._sub(x, y, prec) == _nearest(fx - fy, prec), (s, t)
+        assert numerics._mul(x, y, prec) == _nearest(fx * fy, prec), (s, t)
+        if fy:
+            assert numerics._div(x, y, prec) == _nearest(fx / fy, prec), (s, t)
         else:
             with pytest.raises(ZeroDivisionError):
                 numerics._div(x, y, prec)
         man = _fuzz_mantissa(rng, prec)
+        assert numerics._round(man, 7, prec) == _nearest(Fraction(man * 2**7), prec)
+
+
+@pytest.mark.parametrize("prec", _PRECISIONS)
+def test_pair_arithmetic_matches_libmp(prec):
+    # libmp rounds products, quotients and conversions correctly, and sums
+    # whose larger operand fits in prec bits; it misrounds each perturbation
+    # case, where the pairs do not (the negative control)
+    cases = _fuzz_cases(prec)
+    for s, t in cases[10:]:
+        x, y = numerics._pair(s), numerics._pair(t)
+        assert numerics._raw_value(numerics._mul(x, y, prec)) == mpf_mul(s, t, prec, round_nearest)
+        if t[1]:
+            assert numerics._raw_value(numerics._div(x, y, prec)) == mpf_div(
+                s, t, prec, round_nearest
+            ), (s, t)
+        larger = max(s, t, key=lambda v: v[2] + v[3] if v[1] else -math.inf)
+        if larger[3] <= prec:
+            assert numerics._raw_value(numerics._add(x, y, prec)) == mpf_add(
+                s, t, prec, round_nearest
+            ), (s, t)
+            assert numerics._raw_value(numerics._sub(x, y, prec)) == mpf_sub(
+                s, t, prec, round_nearest
+            ), (s, t)
+        man = s[1] if s[0] == 0 else -s[1]
         assert numerics._raw_value(numerics._round(man, 7, prec)) == from_man_exp(
             man, 7, prec, round_nearest
         )
+    for s, t in cases[:10]:
+        x, y = numerics._pair(s), numerics._pair(t)
+        assert numerics._raw_value(numerics._add(x, y, prec)) != mpf_add(
+            s, t, prec, round_nearest
+        ), (s, t)
 
 
 # -- pivot rules ----------------------------------------------------------------------
