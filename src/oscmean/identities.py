@@ -14,20 +14,20 @@ separated, so report rows carry no conditioning warnings.
 
 Every numeric identity at one n comes from one scan, ``numeric_scan``: it
 draws each tuple once (from [1.1, 50] for n >= 3) and intersects the
-tuple's osculating hyperplanes once, at p + ``GUARD_BITS`` bits.  The
-main-theorem row compares that intersection's first coordinate with
-``neuman_LN``, both rounded to p.  The prop3, prop4 and Cramer-quotient
-rows are computed at p + ``GUARD_BITS`` on the planes the intersection
-built, the minor determinant read from the solve's LU, so one elimination
-serves the solve and that determinant.  The n = 2 tangent row is the same
-check on pairs from [0.2, 50].
+tuple's osculating hyperplanes once, at the intersection's working
+precision w (``IntersectionResult.work_bits``).  The main-theorem row
+compares that intersection's first coordinate with ``neuman_LN``, both
+rounded to p.  The prop3, prop4 and Cramer-quotient rows are computed at w
+on the planes the intersection built, the minor determinant read from the
+solve's LU, so one elimination serves the solve and that determinant.  The
+n = 2 tangent row is the same check on pairs from [0.2, 50].
 
 The Vandermonde product and its alternating cofactor sum have one home,
 ``vandermonde`` and ``alternating_cofactor_sum``, exact, on integers.  The
 cofactor identity scales its rationals to integers; the two determinant
-closed forms write the inputs and their logs (each log rounded at p +
-``GUARD_BITS``) as integers times one power of two, so each closed form is
-exact and rounded once at p + ``GUARD_BITS``.
+closed forms write the inputs and their logs (each log rounded at w) as
+integers times one power of two, so each closed form is exact and rounded
+once at w.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from math import factorial, prod
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import mpmath
-from mpmath import mp
 from mpmath.libmp import mpf_log, round_nearest
 
 from .errors import BadDimension, BadParameter, DistinctnessViolation
@@ -48,14 +47,13 @@ from .errors import BadDimension, BadParameter, DistinctnessViolation
 # in this module calls it.
 from .logpoly import LogPoly, lp_eval, substitute_power
 from .means import (
-    GUARD_BITS,
     identric_IZ,
     intersect,
     mean_M,
     neuman_LN,
     sorted_positive_distinct,
 )
-from .numerics import _abs, _div, _pair, _pairs, _raw_value, _sub, det
+from .numerics import _div, _pair, _pairs, _rel_error, det
 from .precision import require_precision
 from .wronskian import (
     closed_form_v,
@@ -80,11 +78,12 @@ CONJECTURE_TOLERANCE = 1e-6
 #: Every scan rejection-samples its tuples until adjacent log gaps are at
 #: least this wide.
 MIN_LN_GAP = 0.05
-#: Largest n the experiment accepts.  Its tuples are rejection-sampled from
-#: [1.5, 20] with log gaps >= ``MIN_LN_GAP``, and the share of draws accepted
-#: collapses as n grows (one n = 20 tuple takes 0.5 s; at n >= 53 none can
-#: succeed).
-CONJECTURE_MAX_N = 16
+#: Largest n a scan accepts (``numeric_scan`` and ``conjecture_scan``).  Their
+#: tuples are rejection-sampled with log gaps >= ``MIN_LN_GAP``, and the share
+#: of draws accepted collapses as n grows: one n = 20 tuple from [1.5, 20]
+#: takes 0.5 s, and none can succeed at n >= 53 there, or at n >= 78 on
+#: ``numeric_scan``'s [1.1, 50].
+SCAN_MAX_N = 16
 #: Gate for the first-coordinate vs closed-form comparison.
 MAIN_THEOREM_TOLERANCE = 1e-9
 MAIN_THEOREM_TOLERANCE_113 = 1e-20
@@ -276,13 +275,6 @@ def _determinant_closed_forms(vals: Sequence[mpmath.mpf], work_bits: int):
     return _div(prop3, denominator, work_bits), _div(prop4, denominator, work_bits)
 
 
-def _rel_error(value, reference, prec: int) -> mpmath.mpf:
-    """|value - reference| / |reference| for pairs, the difference and the
-    quotient each rounded once at ``prec``."""
-    error = _div(_abs(_sub(value, reference, prec)), _abs(reference), prec)
-    return mp.make_mpf(_raw_value(error))
-
-
 def numeric_checks(a, precision_bits: int = 53) -> Tuple[mpmath.mpf, ...]:
     """Relative errors of every numeric identity at one tuple, all read off
     one intersection of the tuple's osculating hyperplanes on the log curve.
@@ -291,9 +283,10 @@ def numeric_checks(a, precision_bits: int = 53) -> Tuple[mpmath.mpf, ...]:
     coordinate M_1 against ``neuman_LN``, both rounded to ``precision_bits``.
     At n = 2 (the tangent case) it is the only one.  For n >= 3 the errors
     of prop3, prop4 and the Cramer quotient come first, taken on the planes
-    the intersection built, at its working precision w = precision_bits +
-    ``GUARD_BITS``.  The minor matrix has row j equal to the plane normal at
-    a_j, and its determinant is the solve's (``SolveReport.determinant``).
+    the intersection built, at the precision w it built and solved them at
+    (``IntersectionResult.work_bits``).  The minor matrix has row j equal
+    to the plane normal at a_j, and its determinant is the solve's
+    (``SolveReport.determinant``).
     prop3: that determinant is (prod r!)^(n-2) times the product of log
     gaps over prod a_j^((n-1)(n-2)/2).  prop4: with column 1 replaced by
     the planes' offsets (the full Wronskian), the determinant is (-1)^(n-1)
@@ -308,21 +301,21 @@ def numeric_checks(a, precision_bits: int = 53) -> Tuple[mpmath.mpf, ...]:
     vals = sorted_positive_distinct(a, precision_bits)
     n = len(vals)
     result = intersect(make_log_curve(n), vals, precision_bits)
-    m1, reference = _pairs([result.means[1], neuman_LN(vals, precision_bits)], precision_bits)
-    m1_error = _rel_error(m1, reference, precision_bits)
+    reference = neuman_LN(vals, precision_bits)
+    m1_error = _rel_error(result.point[0], reference, precision_bits)
     if n == 2:
         return (m1_error,)
-    work_bits = precision_bits + GUARD_BITS
+    work_bits = result.work_bits
     # the planes' rows as pairs, each offset moved into column 1
     replaced = [row[-1:] + row[1:-1] for row in result._rows]
-    det_minors, det_replaced = _pairs(
-        [result.report.determinant, det(replaced, work_bits)], work_bits
-    )
+    det_minors = result.report.determinant
+    det_replaced = det(replaced, work_bits)
     prop3, prop4 = _determinant_closed_forms(vals, work_bits)
+    quotient = _div(*_pairs((det_replaced, det_minors), work_bits), work_bits)
     return (
         _rel_error(det_minors, prop3, work_bits),
         _rel_error(det_replaced, prop4, work_bits),
-        _rel_error(_div(det_replaced, det_minors, work_bits), reference, work_bits),
+        _rel_error(quotient, reference, work_bits),
         m1_error,
     )
 
@@ -374,10 +367,13 @@ def numeric_scan(
     drawn from [0.2, 50] with ``seed``.  n >= 3 gives the prop3, prop4,
     Cramer-quotient and main-theorem rows, on tuples drawn from [1.1, 50]
     with ``seed + n``.  The main-theorem gate is 1e-9 at double precision
-    and 1e-20 from 113 bits up.
+    and 1e-20 from 113 bits up.  An n above ``SCAN_MAX_N`` raises
+    ``BadDimension`` before any tuple is drawn.
     """
     if n < 2:
         raise BadDimension(f"need n >= 2, got {n}")
+    if n > SCAN_MAX_N:
+        raise BadDimension(f"the numeric scan is bounded at n = {SCAN_MAX_N}, got {n}")
 
     def check(vals):
         return numeric_checks(vals, precision_bits)
@@ -453,23 +449,18 @@ def conjecture_scan(
     Tuples are drawn from [1.5, 20].  The n-th component is log t, so the
     mean is exp of the intersection's last coordinate (``means.mean_M``).
     Agreement is gated at n = 3 and reported (not gated) for
-    4 <= n <= ``CONJECTURE_MAX_N``.
+    4 <= n <= ``SCAN_MAX_N``.
     """
     if n < 3:
         raise BadDimension(f"the power-log curve needs n >= 3, got {n}")
-    if n > CONJECTURE_MAX_N:
-        raise BadDimension(
-            f"the conjecture scan is bounded at n = {CONJECTURE_MAX_N}, got {n}"
-        )
+    if n > SCAN_MAX_N:
+        raise BadDimension(f"the conjecture scan is bounded at n = {SCAN_MAX_N}, got {n}")
     curve = make_conjecture_curve(n)
 
     def check(vals):
         vals = sorted_positive_distinct(vals, precision_bits)
-        mean_value, reference = _pairs(
-            [mean_M(curve, n, vals, precision_bits), identric_IZ(vals, precision_bits)],
-            precision_bits,
-        )
-        return (_rel_error(mean_value, reference, precision_bits),)
+        mean_value = mean_M(curve, n, vals, precision_bits)
+        return (_rel_error(mean_value, identric_IZ(vals, precision_bits), precision_bits),)
 
     [worst] = _worst_errors(check, n, 1.5, 20.0, trials, seed + n, precision_bits)
     return IdentityReport(
@@ -664,9 +655,9 @@ def run_numeric_suite(
 ) -> List[IdentityReport]:
     """Every numeric identity row at the requested precision: the tangent
     row, then the four rows of ``numeric_scan`` for each n from 3 to
-    ``max_n``."""
-    if max_n < 2:
-        raise BadParameter(f"max_n must be >= 2, got {max_n}")
+    ``max_n``, at most ``SCAN_MAX_N``."""
+    if not 2 <= max_n <= SCAN_MAX_N:
+        raise BadParameter(f"max_n must be in 2..{SCAN_MAX_N}, got {max_n}")
     require_precision(precision_bits)
     rows: List[IdentityReport] = [tangent_scan(trials, seed, precision_bits)]
     for n in range(3, max_n + 1):
@@ -684,9 +675,10 @@ def run_identity_suite(
     sums and Vandermonde cofactor rows, then the prop3, prop4 and
     Cramer-quotient rows of ``numeric_scan`` for each n from 3 to ``max_n``.
     Those rows are computed on intersected osculating hyperplanes of the
-    log curve; the main-theorem row of the same scan is left out."""
-    if max_n < 2:
-        raise BadParameter(f"max_n must be >= 2, got {max_n}")
+    log curve; the main-theorem row of the same scan is left out.  ``max_n``
+    is at most ``SCAN_MAX_N``."""
+    if not 2 <= max_n <= SCAN_MAX_N:
+        raise BadParameter(f"max_n must be in 2..{SCAN_MAX_N}, got {max_n}")
     require_precision(precision_bits)
     rows: List[IdentityReport] = [
         _check_alternating_sum(),

@@ -19,16 +19,16 @@ t-powers and log-powers inside exact arithmetic.  The ring has no zero
 divisors, and :meth:`LogPoly.exact_div` divides wherever the quotient lies in
 it, which is all that fraction-free elimination of Wronskian matrices needs.
 
-Numeric evaluation (`lp_eval_many`, with `lp_eval` as its one-polynomial
-form) is the single bridge out of the exact world.  It takes one log of the
-point for all the polynomials it is given, and one power t^m per t-power m.
-Each polynomial's terms are grouped by t-power, with integer coefficients
-over one common denominator, once per polynomial set and cached.  A group's
-value is then computed exactly in integers from the mantissas of log t and
-t^m, and rounded once to the requested significand width; only a polynomial
-with several t-powers rounds again, once per added group.  It rounds on
-``numerics``' integer (mantissa, exponent) pairs, and wraps only the values
-it returns in ``mpf``; `lp_rows`, its many-point form, returns the pairs.
+Numeric evaluation (`lp_rows`, with `lp_eval` as its one-polynomial,
+one-point form) is the single bridge out of the exact world.  It takes one
+log of each point for all the polynomials it is given, and one power t^m
+per t-power m.  Each polynomial's terms are grouped by t-power, with integer
+coefficients over one common denominator, once per polynomial set and
+cached.  A group's value is then computed exactly in integers from the
+mantissas of log t and t^m, and rounded once to the requested significand
+width; only a polynomial with several t-powers rounds again, once per added
+group.  It rounds on ``numerics``' integer (mantissa, exponent) pairs and
+returns them; `lp_eval` wraps its one value in ``mpf``.
 """
 
 from __future__ import annotations
@@ -269,7 +269,7 @@ class LogPoly:
         return LogPoly._canonical(out)
 
 
-#: Entries kept by the grouped-coefficient cache of :func:`lp_eval_many`, one
+#: Entries kept by the grouped-coefficient cache of :func:`lp_rows`, one
 #: per polynomial set, whatever the precision: the benchmark's verify batch
 #: fills 8 and mean-spread one per dimension, 5.  Like ``wronskian.CACHE_MAXSIZE``,
 #: the bound stops a process that sees many distinct sets from growing
@@ -305,14 +305,15 @@ def _grouped_terms(polys: Tuple[LogPoly, ...]) -> Tuple[Tuple[Optional[tuple], t
     return tuple(out)
 
 
-def lp_eval_many(polys: Sequence[LogPoly], t, precision_bits: int = 53) -> List[mpmath.mpf]:
-    """Values of every polynomial in ``polys`` at ``t > 0``, in order, each
-    rounded to ``precision_bits`` significand bits.
+def lp_rows(polys: Sequence[LogPoly], points: Sequence, precision_bits: int = 53) -> List[list]:
+    """Values of every polynomial in ``polys`` at each point ``t > 0``, one
+    row per point, each value ``numerics``' integer pair (m, e) rounded to
+    ``precision_bits`` significand bits.
 
-    The point and the precision are validated once, log t is taken once,
-    and each t^m is computed once and shared by all the polynomials.  An
-    mpf point is used as given, not rounded; any other is converted at
-    ``precision_bits``.
+    The precision is validated and the grouped coefficients looked up once
+    for all the points; per point, log t is taken once, and each t^m is
+    computed once and shared by all the polynomials.  An mpf point is used
+    as given, not rounded; any other is converted at ``precision_bits``.
 
     Rounding contract, at ``precision_bits``, to nearest: L = log t
     (``mpf_log``) and P_m = t^m (``mpf_pow_int``; P_0 = 1) are rounded.  A
@@ -323,26 +324,19 @@ def lp_eval_many(polys: Sequence[LogPoly], t, precision_bits: int = 53) -> List[
     denominator).  A polynomial with several groups adds the rounded groups
     in ascending m, each addition rounded once (``numerics._add``); the zero
     polynomial is 0.  Every other step is exact integer arithmetic, so a
-    value is bit-for-bit the same whichever other polynomials it is
-    evaluated with, on either mpmath backend, and does not depend on the
+    value is bit-for-bit the same whichever other polynomials and points it
+    is evaluated with, on either mpmath backend, and does not depend on the
     ambient ``mp.prec``.  The grouped integer coefficients are kept between
     calls, one LRU entry per polynomial set (``_grouped_terms``), and give
-    the same bits cold or warm.  It is ``lp_rows`` at one point, with the
-    pairs made ``mpf``.
+    the same bits cold or warm.
     """
-    return [mp.make_mpf(_raw_value(v)) for v in lp_rows(polys, (t,), precision_bits)[0]]
-
-
-def lp_rows(polys: Sequence[LogPoly], points: Sequence, precision_bits: int = 53) -> List[list]:
-    """``lp_eval_many`` at each point, as ``numerics``' integer pairs (m, e),
-    with one ``_grouped_terms`` lookup for all the points."""
     require_precision(precision_bits)
     grouped = _grouped_terms(tuple(polys))
     return [_eval_point(grouped, t, precision_bits) for t in points]
 
 
 def _eval_point(grouped, t, prec: int) -> List[tuple]:
-    """The kernel of ``lp_eval_many``: the grouped polynomials at ``t > 0`` as pairs."""
+    """The kernel of ``lp_rows``: the grouped polynomials at ``t > 0`` as pairs."""
     tv = as_mpf_at(t, prec)
     if tv <= 0:
         raise NonPositiveArgument(f"evaluation point must be positive, got {t!r}")
@@ -382,8 +376,9 @@ def _eval_point(grouped, t, prec: int) -> List[tuple]:
 
 
 def lp_eval(p: LogPoly, t, precision_bits: int = 53) -> mpmath.mpf:
-    """Value of ``p`` at ``t > 0`` with at least ``precision_bits`` significand bits."""
-    return lp_eval_many((p,), t, precision_bits)[0]
+    """Value of ``p`` at ``t > 0``, rounded to ``precision_bits`` significand
+    bits as ``lp_rows`` rounds it."""
+    return mp.make_mpf(_raw_value(lp_rows((p,), (t,), precision_bits)[0][0]))
 
 
 def substitute_power(p: LogPoly, power: int) -> LogPoly:

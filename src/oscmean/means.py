@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import exp, factorial, log, log1p
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import mpmath
 from mpmath import mp
@@ -74,6 +74,7 @@ from .numerics import (
     _pair,
     _pairs,
     _raw_value,
+    _rel_error,
     _sub,
     find_root_bracketed,
     solve_linear,
@@ -114,22 +115,17 @@ class Hyperplane:
 class IntersectionResult:
     """The common point of the n hyperplanes plus solve diagnostics.
 
-    ``means`` maps a mean index k to its value when it could be read off
-    directly (component k equal to t makes coordinate k itself a mean).
-    ``_rows`` are the planes the system was built from (``_plane_rows``), at
-    the guard precision, in the order of the sorted inputs; ``planes`` makes
-    them ``Hyperplane`` objects when first read.  Their normals are the rows
-    of the matrix whose determinant ``report.determinant`` is.
+    ``point[0]`` is the paper's i_1; on the log curve it is M_1.
+    ``work_bits`` is the precision the planes were built and solved at, the
+    requested precision plus ``GUARD_BITS``.  ``_rows`` are those planes
+    (``_plane_rows``), in the order of the sorted inputs; their normals are
+    the rows of the matrix whose determinant ``report.determinant`` is.
     """
 
     point: Tuple[mpmath.mpf, ...]
     report: SolveReport
-    means: Dict[int, mpmath.mpf]
+    work_bits: int
     _rows: tuple = field(repr=False, compare=False)
-
-    @cached_property
-    def planes(self) -> Tuple[Hyperplane, ...]:
-        return tuple(map(_hyperplane, self._rows))
 
 
 # -- input validation --------------------------------------------------------
@@ -225,7 +221,9 @@ def _offset_polynomial(curve: Curve) -> LogPoly:
 def hyperplane_at(curve: Curve, a, precision_bits: int = 53) -> Hyperplane:
     """Osculating hyperplane to ``curve`` at parameter ``a > 0``, as
     ``_plane_rows`` builds it."""
-    return _hyperplane(_plane_rows(curve, (a,), precision_bits)[0])
+    [row] = _plane_rows(curve, (a,), precision_bits)
+    *normal, offset = (mp.make_mpf(_raw_value(v)) for v in row)
+    return Hyperplane(normal=tuple(normal), offset=offset)
 
 
 def _plane_rows(curve: Curve, points: Sequence, precision_bits: int) -> list:
@@ -241,11 +239,6 @@ def _plane_rows(curve: Curve, points: Sequence, precision_bits: int) -> list:
     return rows
 
 
-def _hyperplane(row) -> Hyperplane:
-    values = [mp.make_mpf(_raw_value(v)) for v in row]
-    return Hyperplane(normal=tuple(values[:-1]), offset=values[-1])
-
-
 def intersect(curve: Curve, values: Sequence, precision_bits: int = 53) -> IntersectionResult:
     """Common point of the osculating hyperplanes at the given parameters.
 
@@ -256,9 +249,10 @@ def intersect(curve: Curve, values: Sequence, precision_bits: int = 53) -> Inter
     on top of the requested precision (``_plane_rows``: each offset rounded
     once, like each normal entry), and that one matrix and right-hand side
     serve both the elimination and the reported residual; the result
-    carries them.  The point is rounded back to the requested precision;
-    ``report.residual_norm`` is that rounded point's residual against the
-    guard-precision planes, at twice the requested precision, when read.
+    carries them and their precision, ``work_bits``.  The point is rounded
+    back to the requested precision; ``report.residual_norm`` is that
+    rounded point's residual against the guard-precision planes, at twice
+    the requested precision, when read.
     """
     n = curve.dimension
     if len(values) != n:
@@ -278,10 +272,7 @@ def intersect(curve: Curve, values: Sequence, precision_bits: int = 53) -> Inter
     with mp.workprec(precision_bits):
         point = tuple(+x for x in guarded.solution)
     report = replace(guarded, solution=point, _residual_bits=precision_bits)
-    means: Dict[int, mpmath.mpf] = {}
-    if curve.components[0] == T:
-        means[1] = point[0]
-    return IntersectionResult(point=point, report=report, means=means, _rows=tuple(rows))
+    return IntersectionResult(point=point, report=report, work_bits=work_bits, _rows=tuple(rows))
 
 
 def _pull_back(curve: Curve, k: int, vals: Sequence, precision_bits: int):
@@ -294,9 +285,12 @@ def _pull_back(curve: Curve, k: int, vals: Sequence, precision_bits: int):
     w = p + 18 plus the bits of |log c|, and t = exp(u) is rounded to
     nearest once at p + 10 bits.  t * (log t)^m is increasing only for
     t > 1, so it needs every input > 1; that, and any other component,
-    raises ``DomainError``.  A target off the image of the inputs' range
-    raises ``NoBracket``.
+    raises ``DomainError``.  A k outside 1..n raises ``BadIndex``, and a
+    target off the image of the inputs' range ``NoBracket``.
     """
+    n = curve.dimension
+    if not 1 <= k <= n:
+        raise BadIndex(f"mean index k must be in 1..{n}, got {k}")
     component = curve.components[k - 1]
     if component == T:
         return lambda target: target
@@ -367,13 +361,10 @@ def mean_M(curve: Curve, k: int, values: Sequence, precision_bits: int = 53) -> 
     through component k, in closed form (``_pull_back``: t, t^e, log t or
     t * (log t)^m).
 
-    A component with no such inverse, or t * (log t)^m with an input <= 1
-    (the log curve's k >= 2), raises ``DomainError`` before any hyperplane
-    is built.
+    A k outside 1..n raises ``BadIndex``, and a component with no such
+    inverse, or t * (log t)^m with an input <= 1 (the log curve's k >= 2),
+    ``DomainError``, before any hyperplane is built.
     """
-    n = curve.dimension
-    if not 1 <= k <= n:
-        raise BadIndex(f"mean index k must be in 1..{n}, got {k}")
     vals = sorted_positive_distinct(values, precision_bits)
     pull_back = _pull_back(curve, k, vals, precision_bits)
     point = intersect(curve, vals, precision_bits).point
@@ -458,9 +449,9 @@ def evaluate_request(values: Sequence, k: int = 1, precision_bits: int = 53) -> 
     checked for positivity and distinctness.  If the smallest log gap falls
     below ``LN_GAP_FLOOR`` a warning is attached and the values are parsed
     again at the effective precision, at least 113 bits (the identity still
-    holds; near-equal inputs just need more headroom).  Then k must lie in
-    1..n (``BadIndex``), and a k >= 2 request with an input <= 1 raises
-    ``DomainError`` before any hyperplane is built.
+    holds; near-equal inputs just need more headroom).  Then ``_pull_back``
+    checks that k lies in 1..n (``BadIndex``), and a k >= 2 request with an
+    input <= 1 raises ``DomainError``, before any hyperplane is built.
 
     Returns a plain dict (stable key order) with the intersection point, the
     first mean, the closed-form logarithmic mean, their relative gap, the
@@ -475,12 +466,10 @@ def evaluate_request(values: Sequence, k: int = 1, precision_bits: int = 53) -> 
         bits = max(ESCALATED_PRECISION_BITS, precision_bits)
         vals = sorted_positive_distinct(values, bits)
     n = len(vals)
-    if not 1 <= k <= n:
-        raise BadIndex(f"mean index k must be in 1..{n}, got {k}")
     curve = make_log_curve(n)
     pull_back = _pull_back(curve, k, vals, bits)
     result = intersect(curve, vals, bits)
-    m1 = result.means[1]
+    m1 = result.point[0]
     reference = neuman_LN(vals, bits)
     lo, hi = vals[0], vals[-1]
     for name, value in (("M_1", m1), ("L_N", reference)):
@@ -490,8 +479,6 @@ def evaluate_request(values: Sequence, k: int = 1, precision_bits: int = 53) -> 
                 f"[{mp.nstr(lo, 12)}, {mp.nstr(hi, 12)}]; the system is too "
                 f"ill-conditioned at {bits} bits"
             )
-    with mp.workprec(bits):
-        rel_gap = abs(m1 - reference) / abs(reference)
     mk = pull_back(result.point[k - 1])
     return {
         "n": n,
@@ -502,7 +489,7 @@ def evaluate_request(values: Sequence, k: int = 1, precision_bits: int = 53) -> 
         "point": list(result.point),
         "m1": m1,
         "neuman_ln": reference,
-        "rel_gap": rel_gap,
+        "rel_gap": _rel_error(m1, reference, bits),
         "mk": mk,
         "residual_norm": result.report.residual_norm,
         "condition_estimate": result.report.condition_estimate,

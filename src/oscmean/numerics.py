@@ -19,11 +19,12 @@ determinant of the system's matrix from the same LU, bit for bit what
 The elimination, the substitutions, the residuals, their norms and the
 determinant's pivot product run on integer pairs (m, e), the value m * 2^e,
 through a few private primitives, each of which returns its exact result
-rounded once to nearest-even.  ``solve_linear`` and ``det`` take ``mpf``
-values or pairs and return ``mpf`` values; the conversion happens there, in
-``SolveReport``'s three properties, and nowhere else.  ``means``'
-divided-difference kernel and ``logpoly``'s evaluator, which builds
-``means.intersect``'s planes as pairs, use the same primitives.
+rounded once to nearest-even.  ``solve_linear``, ``det`` and the relative
+error ``_rel_error`` take ``mpf`` values or pairs and return ``mpf`` values;
+the conversion happens there, in ``SolveReport``'s three properties, and
+nowhere else.  ``means``' divided-difference kernel and ``logpoly``'s
+evaluator, which builds ``means.intersect``'s planes as pairs, use the same
+primitives.
 """
 
 from __future__ import annotations
@@ -69,11 +70,12 @@ class SolveReport:
     factorization.  ``identities`` reads it for the minor matrix.
 
     All three are computed on first read from the system, right-hand side,
-    LU, permutation and working precision kept in ``_factors``, and cached;
-    ``mean`` reads the first two.  ``_factors`` holds (system, rhs, lu,
-    perm, bits): the first three as lists (of lists) of integer pairs
-    (m, e), the value m * 2^e with m odd or the pair (0, 0), perm a list of
-    row indices, and bits the precision of the factorization.
+    LU, permutation, its sign and working precision kept in ``_factors``,
+    and cached; ``mean`` reads the first two.  ``_factors`` holds (system,
+    rhs, lu, perm, sign, bits): the first three as lists (of lists) of
+    integer pairs (m, e), the value m * 2^e with m odd or the pair (0, 0),
+    perm a list of row indices, sign +-1 its parity as ``_lu_factor``
+    returns it, and bits the precision of the factorization.
     """
 
     solution: Tuple[mpmath.mpf, ...]
@@ -82,13 +84,13 @@ class SolveReport:
 
     @cached_property
     def residual_norm(self) -> mpmath.mpf:
-        original, rhs, _, _, _ = self._factors
+        original, rhs, _, _, _, _ = self._factors
         x = [_pair(v._mpf_) for v in self.solution]
         return mp.make_mpf(_raw_value(_residual_norm(original, x, rhs, self._residual_bits)))
 
     @cached_property
     def condition_estimate(self) -> float:
-        original, _, lu, perm, _ = self._factors
+        original, _, lu, perm, _, _ = self._factors
         # R = diag(2^-row_exp), C = diag(2^-col_exp); a nonzero pair (m, e)
         # has 2^(e+b-1) <= |v| < 2^(e+b) for b = m.bit_length()
         row_exp = [max(e + m.bit_length() for m, e in row if m) for row in original]
@@ -113,8 +115,8 @@ class SolveReport:
 
     @cached_property
     def determinant(self) -> mpmath.mpf:
-        _, _, lu, perm, bits = self._factors
-        return mp.make_mpf(_raw_value(_lu_determinant(lu, perm, bits)))
+        _, _, lu, _, sign, bits = self._factors
+        return mp.make_mpf(_raw_value(_lu_determinant(lu, sign, bits)))
 
 
 def _to_float(v, shift: int) -> float:
@@ -277,6 +279,14 @@ def _abs(x):
     return abs(x[0]), x[1]
 
 
+def _rel_error(value, reference, prec: int) -> mpmath.mpf:
+    """|value - reference| / |reference|, each read as ``_pairs`` reads it,
+    the difference and the quotient each rounded once at ``prec``."""
+    value, reference = _pairs((value, reference), prec)
+    error = _div(_abs(_sub(value, reference, prec)), _abs(reference), prec)
+    return mp.make_mpf(_raw_value(error))
+
+
 def _gt(x, y) -> bool:
     """x > y for non-negative pairs, exactly."""
     a, ea = x
@@ -306,7 +316,8 @@ def _max_abs(values):
 def _lu_factor(matrix, prec: int):
     """Doolittle LU with scaled partial pivoting; multipliers stored in place.
 
-    Takes and returns pairs.  Returns (lu, perm).  The pivot is the first
+    Takes and returns pairs.  Returns (lu, perm, sign), sign the parity of
+    perm: -1 after an odd number of row swaps.  The pivot is the first
     row of largest |a_i| / s_i, compared exactly by cross-multiplying.
     Raises SingularSystem when the best available pivot is at or below
     2^(-prec + 8) times the scale of its original row.
@@ -317,6 +328,7 @@ def _lu_factor(matrix, prec: int):
     if not all(s[0] for s in scales):
         raise SingularSystem("matrix has an all-zero row")
     perm = list(range(n))
+    sign = 1
     for col in range(n):
         # the first row of largest |a| / scale: |a_i| * s_p > |a_p| * s_i
         pivot_row, best = col, _abs(lu[col][col])
@@ -336,6 +348,7 @@ def _lu_factor(matrix, prec: int):
             lu[col], lu[pivot_row] = lu[pivot_row], lu[col]
             scales[col], scales[pivot_row] = scales[pivot_row], scales[col]
             perm[col], perm[pivot_row] = perm[pivot_row], perm[col]
+            sign = -sign
         upper = lu[col]
         pivot = upper[col]
         for i in range(col + 1, n):
@@ -345,20 +358,12 @@ def _lu_factor(matrix, prec: int):
             if factor[0]:
                 for j in range(col + 1, n):
                     row[j] = _sub(row[j], _mul(factor, upper[j], prec), prec)
-    return lu, perm
+    return lu, perm, sign
 
 
-def _lu_determinant(lu, perm, prec: int):
+def _lu_determinant(lu, sign: int, prec: int):
     """det of the factored matrix as a pair: the sign of the permutation
     times the pivots, multiplied in order and rounded at ``prec``."""
-    # sort a copy of the permutation by swaps; each swap flips the sign
-    perm = list(perm)
-    sign = 1
-    for i in range(len(perm)):
-        while perm[i] != i:
-            j = perm[i]
-            perm[i], perm[j] = perm[j], perm[i]
-            sign = -sign
     result = (sign, 0)
     for i, row in enumerate(lu):
         result = _mul(result, row[i], prec)
@@ -434,7 +439,7 @@ def solve_linear(A: Sequence[Sequence], b: Sequence, precision_bits: int = 53) -
     prec = precision_bits
     original = [_pairs(row, prec) for row in A]
     rhs = _pairs(b, prec)
-    lu, perm = _lu_factor(original, prec)
+    lu, perm, sign = _lu_factor(original, prec)
     solution = _lu_solve(lu, perm, rhs, prec)
 
     res = _residual_vector(original, solution, rhs, prec)
@@ -446,7 +451,7 @@ def solve_linear(A: Sequence[Sequence], b: Sequence, precision_bits: int = 53) -
     return SolveReport(
         tuple(mp.make_mpf(_raw_value(x)) for x in solution),
         prec,
-        (original, rhs, lu, perm, prec),
+        (original, rhs, lu, perm, sign, prec),
     )
 
 
@@ -461,10 +466,10 @@ def det(A: Sequence[Sequence], precision_bits: int = 53) -> mpmath.mpf:
     if n == 0 or any(len(row) != n for row in A):
         raise BadDimension("determinant requires a square, nonempty matrix")
     try:
-        lu, perm = _lu_factor([_pairs(row, precision_bits) for row in A], precision_bits)
+        lu, _, sign = _lu_factor([_pairs(row, precision_bits) for row in A], precision_bits)
     except SingularSystem:
         return mp.mpf(0)
-    return mp.make_mpf(_raw_value(_lu_determinant(lu, perm, precision_bits)))
+    return mp.make_mpf(_raw_value(_lu_determinant(lu, sign, precision_bits)))
 
 
 def find_root_bracketed(

@@ -241,6 +241,20 @@ def test_conjecture_csv_byte_identical(capsys):
             "mean --values 1.67943726907852,47.5500308965592 --json --precision 256",
             "6e2327671bc9f65146ce4b85ead8b6f50ddf28a0b72c29cc3f7515029a9e60c9",
         ),
+        (
+            # M_10 pulled back through t*(log t)^9; rel_gap from numerics
+            "mean --values 1.5,2,3,4.5,6,8,11,15,20,27 --k 10 --precision 256 --json",
+            "4212d68c9718ff36b3b3047798196ed22cd893d0bb048a714acd2fdf0ef2f751",
+        ),
+        (
+            # every numeric row, the determinant rows at the intersection's width
+            "verify --max-n 7 --precision 113 --trials 100 --seed 101 --json",
+            "de60e3dabf17b3b8da43d214511d3bf0243b78ce91937a76b732d133634cf6c9",
+        ),
+        (
+            "conjecture --n 5 --trials 50 --seed 7 --json",
+            "0a314f533609af9f9841a506893cfe9f44813c8707abcd877551ba3c825404a4",
+        ),
     ],
 )
 def test_verify_path_output_is_pinned(capsys, argv, digest):

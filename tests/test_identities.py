@@ -333,6 +333,59 @@ def test_determinant_scan_validations():
         numeric_scan(3, trials=0, seed=0)
 
 
+@pytest.mark.parametrize("n", [17, 78])
+def test_scans_refuse_n_above_the_cap_before_drawing(monkeypatch, n):
+    # 77 log gaps of MIN_LN_GAP exceed ln(50 / 1.1), so an n = 78 draw from
+    # [1.1, 50] would never end; the cap refuses it before any draw
+    def refuse(*args):
+        raise AssertionError("a tuple was drawn")
+
+    monkeypatch.setattr(identities, "draw_tuple", refuse)
+    assert identities.SCAN_MAX_N == 16
+    with pytest.raises(BadDimension, match="bounded at n = 16"):
+        numeric_scan(n, trials=1)
+    with pytest.raises(BadDimension, match="bounded at n = 16"):
+        conjecture_scan(n, trials=1)
+    for suite in (run_numeric_suite, run_identity_suite):
+        with pytest.raises(BadParameter, match="2..16"):
+            suite(n, trials=1)
+
+
+def test_numeric_scan_at_the_cap():
+    rows = numeric_scan(16, trials=2, precision_bits=113)
+    assert all(row.passed for row in rows)
+    # at 53 bits the n = 16 minor matrix is numerically singular
+    with pytest.raises(SingularSystem):
+        numeric_scan(16, trials=2, precision_bits=53)
+
+
+def test_numeric_checks_follow_the_intersection_width(monkeypatch):
+    # the determinant rows run at the width the intersection built and
+    # solved its planes at, whatever GUARD_BITS is
+    monkeypatch.setattr(means, "GUARD_BITS", 40)
+    calls = []
+
+    def spy(name):
+        real = getattr(identities, name)
+
+        def wrapper(*args):
+            result = real(*args)
+            calls.append((name, args[-1], result))
+            return result
+
+        monkeypatch.setattr(identities, name, wrapper)
+
+    for name in ("intersect", "det", "_determinant_closed_forms"):
+        spy(name)
+    errors = numeric_checks((1.7, 3.1, 4.9, 11.3), 113)
+    [(_, _, result)] = [call for call in calls if call[0] == "intersect"]
+    assert result.work_bits == 113 + 40
+    assert [(name, bits) for name, bits, _ in calls if name != "intersect"] == [
+        ("det", result.work_bits), ("_determinant_closed_forms", result.work_bits)
+    ]
+    assert max(errors[:3]) < 2.0 ** -100
+
+
 def test_tangent_row_is_the_n2_scan(monkeypatch):
     checked = []
     real = identities.numeric_checks

@@ -23,10 +23,11 @@ from oscmean.logpoly import (
     LogPoly,
     _grouped_terms,
     lp_eval,
-    lp_eval_many,
+    lp_rows,
     substitute_power,
     to_text,
 )
+from oscmean.numerics import _raw_value
 from oscmean.precision import as_mpf_at
 from oscmean.wronskian import (
     make_conjecture_curve,
@@ -34,6 +35,12 @@ from oscmean.wronskian import (
     make_monomial_curve,
     normal_field,
 )
+
+
+def _eval_many(polys, t, bits=53):
+    """``lp_rows`` at the one point ``t``, as ``mpf`` values."""
+    return [mp.make_mpf(_raw_value(v)) for v in lp_rows(polys, (t,), bits)[0]]
+
 
 T = LogPoly.term(1, 1, 0)
 LOG_T = LogPoly.term(1, 0, 1)
@@ -355,7 +362,7 @@ def _round_to_bits(q, bits):
 
 
 def _fraction_reference(p, t, bits):
-    # lp_eval_many's rounding contract in exact rationals: log t and t^m come
+    # lp_rows' rounding contract in exact rationals: log t and t^m come
     # from libmp, each t-power group's value is exact and rounded once, and
     # the rounded groups are added in ascending t-power, each sum rounded
     t_raw = as_mpf_at(t, bits)._mpf_
@@ -372,7 +379,7 @@ def _fraction_reference(p, t, bits):
 
 
 def _assert_matches_reference(polys, t, bits):
-    values = lp_eval_many(polys, t, bits)
+    values = _eval_many(polys, t, bits)
     assert [_exact(v._mpf_) for v in values] == [_fraction_reference(p, t, bits) for p in polys]
 
 
@@ -399,7 +406,7 @@ def _evaluation_cases(bits):
 @pytest.mark.parametrize("bits", [53, 113, 256])
 def test_eval_many_is_bit_identical_to_single_evaluation(bits):
     for polys, t in _evaluation_cases(bits):
-        assert lp_eval_many(polys, t, bits) == [lp_eval(p, t, bits) for p in polys]
+        assert _eval_many(polys, t, bits) == [lp_eval(p, t, bits) for p in polys]
 
 
 @pytest.mark.parametrize("bits", [53, 113, 256])
@@ -412,11 +419,11 @@ def test_eval_many_reference_cases_are_reached():
     # the points above take the kernel's edge paths: t = 1 has log 0, and
     # the 53-bit log of E_SQUARED_53 has a positive exponent
     assert mpf_log(E_SQUARED_53._mpf_, 53, round_nearest)[2] > 0
-    assert lp_eval_many([LogPoly({(0, 0): 3, (0, 2): 5, (4, 1): 1})], 1, 53) == [3]
+    assert _eval_many([LogPoly({(0, 0): 3, (0, 2): 5, (4, 1): 1})], 1, 53) == [3]
 
 
 def _libmp_eval(p, t, bits):
-    # lp_eval_many's contract written on libmp's own calls: each t-power
+    # lp_rows' contract written on libmp's own calls: each t-power
     # group exact, then from_man_exp, or mpf_div by the common denominator,
     # at ``bits``; the groups added in ascending t-power with mpf_add
     t_raw = as_mpf_at(t, bits)._mpf_
@@ -458,7 +465,7 @@ def test_eval_many_matches_the_libmp_calls(bits):
         for curve in curves:
             polys = _field_offset_and_scaled(curve)
             for t in points:
-                values = [v._mpf_ for v in lp_eval_many(polys, t, bits)]
+                values = [v._mpf_ for v in _eval_many(polys, t, bits)]
                 assert values == [_libmp_eval(p, t, bits) for p in polys], (n, curve, t)
 
 
@@ -467,17 +474,17 @@ def test_n16_log_curve_is_pinned_to_the_fraction_reference_at_286_bits():
 
 
 def test_eval_many_empty_and_zero():
-    assert lp_eval_many((), 2.5, 113) == []
-    assert lp_eval_many((LogPoly.zero(),), 2.5, 113) == [0]
+    assert _eval_many((), 2.5, 113) == []
+    assert _eval_many((LogPoly.zero(),), 2.5, 113) == [0]
 
 
 @pytest.mark.parametrize("polys", [(), (T, LOG_T)])
 def test_eval_many_rejects_what_eval_rejects(polys):
     for t in (0, -2.5):
         with pytest.raises(NonPositiveArgument):
-            lp_eval_many(polys, t)
+            _eval_many(polys, t)
     with pytest.raises(BadParameter):
-        lp_eval_many(polys, 1.0, 32)
+        _eval_many(polys, 1.0, 32)
 
 
 @pytest.mark.parametrize("t", [mp.inf, -mp.inf, mp.nan])
@@ -619,10 +626,10 @@ _PINNED_EVALUATIONS = {
 
 def _pinned_evaluation(name, bits):
     if name == "log7":
-        return lp_eval_many(_field_and_components(make_log_curve(7)), "2.5", bits)
+        return _eval_many(_field_and_components(make_log_curve(7)), "2.5", bits)
     if name == "conj5":
-        return lp_eval_many(_field_and_components(make_conjecture_curve(5)), "2.5", bits)
-    return [lp_eval_many([FRACTIONAL], t, bits)[0] for t in FRACTIONAL_POINTS]
+        return _eval_many(_field_and_components(make_conjecture_curve(5)), "2.5", bits)
+    return [_eval_many([FRACTIONAL], t, bits)[0] for t in FRACTIONAL_POINTS]
 
 
 @pytest.mark.parametrize("name, bits", sorted(_PINNED_EVALUATIONS))
@@ -638,10 +645,10 @@ def test_eval_many_ignores_the_ambient_precision(bits):
     results = []
     for ambient in (20, 500):
         with mp.workprec(ambient):
-            results.append([v._mpf_ for v in lp_eval_many(polys, "2.5", bits)])
+            results.append([v._mpf_ for v in _eval_many(polys, "2.5", bits)])
             assert mp.prec == ambient
             with pytest.raises(NonPositiveArgument):
-                lp_eval_many(polys, "-2.5", bits)
+                _eval_many(polys, "-2.5", bits)
             assert mp.prec == ambient
     assert results[0] == results[1]
 
@@ -650,8 +657,8 @@ def test_eval_many_ignores_the_ambient_precision(bits):
 def test_cold_coefficient_cache_gives_the_warm_bits(bits):
     polys = _field_and_components(make_log_curve(7)) + (FRACTIONAL,)
     _grouped_terms.cache_clear()
-    cold = [v._mpf_ for v in lp_eval_many(polys, "2.5", bits)]
-    warm = [v._mpf_ for v in lp_eval_many(polys, "2.5", bits)]
+    cold = [v._mpf_ for v in _eval_many(polys, "2.5", bits)]
+    warm = [v._mpf_ for v in _eval_many(polys, "2.5", bits)]
     assert cold == warm
     assert _grouped_terms.cache_info().hits >= 1
 
@@ -661,7 +668,7 @@ def test_fraction_bits_are_pinned_at_each_precision_through_the_cache():
     # evaluations read the same integers and each keeps its own bits
     _grouped_terms.cache_clear()
     for bits in (53, 113, 53, 113):
-        values = [lp_eval_many([FRACTIONAL], t, bits)[0] for t in FRACTIONAL_POINTS]
+        values = [_eval_many([FRACTIONAL], t, bits)[0] for t in FRACTIONAL_POINTS]
         with mp.workprec(bits):
             assert [repr(v) for v in values] == _PINNED_EVALUATIONS["frac", bits]
     assert _grouped_terms.cache_info().currsize == 1
@@ -670,12 +677,12 @@ def test_fraction_bits_are_pinned_at_each_precision_through_the_cache():
 def test_coefficient_cache_stays_within_its_bound():
     _grouped_terms.cache_clear()
     polys = [LogPoly.term(Fraction(i, 3), i % 5, i % 3) for i in range(COEFF_CACHE_MAXSIZE + 20)]
-    first = lp_eval_many([polys[0]], "1.5", 113)
+    first = _eval_many([polys[0]], "1.5", 113)
     for p in polys:
-        lp_eval_many([p], "1.5", 113)
+        _eval_many([p], "1.5", 113)
         assert _grouped_terms.cache_info().currsize <= COEFF_CACHE_MAXSIZE
     assert _grouped_terms.cache_info().currsize == COEFF_CACHE_MAXSIZE
-    assert lp_eval_many([polys[0]], "1.5", 113) == first  # evicted, then rebuilt
+    assert _eval_many([polys[0]], "1.5", 113) == first  # evicted, then rebuilt
 
 
 def test_value_at_one_exact():

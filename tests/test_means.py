@@ -124,7 +124,7 @@ def test_tangent_lines_give_two_variable_mean():
         b = a * rng.uniform(1.2, 4.0)
         result = intersect(curve, (a, b))
         expected = (mp.mpf(b) - a) / (mp.log(b) - mp.log(a))
-        assert abs(result.means[1] - expected) / expected < 1e-12
+        assert abs(result.point[0] - expected) / expected < 1e-12
 
 
 def test_intersection_golden_one_e_e_squared():
@@ -133,7 +133,7 @@ def test_intersection_golden_one_e_e_squared():
     values = (1.0, float(mp.e), float(mp.e ** 2))
     result = intersect(curve, values)
     target = (mp.e - 1) ** 2
-    assert abs(result.means[1] - target) / target < 1e-11
+    assert abs(result.point[0] - target) / target < 1e-11
 
 
 # every bit of the report for points 1.3, 3.4, 5.5, ... at the default 53
@@ -275,7 +275,7 @@ def test_solve_determinant_is_det_bit_for_bit(monkeypatch, bits):
         result = intersect(make_log_curve(n), draw_tuple(rng, n, 1.1, 50.0), bits)
         determinant = result.report.determinant
         assert len(factors) == 1  # read from the solve's LU
-        minors = [plane.normal for plane in result.planes]
+        minors = [row[:-1] for row in result._rows]
         assert determinant._mpf_ == numerics.det(minors, bits + means.GUARD_BITS)._mpf_
         assert result.report.determinant is determinant
         factors.clear()
@@ -298,7 +298,7 @@ def _worst_plane_misfit(planes, point, residual_norm):
     The point solves the guard-precision planes, so against 53-bit planes
     its misfit is its residual against the solved planes (residual_norm
     times the offsets' scale) plus the 53-bit planes' own rounding.
-    lp_eval_many rounds each normal coordinate and the offset of a log-curve
+    lp_rows rounds each normal coordinate and the offset of a log-curve
     plane once (each is one t-power group), so that rounding is charged as
     c = 1 unit of 2^-53 on each term of the sum.
     """
@@ -359,11 +359,12 @@ def test_plane_rows_are_hyperplane_at_bit_for_bit(bits):
 
 
 def test_intersect_planes_are_its_rows():
-    result = intersect(make_log_curve(5), (1.5, 2.5, 4.0, 7.0, 11.0), 113)
+    curve, values = make_log_curve(5), (1.5, 2.5, 4.0, 7.0, 11.0)
+    result = intersect(curve, values, 113)
+    planes = [hyperplane_at(curve, a, result.work_bits) for a in values]
     assert [
-        [v._mpf_ for v in plane.normal + (plane.offset,)] for plane in result.planes
+        [v._mpf_ for v in plane.normal + (plane.offset,)] for plane in planes
     ] == [[numerics._raw_value(v) for v in row] for row in result._rows]
-    assert result.planes is result.planes
 
 
 def test_intersect_refuses_a_zero_normal(monkeypatch):
@@ -422,7 +423,7 @@ def _refuse(name):
 def test_first_mean_reads_off_coordinate():
     curve = make_log_curve(3)
     values = (1.5, 3.0, 8.0)
-    assert mean_M(curve, 1, values) == intersect(curve, values).means[1]
+    assert mean_M(curve, 1, values) == intersect(curve, values).point[0]
 
 
 def test_second_mean_betweenness_and_equation():

@@ -1,5 +1,6 @@
 """Linear solver and bracketed root finder at configurable precision."""
 
+import inspect
 import math
 import random
 import sys
@@ -532,7 +533,7 @@ def test_one_refinement_step_is_within_a_unit_of_the_exact_solution(n, bits):
     for A, b, A_pairs, b_pairs, truth in _log_curve_systems(n, bits):
         solution = [numerics._pair(x._mpf_) for x in solve_linear(A, b, bits).solution]
         worst_refined = max(worst_refined, _units_off(solution, truth, bits))
-        lu, perm = numerics._lu_factor(A_pairs, bits)
+        lu, perm, _ = numerics._lu_factor(A_pairs, bits)
         unrefined = numerics._lu_solve(lu, perm, b_pairs, bits)
         worst_unrefined = max(worst_unrefined, _units_off(unrefined, truth, bits))
     assert worst_refined <= 1
@@ -548,8 +549,43 @@ def test_pivot_ratios_that_round_alike_are_compared_exactly():
     A_pairs = [numerics._pairs(row, 53) for row in A]
     ratios = [numerics._div(a, numerics._abs(s), 53) for a, s in A_pairs]
     assert ratios[0] == ratios[1]
-    _, perm = numerics._lu_factor(A_pairs, 53)
+    _, perm, _ = numerics._lu_factor(A_pairs, 53)
     assert perm == [1, 0]
+
+
+def _sign_cases():
+    # seeded dense matrices, and permuted diagonals: a random shuffle, the
+    # reversal and the cyclic shift, where every column but the last swaps
+    rng = random.Random(16)
+    for n in range(2, 17):
+        for _ in range(3):
+            yield [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)]
+        shuffled = list(range(n))
+        rng.shuffle(shuffled)
+        for columns in (shuffled, list(range(n))[::-1], [(i + 1) % n for i in range(n)]):
+            yield [[float(i + 1) if j == columns[i] else 0.0 for j in range(n)]
+                   for i in range(n)]
+
+
+def _sign_mismatches(lu_factor):
+    """Cases where ``lu_factor``'s sign is not (-1)^(inversions of perm)."""
+    count = 0
+    for A in _sign_cases():
+        _, perm, sign = lu_factor([numerics._pairs(row, 53) for row in A], 53)
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+        count += sign != (-1) ** inversions
+    return count
+
+
+def test_lu_sign_is_the_parity_of_its_permutation():
+    assert _sign_mismatches(numerics._lu_factor) == 0
+    # negative control: the same factorization with the flip at column 0 left out
+    source = inspect.getsource(numerics._lu_factor)
+    mutated = source.replace("sign = -sign", "sign = sign if col == 0 else -sign")
+    assert mutated != source
+    namespace = dict(vars(numerics))
+    exec(mutated, namespace)
+    assert _sign_mismatches(namespace["_lu_factor"]) > 0
 
 
 # -- integer (mantissa, exponent) arithmetic: exact, then rounded once ---------------

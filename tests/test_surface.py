@@ -28,3 +28,16 @@ def test_benchmark_entry_points_resolve():
         for module_name, attribute in bindings:
             module = importlib.import_module(f"oscmean.{module_name}")
             assert callable(getattr(module, attribute, None)), (name, module_name, attribute)
+
+
+def test_readme_quick_tour_runs_as_written(capsys):
+    readme = (ROOT / "README.md").read_text()
+    tour = readme.split("## Library quick tour", 1)[1]
+    code = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
+    namespace = {}
+    exec(code, namespace)
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "2*t^0*L^0"
+    reference = oscmean.neuman_LN((1.0, 2.718281828, 7.389056099))
+    assert abs(namespace["result"].point[0] - reference) <= 1e-12 * reference
+    assert abs(float(printed[1]) - float(printed[2])) <= 1e-12 * float(printed[2])
