@@ -324,7 +324,11 @@ def numeric_checks(a, precision_bits: int = 53) -> Tuple[mpmath.mpf, ...]:
 
 
 def draw_tuple(rng: random.Random, n: int, low: float, high: float) -> Tuple[float, ...]:
-    """Sorted tuple of n draws from [low, high] with adjacent log gaps >= ``MIN_LN_GAP``."""
+    """Sorted tuple of n draws from [low, high] with adjacent log gaps >= ``MIN_LN_GAP``.
+    When n - 1 such gaps do not fit in [low, high], ``BadDimension`` is
+    raised before any draw."""
+    if (n - 1) * MIN_LN_GAP >= math.log(high) - math.log(low):
+        raise BadDimension(f"{n} values with log gaps >= {MIN_LN_GAP} do not fit in [{low}, {high}]")
     while True:
         vals = sorted(rng.uniform(low, high) for _ in range(n))
         gaps = [math.log(b) - math.log(a) for a, b in zip(vals, vals[1:])]

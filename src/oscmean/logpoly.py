@@ -269,15 +269,15 @@ class LogPoly:
         return LogPoly._canonical(out)
 
 
-#: Entries kept by the grouped-coefficient cache of :func:`lp_rows`, one
-#: per polynomial set, whatever the precision: the benchmark's verify batch
-#: fills 8 and mean-spread one per dimension, 5.  Like ``wronskian.CACHE_MAXSIZE``,
-#: the bound stops a process that sees many distinct sets from growing
-#: without limit.
-COEFF_CACHE_MAXSIZE = 128
+#: Entries kept by each cache: :func:`lp_rows`' grouped coefficients (one per
+#: polynomial set, whatever the precision) and ``wronskian``'s curves and
+#: planes.  ``verify --max-n 7``, both conjecture curves and ``mean`` up to
+#: n = 10 fill at most 40 entries; the bound stops a process that sees many
+#: distinct curves from growing without limit.
+CACHE_MAXSIZE = 128
 
 
-@lru_cache(maxsize=COEFF_CACHE_MAXSIZE)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def _grouped_terms(polys: Tuple[LogPoly, ...]) -> Tuple[Tuple[Optional[tuple], tuple], ...]:
     """Each polynomial as ``(denominator, groups)``, exactly.
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
 from math import exp, factorial, log, log1p
 from typing import Sequence, Tuple
 
@@ -61,9 +60,9 @@ from .errors import (
     NonPositiveArgument,
     SingularSystem,
 )
-# oscbench/spans.py wraps find_root_bracketed and lp_eval here by name, so
-# they stay imported; nothing in this module calls them.
-from .logpoly import LogPoly, lp_eval, lp_rows
+# oscbench/spans.py wraps find_root_bracketed, lp_eval and normal_field here
+# by name, so they stay imported; nothing in this module calls them.
+from .logpoly import lp_eval, lp_rows
 from .numerics import (
     _ONE,
     _ZERO,
@@ -80,7 +79,7 @@ from .numerics import (
     solve_linear,
 )
 from .precision import as_mpf, require_precision
-from .wronskian import CACHE_MAXSIZE, LOG_T, Curve, T, make_log_curve, normal_field
+from .wronskian import LOG_T, Curve, T, _plane_polynomials, make_log_curve, normal_field
 
 #: Inputs whose logs are closer than this get a conditioning warning and an
 #: automatic escalation to at least 113 significand bits.
@@ -208,16 +207,6 @@ def ln_gap_warnings(values: Sequence) -> Tuple[str, ...]:
 # -- hyperplanes and their intersection ---------------------------------------
 
 
-@lru_cache(maxsize=CACHE_MAXSIZE)
-def _offset_polynomial(curve: Curve) -> LogPoly:
-    """sum_k component_k * field_k, exactly: the plane offset as a function
-    of the parameter (for the log curve, the full Wronskian)."""
-    product = LogPoly.zero()
-    for component, coefficient in zip(curve.components, normal_field(curve)):
-        product = product + component * coefficient
-    return product
-
-
 def hyperplane_at(curve: Curve, a, precision_bits: int = 53) -> Hyperplane:
     """Osculating hyperplane to ``curve`` at parameter ``a > 0``, as
     ``_plane_rows`` builds it."""
@@ -228,12 +217,11 @@ def hyperplane_at(curve: Curve, a, precision_bits: int = 53) -> Hyperplane:
 
 def _plane_rows(curve: Curve, points: Sequence, precision_bits: int) -> list:
     """The osculating hyperplane at each point as a row of pairs (m, e): the
-    alternating-minor field there, then the offset, the curve point's dot
-    product with that normal, formed exactly as one more log-polynomial
-    (``_offset_polynomial``; on the log curve the full Wronskian) and so
-    rounded once.  One ``lp_rows`` call evaluates them all, on one log per
-    point.  A zero normal raises ``DomainError``."""
-    rows = lp_rows(normal_field(curve) + (_offset_polynomial(curve),), points, precision_bits)
+    alternating-minor field there, then the offset, the full Wronskian, each
+    an exact log-polynomial (``_plane_polynomials``) and so rounded once.
+    One ``lp_rows`` call evaluates them all, on one log per point.  A zero
+    normal raises ``DomainError``."""
+    rows = lp_rows(_plane_polynomials(curve), points, precision_bits)
     if not all(any(m for m, _ in row[:-1]) for row in rows):
         raise DomainError("hyperplane normal is the zero vector")
     return rows

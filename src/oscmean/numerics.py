@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import mul
+from functools import cached_property, reduce
+from operator import add, mul
 from typing import Callable, Optional, Sequence, Tuple
 
 import mpmath
@@ -99,7 +99,7 @@ class SolveReport:
             for column in zip(*original)
         ]
         a_norm = max(
-            sum(abs(_to_float(v, -r - c)) for v, c in zip(row, col_exp))
+            reduce(add, (abs(_to_float(v, -r - c)) for v, c in zip(row, col_exp)), 0)
             for row, r in zip(original, row_exp)
         )
         # row i of lu is row perm[i] of the system
@@ -137,7 +137,8 @@ def _to_float(v, shift: int) -> float:
 
 def _inverse_norm(lu) -> float:
     """||(LU)^-1||_inf in float64, for a unit lower L and an upper U stored
-    together; +inf if a pivot is 0.0 or the inverse overflows."""
+    together; +inf if a pivot is 0.0 or the inverse overflows.  Floats are
+    added left to right by ``reduce``: ``sum`` compensates from Python 3.12."""
     n = len(lu)
     if any(lu[i][i] == 0.0 for i in range(n)):
         return math.inf
@@ -146,12 +147,12 @@ def _inverse_norm(lu) -> float:
         x = [0.0] * n
         x[k] = 1.0
         for i in range(k + 1, n):
-            x[i] = -sum(map(mul, lu[i][k:i], x[k:i]))
+            x[i] = -reduce(add, map(mul, lu[i][k:i], x[k:i]), 0)
         for i in range(n - 1, -1, -1):
             row = lu[i]
-            x[i] = (x[i] - sum(map(mul, row[i + 1 :], x[i + 1 :]))) / row[i]
+            x[i] = (x[i] - reduce(add, map(mul, row[i + 1 :], x[i + 1 :]), 0)) / row[i]
         columns.append(x)
-    sums = [sum(map(abs, row)) for row in zip(*columns)]
+    sums = [reduce(add, map(abs, row), 0) for row in zip(*columns)]
     return max(sums) if all(map(math.isfinite, sums)) else math.inf
 
 

@@ -19,19 +19,12 @@ from math import comb, factorial, prod
 from typing import List, Sequence, Tuple
 
 from .errors import BadDimension, BadIndex, BadOrder
-from .logpoly import LogPoly
+from .logpoly import CACHE_MAXSIZE, LogPoly
 
 #: The identity component t (t-power 1, log-power 0).
 T = LogPoly.term(1, 1, 0)
 #: The component log t.
 LOG_T = LogPoly.term(1, 0, 1)
-#: Entries kept by each cache here, :func:`make_log_curve`'s and
-#: :func:`normal_field`'s: every ``mean`` request and every intersection in
-#: the scans asks for its curve, and its curve's field, again.  ``verify
-#: --max-n 7``, both conjecture curves and ``mean`` up to n = 10 fill at most
-#: 40 entries; the bound stops a process that sees many distinct curves from
-#: growing without limit.
-CACHE_MAXSIZE = 128
 
 
 @dataclass(frozen=True)
@@ -39,7 +32,6 @@ class Curve:
     """A parametric curve whose components live in the log-polynomial ring."""
 
     components: Tuple[LogPoly, ...]
-    label: str = ""
 
     def __post_init__(self):
         comps = tuple(self.components)
@@ -86,7 +78,7 @@ def make_log_curve(n: int) -> Curve:
     ``Curve`` is immutable, so every caller can share it)."""
     if n < 2:
         raise BadDimension(f"log curve needs n >= 2, got {n}")
-    return Curve(tuple(LogPoly.term(1, 1, k) for k in range(n)), label="log")
+    return Curve(tuple(LogPoly.term(1, 1, k) for k in range(n)))
 
 
 def make_conjecture_curve(n: int) -> Curve:
@@ -94,7 +86,7 @@ def make_conjecture_curve(n: int) -> Curve:
     if n < 3:
         raise BadDimension(f"power-log curve needs n >= 3, got {n}")
     comps = tuple(LogPoly.term(1, e, 0) for e in range(1, n)) + (LOG_T,)
-    return Curve(comps, label="conjecture")
+    return Curve(comps)
 
 
 def make_monomial_curve(exponents: Sequence[int]) -> Curve:
@@ -104,7 +96,7 @@ def make_monomial_curve(exponents: Sequence[int]) -> Curve:
         raise BadDimension(f"monomial exponents must be distinct, got {exps}")
     if any(e == 0 for e in exps):
         raise BadDimension(f"monomial exponents must be nonzero, got {exps}")
-    return Curve(tuple(LogPoly.term(1, e, 0) for e in exps), label="monomial")
+    return Curve(tuple(LogPoly.term(1, e, 0) for e in exps))
 
 
 # -- derivative tables -------------------------------------------------------
@@ -256,10 +248,7 @@ def wronskian_minor(curve: Curve, k: int) -> LogPoly:
 
 def wronskian_full(curve: Curve) -> LogPoly:
     """Full n x n Wronskian of the curve components (row r = r-th derivatives)."""
-    n = curve.dimension
-    table = deriv_table(curve, n - 1)
-    matrix = [[table.entry(r, c) for c in range(1, n + 1)] for r in range(n)]
-    return det_symbolic(matrix)
+    return det_symbolic(deriv_table(curve, curve.dimension - 1).rows)
 
 
 def factorial_product(n: int) -> int:
@@ -317,6 +306,20 @@ def normal_field(curve: Curve) -> Tuple[LogPoly, ...]:
     return tuple(v[:free]) + (d,) + tuple(v[free:])
 
 
+@lru_cache(maxsize=CACHE_MAXSIZE)
+def _plane_polynomials(curve: Curve) -> Tuple[LogPoly, ...]:
+    """The normal field, then the offset (the curve's dot product with the
+    field: the full Wronskian, expanded along row 0).  The log curve,
+    recognised by its components, gets the paper's closed forms, so no
+    elimination runs; any other curve :func:`normal_field` and
+    :func:`wronskian_full`.  The exact suite checks that the two agree."""
+    n = curve.dimension
+    if curve == make_log_curve(n):
+        field = (closed_form_v(k, n) * (-1) ** (k + 1) for k in range(1, n + 1))
+        return (*field, full_wronskian_closed_form(n))
+    return normal_field(curve) + (wronskian_full(curve),)
+
+
 def orthogonality_residuals(n: int) -> List[LogPoly]:
     """Residuals of the orthogonality relations for the log curve.
 
@@ -327,17 +330,11 @@ def orthogonality_residuals(n: int) -> List[LogPoly]:
     if n < 2:
         raise BadDimension(f"orthogonality residuals need n >= 2, got {n}")
     curve = make_log_curve(n)
-    table = deriv_table(curve, n - 1)
-    signed = [
-        closed_form_v(k, n) if k % 2 == 1 else -closed_form_v(k, n)
-        for k in range(1, n + 1)
-    ]
+    *signed, offset = _plane_polynomials(curve)
     residuals: List[LogPoly] = []
-    for j in range(n):
+    for j, row in enumerate(deriv_table(curve, n - 1).rows):
         dot = LogPoly.zero()
-        for k in range(1, n + 1):
-            dot = dot + table.entry(j, k) * signed[k - 1]
-        if j == 0:
-            dot = dot - full_wronskian_closed_form(n)
-        residuals.append(dot)
+        for entry, coefficient in zip(row, signed):
+            dot = dot + entry * coefficient
+        residuals.append(dot - offset if j == 0 else dot)
     return residuals

@@ -351,6 +351,34 @@ def test_scans_refuse_n_above_the_cap_before_drawing(monkeypatch, n):
             suite(n, trials=1)
 
 
+class _BoundedRandom(random.Random):
+    """A generator that refuses to draw more than ``limit`` values, so a
+    sampler that would spin fails instead."""
+
+    def __init__(self, seed, limit):
+        super().__init__(seed)
+        self.draws, self.limit = 0, limit
+
+    def uniform(self, a, b):
+        self.draws += 1
+        if self.draws > self.limit:
+            raise AssertionError(f"more than {self.limit} draws")
+        return super().uniform(a, b)
+
+
+def test_draw_tuple_refuses_what_cannot_fit_before_drawing():
+    # 77 gaps of MIN_LN_GAP exceed ln(50 / 1.1), as do 2 on [1, 1.1]
+    for n, low, high in ((78, 1.1, 50.0), (3, 1.0, 1.1), (2, 3.0, 3.0)):
+        rng = _BoundedRandom(0, 100_000)
+        with pytest.raises(BadDimension, match="do not fit"):
+            draw_tuple(rng, n, low, high)
+        assert rng.draws == 0
+    # n = 16 fits, and draws what an unbounded generator draws
+    rng = _BoundedRandom(0, 100_000)
+    assert draw_tuple(rng, 16, 1.1, 50.0) == draw_tuple(random.Random(0), 16, 1.1, 50.0)
+    assert 16 <= rng.draws <= 100_000
+
+
 def test_numeric_scan_at_the_cap():
     rows = numeric_scan(16, trials=2, precision_bits=113)
     assert all(row.passed for row in rows)
@@ -413,13 +441,10 @@ def test_numeric_suite_takes_every_row_from_one_scan_per_n():
 
 def test_flipped_minor_sign_fails_prop3_and_the_main_theorem(monkeypatch):
     # negate the first coordinate of every plane normal: the minor
-    # determinant and M_1 change sign.  The offsets come from the cached,
-    # unpatched offset polynomial.
-    curve = make_log_curve(5)
+    # determinant and M_1 change sign.  The offsets are left as they are.
     assert all(row.passed for row in numeric_scan(5, trials=3, seed=0))
-    means._offset_polynomial(curve)
-    real = means.normal_field
-    monkeypatch.setattr(means, "normal_field", lambda c: (-real(c)[0],) + real(c)[1:])
+    real = means._plane_polynomials
+    monkeypatch.setattr(means, "_plane_polynomials", lambda c: (-real(c)[0],) + real(c)[1:])
     for bits in (53, 113):
         prop3, _, _, main = numeric_scan(5, trials=3, seed=0, precision_bits=bits)
         assert not prop3.passed and not main.passed

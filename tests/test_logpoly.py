@@ -19,7 +19,7 @@ from mpmath.libmp import (
 
 from oscmean.errors import BadParameter, DomainError, NonPositiveArgument
 from oscmean.logpoly import (
-    COEFF_CACHE_MAXSIZE,
+    CACHE_MAXSIZE,
     LogPoly,
     _grouped_terms,
     lp_eval,
@@ -676,12 +676,12 @@ def test_fraction_bits_are_pinned_at_each_precision_through_the_cache():
 
 def test_coefficient_cache_stays_within_its_bound():
     _grouped_terms.cache_clear()
-    polys = [LogPoly.term(Fraction(i, 3), i % 5, i % 3) for i in range(COEFF_CACHE_MAXSIZE + 20)]
+    polys = [LogPoly.term(Fraction(i, 3), i % 5, i % 3) for i in range(CACHE_MAXSIZE + 20)]
     first = _eval_many([polys[0]], "1.5", 113)
     for p in polys:
         _eval_many([p], "1.5", 113)
-        assert _grouped_terms.cache_info().currsize <= COEFF_CACHE_MAXSIZE
-    assert _grouped_terms.cache_info().currsize == COEFF_CACHE_MAXSIZE
+        assert _grouped_terms.cache_info().currsize <= CACHE_MAXSIZE
+    assert _grouped_terms.cache_info().currsize == CACHE_MAXSIZE
     assert _eval_many([polys[0]], "1.5", 113) == first  # evicted, then rebuilt
 
 

@@ -1,12 +1,14 @@
 """Hyperplanes, intersections, the derived means, and the closed forms."""
 
+import hashlib
 import random
 
 import pytest
 from mpmath import mp
 from mpmath.libmp import mpf_exp, mpf_pos, round_nearest
 
-from oscmean import identities, logpoly, means, numerics
+from oscmean import identities, logpoly, means, numerics, wronskian
+from oscmean.cli import main
 from oscmean.errors import (
     BadDimension,
     BadParameter,
@@ -369,10 +371,33 @@ def test_intersect_planes_are_its_rows():
 
 def test_intersect_refuses_a_zero_normal(monkeypatch):
     curve = make_log_curve(3)
-    means._offset_polynomial(curve)
-    monkeypatch.setattr(means, "normal_field", lambda c: (logpoly.LogPoly.zero(),) * 3)
+    real = means._plane_polynomials
+    monkeypatch.setattr(
+        means, "_plane_polynomials", lambda c: (logpoly.LogPoly.zero(),) * 3 + real(c)[-1:]
+    )
     with pytest.raises(DomainError, match="zero vector"):
         intersect(curve, (1.5, 2.5, 4.0))
+
+
+def test_log_curve_planes_run_no_elimination(monkeypatch, capsys):
+    # a cold n = 24 mean at 160 bits builds its planes from the closed
+    # forms, with the bytes it printed when they came from the elimination;
+    # a conjecture-curve intersection still eliminates
+    def refuse(*args):
+        raise AssertionError("symbolic elimination ran")
+
+    wronskian._plane_polynomials.cache_clear()
+    wronskian.normal_field.cache_clear()
+    monkeypatch.setattr(wronskian, "_eliminate", refuse)
+    values = ("1.1,1.3,1.6,2,2.5,3.1,3.9,4.9,6.1,7.6,9.5,11.9,14.9,18.6,23.3,29.1,36.4,"
+              "45.5,56.9,71.1,88.9,111,139,174")
+    assert main(["mean", "--values", values, "--precision", "160", "--json"]) == 0
+    out, err = capsys.readouterr()
+    assert hashlib.sha256((out + err).encode()).hexdigest() == (
+        "cc86b3e8d52f6b92f13bfcf385316539b132eef8d1acc06549452d48b9422ba2"
+    )
+    with pytest.raises(AssertionError, match="symbolic elimination ran"):
+        intersect(make_conjecture_curve(4), (1.5, 2.5, 4.0, 7.0))
 
 
 # On each of these cases a residual measured against planes re-evaluated at

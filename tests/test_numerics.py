@@ -176,6 +176,19 @@ def test_condition_estimate_reads_wide_mantissas():
     assert abs(wide - solve_linear(A, b, 256).condition_estimate) <= 1e-14 * wide
 
 
+def test_condition_estimate_adds_floats_left_to_right():
+    # the same bits on every Python: builtin sum() compensates from 3.12
+    # on, where each of these reads one unit more
+    # (L^-1)[3][0] sums 1e16, 1.0 and -1e16: 0.0 left to right, not 1.0
+    lu = [[1.0, 0.0, 0.0, 0.0], [-1.0, 1.0, 0.0, 0.0], [1e8, 0.0, 1.0, 0.0],
+          [1e16, 1.0, 1e8, 1.0]]
+    assert numerics._inverse_norm(lu) == 100000002.0
+    # row 0, equilibrated, sums 0.5, 2^-54 and 2^-54: 0.5, not 0.5 + 2^-53
+    tiny = mp.ldexp(1, -53)
+    report = solve_linear([[1, tiny, tiny], [0, 1, 0], [0, 0, 1]], [1, 1, 1])
+    assert report.condition_estimate == 1.0
+
+
 # -- det ---------------------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from oscmean import wronskian
 from oscmean.errors import BadDimension, BadIndex, BadOrder
 from oscmean.logpoly import LogPoly
 from oscmean.wronskian import (
@@ -261,7 +262,7 @@ def test_normal_field_matches_cofactor_expansion():
         for k in range(1, n + 1):
             minor = field[k - 1] if k % 2 == 1 else -field[k - 1]
             kept = [row[: k - 1] + row[k:] for row in rows]
-            assert minor == cofactor_det(kept), (curve.label, n, k)
+            assert minor == cofactor_det(kept), (curve.components, k)
 
 
 def test_normal_field_work_count(monkeypatch):
@@ -335,6 +336,18 @@ def test_minors_equal_closed_forms_at_large_n():
             assert field[k - 1] == (expected if k % 2 == 1 else -expected), (n, k)
 
 
+def test_plane_polynomials_are_the_elimination_and_the_full_wronskian():
+    # the log curve's closed-form planes are, exactly, the elimination's
+    # signed minors and the full Wronskian, beyond verify's --max-n 7; any
+    # other curve gets those two themselves
+    curves = [make_log_curve(n) for n in range(2, 17)]
+    curves += [make_conjecture_curve(n) for n in range(3, 9)]
+    curves += [make_monomial_curve([1, 2, 3, 4]), make_monomial_curve([-1, 2, 5])]
+    for curve in curves:
+        expected = normal_field(curve) + (wronskian_full(curve),)
+        assert wronskian._plane_polynomials(curve) == expected, curve.components
+
+
 def test_full_wronskian_log_curve():
     assert wronskian_full(make_log_curve(3)) == LogPoly.constant(2)
     # 0!1!2!3! = 12 over t^2
@@ -389,7 +402,7 @@ def test_log_and_conjecture_fields_have_int_coefficients():
     curves = [make_log_curve(n) for n in range(2, 11)]
     curves += [make_conjecture_curve(n) for n in range(3, 9)]
     for curve in curves:
-        assert coefficient_types(normal_field(curve)) == {int}, (curve.label, curve.dimension)
+        assert coefficient_types(normal_field(curve)) == {int}, curve.components
     recursed = [recursion_deriv(k, r) for k in range(1, 7) for r in range(2, 7)]
     assert coefficient_types(recursed) == {int}
 
