@@ -12,13 +12,12 @@ error.  Output is human text by default; ``--json`` / ``--csv`` emit a
 machine-readable form whose bytes are fully determined by the arguments and
 seed.  JSON output is standard JSON: a float that is not finite prints as
 ``null``; ``mean`` refuses (exit 2) inputs, a point, M_1, L_N or M_k that
-a float64 would print as 0.0 or inf.  The OSCMEAN_PRECISION environment
-variable overrides the default precision; an explicit ``--precision`` flag
-wins over both.
+a float64 would print as 0.0 or inf.  The precision is the ``--precision``
+flag, 53 bits by default; no environment variable changes an output.
 
 The parser is built once per process and shared by every :func:`main` call.
 Each subcommand's handler reads the parsed ``argparse.Namespace`` directly;
-:func:`main` only resolves the precision and checks the trial count first.
+:func:`main` only validates the precision and the trial count first.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import csv
 import functools
 import json
 import math
-import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -43,8 +41,6 @@ from .identities import (
 from .means import evaluate_request
 from .precision import require_precision
 
-ENV_PRECISION = "OSCMEAN_PRECISION"
-
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
@@ -55,20 +51,6 @@ CSV_HEADER = ["identity", "n", "exact", "max_rel_error", "instances", "warnings"
 
 #: Scalar mpf fields of a ``mean`` outcome; every output format prints them as floats.
 _FLOAT_FIELDS = ("m1", "neuman_ln", "rel_gap", "mk", "residual_norm", "condition_estimate")
-
-
-def _resolve_precision(flag: Optional[int]) -> int:
-    """The ``--precision`` flag, else OSCMEAN_PRECISION, else 53 bits."""
-    if flag is not None:
-        return require_precision(flag)
-    raw = os.environ.get(ENV_PRECISION)
-    if raw is None:
-        return 53
-    try:
-        bits = int(raw)
-    except ValueError as exc:
-        raise BadParameter(f"{ENV_PRECISION} must be an integer, got {raw!r}") from exc
-    return require_precision(bits)
 
 
 def _check_max_n(max_n: int) -> int:
@@ -244,9 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     handlers = ((p_mean, cmd_mean), (p_verify, cmd_verify),
                 (p_ident, cmd_identities), (p_conj, cmd_conjecture))
     for p, handler in handlers:
-        p.add_argument("--precision", type=int, default=None, metavar="BITS",
-                       help="significand bits (>= 53); default from "
-                            f"{ENV_PRECISION} or 53")
+        p.add_argument("--precision", type=int, default=53, metavar="BITS",
+                       help="significand bits (>= 53; default 53)")
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", action="store_true", help="emit JSON")
         fmt.add_argument("--csv", action="store_true", help="emit CSV rows")
@@ -260,7 +241,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        args.precision = _resolve_precision(args.precision)
+        require_precision(args.precision)
         if "trials" in args and args.trials < 1:
             raise BadParameter(f"trials must be >= 1, got {args.trials}")
         return args.handler(args)

@@ -3,8 +3,10 @@
 A log-polynomial is stored as a canonical map from the exponent pair
 ``(t_power, log_power)`` to a nonzero rational coefficient.  ``t_power`` may
 be any integer (1/t terms show up constantly in Wronskian work), while
-``log_power`` must be nonnegative.  Coefficients are exact rationals with one
-representation per value: an ``int`` when the value is integral, otherwise a
+``log_power`` must be nonnegative.  An exponent that is not an integer
+(``operator.index``), 2.5 or 2.0 alike, raises ``BadParameter``; it is not
+truncated.  Coefficients are exact rationals with one representation per
+value: an ``int`` when the value is integral, otherwise a
 :class:`fractions.Fraction` with denominator > 1.  The Wronskian work on the
 log and power curves is all integral, so it runs on ``int`` arithmetic.  Two
 log-polynomials are equal exactly when their canonical term maps coincide --
@@ -36,6 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import index
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import mpmath
@@ -76,9 +79,14 @@ class LogPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         merged: Dict[TermKey, Fraction] = {}
         for (t_power, log_power), coeff in items:
-            if log_power < 0:
+            try:
+                key = (index(t_power), index(log_power))
+            except TypeError as exc:
+                raise BadParameter(
+                    f"exponents must be integers, got {(t_power, log_power)!r}"
+                ) from exc
+            if key[1] < 0:
                 raise BadParameter(f"negative log power {log_power} is not representable")
-            key = (int(t_power), int(log_power))
             merged[key] = merged.get(key, Fraction(0)) + Fraction(coeff)
         object.__setattr__(
             self, "_terms", tuple(sorted((k, _exact(c)) for k, c in merged.items() if c))
@@ -337,10 +345,9 @@ def lp_rows(polys: Sequence[LogPoly], points: Sequence, precision_bits: int = 53
 
 def _eval_point(grouped, t, prec: int) -> List[tuple]:
     """The kernel of ``lp_rows``: the grouped polynomials at ``t > 0`` as pairs."""
-    tv = as_mpf_at(t, prec)
-    if tv <= 0:
+    t_raw = as_mpf_at(t, prec)._mpf_
+    if t_raw[0] or not t_raw[1]:  # negative or zero
         raise NonPositiveArgument(f"evaluation point must be positive, got {t!r}")
-    t_raw = tv._mpf_
     # L = y * 2^-shift exactly, with y an integer and shift >= 0
     sign, man, exp, _ = mpf_log(t_raw, prec, _RND)
     y = -man if sign else man

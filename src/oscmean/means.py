@@ -78,7 +78,7 @@ from .numerics import (
     find_root_bracketed,
     solve_linear,
 )
-from .precision import as_mpf, require_precision
+from .precision import as_mpf_at, require_precision
 from .wronskian import LOG_T, Curve, T, _plane_polynomials, make_log_curve, normal_field
 
 #: Inputs whose logs are closer than this get a conditioning warning and an
@@ -158,15 +158,14 @@ def sorted_positive_distinct(values: Sequence, precision_bits: int = 53) -> Tupl
         raise BadDimension(f"need at least 2 values, got {len(values)}")
     if _strictly_increasing_positive(values):
         return tuple(values)
-    with mp.workprec(precision_bits):
-        parsed = [as_mpf(v) for v in values]
-        for v in parsed:
-            if v <= 0:
-                raise NonPositiveArgument(f"values must be positive, got {mp.nstr(v, 12)}")
-        parsed.sort()
-        for left, right in zip(parsed, parsed[1:]):
-            if left == right:
-                raise DistinctnessViolation(f"duplicate value {mp.nstr(left, 12)}")
+    parsed = [as_mpf_at(v, precision_bits) for v in values]
+    for v in parsed:
+        if v <= 0:
+            raise NonPositiveArgument(f"values must be positive, got {mp.nstr(v, 12)}")
+    parsed.sort()
+    for left, right in zip(parsed, parsed[1:]):
+        if left == right:
+            raise DistinctnessViolation(f"duplicate value {mp.nstr(left, 12)}")
     return tuple(parsed)
 
 
@@ -189,13 +188,18 @@ def _ln_gap_note(values: Sequence) -> str:
     ``values`` (non-mpf ones parsed at 53 bits) have logs closer than
     ``LN_GAP_FLOOR``, else "".  The decision is ``_gap_below_floor``; g is
     the smallest, over the pairs it flags, of the float64 log1p of the
-    exact relative gap (b - a)/a, so no log is taken."""
+    exact relative gap (b - a)/a, so no log is taken.  A relative gap below
+    2^-1022, which a float64 holds to fewer digits or as 0.0, is rounded to
+    53 bits in its place; log1p would move it by a relative 2^-1023 at most."""
     pairs = _pairs(values, 53)
     gaps = [gap for gap in map(_gap_below_floor, pairs, pairs[1:]) if gap]
     if not gaps:
         return ""
-    smallest = min(log1p(d / a) for d, a in gaps)
-    return f"min ln-gap {mp.nstr(mp.make_mpf(from_float(smallest)), 3)} is below {LN_GAP_FLOOR:g}"
+    smallest = min(
+        mp.make_mpf(from_float(log1p(d / a)) if d << 1022 >= a else from_rational(d, a, 53, _RND))
+        for d, a in gaps
+    )
+    return f"min ln-gap {mp.nstr(smallest, 3)} is below {LN_GAP_FLOOR:g}"
 
 
 def ln_gap_warnings(values: Sequence) -> Tuple[str, ...]:
@@ -257,8 +261,7 @@ def intersect(curve: Curve, values: Sequence, precision_bits: int = 53) -> Inter
         note = _ln_gap_note(vals)
         detail = f" ({note})" if note else ""
         raise SingularSystem(f"{exc}{detail}") from exc
-    with mp.workprec(precision_bits):
-        point = tuple(+x for x in guarded.solution)
+    point = tuple(mp.make_mpf(mpf_pos(x._mpf_, precision_bits, _RND)) for x in guarded.solution)
     report = replace(guarded, solution=point, _residual_bits=precision_bits)
     return IntersectionResult(point=point, report=report, work_bits=work_bits, _rows=tuple(rows))
 

@@ -40,7 +40,7 @@ from mpmath import mp
 from mpmath.libmp import MPZ, fzero
 
 from .errors import BadDimension, NoBracket, SingularSystem
-from .precision import as_mpf, as_mpf_at, require_precision
+from .precision import as_mpf_at, require_precision
 
 # Pivots at or below 2^(-precision+8) times the row scale are treated as zero.
 _PIVOT_GUARD_BITS = 8
@@ -192,9 +192,6 @@ def _pairs(values: Sequence, precision_bits: int):
     for x in values:
         if type(x) is tuple and len(x) == 2:
             out.append(_round(x[0], x[1], precision_bits))
-        # inf and nan are the raw values with a zero mantissa other than 0
-        elif isinstance(x, mpmath.mpf) and (x._mpf_[1] or x._mpf_ == fzero):
-            out.append(_pair(x._mpf_))
         else:
             out.append(_pair(as_mpf_at(x, precision_bits)._mpf_))
     return out
@@ -490,15 +487,16 @@ def find_root_bracketed(
     4 * precision_bits + 64 steps.
     """
     require_precision(precision_bits)
-    with mp.workprec(precision_bits + 10):
-        a = as_mpf(lo)
-        b = as_mpf(hi)
+    work = precision_bits + 10
+    with mp.workprec(work):
+        a = as_mpf_at(lo, work)
+        b = as_mpf_at(hi, work)
         if a > b:
             a, b = b, a
-        fa = as_mpf(f(a))
+        fa = as_mpf_at(f(a), work)
         if fa == 0:
             return a
-        fb = as_mpf(f(b))
+        fb = as_mpf_at(f(b), work)
         if fb == 0:
             return b
         if fa * fb > 0:
@@ -514,8 +512,8 @@ def find_root_bracketed(
         x = (a + b) / 2
         step_old = abs(b - a)
         step = step_old
-        fx = as_mpf(f(x))
-        dfx = as_mpf(derivative(x)) if derivative is not None else None
+        fx = as_mpf_at(f(x), work)
+        dfx = as_mpf_at(derivative(x), work) if derivative is not None else None
         for _ in range(4 * precision_bits + 64):
             newton_ok = (
                 dfx is not None
@@ -539,10 +537,10 @@ def find_root_bracketed(
                 x = nxt
             if abs(step) < tol:
                 break
-            fx = as_mpf(f(x))
+            fx = as_mpf_at(f(x), work)
             if fx == 0:
                 return x
-            dfx = as_mpf(derivative(x)) if derivative is not None else None
+            dfx = as_mpf_at(derivative(x), work) if derivative is not None else None
             if fx < 0:
                 xl = x
             else:

@@ -3,8 +3,8 @@
 Everything numeric in this package runs on mpmath binary floats whose
 significand width is a runtime parameter (at least 53 bits, i.e. at least
 IEEE double).  Callers pass ``precision_bits`` explicitly; these helpers
-validate it and convert heterogeneous inputs to ``mpf`` at the current
-working precision (``as_mpf``) or at a given one (``as_mpf_at``).
+validate it and convert heterogeneous inputs to ``mpf`` at that width
+(``as_mpf_at``), whatever the ambient ``mp.prec``.
 """
 
 from __future__ import annotations
@@ -30,37 +30,27 @@ def require_precision(bits: int) -> int:
     return bits
 
 
-def as_mpf(value) -> mpmath.mpf:
-    """Convert ``value`` to mpf at the current working precision.
+def as_mpf_at(value, precision_bits: int) -> mpmath.mpf:
+    """Convert ``value`` to mpf, rounded to nearest at ``precision_bits``.
 
-    Accepts mpf, int, float, decimal strings, and Fraction.  Strings are
-    parsed at the working precision, so a caller that raises the precision
-    before converting keeps all the digits of a decimal literal.  A Fraction
-    is rounded once, from its exact value.  An mpf is returned as given,
-    not rounded.  Infinities and nan raise
-    ``BadParameter`` whatever their type.
+    Accepts mpf, int, float, decimal strings, and Fraction.  An mpf is
+    returned as given, not rounded.  A Fraction is rounded once, from its
+    exact value.  Anything else is read by mpf's own constructor at
+    ``precision_bits``, so a decimal literal keeps as many digits as that
+    width holds.  No mpmath context is read or entered.  Infinities and nan
+    raise ``BadParameter`` whatever their type.
     """
     if isinstance(value, mpmath.mpf):
-        if value._mpf_ in _NON_FINITE:
-            raise BadParameter(f"value {value!r} is not finite")
-        return value
-    if isinstance(value, Fraction):
+        result = value
+    elif isinstance(value, Fraction):
         return mp.make_mpf(
-            from_rational(value.numerator, value.denominator, mp.prec, round_nearest)
+            from_rational(value.numerator, value.denominator, precision_bits, round_nearest)
         )
-    try:
-        result = mp.mpf(value)
-    except (TypeError, ValueError) as exc:
-        raise BadParameter(f"could not parse {value!r} as a real number") from exc
-    if not mp.isfinite(result):
+    else:
+        try:
+            result = mp.mpf(value, prec=precision_bits, rounding=round_nearest)
+        except (TypeError, ValueError) as exc:
+            raise BadParameter(f"could not parse {value!r} as a real number") from exc
+    if result._mpf_ in _NON_FINITE:
         raise BadParameter(f"value {value!r} is not finite")
     return result
-
-
-def as_mpf_at(value, precision_bits: int) -> mpmath.mpf:
-    """``as_mpf(value)`` under ``mp.workprec(precision_bits)``; an mpf, which
-    is not rounded, is checked without entering the context."""
-    if isinstance(value, mpmath.mpf):
-        return as_mpf(value)
-    with mp.workprec(precision_bits):
-        return as_mpf(value)

@@ -90,8 +90,9 @@ def make_conjecture_curve(n: int) -> Curve:
 
 
 def make_monomial_curve(exponents: Sequence[int]) -> Curve:
-    """The curve <t^e1, ..., t^en> for distinct nonzero integer exponents."""
-    exps = [int(e) for e in exponents]
+    """The curve <t^e1, ..., t^en> for distinct nonzero integer exponents;
+    a non-integer exponent raises ``BadParameter`` (``LogPoly``)."""
+    exps = list(exponents)
     if len(set(exps)) != len(exps):
         raise BadDimension(f"monomial exponents must be distinct, got {exps}")
     if any(e == 0 for e in exps):

@@ -73,6 +73,30 @@ def test_negative_log_power_rejected():
         LogPoly({(0, -1): 1})
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LogPoly.term(1, 2.5, 0),
+        lambda: LogPoly.term(1, 2.0, 0),
+        lambda: LogPoly.term(1, 0, 1.5),
+        lambda: LogPoly({(0, 0.5): 1}),
+        lambda: LogPoly({("2", 0): 1}),
+        lambda: make_monomial_curve([1, 2.9]),
+    ],
+    ids=["t-2.5", "t-2.0", "log-1.5", "log-0.5", "t-str", "monomial-2.9"],
+)
+def test_non_integer_exponents_are_refused(build):
+    # they used to be truncated: t^2.5 was t^2, and <t, t^2.9> was <t, t^2>
+    with pytest.raises(BadParameter, match="exponents must be integers"):
+        build()
+
+
+def test_integer_exponents_are_kept():
+    assert LogPoly({(-3, 2): 5, (2, 0): 1}).items() == (((-3, 2), 5), ((2, 0), 1))
+    assert all(type(m) is int and type(j) is int for (m, j), _ in LogPoly.term(1, True, 0).items())
+    assert make_monomial_curve([1, -2]).components == (T, LogPoly.term(1, -2, 0))
+
+
 def test_negative_t_power_allowed():
     p = LogPoly.term(1, -3, 2)
     assert p.coefficient(-3, 2) == 1
@@ -643,14 +667,15 @@ def test_eval_many_bits_are_pinned(name, bits):
 def test_eval_many_ignores_the_ambient_precision(bits):
     polys = _field_and_components(make_log_curve(5)) + (FRACTIONAL,)
     results = []
-    for ambient in (20, 500):
+    for ambient in (mp.prec, 20, 400, 500):
         with mp.workprec(ambient):
-            results.append([v._mpf_ for v in _eval_many(polys, "2.5", bits)])
+            results.append([v._mpf_ for v in _eval_many(polys, "2.5", bits)]
+                           + [lp_eval(FRACTIONAL, t, bits)._mpf_ for t in ("0.1", "7/3")])
             assert mp.prec == ambient
             with pytest.raises(NonPositiveArgument):
                 _eval_many(polys, "-2.5", bits)
             assert mp.prec == ambient
-    assert results[0] == results[1]
+    assert all(result == results[0] for result in results)
 
 
 @pytest.mark.parametrize("bits", [53, 113, 256])

@@ -997,13 +997,42 @@ def test_mean_request_escalates_on_tiny_ln_gap():
     assert outcome["effective_precision_bits"] >= 113
 
 
+def _raw_fields(outcome):
+    return {key: [getattr(v, "_mpf_", v) for v in value] if isinstance(value, list)
+            else getattr(value, "_mpf_", value) for key, value in outcome.items()}
+
+
+@pytest.mark.parametrize("ambient", [20, 400])
+def test_request_and_parsing_ignore_the_ambient_precision(ambient):
+    def raw():
+        outcome = evaluate_request(("0.1", "0.3", "0.7"), 1, 113)
+        parsed = means.sorted_positive_distinct(("0.7", "1/3", "0.1"), 113)
+        return _raw_fields(outcome), [v._mpf_ for v in parsed]
+
+    default = raw()
+    with mp.workprec(ambient):
+        assert raw() == default
+        assert mp.prec == ambient
+
+
+def test_request_path_enters_no_mpmath_context(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an mpmath precision context was entered")
+
+    monkeypatch.setattr(mp, "workprec", refuse)
+    for values, k in ((("0.1", "0.3", "0.7"), 1), (("1.5", "2", "3", "4.5"), 3),
+                      (("2", "2.0000000001", "3"), 1)):
+        assert main(["mean", "--values", ",".join(values), "--k", str(k), "--json"]) == 0
+    capsys.readouterr()
+
+
 def test_ln_gap_warning_helper():
     assert ln_gap_warnings((2.0, 7.0)) == ()
     assert ln_gap_warnings((2.0, 2.0 + 2e-7))
 
 
 def test_validated_values_come_back_as_given(monkeypatch):
-    parsed = _counting(monkeypatch, means, "as_mpf")
+    parsed = _counting(monkeypatch, means, "as_mpf_at")
     with mp.workprec(400):
         values = [mp.mpf(1) / 3, mp.mpf(2), mp.mpf(10) ** 90]
     out = means.sorted_positive_distinct(values, 53)
@@ -1110,6 +1139,17 @@ def test_ln_gap_note_prints_the_smallest_flagged_gap():
     values = [mp.mpf(2), mp.mpf("2.000002"), mp.mpf("2.0000020000002"), mp.mpf(3)]
     assert means._ln_gap_note(values) == "min ln-gap 1.0e-13 is below 1e-06"
     assert means._ln_gap_note(values[:2] + values[3:]) == "min ln-gap 1.0e-6 is below 1e-06"
+
+
+@pytest.mark.parametrize(
+    "zeros, bits, gap",
+    [(399, 1500, "1.0e-400"), (321, 1200, "1.0e-322"), (299, 1100, "1.0e-300")],
+)
+def test_ln_gap_note_prints_gaps_below_the_float_range(zeros, bits, gap):
+    # a relative gap below 2^-1022 is printed from its exact value, not from
+    # a float64 that reads 0.0 or a subnormal; a normal one keeps log1p
+    values = means.sorted_positive_distinct(("1", "1." + "0" * zeros + "1", "2"), bits)
+    assert means._ln_gap_note(values) == f"min ln-gap {gap} is below 1e-06"
 
 
 def test_gap_bound_is_the_floor_rounded_up():

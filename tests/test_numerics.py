@@ -9,7 +9,15 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from mpmath.libmp import from_man_exp, mpf_add, mpf_div, mpf_mul, mpf_sub, round_nearest
+from mpmath.libmp import (
+    from_man_exp,
+    from_rational,
+    mpf_add,
+    mpf_div,
+    mpf_mul,
+    mpf_sub,
+    round_nearest,
+)
 
 from oscmean import logpoly, numerics
 from oscmean.errors import BadDimension, BadParameter, NoBracket, SingularSystem
@@ -125,6 +133,34 @@ def test_fractions_are_rounded_once(bits):
         values.append(Fraction(-num if rng.random() < 0.5 else num, den))
     for value in values:
         assert numerics._pair(as_mpf_at(value, bits)._mpf_) == _nearest(value, bits), value
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="FOUND: mpmath's from_str is not correctly rounded past a decimal exponent of 400",
+)
+def test_decimal_literals_are_rounded_once():
+    # as_mpf_at reads this literal one ulp below its exact value rounded once
+    literal = "1.412394506200404465474743162920074563491e+525"
+    exact = Fraction(literal)
+    assert as_mpf_at(literal, 53)._mpf_ == from_rational(
+        exact.numerator, exact.denominator, 53, round_nearest
+    )
+
+
+@pytest.mark.parametrize("ambient", [20, 400])
+def test_string_entries_ignore_the_ambient_precision(ambient):
+    rows = [["0.1", "0.3", "1/3"], ["0.7", "2", "0.5"], ["1e-5", "0.9", "3"]]
+    rhs = ["0.2", "0.9", "1.1"]
+
+    def raw():
+        report = solve_linear(rows, rhs, 113)
+        return ([x._mpf_ for x in report.solution], report.residual_norm._mpf_,
+                report.determinant._mpf_, det(rows, 113)._mpf_)
+
+    default = raw()
+    with mp.workprec(ambient):
+        assert raw() == default
 
 
 def test_random_well_conditioned_residuals():
