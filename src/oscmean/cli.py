@@ -50,7 +50,7 @@ EXIT_USAGE = 2
 CSV_HEADER = ["identity", "n", "exact", "max_rel_error", "instances", "warnings"]
 
 #: Scalar mpf fields of a ``mean`` outcome; every output format prints them as floats.
-_FLOAT_FIELDS = ("m1", "neuman_ln", "rel_gap", "mk", "residual_norm", "condition_estimate")
+_FLOAT_FIELDS = ("m1", "neuman_ln", "rel_gap", "mk", "error_bound")
 
 
 def _check_max_n(max_n: int) -> int:

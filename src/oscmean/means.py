@@ -1,9 +1,9 @@
 """Osculating hyperplanes, their common intersection point, and the means
 derived from it, plus the closed-form n-variable logarithmic and identric
 means used as references.  ``evaluate_request`` serves the command line's
-``mean``: it parses, checks, escalates and evaluates one request in a
-single call.  Whether a request escalates is decided exactly on the parsed
-values' integers, with no log (``_gap_below_floor``).
+``mean``: it parses, checks, escalates and evaluates one request, with the
+solve's bound on the error of i_1, in one call.  Whether a request
+escalates is decided exactly on the parsed values' integers (no log).
 
 Geometry recap: for a curve with log-polynomial components, the osculating
 hyperplane at parameter a has normal vector given by the alternating-sign
@@ -25,7 +25,7 @@ which is what makes this construction worth verifying numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import exp, factorial, log, log1p
 from typing import Sequence, Tuple
@@ -116,7 +116,8 @@ class IntersectionResult:
 
     ``point[0]`` is the paper's i_1; on the log curve it is M_1.
     ``work_bits`` is the precision the planes were built and solved at, the
-    requested precision plus ``GUARD_BITS``.  ``_rows`` are those planes
+    requested precision plus ``GUARD_BITS``, and ``report`` that solve's.
+    ``_rows`` are those planes
     (``_plane_rows``), in the order of the sorted inputs; their normals are
     the rows of the matrix whose determinant ``report.determinant`` is.
     """
@@ -240,11 +241,10 @@ def intersect(curve: Curve, values: Sequence, precision_bits: int = 53) -> Inter
     The planes are built once, in one pass on integer pairs with guard bits
     on top of the requested precision (``_plane_rows``: each offset rounded
     once, like each normal entry), and that one matrix and right-hand side
-    serve both the elimination and the reported residual; the result
-    carries them and their precision, ``work_bits``.  The point is rounded
-    back to the requested precision; ``report.residual_norm`` is that
-    rounded point's residual against the guard-precision planes, at twice
-    the requested precision, when read.
+    serve the elimination; the result carries them, their precision
+    ``work_bits`` and the solve's own report, whose ``error_bound`` is what
+    the planes' rounding can do to i_1.  ``point`` is the solution rounded
+    back to the requested precision.
     """
     n = curve.dimension
     if len(values) != n:
@@ -262,8 +262,7 @@ def intersect(curve: Curve, values: Sequence, precision_bits: int = 53) -> Inter
         detail = f" ({note})" if note else ""
         raise SingularSystem(f"{exc}{detail}") from exc
     point = tuple(mp.make_mpf(mpf_pos(x._mpf_, precision_bits, _RND)) for x in guarded.solution)
-    report = replace(guarded, solution=point, _residual_bits=precision_bits)
-    return IntersectionResult(point=point, report=report, work_bits=work_bits, _rows=tuple(rows))
+    return IntersectionResult(point=point, report=guarded, work_bits=work_bits, _rows=tuple(rows))
 
 
 def _pull_back(curve: Curve, k: int, vals: Sequence, precision_bits: int):
@@ -446,7 +445,9 @@ def evaluate_request(values: Sequence, k: int = 1, precision_bits: int = 53) -> 
 
     Returns a plain dict (stable key order) with the intersection point, the
     first mean, the closed-form logarithmic mean, their relative gap, the
-    requested k-th mean, and any warnings.  One intersection serves every k.
+    requested k-th mean, the solve's ``error_bound`` on i_1 before the
+    rounding to the requested precision, and any warnings.  One
+    intersection serves every k.
     An M_1 or L_N outside [min, max] of the inputs (lost to cancellation)
     raises ``SingularSystem``.
     """
@@ -482,7 +483,6 @@ def evaluate_request(values: Sequence, k: int = 1, precision_bits: int = 53) -> 
         "neuman_ln": reference,
         "rel_gap": _rel_error(m1, reference, bits),
         "mk": mk,
-        "residual_norm": result.report.residual_norm,
-        "condition_estimate": result.report.condition_estimate,
+        "error_bound": result.report.error_bound,
         "warnings": list(warnings),
     }

@@ -5,23 +5,18 @@ raised at runtime; 53 bits reproduces IEEE double behaviour.  One
 scaled-pivot LU factorization serves both the solver and det.  The solver
 takes one step of iterative refinement, which leaves a relative error of
 about 2^-w + (kappa * 2^-w)^2 at working precision w against the exact
-solution of the system as given (``solve_linear``).  The solver's report
-computes two numbers only when they are read: the residual
-||Ax - b||_inf / ||b||_inf of its solution (``means.intersect`` swaps in
-the rounded point and the requested precision), and the infinity-norm
-condition number of the system equilibrated by powers of two, from the
-same LU converted once to float64.  It is dense Gaussian elimination,
-O(n^3) for any n: ``mean`` accepts any number of values, and the
-intersection systems reach n = 16 in the tests.  The report also gives the
-determinant of the system's matrix from the same LU, bit for bit what
-``det`` returns, so the identity scans factor each minor matrix once.
+solution of the system as given (``solve_linear``).  From the same LU the
+solver's report gives, when read, a bound on the error of the first
+component and the determinant (``SolveReport``).  It is dense Gaussian
+elimination, O(n^3) for any n: ``mean`` accepts any number of values, and
+the intersection systems reach n = 16 in the tests.
 
-The elimination, the substitutions, the residuals, their norms and the
+The elimination, the substitutions, the refinement's residual and the
 determinant's pivot product run on integer pairs (m, e), the value m * 2^e,
 through a few private primitives, each of which returns its exact result
 rounded once to nearest-even.  ``solve_linear``, ``det`` and the relative
 error ``_rel_error`` take ``mpf`` values or pairs and return ``mpf`` values;
-the conversion happens there, in ``SolveReport``'s three properties, and
+the conversion happens there, in ``SolveReport``'s properties, and
 nowhere else.  ``means``' divided-difference kernel and ``logpoly``'s
 evaluator, which builds ``means.intersect``'s planes as pairs, use the same
 primitives.
@@ -50,47 +45,36 @@ _PIVOT_GUARD_BITS = 8
 class SolveReport:
     """Solution of a square system plus honesty metadata.
 
-    residual_norm is ||Ax - b||_inf / ||b||_inf of ``solution`` against the
-    system solved, at twice ``_residual_bits``: the working precision for
-    ``solve_linear``; ``means.intersect`` reports the point rounded to the
-    requested precision, at twice the requested precision.
-
-    condition_estimate is kappa_inf(R A C) = ||RAC||_inf ||(RAC)^-1||_inf,
-    a float.  R and C are powers of two that scale the rows, and then the
-    columns, to a largest entry in [1/2, 1), so the equilibration is exact
-    and kappa says how near the system is to singular whatever the scales
-    of its rows and columns.  The inverse comes from the LU the solve kept,
-    scaled and converted once to float64 from the top 53 bits of each
-    mantissa: P RAC = (R_p L R_p^-1)(R_p U C).  A pivot that underflows to
-    0.0, or any overflow, gives +inf.
+    error_bound is B = 2^-w (|A^-1| (|A| |x| + |b|))_1 / |x_1|, a float, for
+    the w-bit solution x: to first order, the relative error in x_1 that a
+    relative perturbation of at most 2^-w in each entry of A and b can
+    cause (Oettli & Prager 1964; Skeel 1979; Higham 2002, sec. 7.2).  It is
+    taken on R A C, where R and C are powers of two that scale the rows,
+    and then the columns, to a largest entry in [1/2, 1): the scaling is
+    exact and B does not depend on it.  Row 1 of (RAC)^-1 comes from one
+    transposed solve on the LU the solve kept, converted once to float64
+    from the top 53 bits of each mantissa: P RAC = (R_p L R_p^-1)(R_p U C).
+    A pivot that underflows to 0.0, or any overflow, gives +inf; a positive
+    bound below the float range gives 5e-324, never 0.0.
 
     determinant is det A from the kept LU at the working precision, the
     sign of the permutation times the pivots: bit for bit what ``det``
     returns for the same matrix and precision, without a second
     factorization.  ``identities`` reads it for the minor matrix.
 
-    All three are computed on first read from the system, right-hand side,
-    LU, permutation, its sign and working precision kept in ``_factors``,
-    and cached; ``mean`` reads the first two.  ``_factors`` holds (system,
-    rhs, lu, perm, sign, bits): the first three as lists (of lists) of
-    integer pairs (m, e), the value m * 2^e with m odd or the pair (0, 0),
-    perm a list of row indices, sign +-1 its parity as ``_lu_factor``
-    returns it, and bits the precision of the factorization.
+    Both are computed on first read and cached; ``mean`` reads the first.
+    ``_factors`` holds (system, rhs, lu, perm, sign, bits): the first three
+    as lists (of lists) of integer pairs (m, e), the value m * 2^e with m
+    odd or the pair (0, 0), perm a list of row indices, sign +-1 its parity
+    as ``_lu_factor`` returns it, and bits the precision of the LU.
     """
 
     solution: Tuple[mpmath.mpf, ...]
-    _residual_bits: int
     _factors: tuple = field(repr=False, compare=False)
 
     @cached_property
-    def residual_norm(self) -> mpmath.mpf:
-        original, rhs, _, _, _, _ = self._factors
-        x = [_pair(v._mpf_) for v in self.solution]
-        return mp.make_mpf(_raw_value(_residual_norm(original, x, rhs, self._residual_bits)))
-
-    @cached_property
-    def condition_estimate(self) -> float:
-        original, _, lu, perm, _, _ = self._factors
+    def error_bound(self) -> float:
+        original, rhs, lu, perm, _, bits = self._factors
         # R = diag(2^-row_exp), C = diag(2^-col_exp); a nonzero pair (m, e)
         # has 2^(e+b-1) <= |v| < 2^(e+b) for b = m.bit_length()
         row_exp = [max(e + m.bit_length() for m, e in row if m) for row in original]
@@ -98,20 +82,23 @@ class SolveReport:
             max(e + m.bit_length() - r for (m, e), r in zip(column, row_exp) if m)
             for column in zip(*original)
         ]
-        a_norm = max(
-            reduce(add, (abs(_to_float(v, -r - c)) for v, c in zip(row, col_exp)), 0)
-            for row, r in zip(original, row_exp)
-        )
+        # y = C^-1 x solves (RAC) y = Rb; t = |RAC| |y| + |Rb|, row by row
+        y = [abs(_to_float(_pair(v._mpf_), c)) for v, c in zip(self.solution, col_exp)]
+        t = [
+            reduce(add, (abs(_to_float(v, -r - c)) * yj for v, c, yj in zip(row, col_exp, y)), 0)
+            + abs(_to_float(bi, -r))
+            for row, bi, r in zip(original, rhs, row_exp)
+        ]
         # row i of lu is row perm[i] of the system
         lu_exp = [row_exp[p] for p in perm]
         factors = [
-            [
-                _to_float(v, lu_exp[j] - r if j < i else -r - col_exp[j])
-                for j, v in enumerate(row)
-            ]
+            [_to_float(v, lu_exp[j] - r if j < i else -r - col_exp[j]) for j, v in enumerate(row)]
             for i, (row, r) in enumerate(zip(lu, lu_exp))
         ]
-        return a_norm * _inverse_norm(factors)
+        # row 1 of (RAC)^-1 is z with z[perm[i]] = u[i], u = (LU)^-T e_1
+        u = _first_row_of_inverse(factors)
+        q = reduce(add, (abs(ui) * t[p] for ui, p in zip(u, perm)), 0) / y[0] if u and y[0] else 0
+        return max(math.ldexp(q, -bits), math.ulp(0.0)) if q and math.isfinite(q) else math.inf
 
     @cached_property
     def determinant(self) -> mpmath.mpf:
@@ -123,37 +110,29 @@ def _to_float(v, shift: int) -> float:
     """A pair times 2^shift as a float64, from the top 53 bits of its
     mantissa; +-inf past the float range."""
     m, exp = v
-    man = abs(m)
-    bc = man.bit_length()
-    if bc > 53:
-        man >>= bc - 53
-        exp += bc - 53
+    cut = max(abs(m).bit_length() - 53, 0)
     try:
-        x = math.ldexp(man, exp + shift)
+        x = math.ldexp(abs(m) >> cut, exp + cut + shift)
     except OverflowError:
         x = math.inf
     return -x if m < 0 else x
 
 
-def _inverse_norm(lu) -> float:
-    """||(LU)^-1||_inf in float64, for a unit lower L and an upper U stored
-    together; +inf if a pivot is 0.0 or the inverse overflows.  Floats are
+def _first_row_of_inverse(lu):
+    """Row 1 of (LU)^-1 in float64, for a unit lower L and an upper U stored
+    together: u with U^T L^T u = e_1, by one forward substitution with U^T
+    and one back substitution with L^T; None if a pivot is 0.0.  Floats are
     added left to right by ``reduce``: ``sum`` compensates from Python 3.12."""
     n = len(lu)
-    if any(lu[i][i] == 0.0 for i in range(n)):
-        return math.inf
-    columns = []
-    for k in range(n):
-        x = [0.0] * n
-        x[k] = 1.0
-        for i in range(k + 1, n):
-            x[i] = -reduce(add, map(mul, lu[i][k:i], x[k:i]), 0)
-        for i in range(n - 1, -1, -1):
-            row = lu[i]
-            x[i] = (x[i] - reduce(add, map(mul, row[i + 1 :], x[i + 1 :]), 0)) / row[i]
-        columns.append(x)
-    sums = [reduce(add, map(abs, row), 0) for row in zip(*columns)]
-    return max(sums) if all(map(math.isfinite, sums)) else math.inf
+    columns = list(zip(*lu))
+    if 0.0 in (columns[i][i] for i in range(n)):
+        return None
+    u = [1.0 / columns[0][0]] + [0.0] * (n - 1)
+    for i in range(1, n):
+        u[i] = -reduce(add, map(mul, columns[i][:i], u[:i]), 0) / columns[i][i]
+    for i in range(n - 2, -1, -1):
+        u[i] -= reduce(add, map(mul, columns[i][i + 1 :], u[i + 1 :]), 0)
+    return u
 
 
 # -- exact integer arithmetic on (mantissa, exponent) pairs --------------------
@@ -386,25 +365,6 @@ def _lu_solve(lu, perm, rhs, prec: int):
     return x
 
 
-def _residual_vector(A, x, b, precision_bits: int):
-    """Ax - b, accumulated at twice the working precision so that the
-    residual measures the solve, not its own rounding."""
-    prec = 2 * precision_bits
-    out = []
-    for row, (bm, be) in zip(A, b):
-        r = _round(-bm, be, prec)
-        for a, xj in zip(row, x):
-            r = _add(r, _mul(a, xj, prec), prec)
-        out.append(r)
-    return out
-
-
-def _residual_norm(A, x, b, precision_bits: int):
-    worst = _max_abs(_residual_vector(A, x, b, precision_bits))
-    b_norm = _max_abs(b)
-    return _div(worst, b_norm, 2 * precision_bits) if b_norm[0] else worst
-
-
 def solve_linear(A: Sequence[Sequence], b: Sequence, precision_bits: int = 53) -> SolveReport:
     """Solve Ax = b by row-pivoted elimination at the requested precision.
 
@@ -418,14 +378,15 @@ def solve_linear(A: Sequence[Sequence], b: Sequence, precision_bits: int = 53) -
 
     Guarantee: the relative error against the exact solution of the system
     as given (its entries taken exactly) is about 2^-w + (kappa * 2^-w)^2,
-    with kappa as in ``SolveReport.condition_estimate``; a second step would
-    bring it to about 2^-w (Skeel 1980; Higham 2002, ch. 12).  On seeded
-    log-curve intersection systems at w = 83, one step left at most 13
-    units of 2^-83 at n = 10 and 3.2e6 units, about 2^-61, at n = 12, where
-    two steps left under one unit; up to n = 7, at 83, 143 and 286 bits,
-    one step stays within one unit.  That is enough for ``means.intersect``:
-    its planes already carry about kappa * 3.4 * 2^-w of rounding from their
-    evaluation, and it rounds the point to 30 bits below w.
+    with kappa the condition number of the system after power-of-two row
+    and column scaling; a second step would bring it to about 2^-w (Skeel
+    1980; Higham 2002, ch. 12).  On seeded log-curve intersection systems at
+    w = 83, one step left at most 13 units of 2^-83 at n = 10 and 3.2e6
+    units, about 2^-61, at n = 12, where two steps left under one unit; up
+    to n = 7, at 83, 143 and 286 bits, one step stays within one unit.  That
+    is enough for ``means.intersect``: its planes already carry a rounding
+    of 2^-w per entry (``SolveReport.error_bound``), and it rounds the point
+    to 30 bits below w.
     """
     require_precision(precision_bits)
     n = len(A)
@@ -440,7 +401,13 @@ def solve_linear(A: Sequence[Sequence], b: Sequence, precision_bits: int = 53) -
     lu, perm, sign = _lu_factor(original, prec)
     solution = _lu_solve(lu, perm, rhs, prec)
 
-    res = _residual_vector(original, solution, rhs, prec)
+    # Ax - b at 2w, so that the residual measures the solve, not its own rounding
+    res = []
+    for row, (bm, be) in zip(original, rhs):
+        r = _round(-bm, be, 2 * prec)
+        for a, xj in zip(row, solution):
+            r = _add(r, _mul(a, xj, 2 * prec), 2 * prec)
+        res.append(r)
     if any(m for m, _ in res):
         correction = _lu_solve(lu, perm, [_round(-m, e, prec) for m, e in res], prec)
         solution = [_add(x, d, prec) for x, d in zip(solution, correction)]
@@ -448,7 +415,6 @@ def solve_linear(A: Sequence[Sequence], b: Sequence, precision_bits: int = 53) -
     # every component was rounded to prec by its last division or addition
     return SolveReport(
         tuple(mp.make_mpf(_raw_value(x)) for x in solution),
-        prec,
         (original, rhs, lu, perm, sign, prec),
     )
 

@@ -13,7 +13,8 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import finf, fnan, fninf, from_rational, round_nearest
+from mpmath.libmp import finf, fnan, fninf, from_man_exp, from_rational, mpf_shift, round_nearest
+from mpmath.libmp.libmpf import str_to_man_exp
 
 from .errors import BadParameter
 
@@ -35,10 +36,10 @@ def as_mpf_at(value, precision_bits: int) -> mpmath.mpf:
 
     Accepts mpf, int, float, decimal strings, and Fraction.  An mpf is
     returned as given, not rounded.  A Fraction is rounded once, from its
-    exact value.  Anything else is read by mpf's own constructor at
-    ``precision_bits``, so a decimal literal keeps as many digits as that
-    width holds.  No mpmath context is read or entered.  Infinities and nan
-    raise ``BadParameter`` whatever their type.
+    exact value, and so is a decimal literal m * 10^e: past |e| = 400 by
+    ``_decimal_at``.  Anything else is read by mpf's own constructor at
+    ``precision_bits``.  No mpmath context is read or entered.  Infinities
+    and nan raise ``BadParameter`` whatever their type.
     """
     if isinstance(value, mpmath.mpf):
         result = value
@@ -48,9 +49,39 @@ def as_mpf_at(value, precision_bits: int) -> mpmath.mpf:
         )
     else:
         try:
+            man, exp = str_to_man_exp(value.strip()) if isinstance(value, str) else (0, 0)
+        except ValueError:  # "inf", "nan" and "a/b" are read below
+            exp = 0
+        if abs(exp) > 400:
+            return mp.make_mpf(_decimal_at(man, exp, precision_bits))
+        try:
             result = mp.mpf(value, prec=precision_bits, rounding=round_nearest)
         except (TypeError, ValueError) as exc:
             raise BadParameter(f"could not parse {value!r} as a real number") from exc
     if result._mpf_ in _NON_FINITE:
         raise BadParameter(f"value {value!r} is not finite")
     return result
+
+
+def _decimal_at(man: int, exp: int, precision_bits: int):
+    """man * 10^exp rounded to nearest at ``precision_bits``, as a raw mpf.
+    Binary powering encloses 5^|exp| between two values, each product cut
+    to w bits, down for one and up for the other; man * 2^exp times either,
+    or over it for exp < 0, is rounded once.  While the two round apart, w
+    doubles (Ziv 1991); once 5^|exp| fits in w they are the same."""
+    width = precision_bits + 32
+    while True:
+        ends = []
+        for up in (False, True):
+            m, e = 1, 0
+            for bit in bin(abs(exp))[2:]:
+                m, e = m * m * (5 if bit == "1" else 1), 2 * e
+                cut = max(m.bit_length() - width, 0)
+                m, e = (-(-m >> cut) if up else m >> cut), e + cut
+            ends.append(
+                from_man_exp(man * m, e + exp, precision_bits, round_nearest) if exp > 0
+                else mpf_shift(from_rational(man, m, precision_bits, round_nearest), exp - e)
+            )
+        if ends[0] == ends[1]:
+            return ends[0]
+        width *= 2

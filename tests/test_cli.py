@@ -141,8 +141,7 @@ def test_mean_json_keys(capsys):
     assert code == 0
     assert list(json.loads(out)) == [
         "n", "k", "precision_bits", "effective_precision_bits", "values", "point",
-        "m1", "neuman_ln", "rel_gap", "mk", "residual_norm", "condition_estimate",
-        "warnings",
+        "m1", "neuman_ln", "rel_gap", "mk", "error_bound", "warnings",
     ]
 
 
@@ -153,9 +152,10 @@ def _reject_constant(name):
 @pytest.mark.parametrize(
     "values, bits",
     [
-        # n = 24: the condition estimate overflowed a float before equilibration
+        # n = 24: rows that overflow a float64 unless scaled first
         (",".join(f"{1.2 ** i:.6f}" for i in range(1, 25)), "200"),
-        # a gap of 1e-400: the equilibrated estimate is about 3.6e401
+        # a gap of 1e-400: a scaled pivot underflows a float64, so the
+        # error bound is inf
         ("1,1." + "0" * 399 + "1,2", "1500"),
     ],
 )
@@ -164,7 +164,9 @@ def test_mean_json_is_standard_json(capsys, values, bits):
     assert code == 0
     payload = json.loads(out, parse_constant=_reject_constant)
     if bits == "1500":
-        assert payload["condition_estimate"] is None
+        assert payload["error_bound"] is None
+    else:
+        assert 0 < payload["error_bound"] < 1e-40
 
 
 def test_mean_human_output(capsys):
@@ -233,7 +235,7 @@ def test_conjecture_csv_byte_identical(capsys):
         ),
         (
             "mean --values 2,2.0000000001,3 --json",
-            "80be3af9eea9c4ea4586449d8b78984df9a404d7a037a2f2299c830419d87028",
+            "f59bdc6de7ed66c675f858d1b716bb55621cd1827df3956b202905ac333ddfe1",
         ),
         (
             "mean --values 2,2.0000000001,3 --csv",
@@ -248,12 +250,12 @@ def test_conjecture_csv_byte_identical(capsys):
             # the solve's refinement adds a correction far below the
             # solution component it corrects
             "mean --values 1.67943726907852,47.5500308965592 --json --precision 256",
-            "6e2327671bc9f65146ce4b85ead8b6f50ddf28a0b72c29cc3f7515029a9e60c9",
+            "6a7c9a206e3bb0cd320a6390278e4277b5d2aedfdf3ff772399a49b077c0ab1d",
         ),
         (
             # M_10 pulled back through t*(log t)^9; rel_gap from numerics
             "mean --values 1.5,2,3,4.5,6,8,11,15,20,27 --k 10 --precision 256 --json",
-            "4212d68c9718ff36b3b3047798196ed22cd893d0bb048a714acd2fdf0ef2f751",
+            "7535f6d6f4812284d2efbf53a159d575bbf34281fd250522a02b6a946d0d6704",
         ),
         (
             # every numeric row, the determinant rows at the intersection's width
@@ -406,17 +408,29 @@ def _assert_refused_or_within_4_ulps(capsys, literals):
     assert abs(json.loads(out)["m1"] - truth) <= 4 * math.ulp(truth)
 
 
+# Four requests that print a wrong M_1 with exit 0 at 53 bits.
+N10_LITERALS = (
+    "12.3655376084187", "1.7513819565723", "43.982895167934", "36.3516413325538",
+    "20.607058123111", "25.6117553760915", "7.56519538016959", "7.18633780871819",
+    "22.7978859189657", "8.10689122833937",
+)
+CLUSTERED_LITERALS = (
+    "5.3181779619479737183", "5.3181777314889760834", "5.3181780846020593170",
+    "5.3181782456291209025", "5.3181775014407985935",
+)
+N12_LITERALS = ("1.5", "2", "3", "4.5", "6", "8", "11", "15", "20", "27", "36", "48")
+N16_LITERALS = (
+    "1.1", "1.3", "1.6", "2", "2.5", "3.1", "3.9", "4.9",
+    "6.1", "7.6", "9.5", "11.9", "14.9", "18.6", "23.3", "29.1",
+)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="FOUND: at n = 10 and 53 bits intersect returns M_1 5 ulps off with exit 0",
 )
 def test_mean_n10_at_53_bits_is_right_or_refused(capsys):
-    literals = (
-        "12.3655376084187", "1.7513819565723", "43.982895167934", "36.3516413325538",
-        "20.607058123111", "25.6117553760915", "7.56519538016959", "7.18633780871819",
-        "22.7978859189657", "8.10689122833937",
-    )
-    _assert_refused_or_within_4_ulps(capsys, literals)
+    _assert_refused_or_within_4_ulps(capsys, N10_LITERALS)
 
 
 @pytest.mark.xfail(
@@ -424,11 +438,7 @@ def test_mean_n10_at_53_bits_is_right_or_refused(capsys):
     reason="FOUND: mean prints wrong means inside the inputs' range on clustered inputs",
 )
 def test_mean_clustered_is_right_or_refused(capsys):
-    literals = (
-        "5.3181779619479737183", "5.3181777314889760834", "5.3181780846020593170",
-        "5.3181782456291209025", "5.3181775014407985935",
-    )
-    _assert_refused_or_within_4_ulps(capsys, literals)
+    _assert_refused_or_within_4_ulps(capsys, CLUSTERED_LITERALS)
 
 
 @pytest.mark.xfail(
@@ -436,8 +446,7 @@ def test_mean_clustered_is_right_or_refused(capsys):
     reason="FOUND: at n = 12 and 53 bits intersect returns M_1 1.1e-15 relative off with exit 0",
 )
 def test_mean_n12_at_53_bits_is_right_or_refused(capsys):
-    literals = ("1.5", "2", "3", "4.5", "6", "8", "11", "15", "20", "27", "36", "48")
-    _assert_refused_or_within_4_ulps(capsys, literals)
+    _assert_refused_or_within_4_ulps(capsys, N12_LITERALS)
 
 
 @pytest.mark.xfail(
@@ -445,32 +454,39 @@ def test_mean_n12_at_53_bits_is_right_or_refused(capsys):
     reason="FOUND: at n = 16 and 53 bits intersect returns M_1 9.2e-12 relative off with exit 0",
 )
 def test_mean_n16_at_53_bits_is_right_or_refused(capsys):
-    literals = (
-        "1.1", "1.3", "1.6", "2", "2.5", "3.1", "3.9", "4.9",
-        "6.1", "7.6", "9.5", "11.9", "14.9", "18.6", "23.3", "29.1",
-    )
-    _assert_refused_or_within_4_ulps(capsys, literals)
+    _assert_refused_or_within_4_ulps(capsys, N16_LITERALS)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="FOUND: residual_norm divides the unscaled ||Ax - b|| by ||b||; rows 10^600 apart "
-    "give 4.9e582, printed as null",
+@pytest.mark.parametrize(
+    "literals", [N10_LITERALS, CLUSTERED_LITERALS, N12_LITERALS, N16_LITERALS],
+    ids=["n10", "clustered", "n12", "n16"],
 )
+def test_mean_wrong_answers_print_an_error_bound_above_53_bits(capsys, literals):
+    # the bound reports what the four wrong answers above lose; it does
+    # not refuse them
+    code, out, _ = run_cli(capsys, "mean", "--values", ",".join(literals), "--json")
+    assert code == 0
+    assert json.loads(out)["error_bound"] > 2.0 ** -53
+
+
 def test_mean_far_apart_inputs_print_their_residual(capsys):
+    # rows 10^600 apart: the bound is taken on the rows scaled by powers of
+    # two, so it stays finite and small
     code, out, _ = run_cli(capsys, "mean", "--values", "1e-300,1e-100,1,1e100,1e300", "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["m1"] == payload["neuman_ln"]
-    assert payload["residual_norm"] is not None and payload["residual_norm"] < 1e-10
+    assert payload["error_bound"] is not None and payload["error_bound"] < 1e-20
 
 
-@pytest.mark.xfail(strict=True, reason="FOUND: a residual below the float range prints as 0.0")
 def test_mean_residual_below_the_float_range_is_not_printed_as_zero(capsys):
-    gap = "1,1." + "0" * 399 + "1,2"
-    assert evaluate_request(gap.split(","), 1, 1500)["residual_norm"] != 0
-    code, out, _ = run_cli(capsys, "mean", "--values", gap, "--precision", "1500", "--json")
-    assert code == 2 or json.loads(out)["residual_norm"] != 0.0
+    # at 1500 bits the bound is about 2^-1500: positive, below the float
+    # range, and printed as the smallest subnormal, which still bounds it
+    assert evaluate_request(["1", "2", "3"], 1, 1500)["error_bound"] == 5e-324
+    code, out, _ = run_cli(capsys, "mean", "--values", "1,2,3", "--precision", "1500", "--json")
+    assert code == 0
+    assert json.loads(out)["error_bound"] == 5e-324
+    assert '"error_bound": 5e-324' in out
 
 
 def test_low_precision_rejected(capsys):

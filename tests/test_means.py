@@ -1,6 +1,7 @@
 """Hyperplanes, intersections, the derived means, and the closed forms."""
 
 import hashlib
+import inspect
 import random
 
 import pytest
@@ -139,8 +140,8 @@ def test_intersection_golden_one_e_e_squared():
 
 
 # every bit of the report for points 1.3, 3.4, 5.5, ... at the default 53
-# bits: the point at 53, the residual at 106 and the condition estimate of
-# the system solved at the 83 guard bits, a float64
+# bits: the point at 53, and the error bound, a float64, of the system
+# solved at the 83 guard bits
 _PINNED_INTERSECTIONS = {
     7: (
         [
@@ -152,8 +153,7 @@ _PINNED_INTERSECTIONS = {
             "mpf('73.310469978690364')",
             "mpf('92.61863540310118')",
         ],
-        "mpf('1.646653219503843720986258797060725e-16')",
-        "19157941.060562134",
+        "5.122495378633105e-19",
     ),
     10: (
         [
@@ -168,8 +168,7 @@ _PINNED_INTERSECTIONS = {
             "mpf('1691.7287118404161')",
             "mpf('2527.608194631051')",
         ],
-        "mpf('3.621516180234216438508803248837381e-16')",
-        "567645398684.9105",
+        "9.162641291546527e-15",
     ),
 }
 
@@ -178,23 +177,23 @@ _PINNED_INTERSECTIONS = {
 @pytest.mark.parametrize("n", sorted(_PINNED_INTERSECTIONS))
 def test_intersection_report_bits_are_pinned(n):
     result = intersect(make_log_curve(n), [f"{1.3 + 2.1 * i:.1f}" for i in range(n)])
-    point, residual, condition = _PINNED_INTERSECTIONS[n]
+    point, bound = _PINNED_INTERSECTIONS[n]
     with mp.workprec(53):
         assert [repr(x) for x in result.point] == point
-    with mp.workprec(106):
-        assert repr(result.report.residual_norm) == residual
-    assert repr(result.report.condition_estimate) == condition
+    assert repr(result.report.error_bound) == bound
 
 
-def _equilibrated_kappa_at_1500_bits(matrix):
-    """kappa_inf(R A C) with an inverse taken at 1500 bits: R scales each row
-    and then C each column by a power of two to a largest entry in [1/2, 1)."""
+def _error_bound_at_1500_bits(rows, solution, bits):
+    """2^-bits (|A^-1| (|A| |x| + |b|))_1 / |x_1| for the planes ``rows``
+    (pairs, normal then offset) and the solution x, with the inverse taken
+    at 1500 bits and every entry read exactly."""
     with mp.workprec(1500):
-        rows = [mp.frexp(max(abs(a) for a in row))[1] for row in matrix]
-        scaled = [[mp.ldexp(a, -r) for a in row] for row, r in zip(matrix, rows)]
-        cols = [mp.frexp(max(abs(a) for a in col))[1] for col in zip(*scaled)]
-        rac = mp.matrix([[mp.ldexp(a, -c) for a, c in zip(row, cols)] for row in scaled])
-        return mp.mnorm(rac, "inf") * mp.mnorm(rac ** -1, "inf")
+        A = [[mp.make_mpf(numerics._raw_value(v)) for v in row[:-1]] for row in rows]
+        b = [mp.make_mpf(numerics._raw_value(row[-1])) for row in rows]
+        first = (mp.matrix(A) ** -1)[0, :]
+        scale = [sum(abs(a * x) for a, x in zip(row, solution)) + abs(bi) for row, bi in zip(A, b)]
+        total = sum(abs(first[i]) * scale[i] for i in range(len(A)))
+        return mp.ldexp(total / abs(solution[0]), -bits)
 
 
 @pytest.mark.parametrize(
@@ -203,61 +202,126 @@ def _equilibrated_kappa_at_1500_bits(matrix):
         (("1.5", "4.25"), 53),
         (("0.35", "1.2", "2.5", "9.1", "41"), 53),
         (tuple(f"{1.3 + 2.1 * i:.1f}" for i in range(10)), 53),
-        # the clustered reproducer of tests/test_cli.py, kappa about 7e32
+        # the clustered reproducer of tests/test_cli.py, at the 113 bits
+        # it escalates to
         (("5.3181779619479737183", "5.3181777314889760834", "5.3181780846020593170",
           "5.3181782456291209025", "5.3181775014407985935"), 113),
-        # the n = 16 reproducer of tests/test_cli.py, kappa about 7e16
+        # the n = 16 reproducer of tests/test_cli.py
         (("1.1", "1.3", "1.6", "2", "2.5", "3.1", "3.9", "4.9",
           "6.1", "7.6", "9.5", "11.9", "14.9", "18.6", "23.3", "29.1"), 53),
     ],
 )
-def test_condition_estimate_matches_a_1500_bit_inverse(literals, bits):
+def test_error_bound_matches_a_1500_bit_inverse(literals, bits):
     curve = make_log_curve(len(literals))
-    report = intersect(curve, literals, bits).report
-    vals = means.sorted_positive_distinct(literals, bits)
-    matrix = [hyperplane_at(curve, a, bits + means.GUARD_BITS).normal for a in vals]
-    reference = _equilibrated_kappa_at_1500_bits(matrix)
-    assert abs(report.condition_estimate - reference) <= 1e-10 * reference
+    result = intersect(curve, literals, bits)
+    reference = _error_bound_at_1500_bits(result._rows, result.report.solution, result.work_bits)
+    assert abs(result.report.error_bound - reference) <= 1e-10 * reference
 
 
 def test_inverse_is_built_only_when_the_condition_estimate_is_read(monkeypatch):
+    # the report's condition estimate is error_bound, Skeel's condition
+    # number times 2^-w; its inverse row is built on first read, not by the solve
     solves = _counting(monkeypatch, numerics, "_lu_solve")
-    inverses = _counting(monkeypatch, numerics, "_inverse_norm")
+    inverses = _counting(monkeypatch, numerics, "_first_row_of_inverse")
     report = intersect(make_log_curve(7), [1.5, 2, 3, 4.5, 6, 8, 11], 113).report
     assert len(solves) <= 2  # the solve and one refinement step
     assert not inverses
     before = len(solves)
-    first = report.condition_estimate
-    # the float64 inverse comes from the kept LU: no multiprecision solve
+    first = report.error_bound
+    # one float64 transposed solve on the kept LU: no multiprecision solve
     assert len(solves) == before
     assert len(inverses) == 1
-    assert report.condition_estimate is first
+    assert report.error_bound is first
     assert len(inverses) == 1
 
 
-def test_residual_is_computed_only_when_read(monkeypatch):
-    residuals = _counting(monkeypatch, numerics, "_residual_norm")
+def test_error_bound_is_computed_only_when_read(monkeypatch):
+    conversions = _counting(monkeypatch, numerics, "_to_float")
     report = intersect(make_log_curve(5), [1.5, 2, 3, 4.5, 6], 53).report
-    assert not residuals
-    first = report.residual_norm
-    assert len(residuals) == 1
-    assert report.residual_norm is first
-    assert len(residuals) == 1
+    assert not conversions
+    first = report.error_bound
+    # x, then A and b, then the LU: each entry converted to float64 once
+    assert len(conversions) == 5 + (5 * 5 + 5) + 5 * 5
+    assert report.error_bound is first
+    assert len(conversions) == 5 + (5 * 5 + 5) + 5 * 5
+
+
+# The smallest gap, as a power of ten, that bits + 30 holds at n = 4 and 5.
+_LAST_DECADE = {(53, 4): 6, (53, 5): 4, (113, 5): 9}
+
+
+def _bound_cases(bits):
+    """Seeded log-curve inputs for the error bound, every one answered at
+    ``bits``: spread tuples reaching below 1, clustered tuples with
+    relative gaps 1e-3 to 1e-10 (n = 3 at every gap, n = 4 and 5 where
+    ``bits`` + 30 holds them), and geometric tuples with n = 8 to 16."""
+    rng = random.Random(bits)
+    for n in range(2, 8):
+        for _ in range(3):
+            yield draw_tuple(rng, n, 0.05, 20.0)
+    for decade in range(3, 11):
+        for n in (3, 4, 5):
+            centre = rng.uniform(0.3, 30.0)
+            if decade > _LAST_DECADE.get((bits, n), 10):
+                continue
+            yield tuple(centre * (1 + 10.0 ** -decade * (j + rng.random() / 2)) for j in range(n))
+    for n in range(8, 17):
+        ratio = rng.uniform(1.2, 1.5)
+        yield tuple(rng.uniform(0.5, 2) * ratio ** (j + rng.uniform(-0.2, 0.2)) for j in range(n))
+
+
+def _error_of_i1(values, bits):
+    """The intersection's report at ``bits`` and the relative error of its
+    unrounded i_1 against ``neuman_LN`` at 400 bits."""
+    vals = means.sorted_positive_distinct(values, bits)
+    report = intersect(make_log_curve(len(vals)), vals, bits).report
+    truth = neuman_LN(vals, 400)
+    with mp.workprec(500):
+        return report, abs(report.solution[0] - truth) / truth
+
+
+@pytest.mark.parametrize("bits", [53, 113, 256])
+def test_error_bound_covers_the_error_of_i1(bits):
+    # B bounds, to first order, what the planes' rounding at w does to i_1,
+    # and the solve adds little more: on every seeded case the unrounded
+    # i_1 is within B of L_N
+    checked = 0
+    for values in _bound_cases(bits):
+        report, error = _error_of_i1(values, bits)
+        assert error <= report.error_bound, (values, bits)
+        checked += 1
+    assert checked >= 40
+
+
+# The named case of the negative control: n = 2 at 256 bits, where the
+# error of i_1 is 0.64 B, and the |b| term is half of B.
+_TIGHT_CASE = (("0.394084", "3.3559"), 256)
+
+
+def test_error_bound_with_less_margin_fails_on_a_named_case():
+    # a quarter of B, or B without the |b| term, is below the error
+    report, error = _error_of_i1(*_TIGHT_CASE)
+    assert error <= report.error_bound
+    assert error > report.error_bound / 4
+    source = inspect.getsource(numerics.SolveReport)
+    mutated = source.replace("            + abs(_to_float(bi, -r))\n", "")
+    assert mutated != source
+    namespace = dict(vars(numerics))
+    exec("from __future__ import annotations\n" + mutated, namespace)
+    without_b = namespace["SolveReport"](report.solution, report._factors)
+    assert error > without_b.error_bound
 
 
 def test_scans_build_no_inverse(monkeypatch):
     solves = _counting(monkeypatch, numerics, "_lu_solve")
     factors = _counting(monkeypatch, numerics, "_lu_factor")
-    inverses = _counting(monkeypatch, numerics, "_inverse_norm")
-    residuals = _counting(monkeypatch, numerics, "_residual_norm")
+    inverses = _counting(monkeypatch, numerics, "_first_row_of_inverse")
     identities.main_theorem_scan(5, trials=3)
     # per tuple, the solve's LU and the Wronskian-replaced matrix's det
     assert len(factors) == 2 * 3
     # the solve and one refinement step per factorization
     assert len(solves) <= 2 * len(factors)
     assert not inverses
-    # the refinement step measures its residual vector; no norm is read
-    assert not residuals
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7])
@@ -294,11 +358,25 @@ def test_intersect_validations():
         intersect(curve, (1.0, 2.0))
 
 
+def _rows_mpf(rows):
+    """The planes ``rows`` (pairs, normal then offset) as mpf values."""
+    return [[mp.make_mpf(numerics._raw_value(v)) for v in row] for row in rows]
+
+
+def _residual_norm(rows, point):
+    """||Ax - b||_inf / ||b||_inf of ``point`` against the planes ``rows``,
+    at 400 bits."""
+    with mp.workprec(400):
+        planes = _rows_mpf(rows)
+        worst = max(abs(sum(c * x for c, x in zip(row, point)) - row[-1]) for row in planes)
+        return worst / max(abs(row[-1]) for row in planes)
+
+
 def _worst_plane_misfit(planes, point, residual_norm):
     """max over planes of |normal . point - offset| over its bound.
 
     The point solves the guard-precision planes, so against 53-bit planes
-    its misfit is its residual against the solved planes (residual_norm
+    its misfit is its residual against the solved planes (``_residual_norm``
     times the offsets' scale) plus the 53-bit planes' own rounding.
     lp_rows rounds each normal coordinate and the offset of a log-curve
     plane once (each is one t-power group), so that rounding is charged as
@@ -324,7 +402,7 @@ def test_point_satisfies_every_plane():
         curve = make_log_curve(len(values))
         result = intersect(curve, values)
         planes = [hyperplane_at(curve, a) for a in values]
-        residual = result.report.residual_norm
+        residual = _residual_norm(result._rows, result.point)
         assert _worst_plane_misfit(planes, result.point, residual) <= 1
         # negative control: the point moved by 1e-12 relative breaks the bound
         moved = [x * (1 + mp.mpf(1e-12)) for x in result.point]
@@ -394,15 +472,27 @@ def test_log_curve_planes_run_no_elimination(monkeypatch, capsys):
     assert main(["mean", "--values", values, "--precision", "160", "--json"]) == 0
     out, err = capsys.readouterr()
     assert hashlib.sha256((out + err).encode()).hexdigest() == (
-        "cc86b3e8d52f6b92f13bfcf385316539b132eef8d1acc06549452d48b9422ba2"
+        "409f8c68c6f6944381f86011f755d12bcef75036ca36aa175e7e81e3ab59ff88"
     )
     with pytest.raises(AssertionError, match="symbolic elimination ran"):
         intersect(make_conjecture_curve(4), (1.5, 2.5, 4.0, 7.0))
 
 
-# On each of these cases a residual measured against planes re-evaluated at
-# the requested precision differs from the one against the solved planes by
-# a factor of 9 to 88, so the test tells the two apart.
+def _backward_error(planes, x):
+    """max_i |b - Ax|_i / (|A| |x| + |b|)_i of x against ``planes`` (mpf
+    rows, normal then offset), at 600 bits: the componentwise relative
+    perturbation of the planes that x solves exactly (Oettli & Prager 1964)."""
+    with mp.workprec(600):
+        worst = 0
+        for *normal, offset in planes:
+            terms = [c * v for c, v in zip(normal, x)]
+            worst = max(worst, abs(offset - sum(terms)) / (sum(map(abs, terms)) + abs(offset)))
+        return worst
+
+
+# On each of these cases the solution's residual measured against planes
+# re-evaluated at the requested precision is 2^20 or more times the one
+# against the solved planes, so the test tells the two apart.
 RESIDUAL_CASES = [
     ((1.94, 39.03), 53),
     ((2.94, 7.34), 113),
@@ -415,17 +505,19 @@ RESIDUAL_CASES = [
 
 @pytest.mark.parametrize("values, bits", RESIDUAL_CASES)
 def test_residual_is_measured_against_the_solved_planes(values, bits):
+    # error_bound takes the solution to solve the planes as built, each
+    # entry within 2^-w of its exact value, to within a relative 2^-w per
+    # entry: the solution's componentwise residual against the solved planes
+    # is within that, and against planes rounded at the requested
+    # precision, 30 bits coarser, it is not
     curve = make_log_curve(len(values))
     result = intersect(curve, values, bits)
-    planes = [hyperplane_at(curve, a, bits + means.GUARD_BITS) for a in values]
-    with mp.workprec(4 * bits + 64):
-        scale = max(abs(p.offset) for p in planes)
-        misfit = max(
-            abs(sum(c * x for c, x in zip(p.normal, result.point)) - p.offset)
-            for p in planes
-        ) / scale
-    assert misfit > 0
-    assert misfit / 2 <= result.report.residual_norm <= 2 * misfit
+    x = result.report.solution
+    w = result.work_bits
+    assert _backward_error(_rows_mpf(result._rows), x) <= mp.ldexp(1, -w)
+    coarse = [hyperplane_at(curve, a, bits) for a in values]
+    coarse = [plane.normal + (plane.offset,) for plane in coarse]
+    assert _backward_error(coarse, x) > mp.ldexp(1, 20 - w)
 
 
 def test_intersection_order_invariance():

@@ -35,7 +35,8 @@ from oscmean.wronskian import make_log_curve, normal_field
 def test_identity_system():
     report = solve_linear([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 2, 3])
     assert report.solution == (1, 2, 3)
-    assert report.residual_norm == 0
+    # 2^-53 (|I| (|I| |x| + |b|))_1 / |x_1| = 2^-53 * 2
+    assert report.error_bound == 2.0 ** -52
 
 
 def test_one_by_one():
@@ -135,16 +136,38 @@ def test_fractions_are_rounded_once(bits):
         assert numerics._pair(as_mpf_at(value, bits)._mpf_) == _nearest(value, bits), value
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="FOUND: mpmath's from_str is not correctly rounded past a decimal exponent of 400",
-)
+def _decimal_near(value, digits, rng):
+    """A literal of ``digits`` significant digits a few units in its last
+    place from the positive Fraction ``value``."""
+    exponent = len(str(value.numerator // value.denominator or 1)) - digits
+    if value < 1:
+        exponent = -len(str(value.denominator // value.numerator)) - digits
+    mantissa = round(value / Fraction(10) ** exponent) + rng.randint(-3, 3)
+    return f"{mantissa}e{exponent}"
+
+
 def test_decimal_literals_are_rounded_once():
-    # as_mpf_at reads this literal one ulp below its exact value rounded once
-    literal = "1.412394506200404465474743162920074563491e+525"
-    exact = Fraction(literal)
-    assert as_mpf_at(literal, 53)._mpf_ == from_rational(
-        exact.numerator, exact.denominator, 53, round_nearest
+    # mpmath's from_str reads the first literal one ulp below its exact
+    # value rounded once; then 1e401 and 5e-401, which are exact ties or
+    # exact values at 1500 bits, where the enclosure of 10^e must become
+    # exact; then forty-digit literals within a few units of 10^-40 of a
+    # 53-bit midpoint, with exponents past 400 either way
+    literals = ["1.412394506200404465474743162920074563491e+525", "1e401", "-5e-401"]
+    rng = random.Random(525)
+    for _ in range(100):
+        power = Fraction(10) ** (rng.choice((1, -1)) * rng.randint(401, 600))
+        m, e = _nearest(power * Fraction(rng.uniform(1, 10)), 53)
+        literals.append(_decimal_near(_fraction((2 * m + 1, e - 1)), 40, rng))
+    for bits in (53, 1500):
+        for literal in literals:
+            exact = Fraction(literal)
+            assert as_mpf_at(literal, bits)._mpf_ == from_rational(
+                exact.numerator, exact.denominator, bits, round_nearest
+            ), (literal, bits)
+    # mpmath's own reader misrounds some of the forty-digit literals
+    assert any(
+        mp.mpf(literal, prec=53, rounding=round_nearest)._mpf_ != as_mpf_at(literal, 53)._mpf_
+        for literal in literals
     )
 
 
@@ -155,7 +178,7 @@ def test_string_entries_ignore_the_ambient_precision(ambient):
 
     def raw():
         report = solve_linear(rows, rhs, 113)
-        return ([x._mpf_ for x in report.solution], report.residual_norm._mpf_,
+        return ([x._mpf_ for x in report.solution], report.error_bound,
                 report.determinant._mpf_, det(rows, 113)._mpf_)
 
     default = raw()
@@ -163,25 +186,39 @@ def test_string_entries_ignore_the_ambient_precision(ambient):
         assert raw() == default
 
 
+def _backward_error(A, b, x):
+    """max_i |b - Ax|_i / (|A| |x| + |b|)_i, exactly, for pair entries: the
+    componentwise relative perturbation of A and b that x solves exactly
+    (Oettli & Prager 1964), which ``error_bound`` takes to be 2^-w."""
+    worst = 0
+    for row, bi in zip(A, b):
+        terms = [_fraction(a) * _fraction(xj) for a, xj in zip(row, x)]
+        scale = sum(map(abs, terms)) + abs(_fraction(bi))
+        worst = max(worst, abs(_fraction(bi) - sum(terms)) / scale)
+    return worst
+
+
 def test_random_well_conditioned_residuals():
     rng = random.Random(7)
     for bits in (53, 113):
-        bound = mp.ldexp(1, -bits + 12)
         for n in (2, 3, 5):
             for _ in range(10):
-                # diagonal dominance keeps the condition estimate small
+                # diagonal dominance keeps the error bound small
                 a = [
                     [rng.uniform(-1, 1) + (n + 2 if i == j else 0) for j in range(n)]
                     for i in range(n)
                 ]
                 b = [rng.uniform(-5, 5) for _ in range(n)]
                 report = solve_linear(a, b, bits)
-                assert report.condition_estimate < 1e6
-                assert report.residual_norm < bound
+                assert report.error_bound < 2.0 ** (-bits + 12)
+                # the residual is within the rounding of the solution
+                x = [numerics._pair(v._mpf_) for v in report.solution]
+                pairs = [numerics._pairs(row, bits) for row in a]
+                assert _backward_error(pairs, numerics._pairs(b, bits), x) <= 2.0 ** -bits
 
 
 def test_precision_scaling_on_intersection_systems():
-    # same plane matrix solved at 53 and 113 bits: residual drops >= 2^40
+    # same plane matrix solved at 53 and 113 bits: the bound drops >= 2^40
     curve = make_log_curve(5)
     values = (1.5, 2.25, 5.0, 11.0, 31.0)
     field = normal_field(curve)
@@ -190,39 +227,81 @@ def test_precision_scaling_on_intersection_systems():
                      for c, p in zip(curve.components, field))) for a in values]
     low = solve_linear(matrix, rhs, 53)
     high = solve_linear(matrix, rhs, 113)
-    if high.residual_norm > 0:
-        assert low.residual_norm / high.residual_norm >= 2 ** 40
+    assert 0 < high.error_bound and low.error_bound / high.error_bound >= 2 ** 40
 
 
-def test_condition_estimate_orders_of_magnitude():
-    # cond_inf([[1, 1], [1, 1 + eps]]) = (2 + eps)^2 / eps, which no
-    # scaling of rows or columns brings down
-    report = solve_linear([[1, 1], [1, 1 + 1e-6]], [1, 1])
-    assert 3.9e6 < report.condition_estimate < 4.1e6
-    # a badly scaled row is not an ill-conditioned system: equilibrated,
-    # diag(1, eps) reads below 2
-    assert solve_linear([[1, 0], [0, 1e-6]], [1, 1]).condition_estimate < 2
+def _scaled(rows, row_exps, col_exps):
+    """The pairs of ``rows`` times 2^(row_exps[i] + col_exps[j]), exactly."""
+    return [
+        [(m, e + r + c) if m else (m, e) for (m, e), c in zip(row, col_exps)]
+        for row, r in zip(rows, row_exps)
+    ]
 
 
-def test_condition_estimate_reads_wide_mantissas():
-    # 1500-bit entries are cut to their top 53 bits, not passed whole to a
-    # float conversion that overflows past 1024 bits
+def test_error_bound_is_invariant_under_power_of_two_scaling():
+    # B is computed on the system with its rows and then its columns scaled
+    # by powers of two to a largest entry in [1/2, 1), so an exact scaling
+    # of the rows of A and b by powers of two leaves it bit for bit; a
+    # scaling of the columns too may move a pivot, which moves the last bits
+    for name in ("decimal3", "mixed5", "log7"):
+        A, b = _SYSTEMS[name]()
+        A, b = [numerics._pairs(row, 113) for row in A], numerics._pairs(b, 113)
+        n = len(A)
+        rng = random.Random(n)
+        rows = [rng.randint(-900, 900) for _ in range(n)]
+        cols = [rng.randint(-8, 8) for _ in range(n)]
+        base = solve_linear(A, b, 113)
+        by_rows = solve_linear(_scaled(A, rows, [0] * n), _scaled([b], [0], rows)[0], 113)
+        scaled_b = [(m, e + r) if m else (m, e) for (m, e), r in zip(b, rows)]
+        by_both = solve_linear(_scaled(A, rows, cols), scaled_b, 113)
+        assert by_rows.error_bound == base.error_bound, name
+        assert abs(by_both.error_bound - base.error_bound) <= 1e-12 * base.error_bound, name
+    # a badly scaled row is not an ill-conditioned system: diag(1, eps)
+    # reads 2 * 2^-53, as the identity does ...
+    assert solve_linear([[1, 0], [0, 1e-6]], [1, 1]).error_bound == 2.0 ** -52
+    # ... while [[1, 1], [1, 1 + eps]], which no scaling brings near the
+    # identity, reads about 4 / eps times 2^-53
+    near = solve_linear([[1, 1], [1, 1 + 1e-6]], [1, 1]).error_bound
+    assert 3.9e6 * 2.0 ** -53 < near < 4.1e6 * 2.0 ** -53
+
+
+def test_error_bound_reads_wide_mantissas():
+    # entries of 1500 bits, read as given by a 256-bit solve, are cut to
+    # their top 53 bits, not passed whole to a float conversion that
+    # overflows past 1024 bits; the same system rounded to 256 bits reads
+    # the same bound to about 2^-256
     A, b = _SYSTEMS["decimal3"]()
-    wide = solve_linear(A, b, 1500).condition_estimate
-    assert abs(wide - solve_linear(A, b, 256).condition_estimate) <= 1e-14 * wide
+    wide_A = [[as_mpf_at(v, 1500) for v in row] for row in A]
+    wide_b = [as_mpf_at(v, 1500) for v in b]
+    wide = solve_linear(wide_A, wide_b, 256).error_bound
+    narrow = solve_linear(A, b, 256).error_bound
+    assert 0 < wide < 1e-75
+    assert abs(wide - narrow) <= 1e-14 * wide
 
 
-def test_condition_estimate_adds_floats_left_to_right():
+def test_error_bound_is_inf_when_a_pivot_underflows():
+    # the second pivot, 2^-1100 of its row's scale, is 0.0 as a float64
+    report = solve_linear([[1, 1], [1, ((1 << 1100) + 1, -1100)]], [1, 2], 1200)
+    assert report.solution[1] == mp.ldexp(1, 1100)
+    assert report.error_bound == math.inf
+
+
+def test_error_bound_adds_floats_left_to_right():
     # the same bits on every Python: builtin sum() compensates from 3.12
-    # on, where each of these reads one unit more
-    # (L^-1)[3][0] sums 1e16, 1.0 and -1e16: 0.0 left to right, not 1.0
-    lu = [[1.0, 0.0, 0.0, 0.0], [-1.0, 1.0, 0.0, 0.0], [1e8, 0.0, 1.0, 0.0],
-          [1e16, 1.0, 1e8, 1.0]]
-    assert numerics._inverse_norm(lu) == 100000002.0
-    # row 0, equilibrated, sums 0.5, 2^-54 and 2^-54: 0.5, not 0.5 + 2^-53
+    # on, and math.fsum, which rounds the exact sum once, shows where
+    # (row 1 of U^-1)[3] sums 1e16, 1.0 and -1e16: 0.0 left to right, not 1.0
+    lu = [[1.0, -1.0, 1e8, 1e16], [0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1e8],
+          [0.0, 0.0, 0.0, 1.0]]
+    assert numerics._first_row_of_inverse(lu) == [1.0, 1.0, -1e8, 0.0]
+    assert math.fsum([1e16, 1.0, -1e16]) == 1.0
+    # row 0, scaled to [0.5, 2^-54, 2^-54] with x = (1, 1, 1), sums
+    # 0.5 + 2^-54 + 2^-54 and then 0.5 + 2^-53 for |Rb|: 1.0, not 1 + 2^-52;
+    # then 2 * 1.0 + 2^-53 + 2^-53 is 2.0, not 2 + 2^-52
     tiny = mp.ldexp(1, -53)
-    report = solve_linear([[1, tiny, tiny], [0, 1, 0], [0, 0, 1]], [1, 1, 1])
-    assert report.condition_estimate == 1.0
+    report = solve_linear([[1, tiny, tiny], [0, 1, 0], [0, 0, 1]], [1 + 2 * tiny, 1, 1])
+    assert report.solution == (1, 1, 1)
+    assert report.error_bound == 2.0 ** -52
+    assert math.fsum([0.5, 2.0 ** -54, 2.0 ** -54, 0.5 + 2.0 ** -53]) == 1 + 2.0 ** -52
 
 
 # -- det ---------------------------------------------------------------------------
@@ -291,9 +370,8 @@ _SYSTEMS = {
     "wide3": _wide_system,
 }
 
-# (solution, residual_norm, condition_estimate, det), each repr taken at the
-# precision the value carries: the residual at twice the working precision,
-# the condition estimate as the float64 it is
+# (solution, error_bound, det), each repr taken at the precision the value
+# carries, the error bound as the float64 it is
 _PINNED_SYSTEMS = {
     ("decimal3", 53): (
         [
@@ -301,8 +379,7 @@ _PINNED_SYSTEMS = {
             "mpf('1.0459295605199217')",
             "mpf('0.98131678894104868')",
         ],
-        "mpf('1.208539623688407400128711137463175e-16')",
-        "4.901417753768488",
+        "5.818750755314194e-16",
         "mpf('-21.195499999999999')",
     ),
     ("decimal3", 113): (
@@ -311,8 +388,7 @@ _PINNED_SYSTEMS = {
             "mpf('1.04592956051992168148899530560732231')",
             "mpf('0.981316788941048807529900214668207794')",
         ],
-        "mpf('8.490068962522382667521107444302239921341197979471192991845728985941641e-35')",
-        "4.90141775376849",
+        "5.046961768050655e-34",
         "mpf('-21.1954999999999999999999999999999999')",
     ),
     ("decimal3", 256): (
@@ -321,8 +397,7 @@ _PINNED_SYSTEMS = {
             "mpf('1.045929560519921681488995305607322308980679861291311835059328631077351324573617')",
             "mpf('0.9813167889410488075299002146682078743129437852374324738741714043075181052581946')",
         ],
-        "mpf('8.06952446933925793505441263820131695061343585831094681526165700962716775402791240803482323033692648946454018755983021651022144754970866362401647591455020142e-78')",
-        "4.90141775376849",
+        "4.526271856048286e-77",
         "mpf('-21.19549999999999999999999999999999999999999999999999999999999999999999999999973')",
     ),
     ("mixed5", 53): (
@@ -333,8 +408,7 @@ _PINNED_SYSTEMS = {
             "mpf('0.13824245508537533')",
             "mpf('1.0679070176300134')",
         ],
-        "mpf('8.119066435191768001037413473900795e-17')",
-        "2.6143635013596693",
+        "7.313299593272679e-16",
         "mpf('63.392897439572621')",
     ),
     ("mixed5", 113): (
@@ -345,8 +419,7 @@ _PINNED_SYSTEMS = {
             "mpf('0.138242455085375306891161044266984964')",
             "mpf('1.06790701763001341020537922698524387')",
         ],
-        "mpf('5.731444860945215345233620299817906917234974780842170874977298812381748e-35')",
-        "2.6143635013596693",
+        "6.3432762456508765e-34",
         "mpf('63.3928974395726103492543401840454056')",
     ),
     ("mixed5", 256): (
@@ -357,8 +430,7 @@ _PINNED_SYSTEMS = {
             "mpf('0.1382424550853753068911610442669849582984165052477003299756604757271794620863077')",
             "mpf('1.067907017630013410205379226985243917147718148790819906291902628996773890820208')",
         ],
-        "mpf('4.78888006243867919288782244586590751711484765396142941453867458685779410898241171909966623312002042239556317581556997378408268658252121234776191380919476117e-78')",
-        "2.6143635013596693",
+        "5.688846887563945e-77",
         "mpf('63.39289743957261034925434018404539946490059868744676000911828576227669198190796')",
     ),
     ("log7", 53): (
@@ -371,8 +443,7 @@ _PINNED_SYSTEMS = {
             "mpf('-16.724424964018173')",
             "mpf('-31.118925522488336')",
         ],
-        "mpf('3.969867200893939464478551983013201e-16')",
-        "56796.84069965137",
+        "1.3471620986866437e-12",
         "mpf('1.1539753223648986e-26')",
     ),
     ("log7", 113): (
@@ -385,8 +456,7 @@ _PINNED_SYSTEMS = {
             "mpf('-16.7244249640181712045408452089581194')",
             "mpf('-31.1189255224883378545418019092810032')",
         ],
-        "mpf('7.76566425953682406015834905882436799529082569694341842285783661017139e-35')",
-        "56796.84069966886",
+        "1.168476859269315e-30",
         "mpf('1.15397532236452976505859717335436223e-26')",
     ),
     ("log7", 256): (
@@ -399,8 +469,7 @@ _PINNED_SYSTEMS = {
             "mpf('-16.72442496401817120454084520895811949316420912629338432915664545198906763875245')",
             "mpf('-31.11892552248833785454180190928100437304303973812722074047918599641158280129822')",
         ],
-        "mpf('3.43432296959398250049030753024963791813420674391301940169449659390956494302565272459280088133601063857327262838113114137274154325812193760754010929088101305e-77')",
-        "56796.84069966886",
+        "1.047926290235633e-73",
         "mpf('1.153975322364529765058597173354217794675928768423091091295533714862077971013292e-26')",
     ),
     ("wide3", 53): (
@@ -409,8 +478,7 @@ _PINNED_SYSTEMS = {
             "mpf('-1.135050993654408')",
             "mpf('1.7432618364251682')",
         ],
-        "mpf('2.250293470120664729524243139156317e-17')",
-        "45.50392050813706",
+        "1.3108386650677494e-15",
         "mpf('-0.20444086553483123')",
     ),
     ("wide3", 113): (
@@ -419,8 +487,7 @@ _PINNED_SYSTEMS = {
             "mpf('-1.13505099365440792058418925466840821')",
             "mpf('1.74326183642516815710633435032971851')",
         ],
-        "mpf('1.010226804982545233204196122143132969446963153544273743712297634005653e-34')",
-        "45.50392050813708",
+        "1.1369713027555614e-33",
         "mpf('-0.204440865534831149062186358385327712')",
     ),
     ("wide3", 256): (
@@ -429,8 +496,7 @@ _PINNED_SYSTEMS = {
             "mpf('-1.135050993654407920584189254668408152691036468747133896580951411196056237056313')",
             "mpf('1.743261836425168157106334350329718546319587925688102644188624554087140943472723')",
         ],
-        "mpf('6.93846584413784511390150356826947210363544943506433532719096441611721711845231858299563098183948102562831176611883849405973891704125966218583759270863456287e-78')",
-        "45.50392050813708",
+        "1.0196711299409631e-76",
         "mpf('-0.2044408655348311490621863583853274359334468807696829734105725896257792742576947')",
     ),
 }
@@ -441,13 +507,11 @@ def test_solve_and_det_bits_are_pinned(name, bits):
     A, b = _SYSTEMS[name]()
     report = solve_linear(A, b, bits)
     determinant = det(A, bits)
-    solution, residual, condition, expected_det = _PINNED_SYSTEMS[name, bits]
+    solution, bound, expected_det = _PINNED_SYSTEMS[name, bits]
     with mp.workprec(bits):
         assert [repr(x) for x in report.solution] == solution
-        assert repr(report.condition_estimate) == condition
         assert repr(determinant) == expected_det
-    with mp.workprec(2 * bits):
-        assert repr(report.residual_norm) == residual
+    assert repr(report.error_bound) == bound
 
 
 @pytest.mark.parametrize("bits", [53, 113, 256])
@@ -525,10 +589,6 @@ def test_refinement_corrections_are_rounded_to_working_precision():
             "mpf('-146876596.08931829820060721222670586')",
             "mpf('2.13162820728030055761337280273438814e-14')",
         ]
-    with mp.workprec(226):
-        assert repr(report.residual_norm) == (
-            "mpf('4.889294092912107630085669257370400704253647489736540290280511282172554e-26')"
-        )
 
 
 def _exact_solution(A, b):
