@@ -370,16 +370,22 @@ def _divided_difference(weights: Sequence, xs: Sequence, prec: int):
     values and computes on ``numerics``' integer (mantissa, exponent) pairs.
     Each gap, each product of a denominator (from 1, i ascending), each
     quotient and each partial sum (j ascending) is rounded once to nearest
-    at ``prec``.
+    at ``prec``.  Each gap is computed once: x_i - x_j for i < j is the
+    negation of x_j - x_i rounded, because the rounding is sign-symmetric.
     """
     ws = [_pair(w) for w in weights]
     nodes = [_pair(x) for x in xs]
+    gaps = {}
     total = _ZERO
     for j, xj in enumerate(nodes):
         denom = _ONE
         for i, xi in enumerate(nodes):
-            if i != j:
-                denom = _mul(denom, _sub(xj, xi, prec), prec)
+            if i < j:
+                m, e = gaps[i, j]
+                denom = _mul(denom, (-m, e), prec)
+            elif i > j:
+                gaps[j, i] = gap = _sub(xj, xi, prec)
+                denom = _mul(denom, gap, prec)
         total = _add(total, _div(ws[j], denom, prec), prec)
     return _raw_value(total)
 

@@ -14,7 +14,12 @@ the intersection systems reach n = 16 in the tests.
 The elimination, the substitutions, the refinement's residual and the
 determinant's pivot product run on integer pairs (m, e), the value m * 2^e,
 through a few private primitives, each of which returns its exact result
-rounded once to nearest-even.  ``solve_linear``, ``det`` and the relative
+rounded once to nearest-even.  The elimination's row updates, both
+substitutions and the residual are chains s - x_1 y_1 - x_2 y_2 - ...; they
+run through one fused multiply-subtract kernel (``_dot_sub``, and
+``_row_sub`` for the row update), which writes the primitives' rounding out
+in one loop and matches the chain of ``_sub`` and ``_mul`` bit for bit, the
+unit stand-in of ``_sum`` included.  ``solve_linear``, ``det`` and the relative
 error ``_rel_error`` take ``mpf`` values or pairs and return ``mpf`` values;
 the conversion happens there, in ``SolveReport``'s properties, and
 nowhere else.  ``means``' divided-difference kernel and ``logpoly``'s
@@ -27,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Callable, Optional, Sequence, Tuple
 
 import mpmath
@@ -76,23 +81,20 @@ class SolveReport:
     def error_bound(self) -> float:
         original, rhs, lu, perm, _, bits = self._factors
         # R = diag(2^-row_exp), C = diag(2^-col_exp); a nonzero pair (m, e)
-        # has 2^(e+b-1) <= |v| < 2^(e+b) for b = m.bit_length()
-        row_exp = [max(e + m.bit_length() for m, e in row if m) for row in original]
-        col_exp = [
-            max(e + m.bit_length() - r for (m, e), r in zip(column, row_exp) if m)
-            for column in zip(*original)
-        ]
+        # has 2^(top-1) <= |v| < 2^top for top = e + m.bit_length(), read once
+        tops = [[e + m.bit_length() if m else -math.inf for m, e in row] for row in original]
+        row_exp = [max(row) for row in tops]
+        col_exp = [max(map(sub, column, row_exp)) for column in zip(*tops)]
         # y = C^-1 x solves (RAC) y = Rb; t = |RAC| |y| + |Rb|, row by row
-        y = [abs(_to_float(_pair(v._mpf_), c)) for v, c in zip(self.solution, col_exp)]
+        y = list(map(abs, _floats([_pair(v._mpf_) for v in self.solution], col_exp)))
         t = [
-            reduce(add, (abs(_to_float(v, -r - c)) * yj for v, c, yj in zip(row, col_exp, y)), 0)
-            + abs(_to_float(bi, -r))
-            for row, bi, r in zip(original, rhs, row_exp)
+            reduce(add, map(mul, map(abs, _floats(row, [-r - c for c in col_exp])), y), 0) + abs(bi)
+            for row, r, bi in zip(original, row_exp, _floats(rhs, [-r for r in row_exp]))
         ]
         # row i of lu is row perm[i] of the system
         lu_exp = [row_exp[p] for p in perm]
         factors = [
-            [_to_float(v, lu_exp[j] - r if j < i else -r - col_exp[j]) for j, v in enumerate(row)]
+            _floats(row, [c - r for c in lu_exp[:i]] + [-r - c for c in col_exp[i:]])
             for i, (row, r) in enumerate(zip(lu, lu_exp))
         ]
         # row 1 of (RAC)^-1 is z with z[perm[i]] = u[i], u = (LU)^-T e_1
@@ -106,16 +108,20 @@ class SolveReport:
         return mp.make_mpf(_raw_value(_lu_determinant(lu, sign, bits)))
 
 
-def _to_float(v, shift: int) -> float:
-    """A pair times 2^shift as a float64, from the top 53 bits of its
-    mantissa; +-inf past the float range."""
-    m, exp = v
-    cut = max(abs(m).bit_length() - 53, 0)
-    try:
-        x = math.ldexp(abs(m) >> cut, exp + cut + shift)
-    except OverflowError:
-        x = math.inf
-    return -x if m < 0 else x
+def _floats(pairs, shifts):
+    """Each pair (m, e) times 2^shift as a float64, from the top 53 bits of
+    m, truncated; +-inf past the float range."""
+    out = []
+    for (m, e), shift in zip(pairs, shifts):
+        cut = m.bit_length() - 53
+        if cut > 0:
+            m = m >> cut if m > 0 else -(-m >> cut)
+            e += cut
+        try:
+            out.append(math.ldexp(m, e + shift))
+        except OverflowError:
+            out.append(math.inf if m > 0 else -math.inf)
+    return out
 
 
 def _first_row_of_inverse(lu):
@@ -290,6 +296,126 @@ def _max_abs(values):
     return best
 
 
+# -- the fused multiply-subtract kernel ---------------------------------------
+#
+# s - x_1 y_1 - x_2 y_2 - ..., bit for bit the loop
+# s = _sub(s, _mul(x, y, prec), prec), with the bodies of _mul, _sum and
+# _round written out: one call per chain, not five per term.  Each product
+# and each difference is rounded once to nearest-even, and an operand of a
+# difference wholly below the other's rounding position is replaced by
+# _sum's signed unit at 2^q.  Two things differ from the primitives and
+# move no bit.  The product is negated before it is rounded: the rounding
+# is sign-symmetric.  Within a chain a value may keep trailing zero bits,
+# which changes neither its value nor any rounding, and it is made
+# canonical once, at the end.
+
+
+def _dot_sub(s, xs, ys, prec: int):
+    """s - sum_j x_j y_j over pairs, left to right, each product and each
+    difference rounded once to nearest-even at ``prec``."""
+    m, e = s
+    for (a, ea), (b, eb) in zip(xs, ys):
+        p = -a * b
+        if p:
+            ep = ea + eb
+            n = p.bit_length() - prec
+            if n > 0:
+                t = p >> (n - 1)
+                if t & 1 and (t & 2 or p & ((1 << (n - 1)) - 1)):
+                    p = (t >> 1) + 1
+                else:
+                    p = t >> 1
+                ep += n
+            if not m:
+                m, e = p, ep
+                continue
+            if e < ep:
+                m, e, p, ep = p, ep, m, e
+            offset = e - ep
+            if offset > prec:
+                q = min(e, m.bit_length() + e - prec - 1) - 2
+                if p.bit_length() + ep <= q:
+                    m = (m << (e - q)) + (1 if p > 0 else -1)
+                    e = q
+                else:
+                    m = (m << offset) + p
+                    e = ep
+            else:
+                m = (m << offset) + p
+                e = ep
+        elif not m:
+            continue
+        n = m.bit_length() - prec
+        if n > 0:
+            t = m >> (n - 1)
+            if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)):
+                m = (t >> 1) + 1
+            else:
+                m = t >> 1
+            e += n
+    if m & 1:
+        return m, e
+    if not m:
+        return _ZERO
+    zeros = (m & -m).bit_length() - 1
+    return m >> zeros, e + zeros
+
+
+def _row_sub(row, factor, upper, start: int, prec: int):
+    """row[j] = row[j] - factor * upper[j] for j >= ``start``, in place: for
+    each entry the chain of ``_dot_sub`` with one term."""
+    a, ea = factor
+    a = -a
+    for j in range(start, len(row)):
+        b, eb = upper[j]
+        m, e = row[j]
+        p = a * b
+        if p:
+            ep = ea + eb
+            n = p.bit_length() - prec
+            if n > 0:
+                t = p >> (n - 1)
+                if t & 1 and (t & 2 or p & ((1 << (n - 1)) - 1)):
+                    p = (t >> 1) + 1
+                else:
+                    p = t >> 1
+                ep += n
+            if not m:
+                m, e = p, ep
+            else:
+                if e < ep:
+                    m, e, p, ep = p, ep, m, e
+                offset = e - ep
+                if offset > prec:
+                    q = min(e, m.bit_length() + e - prec - 1) - 2
+                    if p.bit_length() + ep <= q:
+                        m = (m << (e - q)) + (1 if p > 0 else -1)
+                        e = q
+                    else:
+                        m = (m << offset) + p
+                        e = ep
+                else:
+                    m = (m << offset) + p
+                    e = ep
+        elif not m:
+            continue
+        n = m.bit_length() - prec
+        if n > 0:
+            t = m >> (n - 1)
+            if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)):
+                m = (t >> 1) + 1
+            else:
+                m = t >> 1
+            e += n
+        if m & 1:
+            row[j] = m, e
+        elif not m:
+            row[j] = _ZERO
+        else:
+            zeros = (m & -m).bit_length() - 1
+            row[j] = m >> zeros, e + zeros
+
+
 def _lu_factor(matrix, prec: int):
     """Doolittle LU with scaled partial pivoting; multipliers stored in place.
 
@@ -333,8 +459,7 @@ def _lu_factor(matrix, prec: int):
             factor = _div(row[col], pivot, prec)
             row[col] = factor
             if factor[0]:
-                for j in range(col + 1, n):
-                    row[j] = _sub(row[j], _mul(factor, upper[j], prec), prec)
+                _row_sub(row, factor, upper, col + 1, prec)
     return lu, perm, sign
 
 
@@ -351,17 +476,10 @@ def _lu_solve(lu, perm, rhs, prec: int):
     n = len(lu)
     x = [rhs[p] for p in perm]
     for i in range(1, n):
-        row = lu[i]
-        s = x[i]
-        for j in range(i):
-            s = _sub(s, _mul(row[j], x[j], prec), prec)
-        x[i] = s
+        x[i] = _dot_sub(x[i], lu[i][:i], x[:i], prec)
     for i in range(n - 1, -1, -1):
         row = lu[i]
-        s = x[i]
-        for j in range(i + 1, n):
-            s = _sub(s, _mul(row[j], x[j], prec), prec)
-        x[i] = _div(s, row[i], prec)
+        x[i] = _div(_dot_sub(x[i], row[i + 1 :], x[i + 1 :], prec), row[i], prec)
     return x
 
 
@@ -372,6 +490,12 @@ def solve_linear(A: Sequence[Sequence], b: Sequence, precision_bits: int = 53) -
     refinement: the residual b - Ax accumulated at twice the working
     precision w and rounded to w, one more solve with the kept LU, and the
     correction added at w.  An exactly zero residual skips the step.
+
+    The elimination's row updates (``_row_sub``), the forward and back
+    substitutions and the residual (``_dot_sub``) run through the fused
+    multiply-subtract kernel: each product and each difference rounded
+    once to nearest-even, bit for bit what ``_sub(s, _mul(x, y))`` gives
+    term by term.
 
     An entry is read as ``_pairs`` reads it: an mpf as given, a pair (m, e)
     as m * 2^e rounded at the working precision.
@@ -401,15 +525,13 @@ def solve_linear(A: Sequence[Sequence], b: Sequence, precision_bits: int = 53) -
     lu, perm, sign = _lu_factor(original, prec)
     solution = _lu_solve(lu, perm, rhs, prec)
 
-    # Ax - b at 2w, so that the residual measures the solve, not its own rounding
-    res = []
-    for row, (bm, be) in zip(original, rhs):
-        r = _round(-bm, be, 2 * prec)
-        for a, xj in zip(row, solution):
-            r = _add(r, _mul(a, xj, 2 * prec), 2 * prec)
-        res.append(r)
+    # b - Ax at 2w, so that the residual measures the solve, not its own rounding
+    res = [
+        _dot_sub(_round(bm, be, 2 * prec), row, solution, 2 * prec)
+        for row, (bm, be) in zip(original, rhs)
+    ]
     if any(m for m, _ in res):
-        correction = _lu_solve(lu, perm, [_round(-m, e, prec) for m, e in res], prec)
+        correction = _lu_solve(lu, perm, [_round(m, e, prec) for m, e in res], prec)
         solution = [_add(x, d, prec) for x, d in zip(solution, correction)]
 
     # every component was rounded to prec by its last division or addition

@@ -13,7 +13,16 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import finf, fnan, fninf, from_man_exp, from_rational, mpf_shift, round_nearest
+from mpmath.libmp import (
+    finf,
+    fnan,
+    fninf,
+    from_int,
+    from_man_exp,
+    from_rational,
+    mpf_shift,
+    round_nearest,
+)
 from mpmath.libmp.libmpf import str_to_man_exp
 
 from .errors import BadParameter
@@ -36,11 +45,18 @@ def as_mpf_at(value, precision_bits: int) -> mpmath.mpf:
 
     Accepts mpf, int, float, decimal strings, and Fraction.  An mpf is
     returned as given, not rounded.  A Fraction is rounded once, from its
-    exact value, and so is a decimal literal m * 10^e: past |e| = 400 by
+    exact value, and so is a decimal literal m * 10^e, read once, by
     ``_decimal_at``.  Anything else is read by mpf's own constructor at
     ``precision_bits``.  No mpmath context is read or entered.  Infinities
     and nan raise ``BadParameter`` whatever their type.
     """
+    if isinstance(value, str):
+        try:
+            man, exp = str_to_man_exp(value.strip())
+        except ValueError:  # "inf", "nan" and "a/b" are read below
+            pass
+        else:
+            return mp.make_mpf(_decimal_at(man, exp, precision_bits))
     if isinstance(value, mpmath.mpf):
         result = value
     elif isinstance(value, Fraction):
@@ -48,12 +64,6 @@ def as_mpf_at(value, precision_bits: int) -> mpmath.mpf:
             from_rational(value.numerator, value.denominator, precision_bits, round_nearest)
         )
     else:
-        try:
-            man, exp = str_to_man_exp(value.strip()) if isinstance(value, str) else (0, 0)
-        except ValueError:  # "inf", "nan" and "a/b" are read below
-            exp = 0
-        if abs(exp) > 400:
-            return mp.make_mpf(_decimal_at(man, exp, precision_bits))
         try:
             result = mp.mpf(value, prec=precision_bits, rounding=round_nearest)
         except (TypeError, ValueError) as exc:
@@ -65,10 +75,18 @@ def as_mpf_at(value, precision_bits: int) -> mpmath.mpf:
 
 def _decimal_at(man: int, exp: int, precision_bits: int):
     """man * 10^exp rounded to nearest at ``precision_bits``, as a raw mpf.
-    Binary powering encloses 5^|exp| between two values, each product cut
-    to w bits, down for one and up for the other; man * 2^exp times either,
-    or over it for exp < 0, is rounded once.  While the two round apart, w
-    doubles (Ziv 1991); once 5^|exp| fits in w they are the same."""
+
+    Up to |exp| = 400 it is rounded from the exact integer or quotient by
+    the two calls mpmath's ``from_str`` makes, so the bits are those of
+    ``mpf(literal)``.  Past that, binary powering encloses 5^|exp| between
+    two values, each product cut to w bits, down for one and up for the
+    other; man * 2^exp times either, or over it for exp < 0, is rounded
+    once.  While the two round apart, w doubles (Ziv 1991); once 5^|exp|
+    fits in w they are the same."""
+    if 0 <= exp <= 400:
+        return from_int(man * 10**exp, precision_bits, round_nearest)
+    if -400 <= exp < 0:
+        return from_rational(man, 10**-exp, precision_bits, round_nearest)
     width = precision_bits + 32
     while True:
         ends = []

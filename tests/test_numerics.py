@@ -1,5 +1,6 @@
 """Linear solver and bracketed root finder at configurable precision."""
 
+import contextlib
 import inspect
 import math
 import random
@@ -169,6 +170,45 @@ def test_decimal_literals_are_rounded_once():
         mp.mpf(literal, prec=53, rounding=round_nearest)._mpf_ != as_mpf_at(literal, 53)._mpf_
         for literal in literals
     )
+
+
+def _literal_spelling(rng):
+    """A decimal literal as a user may spell it: a sign or none, leading
+    zeros, a point at either end or inside or none, trailing zeros, an
+    exponent in either case with or without a sign, and spaces around,
+    with a decimal exponent within 400 either way."""
+    digits = "0" * rng.randint(0, 3) + str(rng.randint(0, 10 ** rng.randint(1, 40)))
+    point = rng.choice((None, 0, len(digits), rng.randint(0, len(digits))))
+    body = digits
+    if point is not None:
+        body = digits[:point] + "." + digits[point:] + "0" * rng.randint(0, 3)
+    e = rng.randint(-340, 340)
+    suffix = rng.choice(("", f"e{e}", f"E{e}", f"e+{abs(e)}", f"E-{abs(e)}"))
+    sign = rng.choice(("", "+", "-"))
+    return rng.choice(("", " ", "\t")) + sign + body + suffix + rng.choice(("", " "))
+
+
+def test_literals_read_once_round_as_mpmath_reads_them():
+    # up to |e| = 400 a literal m * 10^e is read once and rounded from the
+    # exact integer or quotient, as mpmath's from_str rounds it; one that
+    # mpmath cannot read, such as "+.0", is refused
+    rng = random.Random(400)
+    literals = ["-0", "+.5", "5.", "-5.000", "1E5", " 1e-5 ", "007", "0.000", "1e400", "1e-400"]
+    literals += ["+.0"]
+    literals += [_literal_spelling(rng) for _ in range(400)]
+    refused = 0
+    for bits in (53, 83, 113, 256, 1500, *(rng.randint(53, 1500) for _ in range(4))):
+        for literal in literals:
+            try:
+                expected = mp.mpf(literal, prec=bits, rounding=round_nearest)._mpf_
+            except ValueError:
+                refused += 1
+                with pytest.raises(BadParameter):
+                    as_mpf_at(literal, bits)
+                continue
+            assert as_mpf_at(literal, bits)._mpf_ == expected, (literal, bits)
+    # nearly every literal is compared, not refused
+    assert refused < len(literals)
 
 
 @pytest.mark.parametrize("ambient", [20, 400])
@@ -346,8 +386,8 @@ def _wide(k, scale=0, tie_at=None):
 def _wide_system():
     # 400-bit entries, wider than the working precision, and a column 0 that
     # spans 2^-480..1: the elimination and the forward substitution subtract
-    # products far below a wide operand, where _sum stands in a unit for
-    # them.  Some entries lie just above a tie at 113 or 256 bits.
+    # products far below a wide operand, where the kernel stands in a unit
+    # for them.  Some entries lie just above a tie at 113 or 256 bits.
     A = [
         [mp.mpf(1), _wide(2, -1), _wide(3, -1)],
         [mp.ldexp(1, -393), _wide(2, 0, 113), _wide(3, 0, 256)],
@@ -514,46 +554,101 @@ def test_solve_and_det_bits_are_pinned(name, bits):
     assert repr(report.error_bound) == bound
 
 
+# the two loop shapes of the fused multiply-subtract kernel
+_KERNELS = (numerics._dot_sub, numerics._row_sub)
+
+
+def _line_of(function, text):
+    """The number of the one line of ``function`` that contains ``text``."""
+    lines, first = inspect.getsourcelines(function)
+    (index,) = [i for i, line in enumerate(lines) if text in line]
+    return first + index
+
+
+@contextlib.contextmanager
+def _tracing_kernels(on_event):
+    """Calls on_event(frame, event, arg) at each line the kernel runs, in
+    either loop shape, and at its calls and returns: its rounding is
+    written out, so no primitive can be spied on in its place."""
+    codes = {kernel.__code__ for kernel in _KERNELS}
+
+    def local(frame, event, arg):
+        on_event(frame, event, arg)
+        return local
+
+    def calls(frame, event, arg):
+        if frame.f_code not in codes:
+            return None
+        on_event(frame, event, arg)
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        yield
+    finally:
+        sys.settrace(previous)
+
+
+def _primitive_chain(s, xs, ys, prec):
+    for x, y in zip(xs, ys):
+        s = numerics._sub(s, numerics._mul(x, y, prec), prec)
+    return s
+
+
 @pytest.mark.parametrize("bits", [53, 113, 256])
-def test_wide_system_reaches_the_unit_stand_in(monkeypatch, bits):
-    # the elimination and the forward substitution of wide3 add operands
-    # wholly below the rounding position of a larger operand wider than the
-    # working precision: _sum stands a unit in for them, and each such sum
-    # is still the exact sum rounded once
+def test_wide_system_reaches_the_unit_stand_in(bits):
+    # the elimination and the forward substitution of wide3 subtract
+    # products wholly below the rounding position of a larger operand wider
+    # than the working precision: the kernel stands a unit in for them,
+    # each such difference is still the exact difference rounded once, and
+    # every chain is bit for bit the chain of primitives
+    stand_in = {kernel.__code__: _line_of(kernel, "(1 if p > 0 else -1)") for kernel in _KERNELS}
     reached = set()
-    exponents = []
-    original_sum, original_round = numerics._sum, numerics._round
+    chains = []
 
-    def rounding(m, e, prec):
-        exponents.append(e)
-        return original_round(m, e, prec)
+    def on_event(frame, event, arg):
+        v = frame.f_locals
+        if event == "call":
+            if frame.f_code is numerics._row_sub.__code__:
+                chains.append((v["row"][:], v["factor"], v["upper"], v["start"], v["prec"]))
+            else:
+                chains.append((v["s"], v["xs"], v["ys"], v["prec"]))
+        elif event == "return":
+            chains[-1] += (v["row"][:] if frame.f_code is numerics._row_sub.__code__ else arg,)
+        elif event == "line" and frame.f_lineno == stand_in[frame.f_code]:
+            m, e, p, ep, prec, q = (v[k] for k in ("m", "e", "p", "ep", "prec", "q"))
+            if m.bit_length() > prec:
+                # the unit at 2^q is rounded, not the exact sum at 2^ep
+                unit = (m << (e - q)) + (1 if p > 0 else -1)
+                assert numerics._round(unit, q, prec) == _nearest(
+                    _fraction((m, e)) + _fraction((p, ep)), prec
+                )
+                reached.add((frame.f_back.f_code, frame.f_back.f_lineno))
 
-    def recording(a, ea, b, eb, prec):
-        exponents.clear()
-        result = original_sum(a, ea, b, eb, prec)
-        if ea < eb:
-            a, ea, b, eb = b, eb, a, ea
-        q = min(ea, a.bit_length() + ea - prec - 1) - 2
-        if a.bit_length() > prec and b and ea - eb > prec and b.bit_length() + eb <= q:
-            # the unit at 2^q was rounded, not the exact sum at 2^eb
-            assert exponents == [q]
-            assert result == _nearest(_fraction((a, ea)) + _fraction((b, eb)), prec)
-            # the caller of _add or _sub
-            reached.add(sys._getframe(2).f_code.co_name)
-        return result
-
-    monkeypatch.setattr(numerics, "_round", rounding)
-    monkeypatch.setattr(numerics, "_sum", recording)
     A, b = _wide_system()
-    solve_linear(A, b, bits)
-    assert reached == {"_lu_factor", "_lu_solve"}
+    with _tracing_kernels(on_event):
+        solve_linear(A, b, bits)
+    elimination = (numerics._lu_factor.__code__, _line_of(numerics._lu_factor, "_row_sub("))
+    forward = (numerics._lu_solve.__code__, _line_of(numerics._lu_solve, "lu[i][:i]"))
+    assert reached == {elimination, forward}
+    for chain in chains:
+        if len(chain) == 6:
+            before, factor, upper, start, prec, row = chain
+            assert row[:start] == before[:start]
+            for j in range(start, len(row)):
+                assert row[j] == _primitive_chain(before[j], [factor], [upper[j]], prec)
+        else:
+            s, xs, ys, prec, result = chain
+            assert result == _primitive_chain(s, xs, ys, prec)
 
 
 def test_far_apart_inputs_round_only_narrow_integers(monkeypatch):
     # inputs 10^60000000 apart: adding exactly would shift a mantissa by
     # about 2 * 10^8 bits, where the unit stand-in keeps every integer that
-    # is rounded narrow
+    # is rounded narrow, in the primitives and in the kernel's two roundings
     widest = 0
+    kernel_roundings = 0
     original_round = numerics._round
 
     def recording(m, e, prec):
@@ -561,9 +656,27 @@ def test_far_apart_inputs_round_only_narrow_integers(monkeypatch):
         widest = max(widest, m.bit_length())
         return original_round(m, e, prec)
 
+    # the integer about to be rounded: the product p, or the difference m
+    rounded = {
+        kernel.__code__: {
+            _line_of(kernel, "n = p.bit_length() - prec"): "p",
+            _line_of(kernel, "n = m.bit_length() - prec"): "m",
+        }
+        for kernel in _KERNELS
+    }
+
+    def on_event(frame, event, arg):
+        nonlocal widest, kernel_roundings
+        name = rounded[frame.f_code].get(frame.f_lineno) if event == "line" else None
+        if name:
+            kernel_roundings += 1
+            widest = max(widest, frame.f_locals[name].bit_length())
+
     monkeypatch.setattr(numerics, "_round", recording)
     monkeypatch.setattr(logpoly, "_round", recording)
-    evaluate_request(["1e-30000000", "1", "1e30000000"], 1, 53)
+    with _tracing_kernels(on_event):
+        evaluate_request(["1e-30000000", "1", "1e30000000"], 1, 53)
+    assert kernel_roundings
     assert 0 < widest <= 4096
 
 
@@ -846,6 +959,87 @@ def test_pair_arithmetic_matches_libmp(prec):
         assert numerics._raw_value(numerics._add(x, y, prec)) != mpf_add(
             s, t, prec, round_nearest
         ), (s, t)
+
+
+@pytest.mark.parametrize("prec", _PRECISIONS)
+def test_sub_is_sign_symmetric(prec):
+    # y - x is x - y negated, bit for bit, the unit stand-in included:
+    # means._divided_difference computes each gap once and negates it
+    for s, t in _fuzz_cases(prec):
+        x, y = numerics._pair(s), numerics._pair(t)
+        m, e = numerics._sub(x, y, prec)
+        assert numerics._sub(y, x, prec) == (-m, e), (s, t)
+
+
+def _fuzz_pair(rng, prec, exponent):
+    """A canonical pair of a fuzzed mantissa (``_fuzz_mantissa``)."""
+    return numerics._pair(from_man_exp(_fuzz_mantissa(rng, prec), exponent))
+
+
+def _fuzz_chain(rng, prec):
+    """s and 0 to 16 terms (x, y): zero terms, mixed signs, mantissas up to
+    64 bits wider than prec, terms s * 1 that may cancel s exactly, and
+    products whose top lies above s's top or below it by less than prec,
+    by prec give or take 4, by more than prec (where the unit stand-in
+    takes over) or by about 10^4."""
+    s = _fuzz_pair(rng, prec, rng.randint(-50, 50))
+    top = s[0].bit_length() + s[1]
+    xs, ys = [], []
+    for _ in range(rng.randint(0, 16)):
+        if rng.random() < 0.1:
+            xs.append(s)
+            ys.append(numerics._ONE)
+            continue
+        gap = rng.choice((
+            rng.randint(-40, prec - 5),
+            prec + rng.randint(-4, 4),
+            rng.randint(prec + 5, 2 * prec + 200),
+            rng.randint(9900, 10100),
+        ))
+        mx, my = _fuzz_mantissa(rng, prec), _fuzz_mantissa(rng, prec)
+        ex = rng.randint(-60, 60)
+        ey = top - gap - ex - mx.bit_length() - my.bit_length()
+        xs.append(numerics._pair(from_man_exp(mx, ex)))
+        ys.append(numerics._pair(from_man_exp(my, ey)))
+    return s, xs, ys
+
+
+@pytest.mark.parametrize("prec", _PRECISIONS)
+def test_fused_kernel_is_pinned_to_the_primitives(prec):
+    # s - x_1 y_1 - ... in one call: bit for bit the chain of _sub and
+    # _mul, and the exact product and the exact difference rounded once at
+    # each step
+    rng = random.Random(prec + 1)
+    for _ in range(120 if prec > 300 else 250):
+        s, xs, ys = _fuzz_chain(rng, prec)
+        truth = s
+        for x, y in zip(xs, ys):
+            product = _nearest(_fraction(x) * _fraction(y), prec)
+            truth = _nearest(_fraction(truth) - _fraction(product), prec)
+        assert numerics._dot_sub(s, xs, ys, prec) == truth, (s, xs, ys)
+        assert _primitive_chain(s, xs, ys, prec) == truth, (s, xs, ys)
+
+
+@pytest.mark.parametrize("prec", _PRECISIONS)
+def test_row_update_is_pinned_to_the_dot_form(prec):
+    # row[j] - factor * upper[j] in place from ``start`` on, each entry
+    # bit for bit the dot form with one term; the entries before ``start``
+    # are left as they are
+    rng = random.Random(-prec - 1)
+    for _ in range(100):
+        s, row, upper = _fuzz_chain(rng, prec)
+        factor = _fuzz_pair(rng, prec, rng.randint(-60, 60))
+        if rng.random() < 0.2:
+            # entries that cancel exactly
+            factor = numerics._ONE
+            upper = [u if rng.random() < 0.5 else r for u, r in zip(upper, row)]
+        start = rng.randint(0, len(row))
+        before = row[:]
+        numerics._row_sub(row, factor, upper, start, prec)
+        assert row[:start] == before[:start]
+        for j in range(start, len(row)):
+            assert row[j] == numerics._dot_sub(before[j], [factor], [upper[j]], prec), (
+                before[j], factor, upper[j])
 
 
 # -- pivot rules ----------------------------------------------------------------------
