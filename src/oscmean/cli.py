@@ -27,6 +27,7 @@ import csv
 import functools
 import json
 import math
+import signal
 import sys
 from typing import List, Optional, Sequence
 
@@ -251,6 +252,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def console() -> None:
+    """The ``oscmean`` script: :func:`main` on the command line's arguments.
+    Where the platform has SIGPIPE, its default action is restored, so a
+    reader that closes stdout early (``| head -1``) ends the process as it
+    ends other tools, not with a traceback and the status of a failed
+    identity."""
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -14,12 +14,13 @@ the intersection systems reach n = 16 in the tests.
 The elimination, the substitutions, the refinement's residual and the
 determinant's pivot product run on integer pairs (m, e), the value m * 2^e,
 through a few private primitives, each of which returns its exact result
-rounded once to nearest-even.  The elimination's row updates, both
-substitutions and the residual are chains s - x_1 y_1 - x_2 y_2 - ...; they
-run through one fused multiply-subtract kernel (``_dot_sub``, and
-``_row_sub`` for the row update), which writes the primitives' rounding out
-in one loop and matches the chain of ``_sub`` and ``_mul`` bit for bit, the
-unit stand-in of ``_sum`` included.  ``solve_linear``, ``det`` and the relative
+rounded once to nearest-even.  All but the last are chains
+s - x_1 y_1 - x_2 y_2 - ... through one fused multiply-subtract kernel,
+``_dot_sub``, which writes the primitives' rounding out in one loop and
+matches the chain of ``_sub`` and ``_mul`` bit for bit, the unit stand-in
+of ``_sum`` included.  The elimination runs in left-looking order, one
+chain per entry of L and U, with the roundings of right-looking
+elimination.  ``solve_linear``, ``det`` and the relative
 error ``_rel_error`` take ``mpf`` values or pairs and return ``mpf`` values;
 the conversion happens there, in ``SolveReport``'s properties, and
 nowhere else.  ``means``' divided-difference kernel and ``logpoly``'s
@@ -361,69 +362,20 @@ def _dot_sub(s, xs, ys, prec: int):
     return m >> zeros, e + zeros
 
 
-def _row_sub(row, factor, upper, start: int, prec: int):
-    """row[j] = row[j] - factor * upper[j] for j >= ``start``, in place: for
-    each entry the chain of ``_dot_sub`` with one term."""
-    a, ea = factor
-    a = -a
-    for j in range(start, len(row)):
-        b, eb = upper[j]
-        m, e = row[j]
-        p = a * b
-        if p:
-            ep = ea + eb
-            n = p.bit_length() - prec
-            if n > 0:
-                t = p >> (n - 1)
-                if t & 1 and (t & 2 or p & ((1 << (n - 1)) - 1)):
-                    p = (t >> 1) + 1
-                else:
-                    p = t >> 1
-                ep += n
-            if not m:
-                m, e = p, ep
-            else:
-                if e < ep:
-                    m, e, p, ep = p, ep, m, e
-                offset = e - ep
-                if offset > prec:
-                    q = min(e, m.bit_length() + e - prec - 1) - 2
-                    if p.bit_length() + ep <= q:
-                        m = (m << (e - q)) + (1 if p > 0 else -1)
-                        e = q
-                    else:
-                        m = (m << offset) + p
-                        e = ep
-                else:
-                    m = (m << offset) + p
-                    e = ep
-        elif not m:
-            continue
-        n = m.bit_length() - prec
-        if n > 0:
-            t = m >> (n - 1)
-            if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)):
-                m = (t >> 1) + 1
-            else:
-                m = t >> 1
-            e += n
-        if m & 1:
-            row[j] = m, e
-        elif not m:
-            row[j] = _ZERO
-        else:
-            zeros = (m & -m).bit_length() - 1
-            row[j] = m >> zeros, e + zeros
-
-
 def _lu_factor(matrix, prec: int):
-    """Doolittle LU with scaled partial pivoting; multipliers stored in place.
+    """Doolittle LU with scaled partial pivoting, in left-looking order;
+    multipliers stored in place.
 
     Takes and returns pairs.  Returns (lu, perm, sign), sign the parity of
-    perm: -1 after an odd number of row swaps.  The pivot is the first
-    row of largest |a_i| / s_i, compared exactly by cross-multiplying.
-    Raises SingularSystem when the best available pivot is at or below
-    2^(-prec + 8) times the scale of its original row.
+    perm: -1 after an odd number of row swaps.  Step col finishes column
+    col, then the pivot's row of U, each entry by one ``_dot_sub`` chain
+    a_ij - l_i0 u_0j - l_i1 u_1j - ..., k ascending: the roundings that
+    right-looking elimination applies one step at a time (Higham 2002,
+    sec. 9.2).  As that elimination skips a zero multiplier, a chain starts
+    at its row's first nonzero one, which leaves a wide entry unrounded.
+    The pivot is the first row of largest |a_i| / s_i, compared exactly by
+    cross-multiplying.  Raises SingularSystem when the best available pivot
+    is at or below 2^(-prec + 8) times the scale of its original row.
     """
     n = len(matrix)
     lu = [row[:] for row in matrix]
@@ -432,7 +384,15 @@ def _lu_factor(matrix, prec: int):
         raise SingularSystem("matrix has an all-zero row")
     perm = list(range(n))
     sign = 1
+    # lead[i]: the number of leading zero multipliers of row i
+    lead = [0] * n
     for col in range(n):
+        # the columns of the finished rows 0..col-1 of U
+        columns = list(zip(*lu[:col]))
+        for i in range(col, n):
+            row, first = lu[i], lead[i]
+            if first < col:
+                row[col] = _dot_sub(row[col], row[first:col], columns[col][first:], prec)
         # the first row of largest |a| / scale: |a_i| * s_p > |a_p| * s_i
         pivot_row, best = col, _abs(lu[col][col])
         for i in range(col + 1, n):
@@ -441,25 +401,24 @@ def _lu_factor(matrix, prec: int):
             if _gt((a[0] * sp, a[1] + ep), (best[0] * si, best[1] + ei)):
                 pivot_row, best = i, a
         scale, scale_exp = scales[pivot_row]
-        guard = (scale, scale_exp - prec + _PIVOT_GUARD_BITS)
-        if not _gt(best, guard):
+        if not _gt(best, (scale, scale_exp - prec + _PIVOT_GUARD_BITS)):
             raise SingularSystem(
                 f"pivot {col} fell below the relative threshold; "
                 "the system is numerically singular"
             )
         if pivot_row != col:
-            lu[col], lu[pivot_row] = lu[pivot_row], lu[col]
-            scales[col], scales[pivot_row] = scales[pivot_row], scales[col]
-            perm[col], perm[pivot_row] = perm[pivot_row], perm[col]
+            for seq in (lu, scales, perm, lead):
+                seq[col], seq[pivot_row] = seq[pivot_row], seq[col]
             sign = -sign
-        upper = lu[col]
-        pivot = upper[col]
-        for i in range(col + 1, n):
-            row = lu[i]
-            factor = _div(row[col], pivot, prec)
-            row[col] = factor
-            if factor[0]:
-                _row_sub(row, factor, upper, col + 1, prec)
+        upper, first = lu[col], lead[col]
+        if first < col:
+            factors = upper[first:col]
+            for j in range(col + 1, n):
+                upper[j] = _dot_sub(upper[j], factors, columns[j][first:], prec)
+        for i, row in enumerate(lu[col + 1 :], col + 1):
+            row[col] = factor = _div(row[col], upper[col], prec)
+            if lead[i] == col and not factor[0]:
+                lead[i] += 1
     return lu, perm, sign
 
 
@@ -491,11 +450,11 @@ def solve_linear(A: Sequence[Sequence], b: Sequence, precision_bits: int = 53) -
     precision w and rounded to w, one more solve with the kept LU, and the
     correction added at w.  An exactly zero residual skips the step.
 
-    The elimination's row updates (``_row_sub``), the forward and back
-    substitutions and the residual (``_dot_sub``) run through the fused
-    multiply-subtract kernel: each product and each difference rounded
-    once to nearest-even, bit for bit what ``_sub(s, _mul(x, y))`` gives
-    term by term.
+    The elimination, left-looking with the roundings of right-looking
+    elimination (``_lu_factor``), both substitutions and the residual run
+    through the one fused multiply-subtract kernel ``_dot_sub``: each
+    product and each difference rounded once to nearest-even, bit for bit
+    what ``_sub(s, _mul(x, y))`` gives term by term.
 
     An entry is read as ``_pairs`` reads it: an mpf as given, a pair (m, e)
     as m * 2^e rounded at the working precision.

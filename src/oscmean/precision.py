@@ -9,6 +9,7 @@ validate it and convert heterogeneous inputs to ``mpf`` at that width
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import mpmath
@@ -29,6 +30,7 @@ from .errors import BadParameter
 
 MIN_PRECISION_BITS = 53
 _NON_FINITE = (finf, fninf, fnan)
+_BARE_POINT = re.compile(r"^([+-]?)\.(?=\d)")
 
 
 def require_precision(bits: int) -> int:
@@ -46,13 +48,19 @@ def as_mpf_at(value, precision_bits: int) -> mpmath.mpf:
     Accepts mpf, int, float, decimal strings, and Fraction.  An mpf is
     returned as given, not rounded.  A Fraction is rounded once, from its
     exact value, and so is a decimal literal m * 10^e, read once, by
-    ``_decimal_at``.  Anything else is read by mpf's own constructor at
-    ``precision_bits``.  No mpmath context is read or entered.  Infinities
-    and nan raise ``BadParameter`` whatever their type.
+    ``_decimal_at``; a zero with a bare point, such as ".0", which mpf's
+    constructor refuses, is read as 0.  Anything else is read by mpf's own
+    constructor at ``precision_bits``.  No mpmath context is read or
+    entered.  Infinities and nan raise ``BadParameter`` whatever their type.
     """
     if isinstance(value, str):
+        text = value.strip()
+        if text.startswith((".", "+.", "-.")):
+            # "0" before a bare point: mpmath's reader drops a fraction's
+            # trailing zeros and then fails on ".0", "-.0e1" and the like
+            text = _BARE_POINT.sub(r"\g<1>0.", text)
         try:
-            man, exp = str_to_man_exp(value.strip())
+            man, exp = str_to_man_exp(text)
         except ValueError:  # "inf", "nan" and "a/b" are read below
             pass
         else:

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -68,6 +69,14 @@ def test_mean_negative_value_exit_2(capsys):
 def test_mean_unparseable_value_exit_2(capsys):
     code, _, err = run_cli(capsys, "mean", "--values", "abc,2")
     assert code == 2
+
+
+@pytest.mark.parametrize("literal", [".0", "+.0", "-.0", ".0e1", ".00"])
+def test_mean_zero_with_a_bare_point_is_not_positive(capsys, literal):
+    # read as 0.0 and refused as such, not as an unparseable literal
+    code, _, err = run_cli(capsys, "mean", f"--values={literal},1,2")
+    assert code == 2
+    assert err == "error: values must be positive, got 0.0\n"
 
 
 def test_mean_missing_values_exit_2(capsys):
@@ -510,6 +519,35 @@ def test_failing_report_exits_1(capsys):
     assert "made_up_row (n=3)" in err and "other_row (n=7)" in err
     assert "passing_row" not in err
     assert "seed=0" in err and "trials=100" in err and "precision=53" in err
+
+
+def test_closed_stdout_ends_the_script_without_a_traceback():
+    # the reader takes one line and closes the pipe while the script still
+    # has output to write: the script ends as SIGPIPE ends other tools, with
+    # no traceback and not with status 1, which says an identity failed
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(signal, "SIGPIPE") or not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("needs SIGPIPE and a pipe whose size can be set")
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb", buffering=0) as reader:
+        with open(write_end, "wb", buffering=0) as writer:
+            # one 4 KiB page: the 6.3 kB of JSON cannot all be written before
+            # the read, and a read of the 2-byte first line frees no room
+            if fcntl.fcntl(writer, fcntl.F_SETPIPE_SZ, 4096) != 4096:
+                pytest.skip("pages are larger than 4 KiB")
+            child = subprocess.Popen(
+                [sys.executable, "-m", "oscmean.cli", "verify", "--max-n", "5", "--json"],
+                stdout=writer, stderr=subprocess.PIPE, env=_child_env(),
+            )
+        line = b""
+        while not line.endswith(b"\n"):
+            byte = reader.read(1)
+            assert byte
+            line += byte
+    err = child.communicate(timeout=300)[1]
+    assert line == b"[\n"
+    assert child.returncode == -signal.SIGPIPE
+    assert b"Traceback" not in err
 
 
 # -- one process, many calls -------------------------------------------------------------

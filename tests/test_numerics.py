@@ -13,6 +13,8 @@ from mpmath import mp
 from mpmath.libmp import (
     from_man_exp,
     from_rational,
+    from_str,
+    fzero,
     mpf_add,
     mpf_div,
     mpf_mul,
@@ -190,25 +192,37 @@ def _literal_spelling(rng):
 
 def test_literals_read_once_round_as_mpmath_reads_them():
     # up to |e| = 400 a literal m * 10^e is read once and rounded from the
-    # exact integer or quotient, as mpmath's from_str rounds it; one that
-    # mpmath cannot read, such as "+.0", is refused
+    # exact integer or quotient, as mpmath's from_str rounds it; the one
+    # spelling mpmath cannot read, a zero with a bare point such as "+.0",
+    # is read as zero
     rng = random.Random(400)
     literals = ["-0", "+.5", "5.", "-5.000", "1E5", " 1e-5 ", "007", "0.000", "1e400", "1e-400"]
     literals += ["+.0"]
     literals += [_literal_spelling(rng) for _ in range(400)]
-    refused = 0
+    zeros = 0
     for bits in (53, 83, 113, 256, 1500, *(rng.randint(53, 1500) for _ in range(4))):
         for literal in literals:
             try:
                 expected = mp.mpf(literal, prec=bits, rounding=round_nearest)._mpf_
             except ValueError:
-                refused += 1
-                with pytest.raises(BadParameter):
-                    as_mpf_at(literal, bits)
-                continue
+                assert float(literal) == 0 and "." in literal, literal
+                zeros += 1
+                expected = fzero
             assert as_mpf_at(literal, bits)._mpf_ == expected, (literal, bits)
-    # nearly every literal is compared, not refused
-    assert refused < len(literals)
+    # nearly every literal is compared with mpmath's reading
+    assert zeros < len(literals)
+
+
+@pytest.mark.parametrize("literal", [".0", "+.0", "-.0", ".0e1", ".00"])
+def test_zero_literals_with_a_bare_point_read_as_zero(literal):
+    # mpmath's reader fails on these, which Python's float reads as 0.0;
+    # a nonzero literal with a bare point keeps its bits
+    with pytest.raises(ValueError):
+        mp.mpf(literal)
+    for bits in (53, 1500):
+        assert as_mpf_at(literal, bits)._mpf_ == fzero
+        for nonzero in (".5", "-.5e-3"):
+            assert as_mpf_at(nonzero, bits)._mpf_ == from_str(nonzero, bits, round_nearest)
 
 
 @pytest.mark.parametrize("ambient", [20, 400])
@@ -554,10 +568,6 @@ def test_solve_and_det_bits_are_pinned(name, bits):
     assert repr(report.error_bound) == bound
 
 
-# the two loop shapes of the fused multiply-subtract kernel
-_KERNELS = (numerics._dot_sub, numerics._row_sub)
-
-
 def _line_of(function, text):
     """The number of the one line of ``function`` that contains ``text``."""
     lines, first = inspect.getsourcelines(function)
@@ -566,18 +576,17 @@ def _line_of(function, text):
 
 
 @contextlib.contextmanager
-def _tracing_kernels(on_event):
-    """Calls on_event(frame, event, arg) at each line the kernel runs, in
-    either loop shape, and at its calls and returns: its rounding is
-    written out, so no primitive can be spied on in its place."""
-    codes = {kernel.__code__ for kernel in _KERNELS}
+def _tracing_kernel(on_event):
+    """Calls on_event(frame, event, arg) at each line the fused
+    multiply-subtract kernel runs, and at its calls and returns: its
+    rounding is written out, so no primitive can be spied on in its place."""
 
     def local(frame, event, arg):
         on_event(frame, event, arg)
         return local
 
     def calls(frame, event, arg):
-        if frame.f_code not in codes:
+        if frame.f_code is not numerics._dot_sub.__code__:
             return None
         on_event(frame, event, arg)
         return local
@@ -598,25 +607,22 @@ def _primitive_chain(s, xs, ys, prec):
 
 @pytest.mark.parametrize("bits", [53, 113, 256])
 def test_wide_system_reaches_the_unit_stand_in(bits):
-    # the elimination and the forward substitution of wide3 subtract
-    # products wholly below the rounding position of a larger operand wider
-    # than the working precision: the kernel stands a unit in for them,
-    # each such difference is still the exact difference rounded once, and
-    # every chain is bit for bit the chain of primitives
-    stand_in = {kernel.__code__: _line_of(kernel, "(1 if p > 0 else -1)") for kernel in _KERNELS}
+    # the elimination's column and row chains and the forward substitution
+    # of wide3 subtract products wholly below the rounding position of a
+    # larger operand wider than the working precision: the kernel stands a
+    # unit in for them, each such difference is still the exact difference
+    # rounded once, and every chain is bit for bit the chain of primitives
+    stand_in = _line_of(numerics._dot_sub, "(1 if p > 0 else -1)")
     reached = set()
     chains = []
 
     def on_event(frame, event, arg):
         v = frame.f_locals
         if event == "call":
-            if frame.f_code is numerics._row_sub.__code__:
-                chains.append((v["row"][:], v["factor"], v["upper"], v["start"], v["prec"]))
-            else:
-                chains.append((v["s"], v["xs"], v["ys"], v["prec"]))
+            chains.append((v["s"], v["xs"], v["ys"], v["prec"]))
         elif event == "return":
-            chains[-1] += (v["row"][:] if frame.f_code is numerics._row_sub.__code__ else arg,)
-        elif event == "line" and frame.f_lineno == stand_in[frame.f_code]:
+            chains[-1] += (arg,)
+        elif event == "line" and frame.f_lineno == stand_in:
             m, e, p, ep, prec, q = (v[k] for k in ("m", "e", "p", "ep", "prec", "q"))
             if m.bit_length() > prec:
                 # the unit at 2^q is rounded, not the exact sum at 2^ep
@@ -627,20 +633,15 @@ def test_wide_system_reaches_the_unit_stand_in(bits):
                 reached.add((frame.f_back.f_code, frame.f_back.f_lineno))
 
     A, b = _wide_system()
-    with _tracing_kernels(on_event):
+    with _tracing_kernel(on_event):
         solve_linear(A, b, bits)
-    elimination = (numerics._lu_factor.__code__, _line_of(numerics._lu_factor, "_row_sub("))
+    lu_code = numerics._lu_factor.__code__
+    column = (lu_code, _line_of(numerics._lu_factor, "columns[col][first:]"))
+    row = (lu_code, _line_of(numerics._lu_factor, "columns[j][first:]"))
     forward = (numerics._lu_solve.__code__, _line_of(numerics._lu_solve, "lu[i][:i]"))
-    assert reached == {elimination, forward}
-    for chain in chains:
-        if len(chain) == 6:
-            before, factor, upper, start, prec, row = chain
-            assert row[:start] == before[:start]
-            for j in range(start, len(row)):
-                assert row[j] == _primitive_chain(before[j], [factor], [upper[j]], prec)
-        else:
-            s, xs, ys, prec, result = chain
-            assert result == _primitive_chain(s, xs, ys, prec)
+    assert reached == {column, row, forward}
+    for s, xs, ys, prec, result in chains:
+        assert result == _primitive_chain(s, xs, ys, prec)
 
 
 def test_far_apart_inputs_round_only_narrow_integers(monkeypatch):
@@ -658,23 +659,20 @@ def test_far_apart_inputs_round_only_narrow_integers(monkeypatch):
 
     # the integer about to be rounded: the product p, or the difference m
     rounded = {
-        kernel.__code__: {
-            _line_of(kernel, "n = p.bit_length() - prec"): "p",
-            _line_of(kernel, "n = m.bit_length() - prec"): "m",
-        }
-        for kernel in _KERNELS
+        _line_of(numerics._dot_sub, "n = p.bit_length() - prec"): "p",
+        _line_of(numerics._dot_sub, "n = m.bit_length() - prec"): "m",
     }
 
     def on_event(frame, event, arg):
         nonlocal widest, kernel_roundings
-        name = rounded[frame.f_code].get(frame.f_lineno) if event == "line" else None
+        name = rounded.get(frame.f_lineno) if event == "line" else None
         if name:
             kernel_roundings += 1
             widest = max(widest, frame.f_locals[name].bit_length())
 
     monkeypatch.setattr(numerics, "_round", recording)
     monkeypatch.setattr(logpoly, "_round", recording)
-    with _tracing_kernels(on_event):
+    with _tracing_kernel(on_event):
         evaluate_request(["1e-30000000", "1", "1e30000000"], 1, 53)
     assert kernel_roundings
     assert 0 < widest <= 4096
@@ -1020,26 +1018,105 @@ def test_fused_kernel_is_pinned_to_the_primitives(prec):
         assert _primitive_chain(s, xs, ys, prec) == truth, (s, xs, ys)
 
 
+def _right_looking_lu(matrix, prec):
+    """The reference for ``numerics._lu_factor``: right-looking elimination
+    with the same pivot rule, the first row of largest |a_i| / s_i and the
+    same guard, both compared as Fractions, and each update of an entry
+    one ``_sub(s, _mul(l, u))``, skipped where the multiplier l is zero."""
+    n = len(matrix)
+    lu = [row[:] for row in matrix]
+    scales = [max(abs(_fraction(v)) for v in row) for row in lu]
+    if not all(scales):
+        raise SingularSystem("matrix has an all-zero row")
+    perm, sign = list(range(n)), 1
+    for col in range(n):
+        pivot_row = max(range(col, n), key=lambda i: abs(_fraction(lu[i][col])) / scales[i])
+        if abs(_fraction(lu[pivot_row][col])) <= scales[pivot_row] * Fraction(2) ** (8 - prec):
+            raise SingularSystem(
+                f"pivot {col} fell below the relative threshold; "
+                "the system is numerically singular"
+            )
+        if pivot_row != col:
+            for seq in (lu, scales, perm):
+                seq[col], seq[pivot_row] = seq[pivot_row], seq[col]
+            sign = -sign
+        upper = lu[col]
+        for row in lu[col + 1 :]:
+            row[col] = factor = numerics._div(row[col], upper[col], prec)
+            if factor[0]:
+                for j in range(col + 1, n):
+                    row[j] = numerics._sub(row[j], numerics._mul(factor, upper[j], prec), prec)
+    return lu, perm, sign
+
+
+def _fuzz_matrix(rng, prec):
+    """A square matrix of n = 1 to 8 canonical pairs: extra zeros, mantissas
+    up to 64 bits wider than prec (``_fuzz_mantissa``), tops mostly within a
+    few exponents of each other, some more than prec or about 10^4 apart,
+    and now and then a repeated or an all-zero row."""
+    n = rng.randint(1, 8)
+    zeros = rng.choice((0, 0.3))
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            man = 0 if rng.random() < zeros else _fuzz_mantissa(rng, prec)
+            r = rng.random()
+            if r < 0.8:
+                top = rng.randint(-4, 4)
+            elif r < 0.95:
+                top = rng.randint(-3 * prec, 3 * prec)
+            else:
+                top = rng.randint(-10100, 10100)
+            row.append(numerics._pair(from_man_exp(man, top - abs(man).bit_length())))
+        rows.append(row)
+    if n > 1 and rng.random() < 0.15:
+        rows[rng.randrange(n)] = rows[rng.randrange(n)][:]
+    if rng.random() < 0.05:
+        rows[rng.randrange(n)] = [(0, 0)] * n
+    return rows
+
+
+def _factor_outcome(lu_factor, matrix, prec):
+    try:
+        return lu_factor(matrix, prec)
+    except SingularSystem as exc:
+        return str(exc)
+
+
 @pytest.mark.parametrize("prec", _PRECISIONS)
-def test_row_update_is_pinned_to_the_dot_form(prec):
-    # row[j] - factor * upper[j] in place from ``start`` on, each entry
-    # bit for bit the dot form with one term; the entries before ``start``
-    # are left as they are
-    rng = random.Random(-prec - 1)
-    for _ in range(100):
-        s, row, upper = _fuzz_chain(rng, prec)
-        factor = _fuzz_pair(rng, prec, rng.randint(-60, 60))
-        if rng.random() < 0.2:
-            # entries that cancel exactly
-            factor = numerics._ONE
-            upper = [u if rng.random() < 0.5 else r for u, r in zip(upper, row)]
-        start = rng.randint(0, len(row))
-        before = row[:]
-        numerics._row_sub(row, factor, upper, start, prec)
-        assert row[:start] == before[:start]
-        for j in range(start, len(row)):
-            assert row[j] == numerics._dot_sub(before[j], [factor], [upper[j]], prec), (
-                before[j], factor, upper[j])
+def test_lu_is_pinned_to_right_looking_elimination(prec):
+    # the left-looking LU, each entry one chain of the kernel with k
+    # ascending, gives the right-looking elimination's lu, perm and sign bit
+    # for bit, or the same refusal; negative controls: the same LU with
+    # each chain's k order reversed, and with a chain that starts at a
+    # leading zero multiplier, which rounds an entry wider than prec early
+    rng = random.Random(prec + 2)
+    cases = [_fuzz_matrix(rng, prec) for _ in range(100 if prec > 300 else 300)]
+    outcomes = [_factor_outcome(_right_looking_lu, A, prec) for A in cases]
+    for A, expected in zip(cases, outcomes):
+        assert _factor_outcome(numerics._lu_factor, A, prec) == expected, A
+    assert any(isinstance(o, str) for o in outcomes)
+    assert any(not isinstance(o, str) and o[2] == -1 for o in outcomes)
+
+    source = inspect.getsource(numerics._lu_factor)
+    mutations = [
+        [("row[first:col], columns[col][first:]",
+          "row[first:col][::-1], columns[col][first:][::-1]"),
+         ("factors, columns[j][first:]", "factors[::-1], columns[j][first:][::-1]")],
+        [("if lead[i] == col and not factor[0]:", "if False:")],
+    ]
+    for mutation in mutations:
+        mutated = source
+        for old, new in mutation:
+            assert old in mutated
+            mutated = mutated.replace(old, new)
+        namespace = dict(vars(numerics))
+        exec(mutated, namespace)
+        assert any(
+            _factor_outcome(namespace["_lu_factor"], A, prec) != expected
+            for A, expected in zip(cases, outcomes)
+        ), mutation
 
 
 # -- pivot rules ----------------------------------------------------------------------
