@@ -40,12 +40,11 @@ from math import factorial, prod
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import mpmath
-from mpmath.libmp import mpf_log, round_nearest
 
 from .errors import BadDimension, BadParameter, DistinctnessViolation
 # oscbench/spans.py wraps lp_eval here by name, so it stays imported; nothing
 # in this module calls it.
-from .logpoly import LogPoly, lp_eval, substitute_power
+from .logpoly import LogPoly, _log_at, lp_eval, substitute_power
 from .means import (
     identric_IZ,
     intersect,
@@ -261,7 +260,7 @@ def _determinant_closed_forms(vals: Sequence[mpmath.mpf], work_bits: int):
     n = len(vals)
     raws = [v._mpf_ for v in vals]
     inputs, e_in = _scaled(raws)
-    logs, e_log = _scaled([mpf_log(v, work_bits, round_nearest) for v in raws])
+    logs, e_log = _scaled([_log_at(v, work_bits) for v in raws])
     k = (n - 1) * (n - 2) // 2
     scale = factorial_product(n) ** (n - 2)
     denominator = (prod(inputs) ** k, 0)

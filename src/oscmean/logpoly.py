@@ -23,23 +23,27 @@ it, which is all that fraction-free elimination of Wronskian matrices needs.
 
 Numeric evaluation (`lp_rows`, with `lp_eval` as its one-polynomial,
 one-point form) is the single bridge out of the exact world.  It takes one
-log of each point for all the polynomials it is given, and one power t^m
-per t-power m.  Each polynomial's terms are grouped by t-power, with integer
-coefficients over one common denominator, once per polynomial set and
-cached.  A group's value is then computed exactly in integers from the
-mantissas of log t and t^m, and rounded once to the requested significand
-width; only a polynomial with several t-powers rounds again, once per added
-group.  It rounds on ``numerics``' integer (mantissa, exponent) pairs and
-returns them; `lp_eval` wraps its one value in ``mpf``.
+log of each point for all the polynomials it is given (kept for the other
+readers of that input, ``_log_at``), and one power t^m per t-power m.  Each
+polynomial's terms are grouped by t-power, with integer coefficients over
+one common denominator, and the groups that are rational multiples of
+prefixes of one series are found, once per polynomial set and cached.  A
+group's value is then computed exactly in integers from the mantissas of
+log t and t^m, by Horner or, for a family, from one pass over the series'
+prefix sums, and rounded once to the requested significand width; only a
+polynomial with several t-powers rounds again, once per added group.  It
+rounds on ``numerics``' integer (mantissa, exponent) pairs and returns
+them; `lp_eval` wraps its one value in ``mpf``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import index
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 import mpmath
 from mpmath import mp
@@ -278,25 +282,54 @@ class LogPoly:
 
 
 #: Entries kept by each cache: :func:`lp_rows`' grouped coefficients (one per
-#: polynomial set, whatever the precision) and ``wronskian``'s curves and
+#: polynomial set, whatever the precision), the logs of the inputs
+#: (:func:`_log_at`, one per input and width) and ``wronskian``'s curves and
 #: planes.  ``verify --max-n 7``, both conjecture curves and ``mean`` up to
-#: n = 10 fill at most 40 entries; the bound stops a process that sees many
-#: distinct curves from growing without limit.
+#: n = 10 fill at most 40 entries of a polynomial cache; the bound stops a
+#: process that sees many distinct curves or inputs from growing without
+#: limit.
 CACHE_MAXSIZE = 128
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
-def _grouped_terms(polys: Tuple[LogPoly, ...]) -> Tuple[Tuple[Optional[tuple], tuple], ...]:
-    """Each polynomial as ``(denominator, groups)``, exactly.
+def _log_at(raw, prec: int):
+    """log t for the raw value t > 0, rounded to nearest at ``prec``
+    (``mpf_log``).  One request takes the log of each input at one width in
+    several places (the planes, ``neuman_LN``, ``identric_IZ`` and the
+    determinant closed forms); the last ``CACHE_MAXSIZE`` logs are kept, so
+    it is computed once."""
+    return mpf_log(raw, prec, _RND)
 
-    ``denominator`` is the least common denominator D of its coefficients as
-    an exact ``numerics`` pair, or None when D = 1.  ``groups`` holds one
-    ``(m, coefficients)`` pair per t-power m, in ascending m, where
-    ``coefficients`` lists the integers D * c of (log t)^J down to
-    (log t)^0, zeros included.  Nothing here is rounded, so one entry serves
-    every precision.
+
+def _is_prefix_multiple(u: Sequence[int], series: Sequence[int]) -> bool:
+    """True when ``u`` is a nonzero rational multiple of ``series``' first
+    len(u) entries, compared exactly by cross-multiplying at u's top entry."""
+    top = len(u) - 1
+    if top >= len(series) or not series[top]:
+        return False
+    return all(a * series[top] == b * u[top] for a, b in zip(u, series))
+
+
+@lru_cache(maxsize=CACHE_MAXSIZE)
+def _grouped_terms(polys: Tuple[LogPoly, ...]) -> Tuple[tuple, tuple]:
+    """``(groups, families)``: each polynomial's terms grouped by t-power,
+    exactly, and the families among those groups.
+
+    A polynomial's coefficients are put over their least common denominator
+    D, and each t-power m gives the integers D * c of (log t)^0 up to
+    (log t)^J, zeros included.  Within one t-power, groups with J >= 1 whose
+    integers are rational multiples of prefixes of one series form a
+    family: the series is the longest member's integers over their gcd,
+    found from the coefficients as given.  ``families`` holds each family's
+    series, low power first.  A group is ``(m, num, den, terms, member)``:
+    its value is num / den times sum_j terms[j] (log t)^(J-j) (``terms``
+    listed from (log t)^J down), or, for a member of a family, with
+    ``member = (f, J)``, num / den times the series of family f summed up to
+    (log t)^J; then t^m.  ``den`` is an exact ``numerics`` pair, or None
+    when it is 1.  A family of one is no family, and its group keeps its own
+    integers.  Nothing here is rounded, so one entry serves every precision.
     """
-    out = []
+    rows = []
     for p in polys:
         denom = 1
         for _, c in p.items():
@@ -305,12 +338,49 @@ def _grouped_terms(polys: Tuple[LogPoly, ...]) -> Tuple[Tuple[Optional[tuple], t
         by_power: Dict[int, Dict[int, int]] = {}
         for (m, j), c in p.items():
             by_power.setdefault(m, {})[j] = int(c * denom)
-        groups = tuple(
-            (m, tuple(row.get(j, 0) for j in range(max(row), -1, -1)))
+        rows.append([
+            (m, denom, [row.get(j, 0) for j in range(max(row) + 1)])
             for m, row in sorted(by_power.items())
-        )
-        out.append((None if denom == 1 else _round(denom, 0, denom.bit_length()), groups))
-    return tuple(out)
+        ])
+    # longest first, so that each family's series is its longest member
+    candidates = sorted(
+        (m, -len(u), i, g)
+        for i, row in enumerate(rows)
+        for g, (m, _, u) in enumerate(row)
+        if len(u) > 1
+    )
+    series_of: List[Tuple[int, List[int]]] = []
+    members: Dict[Tuple[int, int], int] = {}
+    for m, _, i, g in candidates:
+        u = rows[i][g][2]
+        for f, (power, series) in enumerate(series_of):
+            if power == m and _is_prefix_multiple(u, series):
+                break
+        else:
+            f = len(series_of)
+            divisor = gcd(*u)
+            series_of.append((m, [c // divisor for c in u]))
+        members[i, g] = f
+    kept = sorted(f for f, size in Counter(members.values()).items() if size > 1)
+    number = {f: k for k, f in enumerate(kept)}
+    out = []
+    for i, row in enumerate(rows):
+        groups = []
+        for g, (m, denom, u) in enumerate(row):
+            f = members.get((i, g))
+            if f in number:
+                series = series_of[f][1]
+                top = len(u) - 1
+                ratio = Fraction(u[top], series[top] * denom)
+                num, den, terms = ratio.numerator, ratio.denominator, None
+                member = (number[f], top)
+            else:
+                num, den, terms, member = 1, denom, tuple(reversed(u)), None
+            groups.append(
+                (m, num, None if den == 1 else _round(den, 0, den.bit_length()), terms, member)
+            )
+        out.append(tuple(groups))
+    return tuple(out), tuple(tuple(series_of[f][1]) for f in kept)
 
 
 def lp_rows(polys: Sequence[LogPoly], points: Sequence, precision_bits: int = 53) -> List[list]:
@@ -319,24 +389,30 @@ def lp_rows(polys: Sequence[LogPoly], points: Sequence, precision_bits: int = 53
     ``precision_bits`` significand bits.
 
     The precision is validated and the grouped coefficients looked up once
-    for all the points; per point, log t is taken once, and each t^m is
-    computed once and shared by all the polynomials.  An mpf point is used
+    for all the points; per point, log t is taken once (``_log_at``, which
+    keeps it for the other readers of the same input), each t^m is computed
+    once and shared by all the polynomials, and each family of groups
+    (``_grouped_terms``) is summed in one prefix pass.  An mpf point is used
     as given, not rounded; any other is converted at ``precision_bits``.
 
     Rounding contract, at ``precision_bits``, to nearest: L = log t
     (``mpf_log``) and P_m = t^m (``mpf_pow_int``; P_0 = 1) are rounded.  A
     polynomial's terms are grouped by t-power m, and each group's value
-    P_m * sum_j c_j L^j is computed exactly, by integer Horner on L's
-    mantissa with the coefficients over their common denominator, then
-    rounded once (``numerics._round``, or one ``numerics._div`` by the
-    denominator).  A polynomial with several groups adds the rounded groups
-    in ascending m, each addition rounded once (``numerics._add``); the zero
+    P_m * sum_j c_j L^j is computed exactly in integers from L's mantissa,
+    then rounded once (``numerics._round``, or one ``numerics._div`` by a
+    denominator).  A group outside any family takes integer Horner with its
+    coefficients over their common denominator.  The groups of one family
+    share one pass over the series' prefix sums Q_J = Q_(J-1) 2^s + g_J y^J,
+    L = y 2^-s, and each member is an exact rational multiple of one Q_J.
+    Either way the group's exact value is rounded once, so it has the same
+    bits.  A polynomial with several groups adds the rounded groups in
+    ascending m, each addition rounded once (``numerics._add``); the zero
     polynomial is 0.  Every other step is exact integer arithmetic, so a
     value is bit-for-bit the same whichever other polynomials and points it
     is evaluated with, on either mpmath backend, and does not depend on the
-    ambient ``mp.prec``.  The grouped integer coefficients are kept between
-    calls, one LRU entry per polynomial set (``_grouped_terms``), and give
-    the same bits cold or warm.
+    ambient ``mp.prec``.  The grouped integer coefficients and the families
+    are kept between calls, one LRU entry per polynomial set
+    (``_grouped_terms``), and give the same bits cold or warm.
     """
     require_precision(precision_bits)
     grouped = _grouped_terms(tuple(polys))
@@ -349,23 +425,40 @@ def _eval_point(grouped, t, prec: int) -> List[tuple]:
     if t_raw[0] or not t_raw[1]:  # negative or zero
         raise NonPositiveArgument(f"evaluation point must be positive, got {t!r}")
     # L = y * 2^-shift exactly, with y an integer and shift >= 0
-    sign, man, exp, _ = mpf_log(t_raw, prec, _RND)
+    sign, man, exp, _ = _log_at(t_raw, prec)
     y = -man if sign else man
     shift = 0
     if exp >= 0:
         y <<= exp
     else:
         shift = -exp
+    polys, families = grouped
+    # prefixes[f][J] = sum_{j <= J} g_j L^j * 2^(shift * J) for series g
+    prefixes = []
+    for series in families:
+        power = 1
+        prefix = series[0]
+        sums = [prefix]
+        for c in series[1:]:
+            power *= y
+            prefix = (prefix << shift) + c * power
+            sums.append(prefix)
+        prefixes.append(sums)
     t_powers: Dict[int, tuple] = {}
     values = []
-    for denom, groups in grouped:
+    for groups in polys:
         total = None
-        for m, coefficients in groups:
-            # sum_j c_j L^j = acc * 2^(-shift * J) with J the top log power
-            acc = 0
-            for k, c in enumerate(coefficients):
-                acc = acc * y + (c << shift * k)
-            scale = -shift * (len(coefficients) - 1)
+        for m, num, den, terms, member in groups:
+            if member is None:
+                # sum_j c_j L^j = acc * 2^(-shift * top)
+                acc = 0
+                for k, c in enumerate(terms):
+                    acc = acc * y + (c << shift * k)
+                top = len(terms) - 1
+            else:
+                f, top = member
+                acc = num * prefixes[f][top]
+            scale = -shift * top
             if m:
                 power = t_powers.get(m)
                 if power is None:
@@ -373,10 +466,10 @@ def _eval_point(grouped, t, prec: int) -> List[tuple]:
                 _, power_man, power_exp, _ = power  # t^m > 0
                 acc *= power_man
                 scale += power_exp
-            if denom is None:
+            if den is None:
                 piece = _round(acc, scale, prec)
             else:
-                piece = _div((acc, scale), denom, prec)
+                piece = _div((acc, scale), den, prec)
             total = piece if total is None else _add(total, piece, prec)
         values.append(_ZERO if total is None else total)
     return values

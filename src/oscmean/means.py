@@ -62,7 +62,7 @@ from .errors import (
 )
 # oscbench/spans.py wraps find_root_bracketed, lp_eval and normal_field here
 # by name, so they stay imported; nothing in this module calls them.
-from .logpoly import lp_eval, lp_rows
+from .logpoly import _log_at, lp_eval, lp_rows
 from .numerics import (
     _ONE,
     _ZERO,
@@ -405,7 +405,7 @@ def neuman_LN(values: Sequence, precision_bits: int = 53) -> mpmath.mpf:
     vals = [v._mpf_ for v in sorted_positive_distinct(values, precision_bits)]
     n = len(vals)
     prec = precision_bits + GUARD_BITS
-    logs = [mpf_log(v, prec, _RND) for v in vals]
+    logs = [_log_at(v, prec) for v in vals]
     total = _divided_difference(vals, logs, prec)
     result = mpf_mul(from_int(factorial(n - 1), prec, _RND), total, prec, _RND)
     return mp.make_mpf(mpf_pos(result, precision_bits, _RND))
@@ -426,7 +426,7 @@ def identric_IZ(values: Sequence, precision_bits: int = 53) -> mpmath.mpf:
     n = len(vals)
     prec = precision_bits + GUARD_BITS
     weights = [
-        mpf_mul(mpf_pow_int(v, n - 1, prec, _RND), mpf_log(v, prec, _RND), prec, _RND)
+        mpf_mul(mpf_pow_int(v, n - 1, prec, _RND), _log_at(v, prec), prec, _RND)
         for v in vals
     ]
     m = sum(Fraction(1, k) for k in range(1, n))

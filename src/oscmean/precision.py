@@ -31,6 +31,8 @@ from .errors import BadParameter
 MIN_PRECISION_BITS = 53
 _NON_FINITE = (finf, fninf, fnan)
 _BARE_POINT = re.compile(r"^([+-]?)\.(?=\d)")
+#: An underscore that does not stand between two digits.
+_LOOSE_UNDERSCORE = re.compile(r"(?<!\d)_|_(?!\d)")
 
 
 def require_precision(bits: int) -> int:
@@ -49,12 +51,17 @@ def as_mpf_at(value, precision_bits: int) -> mpmath.mpf:
     returned as given, not rounded.  A Fraction is rounded once, from its
     exact value, and so is a decimal literal m * 10^e, read once, by
     ``_decimal_at``; a zero with a bare point, such as ".0", which mpf's
-    constructor refuses, is read as 0.  Anything else is read by mpf's own
+    constructor refuses, is read as 0.  An underscore between two digits is
+    dropped, as Python's ``float`` drops it ("1.5_1" is 1.51, where mpmath's
+    reader takes 0.151, and "1.5_0" is 1.5, which it refuses); one anywhere
+    else is refused.  Anything else is read by mpf's own
     constructor at ``precision_bits``.  No mpmath context is read or
     entered.  Infinities and nan raise ``BadParameter`` whatever their type.
     """
     if isinstance(value, str):
         text = value.strip()
+        if "_" in text and not _LOOSE_UNDERSCORE.search(text):
+            text = text.replace("_", "")
         if text.startswith((".", "+.", "-.")):
             # "0" before a bare point: mpmath's reader drops a fraction's
             # trailing zeros and then fails on ".0", "-.0e1" and the like

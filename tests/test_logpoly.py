@@ -32,6 +32,7 @@ from oscmean.precision import as_mpf_at
 from oscmean.wronskian import (
     make_conjecture_curve,
     make_log_curve,
+    _plane_polynomials,
     make_monomial_curve,
     normal_field,
 )
@@ -708,6 +709,70 @@ def test_coefficient_cache_stays_within_its_bound():
         assert _grouped_terms.cache_info().currsize <= CACHE_MAXSIZE
     assert _grouped_terms.cache_info().currsize == CACHE_MAXSIZE
     assert _eval_many([polys[0]], "1.5", 113) == first  # evicted, then rebuilt
+
+
+def _family_sets():
+    """Polynomial sets whose rows go through the family pass, and sets with
+    no family: the log curve's planes (n = 2-16), the conjecture curve's,
+    and a seeded set of rational multiples of prefixes of one random series,
+    spread over two t-powers and mixed with polynomials that fit no family."""
+    sets = [(f"log{n}", _plane_polynomials(make_log_curve(n))) for n in range(2, 17)]
+    sets += [(f"conj{n}", _plane_polynomials(make_conjecture_curve(n))) for n in (3, 5, 9)]
+    rng = random.Random(36)
+    series = [Fraction(rng.randint(-9**9, 9**9), rng.randint(1, 10**4)) for _ in range(9)]
+    seeded = []
+    for length in (9, 7, 7, 4, 2, 1):
+        for m in (-3, 2):
+            scale = Fraction(rng.randint(-99, 99) or 1, rng.randint(1, 99))
+            seeded.append(LogPoly({(m, j): scale * series[j] for j in range(length)}))
+    seeded.append(seeded[0] + seeded[3])  # two t-powers, each a family member
+    seeded.append(LogPoly({(2, 0): 1, (2, 1): 3, (2, 2): 1}))  # no family
+    seeded.append(seeded[6] + LogPoly.term(1, -3, 0))  # a prefix but for its constant
+    seeded.append(LogPoly.zero())
+    sets.append(("seeded", tuple(seeded)))
+    return sets
+
+
+with mp.workprec(400):
+    _FAMILY_POINT_400_BITS = mp.sqrt(3) * 7
+_FAMILY_RNG = random.Random(7)
+_FAMILY_POINTS = (1, 0.3, "1e300", "1e-300", _FAMILY_POINT_400_BITS) + tuple(
+    f"{_FAMILY_RNG.uniform(0.01, 100):.15g}" for _ in range(4)
+)
+
+
+@pytest.mark.parametrize("bits", [83, 143, 286, 1530])
+def test_family_rows_equal_horner_pinned(bits):
+    # lp_eval evaluates one polynomial at a time: a family of one, which
+    # runs Horner.  Every row lp_rows builds with its families must have
+    # those bits exactly.
+    for name, polys in _family_sets():
+        groups, families = _grouped_terms(tuple(polys))
+        if name.startswith("conj") or name == "log2":
+            assert not families, name
+        else:
+            assert families, name
+        rows = lp_rows(polys, _FAMILY_POINTS, bits)
+        for row, t in zip(rows, _FAMILY_POINTS):
+            expected = [lp_eval(p, t, bits)._mpf_ for p in polys]
+            assert [_raw_value(v) for v in row] == expected, (name, t, bits)
+
+
+def test_families_are_read_from_the_coefficients_given():
+    # one family per t-power on the log curve: every normal with a log
+    # term; the constant normal and the offset are left to Horner
+    for n in (3, 7, 16):
+        groups, families = _grouped_terms(_plane_polynomials(make_log_curve(n)))
+        assert [len(s) for s in families] == [n]
+        assert [member for *_, member in sum(groups, ())] == [
+            (0, n - k) for k in range(1, n)
+        ] + [None, None]
+    # the same normals with one coefficient moved are no family
+    polys = list(_plane_polynomials(make_log_curve(5)))
+    polys[1] = polys[1] + LogPoly.term(1, -6, 1)
+    _, families = _grouped_terms(tuple(polys))
+    assert [len(s) for s in families] == [5]
+    assert _grouped_terms(tuple(polys))[0][1][0][-1] is None
 
 
 def test_value_at_one_exact():

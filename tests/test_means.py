@@ -91,8 +91,42 @@ def test_hyperplane_takes_one_log_per_point(monkeypatch):
     through_mpf = _counting(monkeypatch, mp, "log")
     raw = _counting(monkeypatch, logpoly, "mpf_log")
     logpoly._grouped_terms.cache_clear()
+    logpoly._log_at.cache_clear()  # a log kept from an earlier test is not taken
     hyperplane_at(make_log_curve(5), 3.7, 113)
     assert len(through_mpf) + len(raw) == 1
+
+
+def test_each_input_log_is_taken_once_per_width(monkeypatch):
+    # the planes, neuman_LN, identric_IZ and the determinant closed forms
+    # share one log of each input at the working width: n logs per request,
+    # per numeric_checks tuple and per conjecture tuple, where each took its
+    # own (2n, 3n from n = 3, and 2n)
+    logs = _counting(monkeypatch, logpoly, "mpf_log")
+    pull_back_logs = _counting(monkeypatch, means, "mpf_log")
+
+    def count(run):
+        logpoly._log_at.cache_clear()
+        logs.clear()
+        run()
+        return len(logs)
+
+    rng = random.Random(36)
+    for n in (2, 3, 5, 7, 10):
+        values = draw_tuple(rng, n, 1.1, 50.0)
+        for bits in (53, 113, 256):
+            assert count(lambda: evaluate_request([repr(v) for v in values], 1, bits)) == n
+            assert count(lambda: identities.numeric_checks(values, bits)) == n
+    for n in (3, 5, 7):
+        assert count(lambda: identities.conjecture_scan(n, 1, 36)) == n
+    assert not pull_back_logs
+
+
+def test_log_memo_stays_within_its_bound():
+    logpoly._log_at.cache_clear()
+    for j in range(logpoly.CACHE_MAXSIZE + 40):
+        neuman_LN((1 + j, 2000 + j), 53)
+        assert logpoly._log_at.cache_info().currsize <= logpoly.CACHE_MAXSIZE
+    assert logpoly._log_at.cache_info().currsize == logpoly.CACHE_MAXSIZE
 
 
 def test_log_hyperplane_n10_values_are_pinned():

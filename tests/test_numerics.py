@@ -225,6 +225,28 @@ def test_zero_literals_with_a_bare_point_read_as_zero(literal):
             assert as_mpf_at(nonzero, bits)._mpf_ == from_str(nonzero, bits, round_nearest)
 
 
+@pytest.mark.parametrize("literal, plain", [
+    ("1.5_0", "1.50"), ("1.5_1", "1.51"), ("1_000.000_1", "1000.0001"),
+    ("-2_5e1_0", "-25e10"), (" 1_2.3_4E-5_0 ", "12.34E-50"), (".5_0", ".50"),
+])
+def test_underscores_between_digits_read_as_python_reads_them(literal, plain):
+    # mpmath's reader refuses "1.5_0" and reads "1.5_1" as 0.151; Python's
+    # float drops an underscore between two digits
+    assert float(literal) == float(plain)
+    for bits in (53, 113, 1500):
+        assert as_mpf_at(literal, bits)._mpf_ == as_mpf_at(plain, bits)._mpf_
+    assert as_mpf_at("1.5_0", 53) == as_mpf_at("1.5_0", 113) == 1.5
+
+
+@pytest.mark.parametrize("literal", ["1__0", "1_", "_1", "1_.5", "1._5", "1.5e_1", "1_e5"])
+def test_underscores_not_between_digits_are_refused(literal):
+    with pytest.raises(ValueError):
+        float(literal)
+    for bits in (53, 113):
+        with pytest.raises(BadParameter, match=rf"^could not parse '{literal}' as a real number$"):
+            as_mpf_at(literal, bits)
+
+
 @pytest.mark.parametrize("ambient", [20, 400])
 def test_string_entries_ignore_the_ambient_precision(ambient):
     rows = [["0.1", "0.3", "1/3"], ["0.7", "2", "0.5"], ["1e-5", "0.9", "3"]]
