@@ -189,24 +189,21 @@ def lemma4_check(n: int) -> Tuple[LogPoly, Optional[LogPoly]]:
     """
     if n < 1:
         raise BadParameter(f"n must be >= 1, got {n}")
-    first_terms = {}
-    for k in range(1, n + 1):
-        outer = Fraction((-1) ** (k - 1), factorial(k - 1))
-        for j in range(0, n - k + 1):
-            power = n - 1 - j
-            coeff = outer / factorial(n - k - j)
-            first_terms[(0, power)] = first_terms.get((0, power), Fraction(0)) + coeff
-    first = LogPoly(first_terms)
-    if n < 2:
-        return first, None
-    second_terms = {}
-    for k in range(2, n + 1):
-        outer = Fraction((-1) ** (k - 1), factorial(k - 2))
-        for j in range(0, n - k + 1):
-            power = n - j - 2
-            coeff = outer / factorial(n - k - j)
-            second_terms[(0, power)] = second_terms.get((0, power), Fraction(0)) + coeff
-    return first, LogPoly(second_terms)
+    return _lemma4_sum(n, 0), (_lemma4_sum(n, 1) if n >= 2 else None)
+
+
+def _lemma4_sum(n: int, shift: int) -> LogPoly:
+    """sum_{k=1+shift}^{n} (-1)^(k-1) / (k-1-shift)! *
+    sum_{j=0}^{n-k} x^(n-1-shift-j) / (n-k-j)!: lemma 4's first double sum
+    at shift 0 and its second at shift 1."""
+    return LogPoly(
+        (
+            (0, n - 1 - shift - j),
+            Fraction((-1) ** (k - 1), factorial(k - 1 - shift) * factorial(n - k - j)),
+        )
+        for k in range(1 + shift, n + 1)
+        for j in range(n - k + 1)
+    )
 
 
 def lemma7_check(b: Sequence) -> Tuple[Fraction, Fraction]:
@@ -611,8 +608,7 @@ def _check_symbolic_determinants_n3() -> List[IdentityReport]:
     powers = (1, 2, 3)
     minor_matrix = [[substitute_power(p, c) for p in field] for c in powers]
     det3 = det_symbolic(minor_matrix)
-    gap = (powers[1] - powers[0]) * (powers[2] - powers[0]) * (powers[2] - powers[1])
-    expected3 = LogPoly.term(2 * gap, -sum(powers), 3)
+    expected3 = LogPoly.term(2 * vandermonde(powers), -sum(powers), 3)
     row3 = _exact_report("prop3_symbolic_power_points", 3, det3 == expected3, 1)
 
     k_full = full_wronskian_closed_form(3)

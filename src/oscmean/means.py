@@ -81,15 +81,10 @@ from .numerics import (
 from .precision import as_mpf_at, require_precision
 from .wronskian import LOG_T, Curve, T, _plane_polynomials, make_log_curve, normal_field
 
-#: Inputs whose logs are closer than this get a conditioning warning and an
-#: automatic escalation to at least 113 significand bits.
+#: Inputs whose logs are closer than this get a conditioning warning, and a
+#: request below 113 significand bits escalates to 113.
 LN_GAP_FLOOR = 1e-6
 ESCALATED_PRECISION_BITS = 113
-#: Internal headroom for intersections and closed-form mean evaluations:
-#: the arithmetic carries this many extra bits so that log-gap cancellation
-#: does not eat into the digits of the answer delivered at the requested
-#: precision.
-GUARD_BITS = 30
 _RND = round_nearest
 # ln b - ln a < LN_GAP_FLOOR exactly when (b - a)/a < e^LN_GAP_FLOOR - 1, an
 # irrational bound: here times 2^96, taken at 128 bits and rounded up.
@@ -115,8 +110,8 @@ class IntersectionResult:
     """The common point of the n hyperplanes plus solve diagnostics.
 
     ``point[0]`` is the paper's i_1; on the log curve it is M_1.
-    ``work_bits`` is the precision the planes were built and solved at, the
-    requested precision plus ``GUARD_BITS``, and ``report`` that solve's.
+    ``work_bits`` is the precision the planes were built and solved at,
+    ``working_bits`` of the requested precision, and ``report`` that solve's.
     ``_rows`` are those planes
     (``_plane_rows``), in the order of the sorted inputs; their normals are
     the rows of the matrix whose determinant ``report.determinant`` is.
@@ -203,13 +198,15 @@ def _ln_gap_note(values: Sequence) -> str:
     return f"min ln-gap {mp.nstr(smallest, 3)} is below {LN_GAP_FLOOR:g}"
 
 
-def ln_gap_warnings(values: Sequence) -> Tuple[str, ...]:
-    """``_ln_gap_note`` as the warning of a request ``evaluate_request`` escalates."""
-    note = _ln_gap_note(values)
-    return (f"{note}; results are ill-conditioned, precision escalated",) if note else ()
-
-
 # -- hyperplanes and their intersection ---------------------------------------
+
+
+def working_bits(precision_bits: int) -> int:
+    """w = p + 30, the width of ``intersect``, ``neuman_LN`` and
+    ``identric_IZ`` at a requested precision p: the 30 extra bits keep
+    log-gap cancellation from eating into the digits of the answer, which
+    each rounds back to p."""
+    return precision_bits + 30
 
 
 def hyperplane_at(curve: Curve, a, precision_bits: int = 53) -> Hyperplane:
@@ -238,13 +235,13 @@ def intersect(curve: Curve, values: Sequence, precision_bits: int = 53) -> Inter
     Values must be positive and pairwise distinct; they are sorted
     internally (the hyperplane set does not depend on input order).
 
-    The planes are built once, in one pass on integer pairs with guard bits
-    on top of the requested precision (``_plane_rows``: each offset rounded
-    once, like each normal entry), and that one matrix and right-hand side
-    serve the elimination; the result carries them, their precision
-    ``work_bits`` and the solve's own report, whose ``error_bound`` is what
-    the planes' rounding can do to i_1.  ``point`` is the solution rounded
-    back to the requested precision.
+    The planes are built once, in one pass on integer pairs at the width
+    ``working_bits`` gives for the requested precision (``_plane_rows``:
+    each offset rounded once, like each normal entry), and that one matrix
+    and right-hand side serve the elimination; the result carries them,
+    their precision ``work_bits`` and the solve's own report, whose
+    ``error_bound`` is what the planes' rounding can do to i_1.  ``point``
+    is the solution rounded back to the requested precision.
     """
     n = curve.dimension
     if len(values) != n:
@@ -253,7 +250,7 @@ def intersect(curve: Curve, values: Sequence, precision_bits: int = 53) -> Inter
         )
     require_precision(precision_bits)
     vals = sorted_positive_distinct(values, precision_bits)
-    work_bits = precision_bits + GUARD_BITS
+    work_bits = working_bits(precision_bits)
     rows = _plane_rows(curve, vals, work_bits)
     try:
         guarded = solve_linear([row[:-1] for row in rows], [row[-1] for row in rows], work_bits)
@@ -282,10 +279,10 @@ def _pull_back(curve: Curve, k: int, vals: Sequence, precision_bits: int):
     if not 1 <= k <= n:
         raise BadIndex(f"mean index k must be in 1..{n}, got {k}")
     component = curve.components[k - 1]
-    if component == T:
-        return lambda target: target
     (e, m), coeff = component.items()[0] if len(component) == 1 else ((0, 0), 0)
-    if component == LOG_T:
+    if component == T:
+        log_t = None
+    elif component == LOG_T:
         log_t = lambda c, w: c
     elif coeff == 1 and e and not m:
         log_t = lambda c, w: mpf_div(mpf_log(c, w, _RND), from_int(e), w, _RND)
@@ -304,8 +301,10 @@ def _pull_back(curve: Curve, k: int, vals: Sequence, precision_bits: int):
         c = target._mpf_
         # every image but log t's is positive
         if component == LOG_T or (c[1] and not c[0]):
-            u = log_t(c, bits + 8 + abs(c[2] + c[3]).bit_length())
-            value = mp.make_mpf(mpf_exp(u, bits, _RND))
+            value = target
+            if log_t is not None:
+                u = log_t(c, bits + 8 + abs(c[2] + c[3]).bit_length())
+                value = mp.make_mpf(mpf_exp(u, bits, _RND))
             if lo <= value <= hi:
                 return value
         raise NoBracket(f"component {k} takes {target} outside the inputs' range")
@@ -397,14 +396,14 @@ def neuman_LN(values: Sequence, precision_bits: int = 53) -> mpmath.mpf:
 
     that is, (n-1)! times the divided difference of exp at the logs.
     Symmetric in its arguments and positively homogeneous of degree 1.  The
-    sum cancels heavily when the logs are close, so it is accumulated with
-    guard bits and rounded to the requested precision at the end: the logs,
-    the divided difference (``_divided_difference``) and the final product
-    with (n-1)! round to nearest at ``precision_bits + GUARD_BITS``.
+    sum cancels heavily when the logs are close, so it is accumulated wider
+    and rounded to the requested precision at the end: the logs, the
+    divided difference (``_divided_difference``) and the final product with
+    (n-1)! round to nearest at ``working_bits(precision_bits)``.
     """
     vals = [v._mpf_ for v in sorted_positive_distinct(values, precision_bits)]
     n = len(vals)
-    prec = precision_bits + GUARD_BITS
+    prec = working_bits(precision_bits)
     logs = [_log_at(v, prec) for v in vals]
     total = _divided_difference(vals, logs, prec)
     result = mpf_mul(from_int(factorial(n - 1), prec, _RND), total, prec, _RND)
@@ -419,12 +418,12 @@ def identric_IZ(values: Sequence, precision_bits: int = 53) -> mpmath.mpf:
     the exp of the divided difference of t^(n-1) ln t at the inputs, less
     the harmonic number m = 1 + 1/2 + ... + 1/(n-1).  For n = 2 this
     reduces to the classical identric mean exp[(b ln b - a ln a)/(b - a) - 1].
-    Every step rounds to nearest at ``precision_bits + GUARD_BITS``, and
+    Every step rounds to nearest at ``working_bits(precision_bits)``, and
     the result once more, to the requested precision.
     """
     vals = [v._mpf_ for v in sorted_positive_distinct(values, precision_bits)]
     n = len(vals)
-    prec = precision_bits + GUARD_BITS
+    prec = working_bits(precision_bits)
     weights = [
         mpf_mul(mpf_pow_int(v, n - 1, prec, _RND), _log_at(v, prec), prec, _RND)
         for v in vals
@@ -443,11 +442,12 @@ def evaluate_request(values: Sequence, k: int = 1, precision_bits: int = 53) -> 
 
     The values are parsed at ``precision_bits``, sorted increasingly, and
     checked for positivity and distinctness.  If the smallest log gap falls
-    below ``LN_GAP_FLOOR`` a warning is attached and the values are parsed
-    again at the effective precision, at least 113 bits (the identity still
-    holds; near-equal inputs just need more headroom).  Then ``_pull_back``
-    checks that k lies in 1..n (``BadIndex``), and a k >= 2 request with an
-    input <= 1 raises ``DomainError``, before any hyperplane is built.
+    below ``LN_GAP_FLOOR`` a warning is attached, and a request below 113
+    bits is escalated to 113: its values are parsed again there, and the
+    warning says so (the identity still holds; near-equal inputs just need
+    more headroom).  Then ``_pull_back`` checks that k lies in 1..n
+    (``BadIndex``), and a k >= 2 request with an input <= 1 raises
+    ``DomainError``, before any hyperplane is built.
 
     Returns a plain dict (stable key order) with the intersection point, the
     first mean, the closed-form logarithmic mean, their relative gap, the
@@ -458,11 +458,13 @@ def evaluate_request(values: Sequence, k: int = 1, precision_bits: int = 53) -> 
     raises ``SingularSystem``.
     """
     vals = sorted_positive_distinct(values, precision_bits)
-    warnings = ln_gap_warnings(vals)
+    note = _ln_gap_note(vals)
     bits = precision_bits
-    if warnings:
-        bits = max(ESCALATED_PRECISION_BITS, precision_bits)
+    if note and bits < ESCALATED_PRECISION_BITS:
+        bits = ESCALATED_PRECISION_BITS
         vals = sorted_positive_distinct(values, bits)
+    escalated = ", precision escalated" if bits > precision_bits else ""
+    warnings = [f"{note}; results are ill-conditioned{escalated}"] if note else []
     n = len(vals)
     curve = make_log_curve(n)
     pull_back = _pull_back(curve, k, vals, bits)
@@ -490,5 +492,5 @@ def evaluate_request(values: Sequence, k: int = 1, precision_bits: int = 53) -> 
         "rel_gap": _rel_error(m1, reference, bits),
         "mk": mk,
         "error_bound": result.report.error_bound,
-        "warnings": list(warnings),
+        "warnings": warnings,
     }

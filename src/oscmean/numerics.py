@@ -1,15 +1,16 @@
 """Configurable-precision dense linear algebra and bracketed root finding.
 
-Everything here works on mpmath floats so the significand width can be
-raised at runtime; 53 bits reproduces IEEE double behaviour.  One
-scaled-pivot LU factorization serves both the solver and det.  The solver
-takes one step of iterative refinement, which leaves a relative error of
-about 2^-w + (kappa * 2^-w)^2 at working precision w against the exact
-solution of the system as given (``solve_linear``).  From the same LU the
-solver's report gives, when read, a bound on the error of the first
-component and the determinant (``SolveReport``).  It is dense Gaussian
-elimination, O(n^3) for any n: ``mean`` accepts any number of values, and
-the intersection systems reach n = 16 in the tests.
+Each routine takes its width as an argument; 53 bits reproduces IEEE double
+behaviour.  The linear algebra computes on integer pairs (below), the root
+finder on mpmath floats.  One scaled-pivot LU factorization serves both the
+solver and det.  The solver takes one step of iterative refinement, which
+leaves a relative error of about 2^-w + (kappa * 2^-w)^2 at working
+precision w against the exact solution of the system as given
+(``solve_linear``).  From the same LU the solver's report gives, when read,
+a bound on the error of the first component and the determinant
+(``SolveReport``).  It is dense Gaussian elimination, O(n^3) for any n:
+``mean`` accepts any number of values, and the intersection systems reach
+n = 16 in the tests.
 
 The elimination, the substitutions, the refinement's residual and the
 determinant's pivot product run on integer pairs (m, e), the value m * 2^e,
@@ -44,7 +45,7 @@ from .errors import BadDimension, NoBracket, SingularSystem
 from .precision import as_mpf_at, require_precision
 
 # Pivots at or below 2^(-precision+8) times the row scale are treated as zero.
-_PIVOT_GUARD_BITS = 8
+_PIVOT_MARGIN_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -401,7 +402,7 @@ def _lu_factor(matrix, prec: int):
             if _gt((a[0] * sp, a[1] + ep), (best[0] * si, best[1] + ei)):
                 pivot_row, best = i, a
         scale, scale_exp = scales[pivot_row]
-        if not _gt(best, (scale, scale_exp - prec + _PIVOT_GUARD_BITS)):
+        if not _gt(best, (scale, scale_exp - prec + _PIVOT_MARGIN_BITS)):
             raise SingularSystem(
                 f"pivot {col} fell below the relative threshold; "
                 "the system is numerically singular"
@@ -469,7 +470,7 @@ def solve_linear(A: Sequence[Sequence], b: Sequence, precision_bits: int = 53) -
     to n = 7, at 83, 143 and 286 bits, one step stays within one unit.  That
     is enough for ``means.intersect``: its planes already carry a rounding
     of 2^-w per entry (``SolveReport.error_bound``), and it rounds the point
-    to 30 bits below w.
+    to the requested precision p, below w = ``means.working_bits(p)``.
     """
     require_precision(precision_bits)
     n = len(A)

@@ -118,6 +118,16 @@ def test_mean_prints_a_ln_gap_finer_than_53_bits(capsys, values, code, note):
     assert note in out + err
 
 
+@pytest.mark.parametrize("precision, escalated", [("53", True), ("113", False), ("256", False)])
+def test_mean_says_precision_escalated_only_when_it_rose(capsys, precision, escalated):
+    code, out, err = run_cli(capsys, "mean", "--values", "2,2.0000000001,3",
+                             "--precision", precision)
+    assert code == 0 and not err
+    assert "warning: min ln-gap 5.0e-11 is below 1e-06; results are ill-conditioned" in out
+    assert ("precision escalated" in out) == escalated
+    assert ("(escalated to 113)" in out) == escalated
+
+
 def test_mean_outside_inputs_exit_2(capsys):
     values = ("0.54896602621678882421,0.54896602609182398869,0.54896602652808839490,"
               "0.54896602665847601854,0.54896602640281305315")
@@ -300,7 +310,7 @@ def test_verify_small_run_passes(capsys):
 
 
 def test_verify_max_n7_at_53_bits_passes(capsys):
-    # the n = 7 determinant rows are taken at 53 + 30 bits on the planes of
+    # the n = 7 determinant rows are taken at working_bits(53) on the planes of
     # the main theorem's intersection, and clear the 53-bit gates
     code, out, err = run_cli(capsys, "verify", "--max-n", "7", "--json")
     assert code == 0 and not err

@@ -33,7 +33,7 @@ from oscmean.identities import (
     vandermonde,
 )
 from oscmean.logpoly import LogPoly, substitute_power
-from oscmean.means import ln_gap_warnings
+from oscmean.means import _ln_gap_note
 from oscmean.numerics import _pair
 from oscmean.wronskian import (
     det_symbolic,
@@ -200,8 +200,8 @@ def test_prop4_degenerate_pair_grows_and_warns():
     separated = (2.0, 5.0, 12.0)
     degenerate = (2.0, 2.0 * (1 + 1e-7), 12.0)
     assert numeric_checks(degenerate, 53)[PROP4] > numeric_checks(separated, 53)[PROP4]
-    assert ln_gap_warnings(degenerate)
-    assert not ln_gap_warnings(separated)
+    assert _ln_gap_note(degenerate)
+    assert not _ln_gap_note(separated)
 
 
 def test_quotient_check_singular_minor_matrix():
@@ -244,7 +244,7 @@ def _exact_closed_forms(vals, work_bits):
 
 @pytest.mark.parametrize("bits", [53, 113, 256])
 def test_closed_forms_are_exact_rounded_once(bits):
-    work_bits = bits + means.GUARD_BITS
+    work_bits = means.working_bits(bits)
     rng = random.Random(bits)
     # a log of exactly 0 among them (a_j = 1)
     tuples = [(0.5, 1.0, 3.0), (1.0, 1.5, 2.25, 40.0)]
@@ -389,8 +389,8 @@ def test_numeric_scan_at_the_cap():
 
 def test_numeric_checks_follow_the_intersection_width(monkeypatch):
     # the determinant rows run at the width the intersection built and
-    # solved its planes at, whatever GUARD_BITS is
-    monkeypatch.setattr(means, "GUARD_BITS", 40)
+    # solved its planes at, whatever width working_bits gives
+    monkeypatch.setattr(means, "working_bits", lambda p: p + 40)
     calls = []
 
     def spy(name):

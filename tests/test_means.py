@@ -27,7 +27,6 @@ from oscmean.means import (
     hyperplane_at,
     identric_IZ,
     intersect,
-    ln_gap_warnings,
     mean_M,
     neuman_LN,
 )
@@ -280,7 +279,7 @@ def test_error_bound_is_computed_only_when_read(monkeypatch):
     assert sum(len(pairs) for pairs, _ in conversions) == 5 + (5 * 5 + 5) + 5 * 5
 
 
-# The smallest gap, as a power of ten, that bits + 30 holds at n = 4 and 5.
+# The smallest gap, as a power of ten, that working_bits(bits) holds at n = 4 and 5.
 _LAST_DECADE = {(53, 4): 6, (53, 5): 4, (113, 5): 9}
 
 
@@ -288,7 +287,7 @@ def _bound_cases(bits):
     """Seeded log-curve inputs for the error bound, every one answered at
     ``bits``: spread tuples reaching below 1, clustered tuples with
     relative gaps 1e-3 to 1e-10 (n = 3 at every gap, n = 4 and 5 where
-    ``bits`` + 30 holds them), and geometric tuples with n = 8 to 16."""
+    ``working_bits(bits)`` holds them), and geometric tuples with n = 8 to 16."""
     rng = random.Random(bits)
     for n in range(2, 8):
         for _ in range(3):
@@ -376,7 +375,7 @@ def test_solve_determinant_is_det_bit_for_bit(monkeypatch, bits):
         determinant = result.report.determinant
         assert len(factors) == 1  # read from the solve's LU
         minors = [row[:-1] for row in result._rows]
-        assert determinant._mpf_ == numerics.det(minors, bits + means.GUARD_BITS)._mpf_
+        assert determinant._mpf_ == numerics.det(minors, means.working_bits(bits))._mpf_
         assert result.report.determinant is determinant
         factors.clear()
 
@@ -543,7 +542,7 @@ def test_residual_is_measured_against_the_solved_planes(values, bits):
     # entry within 2^-w of its exact value, to within a relative 2^-w per
     # entry: the solution's componentwise residual against the solved planes
     # is within that, and against planes rounded at the requested
-    # precision, 30 bits coarser, it is not
+    # precision, coarser than working_bits' w, it is not
     curve = make_log_curve(len(values))
     result = intersect(curve, values, bits)
     x = result.report.solution
@@ -1123,6 +1122,84 @@ def test_mean_request_escalates_on_tiny_ln_gap():
     assert outcome["effective_precision_bits"] >= 113
 
 
+_CLUSTERED = ("2", "2.0000000001", "3", "2.00000000015", "3.5")
+
+
+@pytest.mark.parametrize("bits", [53, 113, 256])
+def test_warning_says_escalated_only_when_the_precision_rose(bits):
+    outcome = evaluate_request(_CLUSTERED, k=1, precision_bits=bits)
+    note = "min ln-gap 2.5e-11 is below 1e-06; results are ill-conditioned"
+    if bits < 113:
+        assert outcome["effective_precision_bits"] == 113
+        assert outcome["warnings"] == [note + ", precision escalated"]
+    else:
+        assert outcome["effective_precision_bits"] == bits
+        assert outcome["warnings"] == [note]
+
+
+@pytest.mark.parametrize("bits, reads", [(53, 2), (113, 1), (256, 1)])
+def test_literals_are_read_again_only_when_the_precision_rises(monkeypatch, bits, reads):
+    # the 53-bit request parses its literals again at 113; at 113 and 256
+    # bits the escalation keeps the precision, and the first parse serves
+    parsed = [_counting(monkeypatch, module, "as_mpf_at") for module in (means, numerics)]
+    evaluate_request(_CLUSTERED, k=1, precision_bits=bits)
+    literals = [args[0] for calls in parsed for args in calls if isinstance(args[0], str)]
+    assert sorted(literals) == sorted(_CLUSTERED * reads)
+
+
+def test_every_width_on_the_mean_path_comes_from_working_bits(monkeypatch):
+    # with the rule moved to p + 40, every plane build, solve, divided
+    # difference, determinant and closed form runs at p' + 40, p' the
+    # effective precision of the request
+    monkeypatch.setattr(means, "working_bits", lambda p: p + 40)
+    widths = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            widths.append((name, args[-1]))
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("_plane_rows", "solve_linear", "_divided_difference"):
+        spy(means, name)
+    for name in ("det", "_determinant_closed_forms"):
+        spy(identities, name)
+
+    def seen(bits, names, run, *args):
+        widths.clear()
+        result = run(*args)
+        assert {name for name, _ in widths} == set(names)
+        assert {w for _, w in widths} == {bits + 40}
+        return result
+
+    request = ("_plane_rows", "solve_linear", "_divided_difference")
+    for values, k, bits, effective in (
+        (_CLUSTERED, 1, 53, 113),
+        (_CLUSTERED, 1, 113, 113),
+        (("1.5", "2", "3", "4.5"), 3, 256, 256),
+    ):
+        outcome = seen(effective, request, evaluate_request, values, k, bits)
+        assert outcome["effective_precision_bits"] == effective
+    seen(113, request[:2], mean_M, make_log_curve(4), 2, (1.5, 2.0, 3.0, 4.5), 113)
+    seen(53, request + ("det", "_determinant_closed_forms"),
+         identities.numeric_checks, (1.7, 3.1, 4.9, 11.3), 53)
+    seen(113, request, identities.conjecture_scan, 3, 2, 5, 113)
+
+
+def test_mean_M_refuses_an_i1_outside_the_inputs():
+    # evaluate_request refuses this 113-bit request for its M_1 below the
+    # smallest input; mean_M, which pulls i_1 back through t, refuses it too
+    values = ("0.54896602621678882421", "0.54896602609182398869", "0.54896602652808839490",
+              "0.54896602665847601854", "0.54896602640281305315")
+    with pytest.raises(NoBracket):
+        mean_M(make_log_curve(5), 1, values, 113)
+    with pytest.raises(SingularSystem):
+        evaluate_request(values, 1, 113)
+
+
 def _raw_fields(outcome):
     return {key: [getattr(v, "_mpf_", v) for v in value] if isinstance(value, list)
             else getattr(value, "_mpf_", value) for key, value in outcome.items()}
@@ -1153,8 +1230,8 @@ def test_request_path_enters_no_mpmath_context(monkeypatch, capsys):
 
 
 def test_ln_gap_warning_helper():
-    assert ln_gap_warnings((2.0, 7.0)) == ()
-    assert ln_gap_warnings((2.0, 2.0 + 2e-7))
+    assert means._ln_gap_note((2.0, 7.0)) == ""
+    assert means._ln_gap_note((2.0, 2.0 + 2e-7))
 
 
 def test_validated_values_come_back_as_given(monkeypatch):
@@ -1229,9 +1306,9 @@ def test_ln_gap_shortcut_agrees_with_the_logs(x):
     fired = set()
     for values in cases:
         expected = _gap_below_floor_by_logs(values)
-        warnings = ln_gap_warnings(values)
-        assert bool(warnings) == expected
-        assert all(w.startswith("min ln-gap ") for w in warnings)
+        note = means._ln_gap_note(values)
+        assert bool(note) == expected
+        assert not note or note.startswith("min ln-gap ")
         fired.add(expected)
     assert fired == {True, False}
 
@@ -1248,15 +1325,13 @@ def test_ln_gap_shortcut_takes_no_log_when_the_gaps_are_clear(monkeypatch):
         (2.0, 9.0),
         ("2", "2.0000021", "3"),
     ]:
-        assert ln_gap_warnings(values) == ()
+        assert means._ln_gap_note(values) == ""
     assert not logs
     # a gap below the floor prints log1p of its exact relative gap, no log
-    assert ln_gap_warnings((2.0, 2.000001, 3.0)) == (
-        "min ln-gap 5.0e-7 is below 1e-06; results are ill-conditioned, precision escalated",
-    )
+    assert means._ln_gap_note((2.0, 2.000001, 3.0)) == "min ln-gap 5.0e-7 is below 1e-06"
     assert not logs
     # and so does a pair across a power of two, a log gap of 2^-31
-    assert ln_gap_warnings((mp.mpf(2) - mp.ldexp(1, -30), mp.mpf(2)))
+    assert means._ln_gap_note((mp.mpf(2) - mp.ldexp(1, -30), mp.mpf(2)))
 
 
 def test_ln_gap_note_prints_the_smallest_flagged_gap():
