@@ -62,19 +62,15 @@ def _check_max_n(max_n: int) -> int:
     return max_n
 
 
+def _json_float(value: Optional[float]) -> Optional[float]:
+    """``value`` for JSON: a float that is not finite is null."""
+    return value if value is None or math.isfinite(value) else None
+
+
 def _print_json(payload) -> None:
-    """Print standard JSON, with every float that is not finite as null."""
-
-    def finite(value):
-        if isinstance(value, float) and not math.isfinite(value):
-            return None
-        if isinstance(value, list):
-            return [finite(v) for v in value]
-        if isinstance(value, dict):
-            return {key: finite(v) for key, v in value.items()}
-        return value
-
-    print(json.dumps(finite(payload), indent=2, allow_nan=False))
+    """Print standard JSON; a float that is not finite and was not mapped by
+    :func:`_json_float` raises ``ValueError``."""
+    print(json.dumps(payload, indent=2, allow_nan=False))
 
 
 def _report_dict(report: IdentityReport) -> dict:
@@ -82,7 +78,7 @@ def _report_dict(report: IdentityReport) -> dict:
         "identity": report.name,
         "n": report.n,
         "exact": report.exact,
-        "max_rel_error": report.max_rel_error,
+        "max_rel_error": _json_float(report.max_rel_error),
         "instances": report.instances_checked,
         "warnings": [],
     }
@@ -150,6 +146,8 @@ def cmd_mean(args: argparse.Namespace) -> int:
         value = outcome[key]
         record[key] = _printable(key, value) if key in ("m1", "neuman_ln", "mk") else float(value)
     if args.json:
+        for key in ("rel_gap", "error_bound"):
+            record[key] = _json_float(record[key])
         _print_json(record)
         return EXIT_OK
     if args.csv:
@@ -158,7 +156,8 @@ def cmd_mean(args: argparse.Namespace) -> int:
         writer.writerows([key, record[key]] for key in ("n", "k", "precision_bits"))
         writer.writerows([f"i_{i}", repr(coordinate)]
                          for i, coordinate in enumerate(record["point"], start=1))
-        writer.writerows([key, repr(record[key])] for key in ("m1", "neuman_ln", "rel_gap", "mk"))
+        writer.writerows([key, repr(record[key])]
+                         for key in ("m1", "neuman_ln", "rel_gap", "error_bound", "mk"))
         writer.writerow(["warnings", ";".join(record["warnings"])])
         return EXIT_OK
     print(f"n = {record['n']}, precision = {record['precision_bits']} bits"
@@ -169,6 +168,7 @@ def cmd_mean(args: argparse.Namespace) -> int:
     print(f"M_1                    = {record['m1']!r}")
     print(f"logarithmic mean L_N   = {record['neuman_ln']!r}")
     print(f"relative gap           = {record['rel_gap']:.3e}")
+    print(f"error bound            = {record['error_bound']:.3e}")
     if record["k"] != 1:
         print(f"M_{record['k']} = {record['mk']!r}")
     for warning in record["warnings"]:

@@ -25,20 +25,18 @@ Numeric evaluation (`lp_rows`, with `lp_eval` as its one-polynomial,
 one-point form) is the single bridge out of the exact world.  It takes one
 log of each point for all the polynomials it is given (kept for the other
 readers of that input, ``_log_at``), and one power t^m per t-power m.  Each
-polynomial's terms are grouped by t-power, with integer coefficients over
-one common denominator, and the groups that are rational multiples of
-prefixes of one series are found, once per polynomial set and cached.  A
-group's value is then computed exactly in integers from the mantissas of
-log t and t^m, by Horner or, for a family, from one pass over the series'
-prefix sums, and rounded once to the requested significand width; only a
-polynomial with several t-powers rounds again, once per added group.  It
-rounds on ``numerics``' integer (mantissa, exponent) pairs and returns
-them; `lp_eval` wraps its one value in ``mpf``.
+polynomial's terms are grouped by t-power, and every group is found to be a
+rational multiple of a prefix of one series, once per polynomial set and
+cached; a group that matches no other is a series of its own.  A group's
+value is computed exactly in integers from the mantissas of log t and t^m,
+from one pass over its series' prefix sums, and rounded once to the
+requested significand width; only a polynomial with several t-powers rounds
+again, once per added group.  It rounds on ``numerics``' integer (mantissa,
+exponent) pairs and returns them; `lp_eval` wraps its one value in ``mpf``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -312,22 +310,20 @@ def _is_prefix_multiple(u: Sequence[int], series: Sequence[int]) -> bool:
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def _grouped_terms(polys: Tuple[LogPoly, ...]) -> Tuple[tuple, tuple]:
-    """``(groups, families)``: each polynomial's terms grouped by t-power,
-    exactly, and the families among those groups.
+    """``(groups, series)``: each polynomial's terms grouped by t-power,
+    exactly, each group a rational multiple of a prefix of one series.
 
     A polynomial's coefficients are put over their least common denominator
     D, and each t-power m gives the integers D * c of (log t)^0 up to
-    (log t)^J, zeros included.  Within one t-power, groups with J >= 1 whose
-    integers are rational multiples of prefixes of one series form a
-    family: the series is the longest member's integers over their gcd,
-    found from the coefficients as given.  ``families`` holds each family's
-    series, low power first.  A group is ``(m, num, den, terms, member)``:
-    its value is num / den times sum_j terms[j] (log t)^(J-j) (``terms``
-    listed from (log t)^J down), or, for a member of a family, with
-    ``member = (f, J)``, num / den times the series of family f summed up to
-    (log t)^J; then t^m.  ``den`` is an exact ``numerics`` pair, or None
-    when it is 1.  A family of one is no family, and its group keeps its own
-    integers.  Nothing here is rounded, so one entry serves every precision.
+    (log t)^J, zeros included.  Within one t-power, groups whose integers
+    are rational multiples of prefixes of one series share it: the series
+    is the longest such group's integers over their gcd, found from the
+    coefficients as given, and a group that matches no other is a series of
+    its own.  ``series`` holds them, low power first.  A group is
+    ``(m, num, den, f, J)``: its value is num / den times series f summed up
+    to (log t)^J, times t^m.  ``den`` is an exact ``numerics`` pair, or None
+    when it is 1.  Nothing here is rounded, so one entry serves every
+    precision.
     """
     rows = []
     for p in polys:
@@ -342,45 +338,26 @@ def _grouped_terms(polys: Tuple[LogPoly, ...]) -> Tuple[tuple, tuple]:
             (m, denom, [row.get(j, 0) for j in range(max(row) + 1)])
             for m, row in sorted(by_power.items())
         ])
-    # longest first, so that each family's series is its longest member
-    candidates = sorted(
-        (m, -len(u), i, g)
-        for i, row in enumerate(rows)
-        for g, (m, _, u) in enumerate(row)
-        if len(u) > 1
-    )
+    out = [[None] * len(row) for row in rows]
     series_of: List[Tuple[int, List[int]]] = []
-    members: Dict[Tuple[int, int], int] = {}
-    for m, _, i, g in candidates:
-        u = rows[i][g][2]
+    # longest first, so that each series is its longest group's
+    for m, _, i, g in sorted((m, -len(u), i, g) for i, row in enumerate(rows)
+                             for g, (m, _, u) in enumerate(row)):
+        _, denom, u = rows[i][g]
         for f, (power, series) in enumerate(series_of):
             if power == m and _is_prefix_multiple(u, series):
                 break
         else:
             f = len(series_of)
             divisor = gcd(*u)
-            series_of.append((m, [c // divisor for c in u]))
-        members[i, g] = f
-    kept = sorted(f for f, size in Counter(members.values()).items() if size > 1)
-    number = {f: k for k, f in enumerate(kept)}
-    out = []
-    for i, row in enumerate(rows):
-        groups = []
-        for g, (m, denom, u) in enumerate(row):
-            f = members.get((i, g))
-            if f in number:
-                series = series_of[f][1]
-                top = len(u) - 1
-                ratio = Fraction(u[top], series[top] * denom)
-                num, den, terms = ratio.numerator, ratio.denominator, None
-                member = (number[f], top)
-            else:
-                num, den, terms, member = 1, denom, tuple(reversed(u)), None
-            groups.append(
-                (m, num, None if den == 1 else _round(den, 0, den.bit_length()), terms, member)
-            )
-        out.append(tuple(groups))
-    return tuple(out), tuple(tuple(series_of[f][1]) for f in kept)
+            series = [c // divisor for c in u]
+            series_of.append((m, series))
+        top = len(u) - 1
+        ratio = Fraction(u[top], series[top] * denom)
+        den = ratio.denominator
+        den = None if den == 1 else _round(den, 0, den.bit_length())
+        out[i][g] = (m, ratio.numerator, den, f, top)
+    return tuple(map(tuple, out)), tuple(tuple(series) for _, series in series_of)
 
 
 def lp_rows(polys: Sequence[LogPoly], points: Sequence, precision_bits: int = 53) -> List[list]:
@@ -391,7 +368,7 @@ def lp_rows(polys: Sequence[LogPoly], points: Sequence, precision_bits: int = 53
     The precision is validated and the grouped coefficients looked up once
     for all the points; per point, log t is taken once (``_log_at``, which
     keeps it for the other readers of the same input), each t^m is computed
-    once and shared by all the polynomials, and each family of groups
+    once and shared by all the polynomials, and each series of groups
     (``_grouped_terms``) is summed in one prefix pass.  An mpf point is used
     as given, not rounded; any other is converted at ``precision_bits``.
 
@@ -400,17 +377,15 @@ def lp_rows(polys: Sequence[LogPoly], points: Sequence, precision_bits: int = 53
     polynomial's terms are grouped by t-power m, and each group's value
     P_m * sum_j c_j L^j is computed exactly in integers from L's mantissa,
     then rounded once (``numerics._round``, or one ``numerics._div`` by a
-    denominator).  A group outside any family takes integer Horner with its
-    coefficients over their common denominator.  The groups of one family
-    share one pass over the series' prefix sums Q_J = Q_(J-1) 2^s + g_J y^J,
-    L = y 2^-s, and each member is an exact rational multiple of one Q_J.
-    Either way the group's exact value is rounded once, so it has the same
-    bits.  A polynomial with several groups adds the rounded groups in
-    ascending m, each addition rounded once (``numerics._add``); the zero
-    polynomial is 0.  Every other step is exact integer arithmetic, so a
-    value is bit-for-bit the same whichever other polynomials and points it
-    is evaluated with, on either mpmath backend, and does not depend on the
-    ambient ``mp.prec``.  The grouped integer coefficients and the families
+    denominator).  Each group is an exact rational multiple of one prefix
+    sum Q_J = Q_(J-1) 2^s + g_J y^J of a series g, L = y 2^-s, and the
+    groups of one series share one pass over its prefix sums.  A
+    polynomial with several groups adds the rounded groups in ascending m,
+    each addition rounded once (``numerics._add``); the zero polynomial is
+    0.  Every other step is exact integer arithmetic, so a value is
+    bit-for-bit the same whichever other polynomials and points it is
+    evaluated with, on either mpmath backend, and does not depend on the
+    ambient ``mp.prec``.  The grouped integer coefficients and the series
     are kept between calls, one LRU entry per polynomial set
     (``_grouped_terms``), and give the same bits cold or warm.
     """
@@ -432,10 +407,10 @@ def _eval_point(grouped, t, prec: int) -> List[tuple]:
         y <<= exp
     else:
         shift = -exp
-    polys, families = grouped
+    polys, series_of = grouped
     # prefixes[f][J] = sum_{j <= J} g_j L^j * 2^(shift * J) for series g
     prefixes = []
-    for series in families:
+    for series in series_of:
         power = 1
         prefix = series[0]
         sums = [prefix]
@@ -448,16 +423,8 @@ def _eval_point(grouped, t, prec: int) -> List[tuple]:
     values = []
     for groups in polys:
         total = None
-        for m, num, den, terms, member in groups:
-            if member is None:
-                # sum_j c_j L^j = acc * 2^(-shift * top)
-                acc = 0
-                for k, c in enumerate(terms):
-                    acc = acc * y + (c << shift * k)
-                top = len(terms) - 1
-            else:
-                f, top = member
-                acc = num * prefixes[f][top]
+        for m, num, den, f, top in groups:
+            acc = num * prefixes[f][top]
             scale = -shift * top
             if m:
                 power = t_powers.get(m)

@@ -249,8 +249,6 @@ def _div(x, y, prec: int):
         raise ZeroDivisionError
     if not a:
         return _ZERO
-    if b == 1 or b == -1:
-        return _round(a * b, ea - eb, prec)
     extra = max(prec - a.bit_length() + b.bit_length() + 5, 5)
     quotient, remainder = divmod(abs(a) << extra, abs(b))
     if remainder:

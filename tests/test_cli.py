@@ -188,6 +188,18 @@ def test_mean_json_is_standard_json(capsys, values, bits):
         assert 0 < payload["error_bound"] < 1e-40
 
 
+def test_mean_prints_the_same_error_bound_in_every_format(capsys):
+    argv = ("mean", "--values", "1.5,2,3,4.5,6,8,11,15,20,27", "--k", "10", "--precision", "256")
+    _, out, _ = run_cli(capsys, *argv, "--json")
+    bound = json.loads(out)["error_bound"]
+    assert 0 < bound < 1e-70
+    # CSV and text each print it right after the relative gap
+    _, out, _ = run_cli(capsys, *argv, "--csv")
+    assert f"\nrel_gap,0.0\nerror_bound,{bound!r}\n" in out
+    _, out, _ = run_cli(capsys, *argv)
+    assert f"\nrelative gap           = 0.000e+00\nerror bound            = {bound:.3e}\n" in out
+
+
 def test_mean_human_output(capsys):
     code, out, _ = run_cli(capsys, "mean", "--values", "1,4")
     assert code == 0
@@ -250,7 +262,7 @@ def test_conjecture_csv_byte_identical(capsys):
         (
             # escalates to 113 bits and warns
             "mean --values 2,2.0000000001,3",
-            "6ed0846825d78d9d0e98a12e102219f8d237f30df044f7a9608c5892d69f4de3",
+            "2e6281c3a7228a2f7c6f83477f0df680b7a68f8492622563f85c835562dab3b8",
         ),
         (
             "mean --values 2,2.0000000001,3 --json",
@@ -258,7 +270,7 @@ def test_conjecture_csv_byte_identical(capsys):
         ),
         (
             "mean --values 2,2.0000000001,3 --csv",
-            "ed4cb142475b3b6912cabd35f5b174b622d027ce42b582c2b31ee2858d4655ed",
+            "c157af45e0e792dd89cbb6eecb8d023c4ba594e786ec172f1e46b1d94c931cd6",
         ),
         (
             # a refusal: exit 2, the message on stderr

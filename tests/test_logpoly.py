@@ -9,6 +9,7 @@ from mpmath import mp
 from mpmath.libmp import (
     from_int,
     from_man_exp,
+    from_rational,
     fzero,
     mpf_add,
     mpf_div,
@@ -712,10 +713,10 @@ def test_coefficient_cache_stays_within_its_bound():
 
 
 def _family_sets():
-    """Polynomial sets whose rows go through the family pass, and sets with
-    no family: the log curve's planes (n = 2-16), the conjecture curve's,
-    and a seeded set of rational multiples of prefixes of one random series,
-    spread over two t-powers and mixed with polynomials that fit no family."""
+    """Polynomial sets whose groups share series: the log curve's planes
+    (n = 2-16), the conjecture curve's, and a seeded set of rational
+    multiples of prefixes of one random series, spread over two t-powers and
+    mixed with polynomials that fit no other group's series."""
     sets = [(f"log{n}", _plane_polynomials(make_log_curve(n))) for n in range(2, 17)]
     sets += [(f"conj{n}", _plane_polynomials(make_conjecture_curve(n))) for n in (3, 5, 9)]
     rng = random.Random(36)
@@ -725,8 +726,8 @@ def _family_sets():
         for m in (-3, 2):
             scale = Fraction(rng.randint(-99, 99) or 1, rng.randint(1, 99))
             seeded.append(LogPoly({(m, j): scale * series[j] for j in range(length)}))
-    seeded.append(seeded[0] + seeded[3])  # two t-powers, each a family member
-    seeded.append(LogPoly({(2, 0): 1, (2, 1): 3, (2, 2): 1}))  # no family
+    seeded.append(seeded[0] + seeded[3])  # two t-powers, each a prefix multiple
+    seeded.append(LogPoly({(2, 0): 1, (2, 1): 3, (2, 2): 1}))  # a series of its own
     seeded.append(seeded[6] + LogPoly.term(1, -3, 0))  # a prefix but for its constant
     seeded.append(LogPoly.zero())
     sets.append(("seeded", tuple(seeded)))
@@ -741,38 +742,57 @@ _FAMILY_POINTS = (1, 0.3, "1e300", "1e-300", _FAMILY_POINT_400_BITS) + tuple(
 )
 
 
+def _libmp_reference(p, t, bits):
+    # an exact oracle: each t-power group by Horner in Fraction at the
+    # rounded log t and t^m, rounded once by libmp's from_rational, and the
+    # groups added in ascending t-power, each sum rounded once by mpf_add
+    t_raw = as_mpf_at(t, bits)._mpf_
+    log_t = _exact(mpf_log(t_raw, bits, round_nearest))
+    groups = {}
+    for (m, j), c in p.items():
+        groups.setdefault(m, {})[j] = c
+    total = fzero
+    for m, coefficients in sorted(groups.items()):
+        value = Fraction(0)
+        for j in range(max(coefficients), -1, -1):
+            value = value * log_t + coefficients.get(j, 0)
+        if m:
+            value *= _exact(mpf_pow_int(t_raw, m, bits, round_nearest))
+        piece = from_rational(value.numerator, value.denominator, bits, round_nearest)
+        total = mpf_add(total, piece, bits, round_nearest)
+    return total
+
+
 @pytest.mark.parametrize("bits", [83, 143, 286, 1530])
 def test_family_rows_equal_horner_pinned(bits):
-    # lp_eval evaluates one polynomial at a time: a family of one, which
-    # runs Horner.  Every row lp_rows builds with its families must have
-    # those bits exactly.
+    # every row lp_rows builds from shared prefix sums has the bits of the
+    # exact Horner oracle, group by group
     for name, polys in _family_sets():
-        groups, families = _grouped_terms(tuple(polys))
-        if name.startswith("conj") or name == "log2":
-            assert not families, name
-        else:
-            assert families, name
+        groups, series = _grouped_terms(tuple(polys))
+        assert len(series) < sum(map(len, groups)), name  # some series is shared
         rows = lp_rows(polys, _FAMILY_POINTS, bits)
         for row, t in zip(rows, _FAMILY_POINTS):
-            expected = [lp_eval(p, t, bits)._mpf_ for p in polys]
+            expected = [_libmp_reference(p, t, bits) for p in polys]
             assert [_raw_value(v) for v in row] == expected, (name, t, bits)
 
 
+def _series_positions(groups):
+    return [(f, top) for *_, f, top in sum(groups, ())]
+
+
 def test_families_are_read_from_the_coefficients_given():
-    # one family per t-power on the log curve: every normal with a log
-    # term; the constant normal and the offset are left to Horner
+    # the log curve: one series of length n holds every normal, the
+    # constant normal at J = 0, and the offset is a series of its own
     for n in (3, 7, 16):
-        groups, families = _grouped_terms(_plane_polynomials(make_log_curve(n)))
-        assert [len(s) for s in families] == [n]
-        assert [member for *_, member in sum(groups, ())] == [
-            (0, n - k) for k in range(1, n)
-        ] + [None, None]
-    # the same normals with one coefficient moved are no family
+        groups, series = _grouped_terms(_plane_polynomials(make_log_curve(n)))
+        assert [len(s) for s in series] == [n, 1]
+        assert _series_positions(groups) == [(0, n - k) for k in range(1, n + 1)] + [(1, 0)]
+    # the same normals with one coefficient moved: that normal has its own series
     polys = list(_plane_polynomials(make_log_curve(5)))
     polys[1] = polys[1] + LogPoly.term(1, -6, 1)
-    _, families = _grouped_terms(tuple(polys))
-    assert [len(s) for s in families] == [5]
-    assert _grouped_terms(tuple(polys))[0][1][0][-1] is None
+    groups, series = _grouped_terms(tuple(polys))
+    assert [len(s) for s in series] == [5, 4, 1]
+    assert _series_positions(groups) == [(0, 4), (1, 3), (0, 2), (0, 1), (0, 0), (2, 0)]
 
 
 def test_value_at_one_exact():

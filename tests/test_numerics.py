@@ -950,6 +950,22 @@ def test_pair_arithmetic_is_exact_then_rounded_once(prec):
 
 
 @pytest.mark.parametrize("prec", _PRECISIONS)
+def test_division_by_a_unit_rounds_the_dividend_once(prec):
+    # b = +-1 takes the general path: a negative odd a wider than prec, one
+    # bit wider (every other one a tie) or up to 80, divided by +-2^eb is a
+    # times +-2^-eb rounded once
+    rng = random.Random(prec + 1)
+    for draw in range(200):
+        width = prec + (1 if draw % 2 else rng.randint(2, 80))
+        a = -(1 << (width - 1) | rng.getrandbits(width - 1) | 1)
+        ea, eb = rng.randint(-60, 60), rng.randint(-60, 60)
+        for b in (1, -1):
+            expected = numerics._round(a * b, ea - eb, prec)
+            assert numerics._div((a, ea), (b, eb), prec) == expected, (a, ea, b, eb)
+            assert expected == _nearest(Fraction(a * b) * Fraction(2) ** (ea - eb), prec)
+
+
+@pytest.mark.parametrize("prec", _PRECISIONS)
 def test_pair_arithmetic_matches_libmp(prec):
     # libmp rounds products, quotients and conversions correctly, and sums
     # whose larger operand fits in prec bits; it misrounds each perturbation
