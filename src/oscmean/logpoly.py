@@ -320,10 +320,11 @@ def _grouped_terms(polys: Tuple[LogPoly, ...]) -> Tuple[tuple, tuple]:
     is the longest such group's integers over their gcd, found from the
     coefficients as given, and a group that matches no other is a series of
     its own.  ``series`` holds them, low power first.  A group is
-    ``(m, num, den, f, J)``: its value is num / den times series f summed up
-    to (log t)^J, times t^m.  ``den`` is an exact ``numerics`` pair, or None
-    when it is 1.  Nothing here is rounded, so one entry serves every
-    precision.
+    ``(m, num, e, den, f, J)``: its value is num * 2^e / den times series f
+    summed up to (log t)^J, times t^m.  The power of two of the ratio's
+    denominator is e <= 0, an exact scaling, and ``den`` is its odd part as
+    an exact ``numerics`` pair, or None when that is 1.  Nothing here is
+    rounded, so one entry serves every precision.
     """
     rows = []
     for p in polys:
@@ -355,8 +356,10 @@ def _grouped_terms(polys: Tuple[LogPoly, ...]) -> Tuple[tuple, tuple]:
         top = len(u) - 1
         ratio = Fraction(u[top], series[top] * denom)
         den = ratio.denominator
+        twos = (den & -den).bit_length() - 1
+        den >>= twos
         den = None if den == 1 else _round(den, 0, den.bit_length())
-        out[i][g] = (m, ratio.numerator, den, f, top)
+        out[i][g] = (m, ratio.numerator, -twos, den, f, top)
     return tuple(map(tuple, out)), tuple(tuple(series) for _, series in series_of)
 
 
@@ -376,10 +379,11 @@ def lp_rows(polys: Sequence[LogPoly], points: Sequence, precision_bits: int = 53
     (``mpf_log``) and P_m = t^m (``mpf_pow_int``; P_0 = 1) are rounded.  A
     polynomial's terms are grouped by t-power m, and each group's value
     P_m * sum_j c_j L^j is computed exactly in integers from L's mantissa,
-    then rounded once (``numerics._round``, or one ``numerics._div`` by a
-    denominator).  Each group is an exact rational multiple of one prefix
-    sum Q_J = Q_(J-1) 2^s + g_J y^J of a series g, L = y 2^-s, and the
-    groups of one series share one pass over its prefix sums.  A
+    then rounded once (``numerics._round``, or one ``numerics._div`` by the
+    odd part of a denominator, its power of two taken as exact scaling).
+    Each group is an exact rational multiple of one prefix sum
+    Q_J = Q_(J-1) 2^s + g_J y^J of a series g, L = y 2^-s, and the groups
+    of one series share one pass over its prefix sums.  A
     polynomial with several groups adds the rounded groups in ascending m,
     each addition rounded once (``numerics._add``); the zero polynomial is
     0.  Every other step is exact integer arithmetic, so a value is
@@ -423,9 +427,9 @@ def _eval_point(grouped, t, prec: int) -> List[tuple]:
     values = []
     for groups in polys:
         total = None
-        for m, num, den, f, top in groups:
+        for m, num, e, den, f, top in groups:
             acc = num * prefixes[f][top]
-            scale = -shift * top
+            scale = e - shift * top
             if m:
                 power = t_powers.get(m)
                 if power is None:

@@ -437,6 +437,19 @@ def identric_IZ(values: Sequence, precision_bits: int = 53) -> mpmath.mpf:
 # -- request evaluation (used by the command-line front end) -------------------
 
 
+def _within_inputs(name: str, value, vals, bits: int):
+    """``value``, or SingularSystem if it lies outside [min, max] of the
+    sorted inputs ``vals``."""
+    lo, hi = vals[0], vals[-1]
+    if not lo <= value <= hi:
+        raise SingularSystem(
+            f"{name} = {mp.nstr(value, 12)} lies outside the inputs' range "
+            f"[{mp.nstr(lo, 12)}, {mp.nstr(hi, 12)}]; the system is too "
+            f"ill-conditioned at {bits} bits"
+        )
+    return value
+
+
 def evaluate_request(values: Sequence, k: int = 1, precision_bits: int = 53) -> dict:
     """Parse, check and evaluate one mean request on the log curve.
 
@@ -455,7 +468,7 @@ def evaluate_request(values: Sequence, k: int = 1, precision_bits: int = 53) -> 
     rounding to the requested precision, and any warnings.  One
     intersection serves every k.
     An M_1 or L_N outside [min, max] of the inputs (lost to cancellation)
-    raises ``SingularSystem``.
+    raises ``SingularSystem``; M_1 is checked before L_N is computed.
     """
     vals = sorted_positive_distinct(values, precision_bits)
     note = _ln_gap_note(vals)
@@ -469,16 +482,8 @@ def evaluate_request(values: Sequence, k: int = 1, precision_bits: int = 53) -> 
     curve = make_log_curve(n)
     pull_back = _pull_back(curve, k, vals, bits)
     result = intersect(curve, vals, bits)
-    m1 = result.point[0]
-    reference = neuman_LN(vals, bits)
-    lo, hi = vals[0], vals[-1]
-    for name, value in (("M_1", m1), ("L_N", reference)):
-        if not lo <= value <= hi:
-            raise SingularSystem(
-                f"{name} = {mp.nstr(value, 12)} lies outside the inputs' range "
-                f"[{mp.nstr(lo, 12)}, {mp.nstr(hi, 12)}]; the system is too "
-                f"ill-conditioned at {bits} bits"
-            )
+    m1 = _within_inputs("M_1", result.point[0], vals, bits)
+    reference = _within_inputs("L_N", neuman_LN(vals, bits), vals, bits)
     mk = pull_back(result.point[k - 1])
     return {
         "n": n,

@@ -16,12 +16,12 @@ The elimination, the substitutions, the refinement's residual and the
 determinant's pivot product run on integer pairs (m, e), the value m * 2^e,
 through a few private primitives, each of which returns its exact result
 rounded once to nearest-even.  All but the last are chains
-s - x_1 y_1 - x_2 y_2 - ... through one fused multiply-subtract kernel,
-``_dot_sub``, which writes the primitives' rounding out in one loop and
-matches the chain of ``_sub`` and ``_mul`` bit for bit, the unit stand-in
-of ``_sum`` included.  The elimination runs in left-looking order, one
-chain per entry of L and U, with the roundings of right-looking
-elimination.  ``solve_linear``, ``det`` and the relative
+s - x_1 y_1 - x_2 y_2 - ... through one multiply-subtract kernel,
+``_dot_sub``, which sums each chain exactly in one integer and rounds it
+once; a chain whose exponents lie too far apart for that integer to stay
+narrow runs as the chain of ``_sub`` and ``_mul`` instead, whose unit
+stand-in keeps it narrow.  The elimination runs in left-looking order,
+one chain per entry of U and L.  ``solve_linear``, ``det`` and the relative
 error ``_rel_error`` take ``mpf`` values or pairs and return ``mpf`` values;
 the conversion happens there, in ``SolveReport``'s properties, and
 nowhere else.  ``means``' divided-difference kernel and ``logpoly``'s
@@ -296,69 +296,49 @@ def _max_abs(values):
     return best
 
 
-# -- the fused multiply-subtract kernel ---------------------------------------
+# -- the multiply-subtract kernel ---------------------------------------------
 #
-# s - x_1 y_1 - x_2 y_2 - ..., bit for bit the loop
-# s = _sub(s, _mul(x, y, prec), prec), with the bodies of _mul, _sum and
-# _round written out: one call per chain, not five per term.  Each product
-# and each difference is rounded once to nearest-even, and an operand of a
-# difference wholly below the other's rounding position is replaced by
-# _sum's signed unit at 2^q.  Two things differ from the primitives and
-# move no bit.  The product is negated before it is rounded: the rounding
-# is sign-symmetric.  Within a chain a value may keep trailing zero bits,
-# which changes neither its value nor any rounding, and it is made
-# canonical once, at the end.
+# s - x_1 y_1 - x_2 y_2 - ..., summed exactly and rounded once: Wilkinson's
+# accumulated inner product (Higham 2002, sec. 3.1).  Each product is exact,
+# and it is added into one integer at the lower of the two exponents, so a
+# chain costs one rounding, not two per term; a zero product adds nothing.
+# A term that would widen that integer past max(_CHAIN_BITS, 4 prec) bits
+# ends the exact sum, and the chain runs again as the primitive chain
+# s = _sub(s, _mul(x, y)), whose unit stand-in keeps every integer narrow
+# however far apart the exponents lie.
+
+_CHAIN_BITS = 4096
 
 
 def _dot_sub(s, xs, ys, prec: int):
-    """s - sum_j x_j y_j over pairs, left to right, each product and each
-    difference rounded once to nearest-even at ``prec``."""
+    """s - sum_j x_j y_j over pairs, the exact value rounded once to
+    nearest-even at ``prec``, or the primitive chain, left to right, where
+    the exact sum would pass the width limit."""
     m, e = s
+    limit = max(_CHAIN_BITS, 4 * prec)
     for (a, ea), (b, eb) in zip(xs, ys):
-        p = -a * b
-        if p:
-            ep = ea + eb
-            n = p.bit_length() - prec
-            if n > 0:
-                t = p >> (n - 1)
-                if t & 1 and (t & 2 or p & ((1 << (n - 1)) - 1)):
-                    p = (t >> 1) + 1
-                else:
-                    p = t >> 1
-                ep += n
-            if not m:
-                m, e = p, ep
-                continue
-            if e < ep:
-                m, e, p, ep = p, ep, m, e
-            offset = e - ep
-            if offset > prec:
-                q = min(e, m.bit_length() + e - prec - 1) - 2
-                if p.bit_length() + ep <= q:
-                    m = (m << (e - q)) + (1 if p > 0 else -1)
-                    e = q
-                else:
-                    m = (m << offset) + p
-                    e = ep
-            else:
-                m = (m << offset) + p
-                e = ep
-        elif not m:
+        p = a * b
+        if not p:
             continue
-        n = m.bit_length() - prec
-        if n > 0:
-            t = m >> (n - 1)
-            if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)):
-                m = (t >> 1) + 1
-            else:
-                m = t >> 1
-            e += n
-    if m & 1:
-        return m, e
-    if not m:
-        return _ZERO
-    zeros = (m & -m).bit_length() - 1
-    return m >> zeros, e + zeros
+        ep = ea + eb
+        if not m:
+            m, e = -p, ep
+        elif ep >= e:
+            shift = ep - e
+            if p.bit_length() + shift > limit:
+                break
+            m -= p << shift
+        else:
+            shift = e - ep
+            if m.bit_length() + shift > limit:
+                break
+            m = (m << shift) - p
+            e = ep
+    else:
+        return _round(m, e, prec)
+    for x, y in zip(xs, ys):
+        s = _sub(s, _mul(x, y, prec), prec)
+    return s
 
 
 def _lu_factor(matrix, prec: int):
@@ -368,13 +348,12 @@ def _lu_factor(matrix, prec: int):
     Takes and returns pairs.  Returns (lu, perm, sign), sign the parity of
     perm: -1 after an odd number of row swaps.  Step col finishes column
     col, then the pivot's row of U, each entry by one ``_dot_sub`` chain
-    a_ij - l_i0 u_0j - l_i1 u_1j - ..., k ascending: the roundings that
-    right-looking elimination applies one step at a time (Higham 2002,
-    sec. 9.2).  As that elimination skips a zero multiplier, a chain starts
-    at its row's first nonzero one, which leaves a wide entry unrounded.
-    The pivot is the first row of largest |a_i| / s_i, compared exactly by
-    cross-multiplying.  Raises SingularSystem when the best available pivot
-    is at or below 2^(-prec + 8) times the scale of its original row.
+    a_ij - l_i0 u_0j - l_i1 u_1j - ..., its exact value rounded once, and
+    then the column's multipliers, each one quotient rounded once (Higham
+    2002, sec. 9.2).  The pivot is the first row of largest |a_i| / s_i,
+    compared exactly by cross-multiplying.  Raises SingularSystem when the
+    best available pivot is at or below 2^(-prec + 8) times the scale of its
+    original row.
     """
     n = len(matrix)
     lu = [row[:] for row in matrix]
@@ -383,15 +362,12 @@ def _lu_factor(matrix, prec: int):
         raise SingularSystem("matrix has an all-zero row")
     perm = list(range(n))
     sign = 1
-    # lead[i]: the number of leading zero multipliers of row i
-    lead = [0] * n
     for col in range(n):
         # the columns of the finished rows 0..col-1 of U
         columns = list(zip(*lu[:col]))
-        for i in range(col, n):
-            row, first = lu[i], lead[i]
-            if first < col:
-                row[col] = _dot_sub(row[col], row[first:col], columns[col][first:], prec)
+        if col:
+            for row in lu[col:]:
+                row[col] = _dot_sub(row[col], row[:col], columns[col], prec)
         # the first row of largest |a| / scale: |a_i| * s_p > |a_p| * s_i
         pivot_row, best = col, _abs(lu[col][col])
         for i in range(col + 1, n):
@@ -406,18 +382,16 @@ def _lu_factor(matrix, prec: int):
                 "the system is numerically singular"
             )
         if pivot_row != col:
-            for seq in (lu, scales, perm, lead):
+            for seq in (lu, scales, perm):
                 seq[col], seq[pivot_row] = seq[pivot_row], seq[col]
             sign = -sign
-        upper, first = lu[col], lead[col]
-        if first < col:
-            factors = upper[first:col]
+        upper = lu[col]
+        if col:
+            factors = upper[:col]
             for j in range(col + 1, n):
-                upper[j] = _dot_sub(upper[j], factors, columns[j][first:], prec)
-        for i, row in enumerate(lu[col + 1 :], col + 1):
-            row[col] = factor = _div(row[col], upper[col], prec)
-            if lead[i] == col and not factor[0]:
-                lead[i] += 1
+                upper[j] = _dot_sub(upper[j], factors, columns[j], prec)
+        for row in lu[col + 1 :]:
+            row[col] = _div(row[col], upper[col], prec)
     return lu, perm, sign
 
 
@@ -445,15 +419,15 @@ def solve_linear(A: Sequence[Sequence], b: Sequence, precision_bits: int = 53) -
     """Solve Ax = b by row-pivoted elimination at the requested precision.
 
     After the factorization the solution takes one step of iterative
-    refinement: the residual b - Ax accumulated at twice the working
-    precision w and rounded to w, one more solve with the kept LU, and the
-    correction added at w.  An exactly zero residual skips the step.
+    refinement: the residual b - Ax, exact and rounded once to the working
+    precision w, one more solve with the kept LU, and the correction added
+    at w.  An exactly zero residual skips the step.
 
-    The elimination, left-looking with the roundings of right-looking
-    elimination (``_lu_factor``), both substitutions and the residual run
-    through the one fused multiply-subtract kernel ``_dot_sub``: each
-    product and each difference rounded once to nearest-even, bit for bit
-    what ``_sub(s, _mul(x, y))`` gives term by term.
+    The elimination (``_lu_factor``), both substitutions and the residual
+    run through the one multiply-subtract kernel ``_dot_sub``: each chain
+    s - x_1 y_1 - x_2 y_2 - ... summed exactly and rounded once to
+    nearest-even, so that the factors' componentwise backward error is
+    about 2^-w rather than n 2^-w (Higham 2002, secs. 3.1 and 9.3).
 
     An entry is read as ``_pairs`` reads it: an mpf as given, a pair (m, e)
     as m * 2^e rounded at the working precision.
@@ -462,13 +436,14 @@ def solve_linear(A: Sequence[Sequence], b: Sequence, precision_bits: int = 53) -
     as given (its entries taken exactly) is about 2^-w + (kappa * 2^-w)^2,
     with kappa the condition number of the system after power-of-two row
     and column scaling; a second step would bring it to about 2^-w (Skeel
-    1980; Higham 2002, ch. 12).  On seeded log-curve intersection systems at
-    w = 83, one step left at most 13 units of 2^-83 at n = 10 and 3.2e6
-    units, about 2^-61, at n = 12, where two steps left under one unit; up
-    to n = 7, at 83, 143 and 286 bits, one step stays within one unit.  That
-    is enough for ``means.intersect``: its planes already carry a rounding
-    of 2^-w per entry (``SolveReport.error_bound``), and it rounds the point
-    to the requested precision p, below w = ``means.working_bits(p)``.
+    1980; Higham 2002, ch. 12).  On 30 seeded log-curve intersection systems
+    per n at w = 83, one step left at most 0.92 units of 2^-83 at n = 10,
+    8.3 at n = 11 and 1.1e4, about 2^-70, at n = 12, where two steps left
+    under one unit; up to n = 7, at 83, 143 and 286 bits, one step stays
+    within one unit.  That is enough for ``means.intersect``: its planes
+    already carry a rounding of 2^-w per entry
+    (``SolveReport.error_bound``), and it rounds the point to the requested
+    precision p, below w = ``means.working_bits(p)``.
     """
     require_precision(precision_bits)
     n = len(A)
@@ -483,13 +458,10 @@ def solve_linear(A: Sequence[Sequence], b: Sequence, precision_bits: int = 53) -
     lu, perm, sign = _lu_factor(original, prec)
     solution = _lu_solve(lu, perm, rhs, prec)
 
-    # b - Ax at 2w, so that the residual measures the solve, not its own rounding
-    res = [
-        _dot_sub(_round(bm, be, 2 * prec), row, solution, 2 * prec)
-        for row, (bm, be) in zip(original, rhs)
-    ]
+    # b - Ax, exact and rounded once: the residual measures the solve
+    res = [_dot_sub(bi, row, solution, prec) for row, bi in zip(original, rhs)]
     if any(m for m, _ in res):
-        correction = _lu_solve(lu, perm, [_round(m, e, prec) for m, e in res], prec)
+        correction = _lu_solve(lu, perm, res, prec)
         solution = [_add(x, d, prec) for x, d in zip(solution, correction)]
 
     # every component was rounded to prec by its last division or addition

@@ -137,6 +137,23 @@ def test_mean_outside_inputs_exit_2(capsys):
     assert err.startswith("error: ") and "outside" in err
 
 
+def test_mean_refused_on_m1_computes_no_ln(capsys, monkeypatch):
+    # M_1 lies above the largest input at 113 bits: the request is refused
+    # before L_N is computed, with the message it always had
+    def neuman_ln(*args):
+        raise AssertionError("neuman_LN called for a request refused on M_1")
+
+    monkeypatch.setattr("oscmean.means.neuman_LN", neuman_ln)
+    values = ("6.6376897282768350716,6.6376897055339734166,6.6376897587381414663,"
+              "6.6376897695756074550,6.6376897406209031209")
+    code, out, err = run_cli(capsys, "mean", "--values", values, "--json", "--precision", "113")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: M_1 = 6.63769114537 lies outside the inputs' range "
+        "[6.63768970553, 6.63768976958]; the system is too ill-conditioned at 113 bits\n"
+    )
+
+
 @pytest.mark.parametrize(
     "values, field",
     [
@@ -237,7 +254,7 @@ def test_conjecture_csv_byte_identical(capsys):
     [
         (
             "verify --max-n 5 --precision 113 --trials 20 --seed 101 --json",
-            "d26f2a4875a9bdcd4e516df9152c58f64fed37426e7fa214d0ff44b4e3d20e9b",
+            "c92b0d5db91fcb20abfb661f3fc063c27637ca68697ddf954d5a4db1ec0b74f8",
         ),
         (
             "conjecture --n 3 --trials 20 --seed 101 --json",
@@ -245,19 +262,19 @@ def test_conjecture_csv_byte_identical(capsys):
         ),
         (
             "verify --max-n 4 --trials 10 --seed 3",
-            "0da58f39fc106aa304ad12e397bbdba5740f9f6a95007048654dee949a46908c",
+            "f8cc12f74a47897db6adfa664340a68edbba3932fdbd5e0d2cf8b14b5dd96fb2",
         ),
         (
             "verify --max-n 4 --trials 10 --seed 3 --csv",
-            "3bfd0aed2f51ff3e5526c95e64b72ba649d2ea32750129d2305b957a5decbd4d",
+            "4813fa7bdba87ceb029e9bddf00fa648e6c7381bbee294a5932adba893bd80bc",
         ),
         (
             "identities --max-n 4 --trials 20 --seed 2",
-            "f89fe713acb9894a1552b90f37871b1bdaff30eecafc30a592065e2944057793",
+            "0b3ca5441fe7a944584a9ab9a8f135784150705baa1906b7e2315cc61111c112",
         ),
         (
             "identities --max-n 4 --trials 20 --seed 2 --csv",
-            "d4cb61dae8c1e838cf9666a67b21652d6775a5ae759bd2202b8ef1f1cde24c7e",
+            "87acb0a4c963647f722989b35c4cd620d0c92172ba9c62c7837b559dc9837097",
         ),
         (
             # escalates to 113 bits and warns
@@ -291,7 +308,7 @@ def test_conjecture_csv_byte_identical(capsys):
         (
             # every numeric row, the determinant rows at the intersection's width
             "verify --max-n 7 --precision 113 --trials 100 --seed 101 --json",
-            "de60e3dabf17b3b8da43d214511d3bf0243b78ce91937a76b732d133634cf6c9",
+            "5f4652031029f60a37dee2c44f78bb0297a165c859754e279024ba2b111cbdfb",
         ),
         (
             "conjecture --n 5 --trials 50 --seed 7 --json",

@@ -201,7 +201,7 @@ _PINNED_INTERSECTIONS = {
             "mpf('1691.7287118404161')",
             "mpf('2527.608194631051')",
         ],
-        "9.162641291546527e-15",
+        "9.16264129154653e-15",
     ),
 }
 

@@ -1,5 +1,6 @@
 """Linear solver and bracketed root finder at configurable precision."""
 
+import collections
 import contextlib
 import inspect
 import math
@@ -496,7 +497,7 @@ _PINNED_SYSTEMS = {
             "mpf('1.06790701763001341020537922698524387')",
         ],
         "6.3432762456508765e-34",
-        "mpf('63.3928974395726103492543401840454056')",
+        "mpf('63.3928974395726103492543401840453933')",
     ),
     ("mixed5", 256): (
         [
@@ -519,8 +520,8 @@ _PINNED_SYSTEMS = {
             "mpf('-16.724424964018173')",
             "mpf('-31.118925522488336')",
         ],
-        "1.3471620986866437e-12",
-        "mpf('1.1539753223648986e-26')",
+        "1.3471620986869266e-12",
+        "mpf('1.1539753223646413e-26')",
     ),
     ("log7", 113): (
         [
@@ -533,7 +534,7 @@ _PINNED_SYSTEMS = {
             "mpf('-31.1189255224883378545418019092810032')",
         ],
         "1.168476859269315e-30",
-        "mpf('1.15397532236452976505859717335436223e-26')",
+        "mpf('1.15397532236452976505859717335416272e-26')",
     ),
     ("log7", 256): (
         [
@@ -546,7 +547,7 @@ _PINNED_SYSTEMS = {
             "mpf('-31.11892552248833785454180190928100437304303973812722074047918599641158280129822')",
         ],
         "1.047926290235633e-73",
-        "mpf('1.153975322364529765058597173354217794675928768423091091295533714862077971013292e-26')",
+        "mpf('1.153975322364529765058597173354217794675928768423091091295533714862077970987631e-26')",
     ),
     ("wide3", 53): (
         [
@@ -555,7 +556,7 @@ _PINNED_SYSTEMS = {
             "mpf('1.7432618364251682')",
         ],
         "1.3108386650677494e-15",
-        "mpf('-0.20444086553483123')",
+        "mpf('-0.20444086553483126')",
     ),
     ("wide3", 113): (
         [
@@ -564,7 +565,7 @@ _PINNED_SYSTEMS = {
             "mpf('1.74326183642516815710633435032971851')",
         ],
         "1.1369713027555614e-33",
-        "mpf('-0.204440865534831149062186358385327712')",
+        "mpf('-0.204440865534831149062186358385327808')",
     ),
     ("wide3", 256): (
         [
@@ -598,17 +599,17 @@ def _line_of(function, text):
 
 
 @contextlib.contextmanager
-def _tracing_kernel(on_event):
-    """Calls on_event(frame, event, arg) at each line the fused
-    multiply-subtract kernel runs, and at its calls and returns: its
-    rounding is written out, so no primitive can be spied on in its place."""
+def _tracing(codes, on_event):
+    """Calls on_event(frame, event, arg) at each line the functions with the
+    given code objects run, and at their calls and returns: the kernel's
+    integers are built inline, so only a trace sees them."""
 
     def local(frame, event, arg):
         on_event(frame, event, arg)
         return local
 
     def calls(frame, event, arg):
-        if frame.f_code is not numerics._dot_sub.__code__:
+        if frame.f_code not in codes:
             return None
         on_event(frame, event, arg)
         return local
@@ -627,51 +628,102 @@ def _primitive_chain(s, xs, ys, prec):
     return s
 
 
+def _chain_oracle(s, xs, ys, prec, paths=None):
+    """The kernel's contract, from Fractions: s - sum x_j y_j exact, rounded
+    once by ``_nearest``, or the primitive chain when a nonzero term,
+    shifted to the lower of its exponent and the running sum's, would be
+    wider than max(_CHAIN_BITS, 4 prec) bits (a term that follows an
+    exactly zero sum starts it afresh at its own exponent).  ``paths``
+    counts the path taken."""
+    limit = max(numerics._CHAIN_BITS, 4 * prec)
+    total, exp = _fraction(s), s[1]
+    for x, y in zip(xs, ys):
+        p, ep = x[0] * y[0], x[1] + y[1]
+        if not p:
+            continue
+        if total:
+            if ep >= exp:
+                width = p.bit_length() + ep - exp
+            else:
+                width = (abs(total) / Fraction(2) ** ep).numerator.bit_length()
+                exp = ep
+            if width > limit:
+                if paths is not None:
+                    paths["fallback"] += 1
+                return _primitive_chain(s, xs, ys, prec)
+        else:
+            exp = ep
+        total -= p * Fraction(2) ** ep
+    if paths is not None:
+        paths["exact"] += 1
+    return _nearest(total, prec)
+
+
+def _far_system():
+    # wide3 with column 0 spanning 2^-4700..1: a chain that subtracts a
+    # product about 4700 exponents below its other operand passes the
+    # kernel's width, and runs as the primitive chain, whose unit stands in
+    # for that product
+    A, b = _wide_system()
+    A[1][0], A[2][0] = mp.ldexp(1, -4600), mp.ldexp(1, -4700)
+    return A, b
+
+
 @pytest.mark.parametrize("bits", [53, 113, 256])
 def test_wide_system_reaches_the_unit_stand_in(bits):
-    # the elimination's column and row chains and the forward substitution
-    # of wide3 subtract products wholly below the rounding position of a
-    # larger operand wider than the working precision: the kernel stands a
-    # unit in for them, each such difference is still the exact difference
-    # rounded once, and every chain is bit for bit the chain of primitives
-    stand_in = _line_of(numerics._dot_sub, "(1 if p > 0 else -1)")
-    reached = set()
-    chains = []
+    # wide3's chains are summed exactly, and each is its exact value
+    # rounded once; the far system's chains in the elimination's column and
+    # row, the forward substitution and the residual (and at some widths the
+    # back substitution) pass the width limit and reach the primitives' unit
+    # stand-in; every chain meets its oracle, and the kernel sums no integer
+    # wider than _CHAIN_BITS
+    dot_sub, sum_code = numerics._dot_sub.__code__, numerics._sum.__code__
+    stand_in = _line_of(numerics._sum, "(1 if b > 0 else -1)")
+    fallback = _line_of(numerics._dot_sub, "_sub(s, _mul")
+    # the kernel's callers, by line: numerics.py names each once
+    column = _line_of(numerics._lu_factor, "row[:col], columns[col]")
+    row = _line_of(numerics._lu_factor, "factors, columns[j]")
+    forward = _line_of(numerics._lu_solve, "lu[i][:i]")
+    back = _line_of(numerics._lu_solve, "row[i + 1 :]")
+    residual = _line_of(numerics.solve_linear, "_dot_sub(bi, row, solution")
+    far = {column, row, forward, residual}
+    for system, least, most in ((_wide_system, set(), set()), (_far_system, far, far | {back})):
+        reached, chains, widest = set(), [], 0
 
-    def on_event(frame, event, arg):
-        v = frame.f_locals
-        if event == "call":
-            chains.append((v["s"], v["xs"], v["ys"], v["prec"]))
-        elif event == "return":
-            chains[-1] += (arg,)
-        elif event == "line" and frame.f_lineno == stand_in:
-            m, e, p, ep, prec, q = (v[k] for k in ("m", "e", "p", "ep", "prec", "q"))
-            if m.bit_length() > prec:
-                # the unit at 2^q is rounded, not the exact sum at 2^ep
-                unit = (m << (e - q)) + (1 if p > 0 else -1)
-                assert numerics._round(unit, q, prec) == _nearest(
-                    _fraction((m, e)) + _fraction((p, ep)), prec
-                )
-                reached.add((frame.f_back.f_code, frame.f_back.f_lineno))
+        def on_event(frame, event, arg):
+            nonlocal widest
+            if frame.f_code is sum_code:
+                kernel = frame.f_back.f_back
+                if event == "line" and frame.f_lineno == stand_in and kernel.f_code is dot_sub:
+                    # _sum called by _sub, called by the kernel's fallback
+                    reached.add(kernel.f_back.f_lineno)
+                return
+            v = frame.f_locals
+            if event == "call":
+                chains.append((v["s"], v["xs"], v["ys"], v["prec"]))
+            elif event == "return":
+                chains[-1] += (arg,)
+            elif "m" in v and frame.f_lineno < fallback:
+                widest = max(widest, v["m"].bit_length())
 
-    A, b = _wide_system()
-    with _tracing_kernel(on_event):
-        solve_linear(A, b, bits)
-    lu_code = numerics._lu_factor.__code__
-    column = (lu_code, _line_of(numerics._lu_factor, "columns[col][first:]"))
-    row = (lu_code, _line_of(numerics._lu_factor, "columns[j][first:]"))
-    forward = (numerics._lu_solve.__code__, _line_of(numerics._lu_solve, "lu[i][:i]"))
-    assert reached == {column, row, forward}
-    for s, xs, ys, prec, result in chains:
-        assert result == _primitive_chain(s, xs, ys, prec)
+        A, b = system()
+        with _tracing({dot_sub, sum_code}, on_event):
+            solve_linear(A, b, bits)
+        assert least <= reached <= most, system
+        assert 0 < widest <= numerics._CHAIN_BITS
+        paths = collections.Counter()
+        for s, xs, ys, prec, result in chains:
+            assert result == _chain_oracle(s, xs, ys, prec, paths), (s, xs, ys)
+        assert bool(paths["fallback"]) == bool(least)
 
 
 def test_far_apart_inputs_round_only_narrow_integers(monkeypatch):
     # inputs 10^60000000 apart: adding exactly would shift a mantissa by
-    # about 2 * 10^8 bits, where the unit stand-in keeps every integer that
-    # is rounded narrow, in the primitives and in the kernel's two roundings
+    # about 2 * 10^8 bits; the kernel's chains pass its width and fall back
+    # to the primitives, whose unit stand-in keeps every integer that is
+    # rounded narrow, and no integer the kernel sums is wider than 4096 bits
     widest = 0
-    kernel_roundings = 0
+    fallbacks = 0
     original_round = numerics._round
 
     def recording(m, e, prec):
@@ -679,24 +731,24 @@ def test_far_apart_inputs_round_only_narrow_integers(monkeypatch):
         widest = max(widest, m.bit_length())
         return original_round(m, e, prec)
 
-    # the integer about to be rounded: the product p, or the difference m
-    rounded = {
-        _line_of(numerics._dot_sub, "n = p.bit_length() - prec"): "p",
-        _line_of(numerics._dot_sub, "n = m.bit_length() - prec"): "m",
-    }
+    fallback = _line_of(numerics._dot_sub, "_sub(s, _mul")
+    kernel_lines = 0
 
     def on_event(frame, event, arg):
-        nonlocal widest, kernel_roundings
-        name = rounded.get(frame.f_lineno) if event == "line" else None
-        if name:
-            kernel_roundings += 1
-            widest = max(widest, frame.f_locals[name].bit_length())
+        nonlocal widest, fallbacks, kernel_lines
+        if event != "line":
+            return
+        if frame.f_lineno == fallback:
+            fallbacks += 1
+        elif "m" in frame.f_locals:
+            kernel_lines += 1
+            widest = max(widest, frame.f_locals["m"].bit_length())
 
     monkeypatch.setattr(numerics, "_round", recording)
     monkeypatch.setattr(logpoly, "_round", recording)
-    with _tracing_kernel(on_event):
+    with _tracing({numerics._dot_sub.__code__}, on_event):
         evaluate_request(["1e-30000000", "1", "1e30000000"], 1, 53)
-    assert kernel_roundings
+    assert kernel_lines and fallbacks
     assert 0 < widest <= 4096
 
 
@@ -720,7 +772,7 @@ def test_refinement_corrections_are_rounded_to_working_precision():
             "mpf('537192298.568070443366462304300849564')",
             "mpf('-390315701.478752145165876408349436133')",
             "mpf('-146876596.08931829820060721222670586')",
-            "mpf('2.13162820728030055761337280273438814e-14')",
+            "mpf('2.13162820728030055761337280273446395e-14')",
         ]
 
 
@@ -1042,32 +1094,99 @@ def _fuzz_chain(rng, prec):
 
 @pytest.mark.parametrize("prec", _PRECISIONS)
 def test_fused_kernel_is_pinned_to_the_primitives(prec):
-    # s - x_1 y_1 - ... in one call: bit for bit the chain of _sub and
-    # _mul, and the exact product and the exact difference rounded once at
-    # each step
+    # s - x_1 y_1 - ... in one call: within the width limit its exact value
+    # rounded once, past it bit for bit the chain of _sub and _mul, which
+    # rounds the exact product and the exact difference once at each step;
+    # the fuzz's gaps of about 10^4 reach the fallback
     rng = random.Random(prec + 1)
+    paths = collections.Counter()
     for _ in range(120 if prec > 300 else 250):
         s, xs, ys = _fuzz_chain(rng, prec)
-        truth = s
+        stepwise = s
         for x, y in zip(xs, ys):
             product = _nearest(_fraction(x) * _fraction(y), prec)
-            truth = _nearest(_fraction(truth) - _fraction(product), prec)
-        assert numerics._dot_sub(s, xs, ys, prec) == truth, (s, xs, ys)
-        assert _primitive_chain(s, xs, ys, prec) == truth, (s, xs, ys)
+            stepwise = _nearest(_fraction(stepwise) - _fraction(product), prec)
+        assert _primitive_chain(s, xs, ys, prec) == stepwise, (s, xs, ys)
+        assert numerics._dot_sub(s, xs, ys, prec) == _chain_oracle(s, xs, ys, prec, paths), (
+            s, xs, ys
+        )
+    assert paths["exact"] and paths["fallback"]
+
+
+@pytest.mark.parametrize("prec", [53, 113, 256])
+def test_dot_sub_cancellation_is_rounded_once(prec):
+    rng = random.Random(prec + 3)
+    for _ in range(50):
+        # x_1, y_1 odd and prec bits wide, s their product rounded,
+        # x_2 = s - x_1 y_1 - u and y_2 = 1, so the chain's exact value is u,
+        # about 2^-(prec + 40) of x_1 y_1 and prec + 10 bits wide; the
+        # primitives round x_1 y_1 to s, and their chain is -x_2 rounded,
+        # over 2^20 units of u off, or 0
+        x1, y1 = (
+            (rng.choice((1, -1)) * (1 << (prec - 1) | rng.getrandbits(prec - 1) | 1),
+             rng.randint(-60, 60))
+            for _ in range(2)
+        )
+        product = _fraction(x1) * _fraction(y1)
+        s = _nearest(product, prec)
+        top = abs(product).numerator.bit_length() - abs(product).denominator.bit_length()
+        u = Fraction(rng.getrandbits(prec + 9) | 1 << (prec + 9), 1) * Fraction(2) ** (
+            top - 2 * prec - 50
+        )
+        u = -u if rng.random() < 0.5 else u
+        rest = _fraction(s) - product - u
+        x2 = rest.numerator, -(rest.denominator.bit_length() - 1)
+        chain = s, [x1, x2], [y1, numerics._ONE]
+        assert _fraction(x2) == rest
+        assert numerics._dot_sub(*chain, prec) == _nearest(u, prec)
+        primitive = _fraction(_primitive_chain(*chain, prec))
+        assert primitive == 0 or abs(primitive - u) > abs(u) * 2 ** (20 - prec)
+
+    for odd in (False, True):
+        for sign in (1, -1):
+            # s + 1/2 is a midpoint at prec, and it rounds to even; x_2 y_2
+            # and x_3 y_3 cancel exactly
+            m = 1 << (prec - 1) | rng.getrandbits(prec - 2) << 1 | odd
+            s = sign * m, 0
+            xs = [(-sign, -1), (3, 5), (-21, 7)]
+            ys = [numerics._ONE, (7, 2), numerics._ONE]
+            expected = numerics._round(sign * (m + odd), 0, prec)
+            assert numerics._dot_sub(s, xs, ys, prec) == expected
+            assert expected == _nearest(sign * (m + Fraction(1, 2)), prec)
+
+    # every product zero: s as it is
+    s = _fuzz_pair(rng, prec, 5)
+    while not s[0]:
+        s = _fuzz_pair(rng, prec, 5)
+    s = numerics._round(*s, prec)
+    zeros = [(0, 0), (3, 1), numerics._ZERO]
+    assert numerics._dot_sub(s, zeros, [(5, -2), (0, 0), (7, 9)], prec) == s
 
 
 def _right_looking_lu(matrix, prec):
     """The reference for ``numerics._lu_factor``: right-looking elimination
-    with the same pivot rule, the first row of largest |a_i| / s_i and the
-    same guard, both compared as Fractions, and each update of an entry
-    one ``_sub(s, _mul(l, u))``, skipped where the multiplier l is zero."""
+    with the same pivot rule, the first row of largest |a_i| / s_i, and the
+    same guard, both compared as Fractions.  Each step appends its term
+    (l_ik, u_kj) to the entries it updates, and an entry is stored once,
+    when its column or row is finished: its exact chain
+    a_ij - sum_k l_ik u_kj by ``_chain_oracle``, as given if it has no
+    term, and a multiplier that value over the pivot by ``_div``."""
     n = len(matrix)
     lu = [row[:] for row in matrix]
+    terms = [[[] for _ in range(n)] for _ in range(n)]
     scales = [max(abs(_fraction(v)) for v in row) for row in lu]
     if not all(scales):
         raise SingularSystem("matrix has an all-zero row")
     perm, sign = list(range(n)), 1
+
+    def finish(i, j):
+        if terms[i][j]:
+            ls, us = zip(*terms[i][j])
+            lu[i][j] = _chain_oracle(lu[i][j], ls, us, prec)
+
     for col in range(n):
+        for i in range(col, n):
+            finish(i, col)
         pivot_row = max(range(col, n), key=lambda i: abs(_fraction(lu[i][col])) / scales[i])
         if abs(_fraction(lu[pivot_row][col])) <= scales[pivot_row] * Fraction(2) ** (8 - prec):
             raise SingularSystem(
@@ -1075,15 +1194,16 @@ def _right_looking_lu(matrix, prec):
                 "the system is numerically singular"
             )
         if pivot_row != col:
-            for seq in (lu, scales, perm):
+            for seq in (lu, terms, scales, perm):
                 seq[col], seq[pivot_row] = seq[pivot_row], seq[col]
             sign = -sign
         upper = lu[col]
-        for row in lu[col + 1 :]:
-            row[col] = factor = numerics._div(row[col], upper[col], prec)
-            if factor[0]:
-                for j in range(col + 1, n):
-                    row[j] = numerics._sub(row[j], numerics._mul(factor, upper[j], prec), prec)
+        for j in range(col + 1, n):
+            finish(col, j)
+        for i in range(col + 1, n):
+            lu[i][col] = factor = numerics._div(lu[i][col], upper[col], prec)
+            for j in range(col + 1, n):
+                terms[i][j].append((factor, upper[j]))
     return lu, perm, sign
 
 
@@ -1124,11 +1244,11 @@ def _factor_outcome(lu_factor, matrix, prec):
 
 @pytest.mark.parametrize("prec", _PRECISIONS)
 def test_lu_is_pinned_to_right_looking_elimination(prec):
-    # the left-looking LU, each entry one chain of the kernel with k
-    # ascending, gives the right-looking elimination's lu, perm and sign bit
-    # for bit, or the same refusal; negative controls: the same LU with
-    # each chain's k order reversed, and with a chain that starts at a
-    # leading zero multiplier, which rounds an entry wider than prec early
+    # the left-looking LU, each entry one chain of the kernel, gives the
+    # right-looking elimination's lu, perm and sign bit for bit, or the same
+    # refusal, where each entry carries its updates exactly and is rounded
+    # once; negative control: the same LU through the chain of primitives,
+    # which rounds each product and each difference
     rng = random.Random(prec + 2)
     cases = [_fuzz_matrix(rng, prec) for _ in range(100 if prec > 300 else 300)]
     outcomes = [_factor_outcome(_right_looking_lu, A, prec) for A in cases]
@@ -1137,24 +1257,12 @@ def test_lu_is_pinned_to_right_looking_elimination(prec):
     assert any(isinstance(o, str) for o in outcomes)
     assert any(not isinstance(o, str) and o[2] == -1 for o in outcomes)
 
-    source = inspect.getsource(numerics._lu_factor)
-    mutations = [
-        [("row[first:col], columns[col][first:]",
-          "row[first:col][::-1], columns[col][first:][::-1]"),
-         ("factors, columns[j][first:]", "factors[::-1], columns[j][first:][::-1]")],
-        [("if lead[i] == col and not factor[0]:", "if False:")],
-    ]
-    for mutation in mutations:
-        mutated = source
-        for old, new in mutation:
-            assert old in mutated
-            mutated = mutated.replace(old, new)
-        namespace = dict(vars(numerics))
-        exec(mutated, namespace)
-        assert any(
-            _factor_outcome(namespace["_lu_factor"], A, prec) != expected
-            for A, expected in zip(cases, outcomes)
-        ), mutation
+    namespace = dict(vars(numerics), _dot_sub=_primitive_chain)
+    exec(inspect.getsource(numerics._lu_factor), namespace)
+    assert any(
+        _factor_outcome(namespace["_lu_factor"], A, prec) != expected
+        for A, expected in zip(cases, outcomes)
+    )
 
 
 # -- pivot rules ----------------------------------------------------------------------
