@@ -1,32 +1,30 @@
 """Configurable-precision dense linear algebra and bracketed root finding.
 
 Each routine takes its width as an argument; 53 bits reproduces IEEE double
-behaviour.  The linear algebra computes on integer pairs (below), the root
-finder on mpmath floats.  One scaled-pivot LU factorization serves both the
-solver and det.  The solver takes one step of iterative refinement, which
-leaves a relative error of about 2^-w + (kappa * 2^-w)^2 at working
-precision w against the exact solution of the system as given
-(``solve_linear``).  From the same LU the solver's report gives, when read,
-a bound on the error of the first component and the determinant
+behaviour.  The root finder computes on mpmath floats, the rest on integers.
+One LU factorization serves both the solver and det (``_lu_factor``): it
+scales the rows and then the columns of the matrix by powers of two, so
+that the largest entry of each lies in [1/2, 1), reads every entry as an
+integer at 2^-F with F = w + 96 for the working precision w, and
+eliminates on those integers with partial pivoting.  Every entry of L and
+U is one exact integer dot product rounded once, so each step errs by at
+most 2^-F on entries of magnitude at most about 1 (Higham 2002, sec. 9.3);
+the substitutions work the same way, and the solution is rounded once to
+w bits at the end.  The solve's error is bounded normwise, on the scaled
+system (``solve_linear``).  From the same integers the solver's report gives, when
+read, a bound on the error of the first component and the determinant
 (``SolveReport``).  It is dense Gaussian elimination, O(n^3) for any n:
 ``mean`` accepts any number of values, and the intersection systems reach
 n = 16 in the tests.
 
-The elimination, the substitutions, the refinement's residual and the
-determinant's pivot product run on integer pairs (m, e), the value m * 2^e,
-through a few private primitives, each of which returns its exact result
-rounded once to nearest-even.  All but the last are chains
-s - x_1 y_1 - x_2 y_2 - ... through one multiply-subtract kernel,
-``_dot_sub``, which sums each chain exactly in one integer and rounds it
-once; a chain whose exponents lie too far apart for that integer to stay
-narrow runs as the chain of ``_sub`` and ``_mul`` instead, whose unit
-stand-in keeps it narrow.  The elimination runs in left-looking order,
-one chain per entry of U and L.  ``solve_linear``, ``det`` and the relative
-error ``_rel_error`` take ``mpf`` values or pairs and return ``mpf`` values;
-the conversion happens there, in ``SolveReport``'s properties, and
-nowhere else.  ``means``' divided-difference kernel and ``logpoly``'s
-evaluator, which builds ``means.intersect``'s planes as pairs, use the same
-primitives.
+The values around the solver are integer pairs (m, e), the value m * 2^e,
+handled by a few private primitives, each of which returns its exact
+result rounded once to nearest-even.  ``solve_linear``, ``det`` and the
+relative error ``_rel_error`` take ``mpf`` values or pairs and return
+``mpf`` values; the conversion happens there, in ``SolveReport``'s
+properties, and nowhere else.  ``means``' divided-difference kernel and
+``logpoly``'s evaluator, which builds ``means.intersect``'s planes as
+pairs, use the same primitives.
 """
 
 from __future__ import annotations
@@ -44,8 +42,12 @@ from mpmath.libmp import MPZ, fzero
 from .errors import BadDimension, NoBracket, SingularSystem
 from .precision import as_mpf_at, require_precision
 
-# Pivots at or below 2^(-precision+8) times the row scale are treated as zero.
+# Pivots at or below 2^(-precision+8) times their row's top power of two are
+# treated as zero.
 _PIVOT_MARGIN_BITS = 8
+
+# The elimination carries F = w + _EXTRA_BITS fraction bits.
+_EXTRA_BITS = 96
 
 
 @dataclass(frozen=True)
@@ -53,27 +55,28 @@ class SolveReport:
     """Solution of a square system plus honesty metadata.
 
     error_bound is B = 2^-w (|A^-1| (|A| |x| + |b|))_1 / |x_1|, a float, for
-    the w-bit solution x: to first order, the relative error in x_1 that a
-    relative perturbation of at most 2^-w in each entry of A and b can
-    cause (Oettli & Prager 1964; Skeel 1979; Higham 2002, sec. 7.2).  It is
-    taken on R A C, where R and C are powers of two that scale the rows,
-    and then the columns, to a largest entry in [1/2, 1): the scaling is
-    exact and B does not depend on it.  Row 1 of (RAC)^-1 comes from one
-    transposed solve on the LU the solve kept, converted once to float64
-    from the top 53 bits of each mantissa: P RAC = (R_p L R_p^-1)(R_p U C).
-    A pivot that underflows to 0.0, or any overflow, gives +inf; a positive
-    bound below the float range gives 5e-324, never 0.0.
+    the solution x before its rounding to w bits: to first order, the
+    relative error in x_1 that a relative perturbation of at most 2^-w in
+    each entry of A and b can cause (Oettli & Prager 1964; Skeel 1979;
+    Higham 2002, sec. 7.2).  It is taken on the scaled system the
+    elimination solved, R A C y = R b 2^-s, where R and C are the powers of
+    two of ``_lu_factor`` and 2^-s brings the largest entry of R b into
+    [1/2, 1): the scaling is exact and B does not depend on it.  Every
+    entry there, y's included, is an integer at 2^-F, converted once to
+    float64, and row 1 of (RAC)^-1 comes from one transposed solve on the
+    kept L and U.  A pivot that underflows to 0.0, or any overflow, gives
+    +inf; a positive bound below the float range gives 5e-324, never 0.0.
 
     determinant is det A from the kept LU at the working precision, the
-    sign of the permutation times the pivots: bit for bit what ``det``
-    returns for the same matrix and precision, without a second
-    factorization.  ``identities`` reads it for the minor matrix.
+    sign of the permutation times the exact product of the pivots, rounded
+    once: bit for bit what ``det`` returns for the same matrix and
+    precision, without a second factorization.  ``identities`` reads it for
+    the minor matrix.
 
     Both are computed on first read and cached; ``mean`` reads the first.
-    ``_factors`` holds (system, rhs, lu, perm, sign, bits): the first three
-    as lists (of lists) of integer pairs (m, e), the value m * 2^e with m
-    odd or the pair (0, 0), perm a list of row indices, sign +-1 its parity
-    as ``_lu_factor`` returns it, and bits the precision of the LU.
+    ``_factors`` holds (factors, rhs, y, bits): what ``_lu_factor``
+    returned, the integers of R b 2^-s and of y at 2^-F, and the working
+    precision w.
     """
 
     solution: Tuple[mpmath.mpf, ...]
@@ -81,46 +84,32 @@ class SolveReport:
 
     @cached_property
     def error_bound(self) -> float:
-        original, rhs, lu, perm, _, bits = self._factors
-        # R = diag(2^-row_exp), C = diag(2^-col_exp); a nonzero pair (m, e)
-        # has 2^(top-1) <= |v| < 2^top for top = e + m.bit_length(), read once
-        tops = [[e + m.bit_length() if m else -math.inf for m, e in row] for row in original]
-        row_exp = [max(row) for row in tops]
-        col_exp = [max(map(sub, column, row_exp)) for column in zip(*tops)]
-        # y = C^-1 x solves (RAC) y = Rb; t = |RAC| |y| + |Rb|, row by row
-        y = list(map(abs, _floats([_pair(v._mpf_) for v in self.solution], col_exp)))
+        (lu, perm, _, scaled, _, _, frac), rhs, y, bits = self._factors
+        # t = |RAC| |y| + |Rb 2^-s|, row by row
+        y = list(map(abs, _floats(y, frac)))
         t = [
-            reduce(add, map(mul, map(abs, _floats(row, [-r - c for c in col_exp])), y), 0) + abs(bi)
-            for row, r, bi in zip(original, row_exp, _floats(rhs, [-r for r in row_exp]))
-        ]
-        # row i of lu is row perm[i] of the system
-        lu_exp = [row_exp[p] for p in perm]
-        factors = [
-            _floats(row, [c - r for c in lu_exp[:i]] + [-r - c for c in col_exp[i:]])
-            for i, (row, r) in enumerate(zip(lu, lu_exp))
+            reduce(add, map(mul, map(abs, _floats(row, frac)), y), 0) + abs(bi)
+            for row, bi in zip(scaled, _floats(rhs, frac))
         ]
         # row 1 of (RAC)^-1 is z with z[perm[i]] = u[i], u = (LU)^-T e_1
-        u = _first_row_of_inverse(factors)
+        u = _first_row_of_inverse([_floats(row, frac) for row in lu])
         q = reduce(add, (abs(ui) * t[p] for ui, p in zip(u, perm)), 0) / y[0] if u and y[0] else 0
         return max(math.ldexp(q, -bits), math.ulp(0.0)) if q and math.isfinite(q) else math.inf
 
     @cached_property
     def determinant(self) -> mpmath.mpf:
-        _, _, lu, _, sign, bits = self._factors
-        return mp.make_mpf(_raw_value(_lu_determinant(lu, sign, bits)))
+        factors, _, _, bits = self._factors
+        return mp.make_mpf(_raw_value(_lu_determinant(factors, bits)))
 
 
-def _floats(pairs, shifts):
-    """Each pair (m, e) times 2^shift as a float64, from the top 53 bits of
-    m, truncated; +-inf past the float range."""
+def _floats(ints, frac: int):
+    """Each integer times 2^-frac as a float64, correctly rounded; +-inf
+    past the float range."""
+    unit = 1 << frac
     out = []
-    for (m, e), shift in zip(pairs, shifts):
-        cut = m.bit_length() - 53
-        if cut > 0:
-            m = m >> cut if m > 0 else -(-m >> cut)
-            e += cut
+    for m in ints:
         try:
-            out.append(math.ldexp(m, e + shift))
+            out.append(m / unit)
         except OverflowError:
             out.append(math.inf if m > 0 else -math.inf)
     return out
@@ -270,179 +259,146 @@ def _rel_error(value, reference, prec: int) -> mpmath.mpf:
     return mp.make_mpf(_raw_value(error))
 
 
-def _gt(x, y) -> bool:
-    """x > y for non-negative pairs, exactly."""
-    a, ea = x
-    b, eb = y
-    if not a or not b:
-        return a > b
-    top_a = a.bit_length() + ea
-    top_b = b.bit_length() + eb
-    if top_a != top_b:
-        return top_a > top_b
-    if ea >= eb:
-        return a << (ea - eb) > b
-    return a > b << (eb - ea)
-
-
-def _max_abs(values):
-    """max(abs(v) for v in values), exactly; the first of equal values, as
-    the builtin ``max`` finds it."""
-    best = None
-    for v in values:
-        v = _abs(v)
-        if best is None or _gt(v, best):
-            best = v
-    return best
-
-
-# -- the multiply-subtract kernel ---------------------------------------------
+# -- fixed-point elimination ----------------------------------------------------
 #
-# s - x_1 y_1 - x_2 y_2 - ..., summed exactly and rounded once: Wilkinson's
-# accumulated inner product (Higham 2002, sec. 3.1).  Each product is exact,
-# and it is added into one integer at the lower of the two exponents, so a
-# chain costs one rounding, not two per term; a zero product adds nothing.
-# A term that would widen that integer past max(_CHAIN_BITS, 4 prec) bits
-# ends the exact sum, and the chain runs again as the primitive chain
-# s = _sub(s, _mul(x, y)), whose unit stand-in keeps every integer narrow
-# however far apart the exponents lie.
-
-_CHAIN_BITS = 4096
+# The system is scaled by powers of two and read as integers at 2^-F.  An
+# entry of U, or of the forward substitution, is an exact integer dot
+# product at 2^-2F, shifted back to 2^-F with one rounding; a multiplier of
+# L, or a component of the back substitution, is such an exact value
+# divided by the pivot with one rounding.  Ties round up, to +infinity.
 
 
-def _dot_sub(s, xs, ys, prec: int):
-    """s - sum_j x_j y_j over pairs, the exact value rounded once to
-    nearest-even at ``prec``, or the primitive chain, left to right, where
-    the exact sum would pass the width limit."""
-    m, e = s
-    limit = max(_CHAIN_BITS, 4 * prec)
-    for (a, ea), (b, eb) in zip(xs, ys):
-        p = a * b
-        if not p:
-            continue
-        ep = ea + eb
-        if not m:
-            m, e = -p, ep
-        elif ep >= e:
-            shift = ep - e
-            if p.bit_length() + shift > limit:
-                break
-            m -= p << shift
-        else:
-            shift = e - ep
-            if m.bit_length() + shift > limit:
-                break
-            m = (m << shift) - p
-            e = ep
-    else:
-        return _round(m, e, prec)
-    for x, y in zip(xs, ys):
-        s = _sub(s, _mul(x, y, prec), prec)
-    return s
+def _fixed(m: int, e: int) -> int:
+    """m * 2^e rounded to the nearest integer; 0 at once when it lies below
+    1/2, so no integer grows with -e."""
+    if e >= 0:
+        return m << e
+    return (m + (1 << (-e - 1))) >> -e if m.bit_length() >= -e else 0
+
+
+def _quotient(a: int, b: int) -> int:
+    """a / b rounded to the nearest integer, for b != 0."""
+    return (2 * a + b) // (2 * b)
 
 
 def _lu_factor(matrix, prec: int):
-    """Doolittle LU with scaled partial pivoting, in left-looking order;
-    multipliers stored in place.
+    """Doolittle LU with partial pivoting on the scaled system, in
+    left-looking order, on integers at 2^-F with F = prec + 96.
 
-    Takes and returns pairs.  Returns (lu, perm, sign), sign the parity of
-    perm: -1 after an odd number of row swaps.  Step col finishes column
-    col, then the pivot's row of U, each entry by one ``_dot_sub`` chain
-    a_ij - l_i0 u_0j - l_i1 u_1j - ..., its exact value rounded once, and
-    then the column's multipliers, each one quotient rounded once (Higham
-    2002, sec. 9.2).  The pivot is the first row of largest |a_i| / s_i,
-    compared exactly by cross-multiplying.  Raises SingularSystem when the
-    best available pivot is at or below 2^(-prec + 8) times the scale of its
-    original row.
+    Takes pairs.  The rows are scaled by 2^-r_i and then the columns by
+    2^-c_j, with r_i and c_j the least exponents that bring every entry of
+    the row, and then of the column, below 1; each entry of R A C is then
+    rounded to an integer at 2^-F (``_fixed``), so an entry far below its
+    row reads as 0 without a wide integer.  Step col finishes column col
+    below the finished rows, each entry a_ic - l_i0 u_0c - ... exact at
+    2^-2F, and takes the first row of largest magnitude as the pivot; the
+    pivot is that value rounded once to 2^-F, and its row of U is finished
+    the same way, then the column's multipliers, each one rounded integer
+    quotient of the exact value by the pivot (Higham 2002, sec. 9.2).
+    Raises SingularSystem when |u_kk| 2^(c_k) is at or below 2^(F - prec +
+    8): the pivot is at or below 2^(-prec + 8) of its row's top power of
+    two, at the original column scale.
+
+    Returns (lu, perm, sign, scaled, row_exp, col_exp, F): the multipliers
+    of L and the entries of U in one list of integer rows, perm a list of
+    row indices (row i of lu is row perm[i] of the system), sign +-1 its
+    parity, the integers of R A C, the exponents r and c, and F.
     """
     n = len(matrix)
-    lu = [row[:] for row in matrix]
-    scales = [_max_abs(row) for row in lu]
-    if not all(s[0] for s in scales):
+    frac = prec + _EXTRA_BITS
+    # a nonzero pair (m, e) has 2^(top-1) <= |v| < 2^top for top = e + m.bit_length()
+    tops = [[e + m.bit_length() if m else -math.inf for m, e in row] for row in matrix]
+    row_exp = [max(row) for row in tops]
+    if -math.inf in row_exp:
         raise SingularSystem("matrix has an all-zero row")
+    col_exp = [max(map(sub, column, row_exp)) for column in zip(*tops)]
+    lu = [
+        [_fixed(m, e + frac - r - c) if m else 0 for (m, e), c in zip(row, col_exp)]
+        for row, r in zip(matrix, row_exp)
+    ]
+    scaled = [row[:] for row in lu]
     perm = list(range(n))
     sign = 1
     for col in range(n):
-        # the columns of the finished rows 0..col-1 of U
-        columns = list(zip(*lu[:col]))
-        if col:
-            for row in lu[col:]:
-                row[col] = _dot_sub(row[col], row[:col], columns[col], prec)
-        # the first row of largest |a| / scale: |a_i| * s_p > |a_p| * s_i
-        pivot_row, best = col, _abs(lu[col][col])
-        for i in range(col + 1, n):
-            a = _abs(lu[i][col])
-            (sp, ep), (si, ei) = scales[pivot_row], scales[i]
-            if _gt((a[0] * sp, a[1] + ep), (best[0] * si, best[1] + ei)):
-                pivot_row, best = i, a
-        scale, scale_exp = scales[pivot_row]
-        if not _gt(best, (scale, scale_exp - prec + _PIVOT_MARGIN_BITS)):
+        # the columns of the finished rows 0..col-1 of U (empty at col 0)
+        columns = list(zip(*lu[:col])) or [()] * n
+        exact = [(row[col] << frac) - sum(map(mul, row[:col], columns[col])) for row in lu[col:]]
+        best = max(range(n - col), key=lambda i: abs(exact[i]))
+        pivot = _fixed(exact[best], -frac)
+        if (abs(pivot) - 1).bit_length() <= frac - prec + _PIVOT_MARGIN_BITS - col_exp[col]:
             raise SingularSystem(
                 f"pivot {col} fell below the relative threshold; "
                 "the system is numerically singular"
             )
-        if pivot_row != col:
-            for seq in (lu, scales, perm):
+        if best:
+            pivot_row = col + best
+            for seq in (lu, perm):
                 seq[col], seq[pivot_row] = seq[pivot_row], seq[col]
+            exact[0], exact[best] = exact[best], exact[0]
             sign = -sign
         upper = lu[col]
+        upper[col] = pivot
         if col:
             factors = upper[:col]
             for j in range(col + 1, n):
-                upper[j] = _dot_sub(upper[j], factors, columns[j], prec)
-        for row in lu[col + 1 :]:
-            row[col] = _div(row[col], upper[col], prec)
-    return lu, perm, sign
+                upper[j] = _fixed((upper[j] << frac) - sum(map(mul, factors, columns[j])), -frac)
+        for row, value in zip(lu[col + 1 :], exact[1:]):
+            row[col] = _quotient(value, pivot)
+    return lu, perm, sign, scaled, row_exp, col_exp, frac
 
 
-def _lu_determinant(lu, sign: int, prec: int):
+def _lu_determinant(factors, prec: int):
     """det of the factored matrix as a pair: the sign of the permutation
-    times the pivots, multiplied in order and rounded at ``prec``."""
-    result = (sign, 0)
-    for i, row in enumerate(lu):
-        result = _mul(result, row[i], prec)
-    return result
+    times the exact product of the pivots, rounded once at ``prec``."""
+    lu, _, sign, _, row_exp, col_exp, frac = factors
+    pivots = reduce(mul, (row[i] for i, row in enumerate(lu)), sign)
+    return _round(pivots, sum(row_exp) + sum(col_exp) - len(lu) * frac, prec)
 
 
-def _lu_solve(lu, perm, rhs, prec: int):
+def _lu_solve(lu, perm, rhs, frac: int):
+    """The solution of L U y = P rhs, integers at 2^-frac: each component
+    of the forward substitution one exact dot product rounded once, each of
+    the back substitution one rounded quotient."""
     n = len(lu)
-    x = [rhs[p] for p in perm]
+    y = [rhs[p] for p in perm]
     for i in range(1, n):
-        x[i] = _dot_sub(x[i], lu[i][:i], x[:i], prec)
+        y[i] = _fixed((y[i] << frac) - sum(map(mul, lu[i][:i], y[:i])), -frac)
     for i in range(n - 1, -1, -1):
         row = lu[i]
-        x[i] = _div(_dot_sub(x[i], row[i + 1 :], x[i + 1 :], prec), row[i], prec)
-    return x
+        y[i] = _quotient((y[i] << frac) - sum(map(mul, row[i + 1 :], y[i + 1 :])), row[i])
+    return y
 
 
 def solve_linear(A: Sequence[Sequence], b: Sequence, precision_bits: int = 53) -> SolveReport:
     """Solve Ax = b by row-pivoted elimination at the requested precision.
 
-    After the factorization the solution takes one step of iterative
-    refinement: the residual b - Ax, exact and rounded once to the working
-    precision w, one more solve with the kept LU, and the correction added
-    at w.  An exactly zero residual skips the step.
+    The elimination (``_lu_factor``) and both substitutions run on the
+    system scaled by powers of two, R A C y = R b 2^-s, with 2^-s the power
+    of two that brings the largest entry of R b below 1, in integers at
+    2^-F with F = w + 96 for the working precision w.  Each component x_j
+    = y_j 2^(s - c_j) is then rounded once to w bits.  An entry is read as
+    ``_pairs`` reads it: an mpf as given, a pair (m, e) as m * 2^e rounded
+    at w; then its scaled value is rounded to 2^-F.
 
-    The elimination (``_lu_factor``), both substitutions and the residual
-    run through the one multiply-subtract kernel ``_dot_sub``: each chain
-    s - x_1 y_1 - x_2 y_2 - ... summed exactly and rounded once to
-    nearest-even, so that the factors' componentwise backward error is
-    about 2^-w rather than n 2^-w (Higham 2002, secs. 3.1 and 9.3).
-
-    An entry is read as ``_pairs`` reads it: an mpf as given, a pair (m, e)
-    as m * 2^e rounded at the working precision.
-
-    Guarantee: the relative error against the exact solution of the system
-    as given (its entries taken exactly) is about 2^-w + (kappa * 2^-w)^2,
-    with kappa the condition number of the system after power-of-two row
-    and column scaling; a second step would bring it to about 2^-w (Skeel
-    1980; Higham 2002, ch. 12).  On 30 seeded log-curve intersection systems
-    per n at w = 83, one step left at most 0.92 units of 2^-83 at n = 10,
-    8.3 at n = 11 and 1.1e4, about 2^-70, at n = 12, where two steps left
-    under one unit; up to n = 7, at 83, 143 and 286 bits, one step stays
-    within one unit.  That is enough for ``means.intersect``: its planes
-    already carry a rounding of 2^-w per entry
-    (``SolveReport.error_bound``), and it rounds the point to the requested
+    Guarantee, normwise on the scaled system: every step errs by at most
+    2^-F there (Higham 2002, sec. 9.3), so against the exact solution of
+    the system as given (its entries taken exactly) each x_j errs by at
+    most 2^-w |x_j| from its final rounding plus about n kappa 2^-F
+    max_k |y_k| 2^(s - c_j), with kappa the condition number of R A C.  A
+    component far below the largest scaled one keeps fewer than w bits, and
+    one more than F bits below it reads as 0: the identity with b = (1,
+    2^-200) solves to (1, 0) at 53 bits.  On seeded systems with zero
+    entries and exponents about 10^4 apart the error stayed within a
+    quarter of that bound.  On four seeded log-curve intersection systems
+    per n, inputs from 1.1 to 50, each component stayed within one unit of
+    2^-w, for n = 2 to 16 at w = 83, 143 and 286 (at most 0.96 units; at
+    83 bits the pivot guard refused four of the eight systems at n = 15
+    and 16); with F = w + 32 it did not (751 units at n = 10, w = 83), nor
+    with F = w + 64 at n = 16 (1.4 units at 143 bits, 64 at 286).  That is
+    enough for ``means.intersect``: its planes already carry a rounding of
+    2^-w per entry (``SolveReport.error_bound``), which outweighs the
+    solve's error even where the inputs cluster near 1 and the later
+    components are small, and it rounds the point to the requested
     precision p, below w = ``means.working_bits(p)``.
     """
     require_precision(precision_bits)
@@ -453,26 +409,22 @@ def solve_linear(A: Sequence[Sequence], b: Sequence, precision_bits: int = 53) -
         raise BadDimension(f"right-hand side has length {len(b)}, expected {n}")
 
     prec = precision_bits
-    original = [_pairs(row, prec) for row in A]
+    factors = _lu_factor([_pairs(row, prec) for row in A], prec)
+    lu, perm, _, _, row_exp, col_exp, frac = factors
     rhs = _pairs(b, prec)
-    lu, perm, sign = _lu_factor(original, prec)
-    solution = _lu_solve(lu, perm, rhs, prec)
-
-    # b - Ax, exact and rounded once: the residual measures the solve
-    res = [_dot_sub(bi, row, solution, prec) for row, bi in zip(original, rhs)]
-    if any(m for m, _ in res):
-        correction = _lu_solve(lu, perm, res, prec)
-        solution = [_add(x, d, prec) for x, d in zip(solution, correction)]
-
-    # every component was rounded to prec by its last division or addition
-    return SolveReport(
-        tuple(mp.make_mpf(_raw_value(x)) for x in solution),
-        (original, rhs, lu, perm, sign, prec),
+    # s: R b's own power of two, as a column's
+    s = max((e + m.bit_length() - r for (m, e), r in zip(rhs, row_exp) if m), default=0)
+    rhs = [_fixed(m, e + frac - r - s) if m else 0 for (m, e), r in zip(rhs, row_exp)]
+    y = _lu_solve(lu, perm, rhs, frac)
+    solution = tuple(
+        mp.make_mpf(_raw_value(_round(yj, s - c - frac, prec))) for yj, c in zip(y, col_exp)
     )
+    return SolveReport(solution, (factors, rhs, y, prec))
 
 
 def det(A: Sequence[Sequence], precision_bits: int = 53) -> mpmath.mpf:
-    """Numeric determinant: the sign of the LU permutation times the pivots.
+    """Numeric determinant: the sign of the LU permutation times the exact
+    product of the pivots, rounded once.
 
     A pivot at or below the factorization's relative threshold makes the
     matrix numerically singular, and its determinant is returned as 0.
@@ -482,10 +434,10 @@ def det(A: Sequence[Sequence], precision_bits: int = 53) -> mpmath.mpf:
     if n == 0 or any(len(row) != n for row in A):
         raise BadDimension("determinant requires a square, nonempty matrix")
     try:
-        lu, _, sign = _lu_factor([_pairs(row, precision_bits) for row in A], precision_bits)
+        factors = _lu_factor([_pairs(row, precision_bits) for row in A], precision_bits)
     except SingularSystem:
         return mp.mpf(0)
-    return mp.make_mpf(_raw_value(_lu_determinant(lu, sign, precision_bits)))
+    return mp.make_mpf(_raw_value(_lu_determinant(factors, precision_bits)))
 
 
 def find_root_bracketed(

@@ -254,7 +254,7 @@ def test_conjecture_csv_byte_identical(capsys):
     [
         (
             "verify --max-n 5 --precision 113 --trials 20 --seed 101 --json",
-            "c92b0d5db91fcb20abfb661f3fc063c27637ca68697ddf954d5a4db1ec0b74f8",
+            "cb4938a761e9dbc866abb67bf9ced0b337bd4e6bf3bf30748c57514f316ef2e2",
         ),
         (
             "conjecture --n 3 --trials 20 --seed 101 --json",
@@ -262,19 +262,19 @@ def test_conjecture_csv_byte_identical(capsys):
         ),
         (
             "verify --max-n 4 --trials 10 --seed 3",
-            "f8cc12f74a47897db6adfa664340a68edbba3932fdbd5e0d2cf8b14b5dd96fb2",
+            "4121cf1081da299d9423b1b0fba1d350a7663259e4978b9be04cf08a8d4ab181",
         ),
         (
             "verify --max-n 4 --trials 10 --seed 3 --csv",
-            "4813fa7bdba87ceb029e9bddf00fa648e6c7381bbee294a5932adba893bd80bc",
+            "40825dd66ebb0d7bb5870b3e4334b4c519339ceb7b0b35c9f2d766f9257c771d",
         ),
         (
             "identities --max-n 4 --trials 20 --seed 2",
-            "0b3ca5441fe7a944584a9ab9a8f135784150705baa1906b7e2315cc61111c112",
+            "4d0790082df8b5113e050bb1a217c409c32d1c74be41bc25093fd0b4f0d4d02f",
         ),
         (
             "identities --max-n 4 --trials 20 --seed 2 --csv",
-            "87acb0a4c963647f722989b35c4cd620d0c92172ba9c62c7837b559dc9837097",
+            "081860a7949e12d63426a0e64eb83ba815aa738a2247ebc6050cd56cc863cede",
         ),
         (
             # escalates to 113 bits and warns
@@ -283,11 +283,11 @@ def test_conjecture_csv_byte_identical(capsys):
         ),
         (
             "mean --values 2,2.0000000001,3 --json",
-            "f59bdc6de7ed66c675f858d1b716bb55621cd1827df3956b202905ac333ddfe1",
+            "5f6f3d41a84524c7966185c6a1529b3bad5a145516a963f63d8c8f3a92240f82",
         ),
         (
             "mean --values 2,2.0000000001,3 --csv",
-            "c157af45e0e792dd89cbb6eecb8d023c4ba594e786ec172f1e46b1d94c931cd6",
+            "c92b3ce5a54fa09a6f07556aec740ff72271f52f69c1be08d202de4f3155a37e",
         ),
         (
             # a refusal: exit 2, the message on stderr
@@ -295,20 +295,20 @@ def test_conjecture_csv_byte_identical(capsys):
             "d801cb6fa6a331f8791d61fcac7c39c1239c8a0f7c8ff9e8d566a1ddc45a880d",
         ),
         (
-            # the solve's refinement adds a correction far below the
-            # solution component it corrects
+            # n = 2 at 256 bits: each component of the fixed-point solve
+            # rounded once to the working precision
             "mean --values 1.67943726907852,47.5500308965592 --json --precision 256",
-            "6a7c9a206e3bb0cd320a6390278e4277b5d2aedfdf3ff772399a49b077c0ab1d",
+            "68a897b3f3f89299ff8bce0ca2c34898494be9e538153588c08d723179163a11",
         ),
         (
             # M_10 pulled back through t*(log t)^9; rel_gap from numerics
             "mean --values 1.5,2,3,4.5,6,8,11,15,20,27 --k 10 --precision 256 --json",
-            "7535f6d6f4812284d2efbf53a159d575bbf34281fd250522a02b6a946d0d6704",
+            "70e87dd179477d5f5960312a0ee753ce3c2c43ad8e1bd2572827256840cfac50",
         ),
         (
             # every numeric row, the determinant rows at the intersection's width
             "verify --max-n 7 --precision 113 --trials 100 --seed 101 --json",
-            "5f4652031029f60a37dee2c44f78bb0297a165c859754e279024ba2b111cbdfb",
+            "8d060002d85896436e4bfc95a0849d31b5fec670caf07f28cbe35be7aa5581a4",
         ),
         (
             "conjecture --n 5 --trials 50 --seed 7 --json",

@@ -222,9 +222,9 @@ def test_determinant_checks_values_are_pinned():
     errors = numeric_checks((1.7, 2.9, 4.4, 8.1, 13.6), 113)
     with mp.workprec(113):
         assert [repr(e) for e in errors] == [
-            "mpf('2.44893578634384767554195080814520704e-42')",
-            "mpf('1.02098682793178786442111032965511353e-41')",
-            "mpf('2.18955778128750263249815307861952212e-35')",
+            "mpf('5.25500804152950647043376944247825678e-41')",
+            "mpf('1.5314802418976817966316654944826703e-41')",
+            "mpf('2.18956228253924851238089757777276799e-35')",
             "mpf('0.0')",
         ]
 

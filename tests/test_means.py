@@ -186,7 +186,7 @@ _PINNED_INTERSECTIONS = {
             "mpf('73.310469978690364')",
             "mpf('92.61863540310118')",
         ],
-        "5.122495378633105e-19",
+        "5.122495378633195e-19",
     ),
     10: (
         [
@@ -201,7 +201,7 @@ _PINNED_INTERSECTIONS = {
             "mpf('1691.7287118404161')",
             "mpf('2527.608194631051')",
         ],
-        "9.16264129154653e-15",
+        "9.162641291545989e-15",
     ),
 }
 
@@ -257,7 +257,7 @@ def test_inverse_is_built_only_when_the_condition_estimate_is_read(monkeypatch):
     solves = _counting(monkeypatch, numerics, "_lu_solve")
     inverses = _counting(monkeypatch, numerics, "_first_row_of_inverse")
     report = intersect(make_log_curve(7), [1.5, 2, 3, 4.5, 6, 8, 11], 113).report
-    assert len(solves) <= 2  # the solve and one refinement step
+    assert len(solves) == 1  # the one integer solve
     assert not inverses
     before = len(solves)
     first = report.error_bound
@@ -273,10 +273,11 @@ def test_error_bound_is_computed_only_when_read(monkeypatch):
     report = intersect(make_log_curve(5), [1.5, 2, 3, 4.5, 6], 53).report
     assert not conversions
     first = report.error_bound
-    # x, then A and b, then the LU: each entry converted to float64 once
-    assert sum(len(pairs) for pairs, _ in conversions) == 5 + (5 * 5 + 5) + 5 * 5
+    # y, then the scaled A and b, then the LU: each integer converted to
+    # float64 once
+    assert sum(len(ints) for ints, _ in conversions) == 5 + (5 * 5 + 5) + 5 * 5
     assert report.error_bound is first
-    assert sum(len(pairs) for pairs, _ in conversions) == 5 + (5 * 5 + 5) + 5 * 5
+    assert sum(len(ints) for ints, _ in conversions) == 5 + (5 * 5 + 5) + 5 * 5
 
 
 # The smallest gap, as a power of ten, that working_bits(bits) holds at n = 4 and 5.
@@ -352,8 +353,8 @@ def test_scans_build_no_inverse(monkeypatch):
     identities.main_theorem_scan(5, trials=3)
     # per tuple, the solve's LU and the Wronskian-replaced matrix's det
     assert len(factors) == 2 * 3
-    # the solve and one refinement step per factorization
-    assert len(solves) <= 2 * len(factors)
+    # one solve per tuple, and none for the det
+    assert len(solves) == 3
     assert not inverses
 
 
@@ -505,7 +506,7 @@ def test_log_curve_planes_run_no_elimination(monkeypatch, capsys):
     assert main(["mean", "--values", values, "--precision", "160", "--json"]) == 0
     out, err = capsys.readouterr()
     assert hashlib.sha256((out + err).encode()).hexdigest() == (
-        "409f8c68c6f6944381f86011f755d12bcef75036ca36aa175e7e81e3ab59ff88"
+        "4724e4731e13316fd88608ddea879a526fd7ece3508a572b9b82e5a7f6a998ab"
     )
     with pytest.raises(AssertionError, match="symbolic elimination ran"):
         intersect(make_conjecture_curve(4), (1.5, 2.5, 4.0, 7.0))

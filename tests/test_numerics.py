@@ -1,7 +1,6 @@
 """Linear solver and bracketed root finder at configurable precision."""
 
-import collections
-import contextlib
+import functools
 import inspect
 import math
 import random
@@ -23,7 +22,7 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from oscmean import logpoly, numerics
+from oscmean import logpoly, means, numerics
 from oscmean.errors import BadDimension, BadParameter, NoBracket, SingularSystem
 from oscmean.identities import draw_tuple
 from oscmean.logpoly import lp_eval
@@ -422,9 +421,9 @@ def _wide(k, scale=0, tie_at=None):
 
 def _wide_system():
     # 400-bit entries, wider than the working precision, and a column 0 that
-    # spans 2^-480..1: the elimination and the forward substitution subtract
-    # products far below a wide operand, where the kernel stands in a unit
-    # for them.  Some entries lie just above a tie at 113 or 256 bits.
+    # spans 2^-480..1: its two small entries lie below 2^-F of their rows'
+    # scale, and the fixed-point read takes them as 0.  Some entries lie just
+    # above a tie at 113 or 256 bits.
     A = [
         [mp.mpf(1), _wide(2, -1), _wide(3, -1)],
         [mp.ldexp(1, -393), _wide(2, 0, 113), _wide(3, 0, 256)],
@@ -457,7 +456,7 @@ _PINNED_SYSTEMS = {
             "mpf('0.98131678894104868')",
         ],
         "5.818750755314194e-16",
-        "mpf('-21.195499999999999')",
+        "mpf('-21.195500000000003')",
     ),
     ("decimal3", 113): (
         [
@@ -475,7 +474,7 @@ _PINNED_SYSTEMS = {
             "mpf('0.9813167889410488075299002146682078743129437852374324738741714043075181052581946')",
         ],
         "4.526271856048286e-77",
-        "mpf('-21.19549999999999999999999999999999999999999999999999999999999999999999999999973')",
+        "mpf('-21.1955')",
     ),
     ("mixed5", 53): (
         [
@@ -496,8 +495,8 @@ _PINNED_SYSTEMS = {
             "mpf('0.138242455085375306891161044266984964')",
             "mpf('1.06790701763001341020537922698524387')",
         ],
-        "6.3432762456508765e-34",
-        "mpf('63.3928974395726103492543401840453933')",
+        "6.343276245650876e-34",
+        "mpf('63.3928974395726103492543401840454056')",
     ),
     ("mixed5", 256): (
         [
@@ -507,8 +506,8 @@ _PINNED_SYSTEMS = {
             "mpf('0.1382424550853753068911610442669849582984165052477003299756604757271794620863077')",
             "mpf('1.067907017630013410205379226985243917147718148790819906291902628996773890820208')",
         ],
-        "5.688846887563945e-77",
-        "mpf('63.39289743957261034925434018404539946490059868744676000911828576227669198190796')",
+        "5.6888468875639444e-77",
+        "mpf('63.39289743957261034925434018404539946490059868744676000911828576227669198190741')",
     ),
     ("log7", 53): (
         [
@@ -520,8 +519,8 @@ _PINNED_SYSTEMS = {
             "mpf('-16.724424964018173')",
             "mpf('-31.118925522488336')",
         ],
-        "1.3471620986869266e-12",
-        "mpf('1.1539753223646413e-26')",
+        "1.3471620986870617e-12",
+        "mpf('1.1539753223645298e-26')",
     ),
     ("log7", 113): (
         [
@@ -534,7 +533,7 @@ _PINNED_SYSTEMS = {
             "mpf('-31.1189255224883378545418019092810032')",
         ],
         "1.168476859269315e-30",
-        "mpf('1.15397532236452976505859717335416272e-26')",
+        "mpf('1.15397532236452976505859717335421773e-26')",
     ),
     ("log7", 256): (
         [
@@ -547,7 +546,7 @@ _PINNED_SYSTEMS = {
             "mpf('-31.11892552248833785454180190928100437304303973812722074047918599641158280129822')",
         ],
         "1.047926290235633e-73",
-        "mpf('1.153975322364529765058597173354217794675928768423091091295533714862077970987631e-26')",
+        "mpf('1.153975322364529765058597173354217794675928768423091091295533714862077970987731e-26')",
     ),
     ("wide3", 53): (
         [
@@ -555,8 +554,8 @@ _PINNED_SYSTEMS = {
             "mpf('-1.135050993654408')",
             "mpf('1.7432618364251682')",
         ],
-        "1.3108386650677494e-15",
-        "mpf('-0.20444086553483126')",
+        "1.310838665067748e-15",
+        "mpf('-0.20444086553483115')",
     ),
     ("wide3", 113): (
         [
@@ -564,8 +563,8 @@ _PINNED_SYSTEMS = {
             "mpf('-1.13505099365440792058418925466840821')",
             "mpf('1.74326183642516815710633435032971851')",
         ],
-        "1.1369713027555614e-33",
-        "mpf('-0.204440865534831149062186358385327808')",
+        "1.1369713027555607e-33",
+        "mpf('-0.204440865534831149062186358385327447')",
     ),
     ("wide3", 256): (
         [
@@ -573,8 +572,8 @@ _PINNED_SYSTEMS = {
             "mpf('-1.135050993654407920584189254668408152691036468747133896580951411196056237056313')",
             "mpf('1.743261836425168157106334350329718546319587925688102644188624554087140943472723')",
         ],
-        "1.0196711299409631e-76",
-        "mpf('-0.2044408655348311490621863583853274359334468807696829734105725896257792742576947')",
+        "1.0196711299409625e-76",
+        "mpf('-0.2044408655348311490621863583853274359334468807696829734105725896257792742576731')",
     ),
 }
 
@@ -591,203 +590,83 @@ def test_solve_and_det_bits_are_pinned(name, bits):
     assert repr(report.error_bound) == bound
 
 
-def _line_of(function, text):
-    """The number of the one line of ``function`` that contains ``text``."""
-    lines, first = inspect.getsourcelines(function)
-    (index,) = [i for i, line in enumerate(lines) if text in line]
-    return first + index
+def test_far_apart_inputs_round_only_narrow_integers(monkeypatch):
+    # inputs 10^60000000 apart: each row and then each column of the planes
+    # is scaled by its own power of two before it is read at 2^-F, so no
+    # integer that the factorization or the solve holds, rounds or divides
+    # is wider than 2F + 64 bits, a bound fixed from F alone: the exact sums
+    # at 2^-2F of products of entries below 2^32
+    frac = means.working_bits(53) + numerics._EXTRA_BITS
+    widest = 0
 
+    def note(values):
+        nonlocal widest
+        for v in values:
+            if isinstance(v, int):
+                widest = max(widest, v.bit_length())
+            elif isinstance(v, (list, tuple)):
+                note(v)
 
-@contextlib.contextmanager
-def _tracing(codes, on_event):
-    """Calls on_event(frame, event, arg) at each line the functions with the
-    given code objects run, and at their calls and returns: the kernel's
-    integers are built inline, so only a trace sees them."""
+    for module, name in ((numerics, "_quotient"), (numerics, "_round"), (logpoly, "_round")):
+        def recording(*args, real=getattr(module, name)):
+            note(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, recording)
 
     def local(frame, event, arg):
-        on_event(frame, event, arg)
+        note(frame.f_locals.values())
         return local
 
-    def calls(frame, event, arg):
-        if frame.f_code not in codes:
-            return None
-        on_event(frame, event, arg)
-        return local
-
+    codes = {numerics._lu_factor.__code__, numerics._lu_solve.__code__}
     previous = sys.gettrace()
-    sys.settrace(calls)
+    sys.settrace(lambda frame, event, arg: local if frame.f_code in codes else None)
     try:
-        yield
+        result = evaluate_request(["1e-30000000", "1", "1e30000000"], 1, 53)
     finally:
         sys.settrace(previous)
+    assert result["rel_gap"] <= 2.0 ** -53
+    assert frac < widest <= 2 * frac + 64
 
 
-def _primitive_chain(s, xs, ys, prec):
-    for x, y in zip(xs, ys):
-        s = numerics._sub(s, numerics._mul(x, y, prec), prec)
-    return s
+def _bareiss(A, *rhs):
+    """Fraction-free elimination (Bareiss 1968) of a system of pairs with
+    each row scaled by a power of two to integers, then fraction-free back
+    substitution: (d, det, columns), with d the determinant of the scaled
+    A, det that of A, and for each right-hand side the integer vector d x
+    of its solution x; (0, 0, None) when A is singular."""
+    n, width = len(A), len(A) + len(rhs)
+    rows, lows = [], []
+    for row in (row + list(tail) for row, *tail in zip(A, *rhs)):
+        low = min((e for m, e in row if m), default=0)
+        rows.append([m << (e - low) if m else 0 for m, e in row])
+        lows.append(low)
+    sign, previous = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if rows[i][k]), None)
+        if pivot is None:
+            return 0, 0, None
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, width):
+                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // previous
+        previous = rows[k][k]
+    columns = []
+    for column in range(n, width):
+        x = [0] * n
+        for i in range(n - 1, -1, -1):
+            total = previous * rows[i][column] - sum(rows[i][j] * x[j] for j in range(i + 1, n))
+            x[i] = total // rows[i][i]
+        columns.append(x)
+    return previous, sign * previous * Fraction(2) ** sum(lows), columns
 
 
-def _chain_oracle(s, xs, ys, prec, paths=None):
-    """The kernel's contract, from Fractions: s - sum x_j y_j exact, rounded
-    once by ``_nearest``, or the primitive chain when a nonzero term,
-    shifted to the lower of its exponent and the running sum's, would be
-    wider than max(_CHAIN_BITS, 4 prec) bits (a term that follows an
-    exactly zero sum starts it afresh at its own exponent).  ``paths``
-    counts the path taken."""
-    limit = max(numerics._CHAIN_BITS, 4 * prec)
-    total, exp = _fraction(s), s[1]
-    for x, y in zip(xs, ys):
-        p, ep = x[0] * y[0], x[1] + y[1]
-        if not p:
-            continue
-        if total:
-            if ep >= exp:
-                width = p.bit_length() + ep - exp
-            else:
-                width = (abs(total) / Fraction(2) ** ep).numerator.bit_length()
-                exp = ep
-            if width > limit:
-                if paths is not None:
-                    paths["fallback"] += 1
-                return _primitive_chain(s, xs, ys, prec)
-        else:
-            exp = ep
-        total -= p * Fraction(2) ** ep
-    if paths is not None:
-        paths["exact"] += 1
-    return _nearest(total, prec)
-
-
-def _far_system():
-    # wide3 with column 0 spanning 2^-4700..1: a chain that subtracts a
-    # product about 4700 exponents below its other operand passes the
-    # kernel's width, and runs as the primitive chain, whose unit stands in
-    # for that product
-    A, b = _wide_system()
-    A[1][0], A[2][0] = mp.ldexp(1, -4600), mp.ldexp(1, -4700)
-    return A, b
-
-
-@pytest.mark.parametrize("bits", [53, 113, 256])
-def test_wide_system_reaches_the_unit_stand_in(bits):
-    # wide3's chains are summed exactly, and each is its exact value
-    # rounded once; the far system's chains in the elimination's column and
-    # row, the forward substitution and the residual (and at some widths the
-    # back substitution) pass the width limit and reach the primitives' unit
-    # stand-in; every chain meets its oracle, and the kernel sums no integer
-    # wider than _CHAIN_BITS
-    dot_sub, sum_code = numerics._dot_sub.__code__, numerics._sum.__code__
-    stand_in = _line_of(numerics._sum, "(1 if b > 0 else -1)")
-    fallback = _line_of(numerics._dot_sub, "_sub(s, _mul")
-    # the kernel's callers, by line: numerics.py names each once
-    column = _line_of(numerics._lu_factor, "row[:col], columns[col]")
-    row = _line_of(numerics._lu_factor, "factors, columns[j]")
-    forward = _line_of(numerics._lu_solve, "lu[i][:i]")
-    back = _line_of(numerics._lu_solve, "row[i + 1 :]")
-    residual = _line_of(numerics.solve_linear, "_dot_sub(bi, row, solution")
-    far = {column, row, forward, residual}
-    for system, least, most in ((_wide_system, set(), set()), (_far_system, far, far | {back})):
-        reached, chains, widest = set(), [], 0
-
-        def on_event(frame, event, arg):
-            nonlocal widest
-            if frame.f_code is sum_code:
-                kernel = frame.f_back.f_back
-                if event == "line" and frame.f_lineno == stand_in and kernel.f_code is dot_sub:
-                    # _sum called by _sub, called by the kernel's fallback
-                    reached.add(kernel.f_back.f_lineno)
-                return
-            v = frame.f_locals
-            if event == "call":
-                chains.append((v["s"], v["xs"], v["ys"], v["prec"]))
-            elif event == "return":
-                chains[-1] += (arg,)
-            elif "m" in v and frame.f_lineno < fallback:
-                widest = max(widest, v["m"].bit_length())
-
-        A, b = system()
-        with _tracing({dot_sub, sum_code}, on_event):
-            solve_linear(A, b, bits)
-        assert least <= reached <= most, system
-        assert 0 < widest <= numerics._CHAIN_BITS
-        paths = collections.Counter()
-        for s, xs, ys, prec, result in chains:
-            assert result == _chain_oracle(s, xs, ys, prec, paths), (s, xs, ys)
-        assert bool(paths["fallback"]) == bool(least)
-
-
-def test_far_apart_inputs_round_only_narrow_integers(monkeypatch):
-    # inputs 10^60000000 apart: adding exactly would shift a mantissa by
-    # about 2 * 10^8 bits; the kernel's chains pass its width and fall back
-    # to the primitives, whose unit stand-in keeps every integer that is
-    # rounded narrow, and no integer the kernel sums is wider than 4096 bits
-    widest = 0
-    fallbacks = 0
-    original_round = numerics._round
-
-    def recording(m, e, prec):
-        nonlocal widest
-        widest = max(widest, m.bit_length())
-        return original_round(m, e, prec)
-
-    fallback = _line_of(numerics._dot_sub, "_sub(s, _mul")
-    kernel_lines = 0
-
-    def on_event(frame, event, arg):
-        nonlocal widest, fallbacks, kernel_lines
-        if event != "line":
-            return
-        if frame.f_lineno == fallback:
-            fallbacks += 1
-        elif "m" in frame.f_locals:
-            kernel_lines += 1
-            widest = max(widest, frame.f_locals["m"].bit_length())
-
-    monkeypatch.setattr(numerics, "_round", recording)
-    monkeypatch.setattr(logpoly, "_round", recording)
-    with _tracing({numerics._dot_sub.__code__}, on_event):
-        evaluate_request(["1e-30000000", "1", "1e30000000"], 1, 53)
-    assert kernel_lines and fallbacks
-    assert 0 < widest <= 4096
-
-
-def test_refinement_corrections_are_rounded_to_working_precision():
-    # ones plus offsets c * 2^e, built at 400 bits; rows 0 and 1 differ by
-    # 2^-52 in the last column, so the refinement makes large corrections,
-    # and carrying them wider than 113 bits changes the last bits below
-    offsets = [
-        [(-1, -96), (1, -116), (0, 0), (-3, -77)],
-        [(-1, -96), (1, -116), (0, 0), (-3, -77)],
-        [(-1, -108), (1, -107), (0, 0), (-1, -46)],
-        [(-1, -91), (3, -84), (-1, -81), (0, 0)],
-    ]
-    with mp.workprec(400):
-        A = [[1 + mp.ldexp(c, e) for c, e in row] for row in offsets]
-        A[1][3] += mp.ldexp(1, -52)
-        b = [1 + mp.ldexp(c, e) for c, e in [(-1, -97), (-1, -99), (1, -67), (-1, -107)]]
-    report = solve_linear(A, b, 113)
-    with mp.workprec(113):
-        assert [repr(x) for x in report.solution] == [
-            "mpf('537192298.568070443366462304300849564')",
-            "mpf('-390315701.478752145165876408349436133')",
-            "mpf('-146876596.08931829820060721222670586')",
-            "mpf('2.13162820728030055761337280273446395e-14')",
-        ]
-
-
-def _exact_solution(A, b):
-    """Gauss-Jordan in Fractions: the exact solution of a nonsingular system."""
-    n = len(A)
-    rows = [list(row) + [rhs] for row, rhs in zip(A, b)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if rows[i][col])
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        for i in range(n):
-            if i != col and rows[i][col]:
-                factor = rows[i][col] / rows[col][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[col])]
-    return [rows[i][n] / rows[i][i] for i in range(n)]
+def _exact(A, b):
+    """The exact solution and determinant of a nonsingular system of pairs."""
+    d, determinant, columns = _bareiss(A, b)
+    return [Fraction(v, d) for v in columns[0]], determinant
 
 
 def _fraction(pair):
@@ -800,51 +679,152 @@ def _units_off(pairs, truth, bits):
     return max(abs(_fraction(x) - t) / abs(t) * 2 ** bits for x, t in zip(pairs, truth))
 
 
+@functools.lru_cache(maxsize=None)
 def _log_curve_systems(n, bits, count=4):
     """Seeded intersection systems of the log curve, as built at ``bits``,
-    with their pairs and the exact solution of those rounded pairs."""
+    each with the exact solution and determinant of its rounded pairs."""
     rng = random.Random(1000 * n + bits)
     curve = make_log_curve(n)
+    systems = []
     for _ in range(count):
         planes = [hyperplane_at(curve, a, bits) for a in draw_tuple(rng, n, 1.1, 50)]
         A = [plane.normal for plane in planes]
         b = [plane.offset for plane in planes]
-        A_pairs = [numerics._pairs(row, bits) for row in A]
-        b_pairs = numerics._pairs(b, bits)
-        truth = _exact_solution(
-            [[_fraction(v) for v in row] for row in A_pairs], [_fraction(v) for v in b_pairs]
-        )
-        yield A, b, A_pairs, b_pairs, truth
+        truth, determinant = _exact([numerics._pairs(row, bits) for row in A], numerics._pairs(b, bits))
+        systems.append((A, b, truth, determinant))
+    return tuple(systems)
 
 
-@pytest.mark.parametrize("bits", [83, 143, 286])
-@pytest.mark.parametrize("n", range(2, 8))
-def test_one_refinement_step_is_within_a_unit_of_the_exact_solution(n, bits):
-    # the solve and one refinement step leave each component within 2^-bits
-    # relative of the exact solution of the rounded system; the uncorrected
-    # LU solution is not, on the same systems (the negative control)
-    worst_refined = worst_unrefined = 0
-    for A, b, A_pairs, b_pairs, truth in _log_curve_systems(n, bits):
+_EXACT_CASES = [(n, 83) for n in range(2, 15)] + [
+    (n, bits) for bits in (143, 286) for n in range(2, 17)
+]
+
+
+@pytest.mark.parametrize("n, bits", _EXACT_CASES)
+def test_solution_is_within_a_unit_of_the_exact_solution(n, bits):
+    # every component of the solve is within 2^-bits relative of the exact
+    # solution of the rounded system: the final rounding to bits, and
+    # 2^-(bits + 96) per step of the elimination on the scaled system
+    for A, b, truth, _ in _log_curve_systems(n, bits):
         solution = [numerics._pair(x._mpf_) for x in solve_linear(A, b, bits).solution]
-        worst_refined = max(worst_refined, _units_off(solution, truth, bits))
-        lu, perm, _ = numerics._lu_factor(A_pairs, bits)
-        unrefined = numerics._lu_solve(lu, perm, b_pairs, bits)
-        worst_unrefined = max(worst_unrefined, _units_off(unrefined, truth, bits))
-    assert worst_refined <= 1
-    assert worst_unrefined > 1
+        assert _units_off(solution, truth, bits) <= 1
 
 
-def test_pivot_ratios_that_round_alike_are_compared_exactly():
-    # column 0's ratios |a| / scale are 2^51 / (2^52 + 1) and
-    # (2^51 + 1) / (2^52 + 3): the second is larger by about 2^-104, and
-    # both round to the same 53-bit value, so only an exact comparison
-    # takes row 1
-    A = [[1 << 51, -((1 << 52) + 1)], [(1 << 51) + 1, (1 << 52) + 3]]
-    A_pairs = [numerics._pairs(row, 53) for row in A]
-    ratios = [numerics._div(a, numerics._abs(s), 53) for a, s in A_pairs]
-    assert ratios[0] == ratios[1]
-    _, perm, _ = numerics._lu_factor(A_pairs, 53)
-    assert perm == [1, 0]
+def test_fewer_fraction_bits_miss_the_exact_solution(monkeypatch):
+    # negative control: with F = w + 32 the n = 10 systems at 83 bits are
+    # hundreds of units off
+    monkeypatch.setattr(numerics, "_EXTRA_BITS", 32)
+    worst = 0
+    for A, b, truth, _ in _log_curve_systems(10, 83):
+        solution = [numerics._pair(x._mpf_) for x in solve_linear(A, b, 83).solution]
+        worst = max(worst, _units_off(solution, truth, 83))
+    assert worst > 1
+
+
+@pytest.mark.parametrize("n, bits", _EXACT_CASES)
+def test_det_is_within_a_rounding_of_the_exact_determinant(n, bits):
+    # the exact product of the pivots, rounded once: within 2^-bits
+    # relative of the exact determinant of the rounded matrix
+    for A, _, _, determinant in _log_curve_systems(n, bits):
+        assert _units_off([numerics._pair(det(A, bits)._mpf_)], [determinant], bits) <= 1
+
+
+def _general_system(rng, prec):
+    """A seeded system of n = 1 to 8 canonical pairs at ``prec``, b
+    included: extra zeros, ``_fuzz_mantissa`` mantissas, tops mostly within
+    a few exponents of each other, some more than prec or about 10^4 apart."""
+    n = rng.randint(1, 8)
+    zeros = rng.choice((0, 0.3))
+
+    def entry():
+        man = 0 if rng.random() < zeros else _fuzz_mantissa(rng, prec)
+        r = rng.random()
+        if r < 0.8:
+            top = rng.randint(-4, 4)
+        elif r < 0.95:
+            top = rng.randint(-3 * prec, 3 * prec)
+        else:
+            top = rng.randint(-10100, 10100)
+        return numerics._round(man, top - abs(man).bit_length(), prec)
+
+    return [[entry() for _ in range(n)] for _ in range(n)], [entry() for _ in range(n)]
+
+
+@functools.lru_cache(maxsize=None)
+def _general_systems(bits, count=100):
+    """Seeded nonsingular systems (``_general_system``) with b != 0, each
+    with its exact solution and with d and d A^-1 for an integer d."""
+    rng = random.Random(bits)
+    systems = []
+    for _ in range(count):
+        A, b = _general_system(rng, bits)
+        n = len(A)
+        # column k of d A^-1 is d z for A z = e_k
+        d, _, columns = _bareiss(A, b, *([(int(i == k), 0) for i in range(n)] for k in range(n)))
+        if d and any(columns[0]):
+            systems.append((A, b, [Fraction(v, d) for v in columns[0]], d, columns[1:]))
+    return tuple(systems)
+
+
+def _normwise_excess(A, b, truth, d, inverse, bits):
+    """How far ``solve_linear`` strays from the exact solution x* beyond
+    its own rounding, against the normwise bound on the scaled system: the
+    largest (|x_j - x*_j| - 2^-bits |x*_j|) 2^c_j / (n kappa 2^-F max_k
+    |x*_k| 2^c_k), with 2^-c_j the column scaling of ``_lu_factor``, F =
+    bits + 96 and kappa the exact infinity-norm condition number of R A C;
+    0 when every component is within its rounding, and None when the pivot
+    guard refuses the system."""
+    try:
+        solution = solve_linear(A, b, bits).solution
+    except SingularSystem:
+        return None
+    two = Fraction(2)
+    excess = [abs(_fraction(numerics._pair(x._mpf_)) - t) - abs(t) * two ** -bits
+              for x, t in zip(solution, truth)]
+    if max(excess) <= 0:
+        return 0
+    _, _, _, _, row_exp, col_exp, _ = numerics._lu_factor(A, bits)
+    norm = max(sum(abs(_fraction(a)) * two ** (-r - c) for a, c in zip(row, col_exp))
+               for row, r in zip(A, row_exp))
+    # row j of (R A C)^-1 is 2^c_j times row j of A^-1 times R^-1
+    low = min(row_exp) + min(col_exp)
+    inverse_norm = max(
+        Fraction(sum(abs(z[j]) << (c + r - low) for z, r in zip(inverse, row_exp)), abs(d))
+        for j, c in enumerate(col_exp)
+    ) * two ** low
+    largest = max(abs(t) * two ** c for t, c in zip(truth, col_exp))
+    unit = len(A) * norm * inverse_norm * two ** -(bits + 96) * largest
+    return max(e * two ** c / unit for e, c in zip(excess, col_exp))
+
+
+@pytest.mark.parametrize("bits", [53, 113, 256])
+def test_general_systems_are_accurate_normwise(bits):
+    # each component is within its own rounding to bits plus n kappa 2^-F of
+    # the largest scaled one (Higham 2002, sec. 9.3); systems the pivot
+    # guard refuses are skipped
+    systems = _general_systems(bits)
+    tops = [[m.bit_length() + e for row in A for m, e in row if m] for A, *_ in systems]
+    assert any(m == 0 for A, *_ in systems for row in A for m, _ in row)
+    assert any(max(t) - min(t) > 10000 for t in tops)
+    excess = [_normwise_excess(*system, bits) for system in systems]
+    solved = [e for e in excess if e is not None]
+    assert len(solved) >= 50
+    assert max(solved) <= 1
+
+
+def test_general_systems_fewer_fraction_bits_miss_the_normwise_bound(monkeypatch):
+    # negative control: the elimination at F = w + 32, the bound still at w + 96
+    monkeypatch.setattr(numerics, "_EXTRA_BITS", 32)
+    excess = [_normwise_excess(*system, 113) for system in _general_systems(113)]
+    assert max(e for e in excess if e is not None) > 1
+
+
+def test_components_more_than_f_bits_below_the_largest_read_as_zero():
+    # x_2 = 2^-200 lies 200 bits below x_1, more than F = 149 bits at 53:
+    # the scaled right-hand side reads it as 0, within the normwise bound
+    A, b = [[(1, 0), (0, 0)], [(0, 0), (1, 0)]], [(1, 0), (1, -200)]
+    assert solve_linear(A, b, 53).solution == (1, 0)
+    assert _normwise_excess(A, b, [1, Fraction(1, 2**200)], 1, [[1, 0], [0, 1]], 53) <= 1
 
 
 def _sign_cases():
@@ -865,7 +845,7 @@ def _sign_mismatches(lu_factor):
     """Cases where ``lu_factor``'s sign is not (-1)^(inversions of perm)."""
     count = 0
     for A in _sign_cases():
-        _, perm, sign = lu_factor([numerics._pairs(row, 53) for row in A], 53)
+        _, perm, sign, *_ = lu_factor([numerics._pairs(row, 53) for row in A], 53)
         inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
         count += sign != (-1) ** inversions
     return count
@@ -1059,226 +1039,23 @@ def test_sub_is_sign_symmetric(prec):
         assert numerics._sub(y, x, prec) == (-m, e), (s, t)
 
 
-def _fuzz_pair(rng, prec, exponent):
-    """A canonical pair of a fuzzed mantissa (``_fuzz_mantissa``)."""
-    return numerics._pair(from_man_exp(_fuzz_mantissa(rng, prec), exponent))
-
-
-def _fuzz_chain(rng, prec):
-    """s and 0 to 16 terms (x, y): zero terms, mixed signs, mantissas up to
-    64 bits wider than prec, terms s * 1 that may cancel s exactly, and
-    products whose top lies above s's top or below it by less than prec,
-    by prec give or take 4, by more than prec (where the unit stand-in
-    takes over) or by about 10^4."""
-    s = _fuzz_pair(rng, prec, rng.randint(-50, 50))
-    top = s[0].bit_length() + s[1]
-    xs, ys = [], []
-    for _ in range(rng.randint(0, 16)):
-        if rng.random() < 0.1:
-            xs.append(s)
-            ys.append(numerics._ONE)
-            continue
-        gap = rng.choice((
-            rng.randint(-40, prec - 5),
-            prec + rng.randint(-4, 4),
-            rng.randint(prec + 5, 2 * prec + 200),
-            rng.randint(9900, 10100),
-        ))
-        mx, my = _fuzz_mantissa(rng, prec), _fuzz_mantissa(rng, prec)
-        ex = rng.randint(-60, 60)
-        ey = top - gap - ex - mx.bit_length() - my.bit_length()
-        xs.append(numerics._pair(from_man_exp(mx, ex)))
-        ys.append(numerics._pair(from_man_exp(my, ey)))
-    return s, xs, ys
-
-
-@pytest.mark.parametrize("prec", _PRECISIONS)
-def test_fused_kernel_is_pinned_to_the_primitives(prec):
-    # s - x_1 y_1 - ... in one call: within the width limit its exact value
-    # rounded once, past it bit for bit the chain of _sub and _mul, which
-    # rounds the exact product and the exact difference once at each step;
-    # the fuzz's gaps of about 10^4 reach the fallback
-    rng = random.Random(prec + 1)
-    paths = collections.Counter()
-    for _ in range(120 if prec > 300 else 250):
-        s, xs, ys = _fuzz_chain(rng, prec)
-        stepwise = s
-        for x, y in zip(xs, ys):
-            product = _nearest(_fraction(x) * _fraction(y), prec)
-            stepwise = _nearest(_fraction(stepwise) - _fraction(product), prec)
-        assert _primitive_chain(s, xs, ys, prec) == stepwise, (s, xs, ys)
-        assert numerics._dot_sub(s, xs, ys, prec) == _chain_oracle(s, xs, ys, prec, paths), (
-            s, xs, ys
-        )
-    assert paths["exact"] and paths["fallback"]
-
-
-@pytest.mark.parametrize("prec", [53, 113, 256])
-def test_dot_sub_cancellation_is_rounded_once(prec):
-    rng = random.Random(prec + 3)
-    for _ in range(50):
-        # x_1, y_1 odd and prec bits wide, s their product rounded,
-        # x_2 = s - x_1 y_1 - u and y_2 = 1, so the chain's exact value is u,
-        # about 2^-(prec + 40) of x_1 y_1 and prec + 10 bits wide; the
-        # primitives round x_1 y_1 to s, and their chain is -x_2 rounded,
-        # over 2^20 units of u off, or 0
-        x1, y1 = (
-            (rng.choice((1, -1)) * (1 << (prec - 1) | rng.getrandbits(prec - 1) | 1),
-             rng.randint(-60, 60))
-            for _ in range(2)
-        )
-        product = _fraction(x1) * _fraction(y1)
-        s = _nearest(product, prec)
-        top = abs(product).numerator.bit_length() - abs(product).denominator.bit_length()
-        u = Fraction(rng.getrandbits(prec + 9) | 1 << (prec + 9), 1) * Fraction(2) ** (
-            top - 2 * prec - 50
-        )
-        u = -u if rng.random() < 0.5 else u
-        rest = _fraction(s) - product - u
-        x2 = rest.numerator, -(rest.denominator.bit_length() - 1)
-        chain = s, [x1, x2], [y1, numerics._ONE]
-        assert _fraction(x2) == rest
-        assert numerics._dot_sub(*chain, prec) == _nearest(u, prec)
-        primitive = _fraction(_primitive_chain(*chain, prec))
-        assert primitive == 0 or abs(primitive - u) > abs(u) * 2 ** (20 - prec)
-
-    for odd in (False, True):
-        for sign in (1, -1):
-            # s + 1/2 is a midpoint at prec, and it rounds to even; x_2 y_2
-            # and x_3 y_3 cancel exactly
-            m = 1 << (prec - 1) | rng.getrandbits(prec - 2) << 1 | odd
-            s = sign * m, 0
-            xs = [(-sign, -1), (3, 5), (-21, 7)]
-            ys = [numerics._ONE, (7, 2), numerics._ONE]
-            expected = numerics._round(sign * (m + odd), 0, prec)
-            assert numerics._dot_sub(s, xs, ys, prec) == expected
-            assert expected == _nearest(sign * (m + Fraction(1, 2)), prec)
-
-    # every product zero: s as it is
-    s = _fuzz_pair(rng, prec, 5)
-    while not s[0]:
-        s = _fuzz_pair(rng, prec, 5)
-    s = numerics._round(*s, prec)
-    zeros = [(0, 0), (3, 1), numerics._ZERO]
-    assert numerics._dot_sub(s, zeros, [(5, -2), (0, 0), (7, 9)], prec) == s
-
-
-def _right_looking_lu(matrix, prec):
-    """The reference for ``numerics._lu_factor``: right-looking elimination
-    with the same pivot rule, the first row of largest |a_i| / s_i, and the
-    same guard, both compared as Fractions.  Each step appends its term
-    (l_ik, u_kj) to the entries it updates, and an entry is stored once,
-    when its column or row is finished: its exact chain
-    a_ij - sum_k l_ik u_kj by ``_chain_oracle``, as given if it has no
-    term, and a multiplier that value over the pivot by ``_div``."""
-    n = len(matrix)
-    lu = [row[:] for row in matrix]
-    terms = [[[] for _ in range(n)] for _ in range(n)]
-    scales = [max(abs(_fraction(v)) for v in row) for row in lu]
-    if not all(scales):
-        raise SingularSystem("matrix has an all-zero row")
-    perm, sign = list(range(n)), 1
-
-    def finish(i, j):
-        if terms[i][j]:
-            ls, us = zip(*terms[i][j])
-            lu[i][j] = _chain_oracle(lu[i][j], ls, us, prec)
-
-    for col in range(n):
-        for i in range(col, n):
-            finish(i, col)
-        pivot_row = max(range(col, n), key=lambda i: abs(_fraction(lu[i][col])) / scales[i])
-        if abs(_fraction(lu[pivot_row][col])) <= scales[pivot_row] * Fraction(2) ** (8 - prec):
-            raise SingularSystem(
-                f"pivot {col} fell below the relative threshold; "
-                "the system is numerically singular"
-            )
-        if pivot_row != col:
-            for seq in (lu, terms, scales, perm):
-                seq[col], seq[pivot_row] = seq[pivot_row], seq[col]
-            sign = -sign
-        upper = lu[col]
-        for j in range(col + 1, n):
-            finish(col, j)
-        for i in range(col + 1, n):
-            lu[i][col] = factor = numerics._div(lu[i][col], upper[col], prec)
-            for j in range(col + 1, n):
-                terms[i][j].append((factor, upper[j]))
-    return lu, perm, sign
-
-
-def _fuzz_matrix(rng, prec):
-    """A square matrix of n = 1 to 8 canonical pairs: extra zeros, mantissas
-    up to 64 bits wider than prec (``_fuzz_mantissa``), tops mostly within a
-    few exponents of each other, some more than prec or about 10^4 apart,
-    and now and then a repeated or an all-zero row."""
-    n = rng.randint(1, 8)
-    zeros = rng.choice((0, 0.3))
-    rows = []
-    for _ in range(n):
-        row = []
-        for _ in range(n):
-            man = 0 if rng.random() < zeros else _fuzz_mantissa(rng, prec)
-            r = rng.random()
-            if r < 0.8:
-                top = rng.randint(-4, 4)
-            elif r < 0.95:
-                top = rng.randint(-3 * prec, 3 * prec)
-            else:
-                top = rng.randint(-10100, 10100)
-            row.append(numerics._pair(from_man_exp(man, top - abs(man).bit_length())))
-        rows.append(row)
-    if n > 1 and rng.random() < 0.15:
-        rows[rng.randrange(n)] = rows[rng.randrange(n)][:]
-    if rng.random() < 0.05:
-        rows[rng.randrange(n)] = [(0, 0)] * n
-    return rows
-
-
-def _factor_outcome(lu_factor, matrix, prec):
-    try:
-        return lu_factor(matrix, prec)
-    except SingularSystem as exc:
-        return str(exc)
-
-
-@pytest.mark.parametrize("prec", _PRECISIONS)
-def test_lu_is_pinned_to_right_looking_elimination(prec):
-    # the left-looking LU, each entry one chain of the kernel, gives the
-    # right-looking elimination's lu, perm and sign bit for bit, or the same
-    # refusal, where each entry carries its updates exactly and is rounded
-    # once; negative control: the same LU through the chain of primitives,
-    # which rounds each product and each difference
-    rng = random.Random(prec + 2)
-    cases = [_fuzz_matrix(rng, prec) for _ in range(100 if prec > 300 else 300)]
-    outcomes = [_factor_outcome(_right_looking_lu, A, prec) for A in cases]
-    for A, expected in zip(cases, outcomes):
-        assert _factor_outcome(numerics._lu_factor, A, prec) == expected, A
-    assert any(isinstance(o, str) for o in outcomes)
-    assert any(not isinstance(o, str) and o[2] == -1 for o in outcomes)
-
-    namespace = dict(vars(numerics), _dot_sub=_primitive_chain)
-    exec(inspect.getsource(numerics._lu_factor), namespace)
-    assert any(
-        _factor_outcome(namespace["_lu_factor"], A, prec) != expected
-        for A, expected in zip(cases, outcomes)
-    )
-
-
 # -- pivot rules ----------------------------------------------------------------------
 
 
 def _guard_system(bits, extra):
-    # column 0 ties (2/2 = 3/3), so row 0 pivots; the second pivot is then
-    # exactly 3 * 2^(-bits + 8) + extra against a row scale of 3
+    # column 0 ties, so row 0 pivots; column 1 is scaled by 2^-10, and the
+    # second pivot is 2^-10 d with d = 2^(-bits + 19) + extra, against its
+    # row's top power of two, 2: at extra = 0 exactly 2^(-bits + 8) times
+    # it, where the parent's guard, relative to the row's largest entry 1,
+    # let it factor
     with mp.workprec(bits):
-        corner = mp.mpf("1.5") + 3 * mp.ldexp(1, -bits + 8) + extra
-    return [[2, 1], [3, corner]]
+        d = mp.ldexp(1, -bits + 19) + extra
+        return [[1, mp.ldexp(1, -10)], [1, mp.ldexp(1 + d, -10)]], d
 
 
 @pytest.mark.parametrize("bits", [53, 113])
 def test_pivot_at_the_guard_is_singular(bits):
-    matrix = _guard_system(bits, 0)
+    matrix, _ = _guard_system(bits, 0)
     with pytest.raises(SingularSystem):
         solve_linear(matrix, [1, 1], bits)
     assert det(matrix, bits) == 0
@@ -1286,12 +1063,10 @@ def test_pivot_at_the_guard_is_singular(bits):
 
 @pytest.mark.parametrize("bits", [53, 113])
 def test_pivot_just_above_the_guard_factors(bits):
-    # one ulp of 1.5 above the guard
-    ulp = mp.ldexp(1, -bits + 1)
-    matrix = _guard_system(bits, ulp)
+    # one ulp of 1 + d above the guard
+    matrix, d = _guard_system(bits, mp.ldexp(1, -bits + 1))
     solve_linear(matrix, [1, 1], bits)
-    with mp.workprec(bits):
-        assert det(matrix, bits) == 2 * (3 * mp.ldexp(1, -bits + 8) + ulp)
+    assert det(matrix, bits) == mp.ldexp(d, -10)
 
 
 def test_equal_scaled_pivots_take_the_first_row():
